@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"github.com/dpgrid/dpgrid"
 )
@@ -52,5 +58,43 @@ func BenchmarkAnswerRepeatedRects(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkQueryHandler is the L3 rung of the serving ladder: the whole
+// POST /v1/query handler (body read and decode, validation, answer,
+// response encode) as dpserve serves it by default, behind the request
+// timeout, driven through httptest.ResponseRecorder with no socket. The
+// body is a 64-rect batch with full-precision coordinates, the shape
+// the load drivers send; with the cache on, every rect after the first
+// pass is a hit, so the gap to BenchmarkAnswerRepeatedRects is the
+// HTTP and JSON cost of a request.
+func BenchmarkQueryHandler(b *testing.B) {
+	syn := testSynopsis(b, 91)
+	rng := rand.New(rand.NewSource(7))
+	rects := make([][4]float64, 64)
+	for i := range rects {
+		x, y := rng.Float64()*80, rng.Float64()*80
+		rects[i] = [4]float64{x, y, x + rng.Float64()*20, y + rng.Float64()*20}
+	}
+	body, err := json.Marshal(queryRequest{Synopsis: "bench", Rects: rects})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, entries := range []int{0, 4096} {
+		b.Run(fmt.Sprintf("cache=%d", entries), func(b *testing.B) {
+			reg := newRegistry()
+			reg.put("bench", syn)
+			h := newDPServer(reg, serverOptions{cacheEntries: entries, requestTimeout: time.Minute}).handler()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -37,7 +36,7 @@ func (s *server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req cluster.ShardQueryRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := cluster.DecodeBody(body, r.ContentLength, &req, cluster.ScanShardQueryRequest); err != nil {
 		writeError(w, http.StatusBadRequest, "bad shard query body: "+err.Error())
 		return
 	}
@@ -131,7 +130,7 @@ func newRouterServer(opts routerOptions) (*routerServer, error) {
 		queries: reg.CounterVec("dpserve_router_queries_total",
 			"Router queries answered, by synopsis.", "synopsis"),
 		latency: reg.HistogramVec("dpserve_router_request_seconds",
-			"Router query latency (scatter, gather, merge), by synopsis.", "synopsis", queryLatencyBounds),
+			"Seconds the router spends in scatter, gather and merge for a POST /v1/query, by synopsis; body decode, validation and response encode fall outside it.", "synopsis", queryLatencyBounds),
 		failures: reg.Counter("dpserve_router_unavailable_total",
 			"Router queries failed with 503 because every needed backend was down."),
 		rejected: reg.Counter("dpserve_router_rejected_total",
@@ -196,7 +195,7 @@ func (rs *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req queryRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := cluster.DecodeBody(body, r.ContentLength, &req, scanQueryRequest); err != nil {
 		rs.rejected.Inc()
 		writeError(w, http.StatusBadRequest, "bad query body: "+err.Error())
 		return
@@ -278,8 +277,11 @@ func (rs *routerServer) reloadLoop(hup <-chan os.Signal, watch time.Duration, st
 		case <-stop:
 			return
 		case <-hup:
-			_ = rs.reload()
+			// Fingerprint before reloading: a rewrite landing during the
+			// reload then differs on the next tick instead of being
+			// recorded as already loaded.
 			lastMod, lastSize = statPlacement(rs.placementPath)
+			_ = rs.reload()
 		case <-tick:
 			mod, size := statPlacement(rs.placementPath)
 			if mod != lastMod || size != lastSize {

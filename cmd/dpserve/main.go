@@ -16,8 +16,8 @@
 //	                             point rollout gates here, liveness probes
 //	                             at /healthz
 //	GET    /metrics              Prometheus text exposition: per-synopsis
-//	                             query counts, latency histograms, shard
-//	                             fan-out, lazy materializations, cache
+//	                             query counts, answer-time histograms,
+//	                             shard fan-out, lazy materializations, cache
 //	                             hit/miss, decode errors, admission drops
 //	GET    /v1/synopses          list registered synopses with metadata
 //	GET    /v1/synopses/<name>   metadata for one synopsis

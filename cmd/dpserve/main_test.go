@@ -166,6 +166,51 @@ func TestQueryBadBody(t *testing.T) {
 	}
 }
 
+// TestQueryBodyDecodeMatchesEncodingJSON: /v1/query answers every body,
+// canonical or declined by the scanner, as if encoding/json had decoded
+// it: a decode error gets the same 400 text, and a body that decodes
+// gets the same response as its canonical re-encoding.
+func TestQueryBodyDecodeMatchesEncodingJSON(t *testing.T) {
+	reg := newRegistry()
+	reg.put("main", testSynopsis(t, 4))
+	h := newTestDPServer(reg, serverOptions{}).handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+		return rec
+	}
+	for _, body := range []string{
+		`{"synopsis":"main","rects":[[10,10,40,40],[55.5,1.25,99,63],[-0,1e-7,1E+2,0.1]]}`,
+		`{"synopsis":"m\u0061in","rects":[[10,10,40,40]]}`,
+		`{"Synopsis":"main","rects":[[10,10,40]]}`,
+		`{"synopsis":"main","rects":[[10,10,40,40,50]],"extra":true}`,
+		`{"synopsis":"main","rects":[[10,10,40,40]]} trailing`,
+		`{"synopsis":"main","rects":[[1e400,0,1,1]]}`,
+		`{"synopsis":"main","rects":[["1",0,1,1]]}`,
+		`{"synopsis":"main","rects":[[1,2,3,4]]`,
+		`null`,
+		``,
+	} {
+		var req queryRequest
+		rec := post(body)
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
+			want, _ := json.Marshal(map[string]string{"error": "bad query body: " + err.Error()})
+			if rec.Code != http.StatusBadRequest || rec.Body.String() != string(want)+"\n" {
+				t.Errorf("%q: %d %s, want 400 %s", body, rec.Code, rec.Body, want)
+			}
+			continue
+		}
+		canonical, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := post(string(canonical))
+		if rec.Code != want.Code || rec.Body.String() != want.Body.String() {
+			t.Errorf("%q: %d %s, want %d %s", body, rec.Code, rec.Body, want.Code, want.Body)
+		}
+	}
+}
+
 func TestPutSynopsisRoundTrip(t *testing.T) {
 	syn := testSynopsis(t, 5)
 	var buf bytes.Buffer

@@ -30,13 +30,12 @@ type serverMetrics struct {
 
 	// Per-synopsis serving-path families.
 	queryRects       *obs.CounterVec   // rectangles answered
-	latency          *obs.HistogramVec // POST /v1/query request seconds
+	latency          *obs.HistogramVec // seconds in answer() per POST /v1/query
 	fanout           *obs.HistogramVec // shards visited per rectangle
 	materializations *obs.CounterVec   // lazy shards decoded on first touch
 	cacheHits        *obs.CounterVec
 	cacheMisses      *obs.CounterVec
-	satQueries       *obs.CounterVec // rects computed on the SAT fast path
-	synopsisKind     *obs.InfoVec    // container kind per served synopsis
+	synopsisKind     *obs.InfoVec // container kind per served synopsis
 
 	// Registry and lifecycle counters.
 	decodeErrors *obs.Counter // rejected PUT bodies
@@ -55,7 +54,7 @@ func newServerMetrics(cacheEntries, synopsisCount, mappedBytes func() float64) *
 	m.queryRects = r.CounterVec("dpserve_query_rects_total",
 		"Rectangle count queries answered, by synopsis (cache hits included).", "synopsis")
 	m.latency = r.HistogramVec("dpserve_query_request_seconds",
-		"POST /v1/query request latency, by synopsis.", "synopsis", queryLatencyBounds)
+		"Seconds spent answering the rects of a POST /v1/query (cache lookups and synopsis queries), by synopsis; body decode, validation and response encode fall outside it.", "synopsis", queryLatencyBounds)
 	m.fanout = r.HistogramVec("dpserve_shard_fanout",
 		"Shards visited per rectangle against sharded synopses (cache misses only).", "synopsis", fanoutBounds)
 	m.materializations = r.CounterVec("dpserve_lazy_materializations_total",
@@ -64,8 +63,6 @@ func newServerMetrics(cacheEntries, synopsisCount, mappedBytes func() float64) *
 		"Rectangle queries answered from the result cache, by synopsis.", "synopsis")
 	m.cacheMisses = r.CounterVec("dpserve_cache_misses_total",
 		"Rectangle queries computed from the synopsis, by synopsis.", "synopsis")
-	m.satQueries = r.CounterVec("dpserve_sat_queries_total",
-		"Rectangles computed on the stored summed-area O(1) fast path, by synopsis (cache hits excluded).", "synopsis")
 	m.synopsisKind = r.InfoVec("dpserve_synopsis_kind",
 		"Container kind of each registered synopsis (info pattern: value is always 1; join on the synopsis label).",
 		"synopsis", "kind")
@@ -98,7 +95,6 @@ func (m *serverMetrics) forgetSynopsis(name string) {
 	m.materializations.Forget(name)
 	m.cacheHits.Forget(name)
 	m.cacheMisses.Forget(name)
-	m.satQueries.Forget(name)
 	m.synopsisKind.Forget(name)
 }
 

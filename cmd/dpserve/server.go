@@ -99,6 +99,15 @@ type queryRequest struct {
 	Rects    [][4]float64 `json:"rects"`
 }
 
+// scanQueryRequest decodes a /v1/query body in its canonical shape
+// without reflection; cluster.DecodeBody hands every other body to
+// encoding/json.
+func scanQueryRequest(body []byte, req *queryRequest) bool {
+	var ok bool
+	req.Synopsis, req.Rects, ok = cluster.ScanQuery(body)
+	return ok
+}
+
 // queryResponse is the body of a successful POST /v1/query: one
 // estimate per request rectangle, in order. Partial and MissingTiles
 // appear only in cluster mode, when backend loss degraded the answer
@@ -330,7 +339,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req queryRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := cluster.DecodeBody(body, r.ContentLength, &req, scanQueryRequest); err != nil {
 		writeError(w, http.StatusBadRequest, "bad query body: "+err.Error())
 		return
 	}
@@ -378,11 +387,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				h.Observe(float64(f))
 			}
 			s.met.materializations.With(name).Add(uint64(st.materialized))
-		}
-		// Computed rects (cache hits excluded) against a SAT-backed
-		// synopsis ran the O(1) prefix fast path.
-		if sb, ok := syn.(interface{ SATBacked() bool }); ok && sb.SATBacked() {
-			s.met.satQueries.With(name).Add(uint64(st.misses))
 		}
 	}
 	writeJSON(w, http.StatusOK, queryResponse{Synopsis: req.Synopsis, Counts: counts})

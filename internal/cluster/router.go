@@ -592,7 +592,7 @@ func (r *Router) attempt(ctx context.Context, be *backendRef, body []byte, numRe
 		return fail()
 	}
 	var sqr ShardQueryResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&sqr); err != nil {
+	if err := DecodeBody(io.LimitReader(resp.Body, 256<<20), resp.ContentLength, &sqr, ScanShardQueryResponse); err != nil {
 		return fail()
 	}
 	if len(sqr.Partials) != numRects {
