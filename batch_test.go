@@ -1,6 +1,7 @@
 package dpgrid
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -30,34 +31,65 @@ func batchTestRects(n int, seed int64) []Rect {
 	return rects
 }
 
-// QueryBatch must agree exactly with Query for every synopsis method,
-// through both the native batch path and the generic fan-out.
+// QueryBatch and QueryStatsCtx, the batch and serving entry points, must
+// agree bit for bit with Query for every synopsis kind and for the
+// loaded forms the serving path queries (a lazily read sharded manifest,
+// memory-mapped UG/AG views and sharded manifest), at every worker count.
 func TestQueryBatchAllMethods(t *testing.T) {
 	pts, dom := batchTestData(t, 8000, 1)
 	rects := batchTestRects(200, 2)
-
-	ug, err := BuildUniformGrid(pts, dom, 1, UGOptions{GridSize: 25}, NewNoiseSource(1))
+	must := func(s Synopsis, err error) Synopsis {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	plan, err := NewShardPlan(dom, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := BuildAdaptiveGrid(pts, dom, 1, AGOptions{M1: 6}, NewNoiseSource(2))
-	if err != nil {
-		t.Fatal(err)
+	xs := make([]float64, len(pts))
+	for i, p := range pts {
+		xs[i] = p.X
 	}
-	hier, err := BuildHierarchy(pts, dom, 1, HierarchyOptions{GridSize: 32, Branching: 2, Depth: 3}, NewNoiseSource(3))
-	if err != nil {
-		t.Fatal(err)
+	ug := must(BuildUniformGrid(pts, dom, 1, UGOptions{GridSize: 25}, NewNoiseSource(1)))
+	ag := must(BuildAdaptiveGrid(pts, dom, 1, AGOptions{M1: 6}, NewNoiseSource(2)))
+	sharded := must(BuildShardedAdaptiveGrid(pts, plan, 1, AGOptions{M1: 4}, ShardOptions{}, NewNoiseSource(7)))
+	dir := t.TempDir()
+	write := func(name string, s Synopsis) string {
+		t.Helper()
+		p := filepath.Join(dir, name+".dpgrid")
+		if err := WriteSynopsisFileFormat(p, s, FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	kd, err := BuildKDTree(pts, dom, 1, KDTreeOptions{Method: KDHybrid}, NewNoiseSource(4))
-	if err != nil {
-		t.Fatal(err)
+	mapped := func(name string, s Synopsis) Synopsis {
+		t.Helper()
+		m, err := MapSynopsisFile(write(name, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m
 	}
 
 	for _, tc := range []struct {
 		name string
 		syn  Synopsis
 	}{
-		{"UG", ug}, {"AG", ag}, {"Hierarchy", hier}, {"KDHybrid", kd},
+		{"UG", ug},
+		{"AG", ag},
+		{"Hierarchy", must(BuildHierarchy(pts, dom, 1, HierarchyOptions{GridSize: 32, Branching: 2, Depth: 3}, NewNoiseSource(3)))},
+		{"KDHybrid", must(BuildKDTree(pts, dom, 1, KDTreeOptions{Method: KDHybrid}, NewNoiseSource(4)))},
+		{"Privlet", must(BuildPrivlet(pts, dom, 1, PrivletOptions{GridSize: 32}, NewNoiseSource(5)))},
+		{"Hist1D", must(BuildHist1DHierarchical(xs, 0, 100, 64, 2, 3, 1, NewNoiseSource(6)))},
+		{"Sharded", sharded},
+		{"LazySharded", must(ReadSynopsisFileLazy(write("lazy", sharded)))},
+		{"MappedUG", mapped("ug", ug)},
+		{"MappedAG", mapped("ag", ag)},
+		{"MappedSharded", mapped("sharded", sharded)},
 	} {
 		for _, workers := range []int{0, 1, 4} {
 			got := QueryBatch(tc.syn, rects, workers)
@@ -65,23 +97,45 @@ func TestQueryBatchAllMethods(t *testing.T) {
 				t.Fatalf("%s workers=%d: %d results for %d rects", tc.name, workers, len(got), len(rects))
 			}
 			for i, r := range rects {
-				if want := tc.syn.Query(r); got[i] != want {
+				if want := tc.syn.Query(r); math.Float64bits(got[i]) != math.Float64bits(want) {
 					t.Fatalf("%s workers=%d rect %d: batch %v != single %v", tc.name, workers, i, got[i], want)
 				}
 			}
 		}
-	}
-
-	// UG/AG/Hierarchy expose the native batch fast path.
-	for _, tc := range []struct {
-		name string
-		syn  Synopsis
-	}{
-		{"UG", ug}, {"AG", ag}, {"Hierarchy", hier},
-	} {
-		if _, ok := tc.syn.(BatchSynopsis); !ok {
-			t.Errorf("%s should implement BatchSynopsis", tc.name)
+		for i, r := range rects {
+			est, st, err := QueryStatsCtx(context.Background(), tc.syn, r)
+			if err != nil {
+				t.Fatalf("%s rect %d: QueryStatsCtx: %v", tc.name, i, err)
+			}
+			if want := tc.syn.Query(r); math.Float64bits(est) != math.Float64bits(want) {
+				t.Fatalf("%s rect %d: QueryStatsCtx %v != Query %v", tc.name, i, est, want)
+			}
+			if st.Shards < 0 || st.Shards > 4 {
+				t.Fatalf("%s rect %d: %d shards visited", tc.name, i, st.Shards)
+			}
 		}
+		if got := QueryBatch(tc.syn, nil, 0); len(got) != 0 {
+			t.Fatalf("%s: empty batch returned %d results", tc.name, len(got))
+		}
+	}
+}
+
+// QueryStatsCtx answers a monolithic synopsis as one shard and refuses a
+// cancelled context with its error.
+func TestQueryStatsCtxMonolithic(t *testing.T) {
+	pts, dom := batchTestData(t, 2000, 8)
+	ag, err := BuildAdaptiveGrid(pts, dom, 1, AGOptions{M1: 4}, NewNoiseSource(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRect(10, 10, 60, 60)
+	if _, st, err := QueryStatsCtx(context.Background(), ag, r); err != nil || st != (ShardQueryStats{Shards: 1}) {
+		t.Fatalf("QueryStatsCtx = %+v, %v; want one shard, no error", st, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := QueryStatsCtx(ctx, ag, r); err != context.Canceled {
+		t.Fatalf("cancelled QueryStatsCtx: err = %v, want context.Canceled", err)
 	}
 }
 

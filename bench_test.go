@@ -296,7 +296,7 @@ func BenchmarkQueryAGBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = syn.QueryBatch(rects)
+			_ = QueryBatch(syn, rects, 0)
 		}
 	})
 }
@@ -317,7 +317,7 @@ func BenchmarkQueryUGBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = syn.QueryBatch(rects)
+			_ = QueryBatch(syn, rects, 0)
 		}
 	})
 }
@@ -393,7 +393,7 @@ func BenchmarkQueryAGBatchMonoVsSharded(b *testing.B) {
 	}
 	b.Run("mono-m1=64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = mono.QueryBatch(rects)
+			_ = QueryBatch(mono, rects, 0)
 		}
 	})
 	for _, k := range []int{4, 8} {
@@ -407,7 +407,7 @@ func BenchmarkQueryAGBatchMonoVsSharded(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("sharded-%dx%d-m1=%d", k, k, 64/k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = sharded.QueryBatch(rects)
+				_ = QueryBatch(sharded, rects, 0)
 			}
 		})
 	}

@@ -28,6 +28,43 @@ func repeatedWorkload(distinct int) [][4]float64 {
 	return rects
 }
 
+// testKindSynopsis builds a release of the named kind over 5000 uniform
+// points in [0,100]^2, the data testSynopsis uses for its AG.
+func testKindSynopsis(t testing.TB, kind string, seed int64) dpgrid.Synopsis {
+	t.Helper()
+	dom, err := dpgrid.NewDomain(0, 0, 100, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]dpgrid.Point, 5000)
+	xs := make([]float64, len(pts))
+	for i := range pts {
+		pts[i] = dpgrid.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+		xs[i] = pts[i].X
+	}
+	src := dpgrid.NewNoiseSource(seed)
+	var syn dpgrid.Synopsis
+	switch kind {
+	case "ug":
+		syn, err = dpgrid.BuildUniformGrid(pts, dom, 1, dpgrid.UGOptions{}, src)
+	case "kdtree":
+		syn, err = dpgrid.BuildKDTree(pts, dom, 1, dpgrid.KDTreeOptions{Method: dpgrid.KDHybrid}, src)
+	case "hierarchy":
+		syn, err = dpgrid.BuildHierarchy(pts, dom, 1, dpgrid.HierarchyOptions{GridSize: 64, Branching: 2, Depth: 3}, src)
+	case "privlet":
+		syn, err = dpgrid.BuildPrivlet(pts, dom, 1, dpgrid.PrivletOptions{GridSize: 64}, src)
+	case "hist1d":
+		syn, err = dpgrid.BuildHist1DHierarchical(xs, 0, 100, 256, 2, 4, 1, src)
+	default:
+		t.Fatalf("unknown kind %q", kind)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return syn
+}
+
 // BenchmarkAnswerRepeatedRects measures the query execution path (the
 // code behind POST /v1/query, minus HTTP/JSON overhead) on a
 // repeated-rect workload with the cache on and off. The cached variant
@@ -41,6 +78,11 @@ func BenchmarkAnswerRepeatedRects(b *testing.B) {
 	}{
 		{"ag", func(t testing.TB) dpgrid.Synopsis { return testSynopsis(t, 91) }},
 		{"sharded", func(t testing.TB) dpgrid.Synopsis { return testShardedSynopsis(t, 92) }},
+		{"ug", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "ug", 93) }},
+		{"kdtree", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "kdtree", 94) }},
+		{"hierarchy", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "hierarchy", 95) }},
+		{"privlet", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "privlet", 96) }},
+		{"hist1d", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "hist1d", 97) }},
 	} {
 		syn := shape.mk(b)
 		rects := repeatedWorkload(64)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/dpgrid/dpgrid"
+	"github.com/dpgrid/dpgrid/internal/atomicfile"
 	"github.com/dpgrid/dpgrid/internal/cluster"
 )
 
@@ -111,7 +112,9 @@ func writePlacementJSON(t testing.TB, path string, version int, assignments []ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	// Atomic like an operator's rewrite should be: the -placement-watch
+	// poll must never read a half-written file.
+	if err := atomicfile.WriteBytes(path, data); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -311,26 +314,32 @@ func TestClusterRouterRejectsBadRequests(t *testing.T) {
 // TestBackendClusterEndpoint exercises the backend half directly:
 // tile validation, per-tile partials matching ShardAnswer, and the
 // non-sharded rejection.
+// postShardQuery posts req to a backend's cluster endpoint, decoding
+// the partials of a 200 answer.
+func postShardQuery(t *testing.T, url string, req cluster.ShardQueryRequest) (*http.Response, cluster.ShardQueryResponse) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(url+cluster.ShardQueryPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out cluster.ShardQueryResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		io.Copy(io.Discard, resp.Body)
+	}
+	return resp, out
+}
+
 func TestBackendClusterEndpoint(t *testing.T) {
 	syn := testClusterSharded(t, 33)
 	backend := startClusterBackend(t, syn)
-
 	post := func(req cluster.ShardQueryRequest) (*http.Response, cluster.ShardQueryResponse) {
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(backend.URL+cluster.ShardQueryPath, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out cluster.ShardQueryResponse
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			io.Copy(io.Discard, resp.Body)
-		}
-		return resp, out
+		return postShardQuery(t, backend.URL, req)
 	}
 
 	full := [4]float64{0, 0, 100, 100}
@@ -375,6 +384,51 @@ func TestBackendClusterEndpoint(t *testing.T) {
 	respM.Body.Close()
 	if respM.StatusCode != http.StatusBadRequest {
 		t.Errorf("monolithic shard query: %d, want 400", respM.StatusCode)
+	}
+}
+
+// TestMappedBackendClusterQuery: a backend that memory-mapped its
+// sharded release (dpserve -mmap) answers the cluster endpoint, and its
+// partials equal those of the same release read lazily.
+func TestMappedBackendClusterQuery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkins.dpgrid")
+	if err := dpgrid.WriteSynopsisFileFormat(path, testClusterSharded(t, 37), dpgrid.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := dpgrid.MapSynopsisFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := dpgrid.ReadSynopsisFileLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := cluster.ShardQueryRequest{
+		Synopsis: "checkins",
+		Tiles:    []int{0, 1, 2, 3, 4, 5},
+		Rects:    [][4]float64{{0, 0, 100, 100}, {10, 20, 70, 90}, {40, 40, 45, 45}},
+	}
+	var got [2]cluster.ShardQueryResponse
+	for i, syn := range []dpgrid.Synopsis{mapped, lazy} {
+		resp, out := postShardQuery(t, startClusterBackend(t, syn).URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("backend %d (%T): cluster query status %d, want 200", i, syn, resp.StatusCode)
+		}
+		got[i] = out
+	}
+	if len(got[0].Partials) != len(req.Rects) || len(got[1].Partials) != len(req.Rects) {
+		t.Fatalf("partials for %d and %d rects, want %d", len(got[0].Partials), len(got[1].Partials), len(req.Rects))
+	}
+	for r := range req.Rects {
+		m, l := got[0].Partials[r], got[1].Partials[r]
+		if len(m) != len(l) {
+			t.Fatalf("rect %d: mapped partials %+v, lazy %+v", r, m, l)
+		}
+		for k := range m {
+			if m[k] != l[k] {
+				t.Errorf("rect %d: mapped partial %+v != lazy %+v", r, m[k], l[k])
+			}
+		}
 	}
 }
 
@@ -506,7 +560,7 @@ func TestReloadLoopSighupAndWatch(t *testing.T) {
 
 	// A corrupt rewrite is rejected: generation 3 keeps serving and the
 	// rejection is counted.
-	if err := os.WriteFile(path, []byte(`{"version": 9}`), 0o644); err != nil {
+	if err := atomicfile.WriteBytes(path, []byte(`{"version": 9}`)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -52,11 +52,14 @@
 //	{"synopsis": "checkin", "rects": [[-123,45,-120,48], [-80,25,-79,26]]}
 //	-> {"synopsis": "checkin", "counts": [10234.1, 512.9]}
 //
-// Batches are fanned out across one worker per CPU (dpgrid.QueryBatch),
-// so a single large request saturates the machine. Repeated rectangles
-// are answered from a bounded LRU result cache (-cache-entries, 0
-// disables) whose answers are bit-identical to recomputation; the cache
-// is invalidated when PUT or DELETE changes what a name serves.
+// Batches are fanned out across one worker per CPU, each rectangle
+// answered by dpgrid.QueryStatsCtx on the loaded synopsis (a -mmap
+// load is queried through its decoded release), so a single large
+// request saturates the machine and an abandoned one stops early.
+// Repeated rectangles are answered from a bounded LRU result cache
+// (-cache-entries, 0 disables) whose answers are bit-identical to
+// recomputation; the cache is invalidated when PUT or DELETE changes
+// what a name serves.
 //
 // Operational limits: -max-inflight rejects API requests beyond the
 // bound with 429 (health and metrics stay unthrottled), -request-timeout

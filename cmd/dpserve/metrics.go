@@ -103,21 +103,11 @@ func (m *serverMetrics) forgetSynopsis(name string) {
 // outside the dpgrid registry have no kind and are labeled "unknown"
 // rather than omitted, so the info join never silently loses a name.
 func (m *serverMetrics) setSynopsisKind(name string, syn dpgrid.Synopsis) {
-	kind := dpgrid.SynopsisKind(unwrap(syn))
+	kind := dpgrid.SynopsisKind(syn)
 	if kind == "" {
 		kind = "unknown"
 	}
 	m.synopsisKind.Set(name, kind)
-}
-
-// unwrap reaches through serving wrappers (dpgrid.MappedSynopsis) to
-// the decoded synopsis, which is where the metadata interfaces (kind,
-// epsilon, domain, shard count) live.
-func unwrap(s dpgrid.Synopsis) dpgrid.Synopsis {
-	if u, ok := s.(interface{ Unwrap() dpgrid.Synopsis }); ok {
-		return u.Unwrap()
-	}
-	return s
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition

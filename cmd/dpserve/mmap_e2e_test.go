@@ -147,16 +147,7 @@ func TestMmapSATMetrics(t *testing.T) {
 		Rects:    [][4]float64{{10, 10, 40, 40}, {0, 0, 100, 100}},
 	})
 
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(raw)
+	metrics := getMetricsPage(t, srv.URL)
 	if !strings.Contains(metrics, "# TYPE dpserve_mapped_bytes") {
 		t.Errorf("/metrics missing family dpserve_mapped_bytes")
 	}
@@ -167,6 +158,44 @@ func TestMmapSATMetrics(t *testing.T) {
 		}
 	} else if !strings.Contains(metrics, "dpserve_mapped_bytes 0") {
 		t.Errorf("mapped-bytes gauge not zero on the read fallback:\n%s", grepMetrics(metrics, "mapped_bytes"))
+	}
+}
+
+// TestMmapShardSeries: the fan-out and materialization series describe
+// sharded releases only. A mapped monolithic AG records neither; a
+// mapped sharded release records both.
+func TestMmapShardSeries(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		syn     dpgrid.Synopsis
+		sharded bool
+	}{
+		{"ag", testSynopsis(t, 29), false},
+		{"sharded", testClusterSharded(t, 29), true},
+	} {
+		path := filepath.Join(t.TempDir(), tc.name+".dpgrid")
+		if err := dpgrid.WriteSynopsisFileFormat(path, tc.syn, dpgrid.FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+		reg := newRegistry()
+		if err := reg.loadFile("syn", path, true); err != nil {
+			t.Fatal(err)
+		}
+		srv := newTestServer(t, reg)
+		postQueryBody(t, srv.URL, queryRequest{
+			Synopsis: "syn",
+			Rects:    [][4]float64{{10, 10, 40, 40}, {0, 0, 100, 100}},
+		})
+		metrics := getMetricsPage(t, srv.URL)
+		for _, series := range []string{
+			`dpserve_shard_fanout_count{synopsis="syn"}`,
+			`dpserve_lazy_materializations_total{synopsis="syn"}`,
+		} {
+			if got := strings.Contains(metrics, series); got != tc.sharded {
+				t.Errorf("%s: series %s present = %v, want %v:\n%s",
+					tc.name, series, got, tc.sharded, grepMetrics(metrics, `synopsis="syn"`))
+			}
+		}
 	}
 }
 

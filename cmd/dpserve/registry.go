@@ -27,9 +27,15 @@ type registry struct {
 	nextGen uint64
 }
 
+// regEntry is one registered synopsis. syn is what queries run
+// against: for a memory-mapped load it is the decoded synopsis
+// (MappedSynopsis.Unwrap), so every handler sees the real type — its
+// metadata, its shard routing — and mapped keeps the mapping's owner
+// only for the dpserve_mapped_bytes gauge.
 type regEntry struct {
-	syn dpgrid.Synopsis
-	gen uint64
+	syn    dpgrid.Synopsis
+	mapped *dpgrid.MappedSynopsis // nil unless loaded with -mmap
+	gen    uint64
 }
 
 func newRegistry() *registry {
@@ -46,12 +52,18 @@ func (r *registry) get(name string) (dpgrid.Synopsis, uint64, bool) {
 }
 
 // put registers s under name with a fresh generation, replacing any
-// previous synopsis.
+// previous synopsis. A *dpgrid.MappedSynopsis is registered as its
+// decoded synopsis, with the mapping kept alongside (see regEntry).
 func (r *registry) put(name string, s dpgrid.Synopsis) {
+	e := regEntry{syn: s}
+	if m, ok := s.(*dpgrid.MappedSynopsis); ok {
+		e.syn, e.mapped = m.Unwrap(), m
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextGen++
-	r.syns[name] = regEntry{syn: s, gen: r.nextGen}
+	e.gen = r.nextGen
+	r.syns[name] = e
 }
 
 // remove unregisters name, reporting whether it was present. In-flight
@@ -121,8 +133,8 @@ func (r *registry) mappedBytes() int64 {
 	defer r.mu.RUnlock()
 	var total int64
 	for _, e := range r.syns {
-		if m, ok := e.syn.(interface{ MappedBytes() int64 }); ok {
-			total += m.MappedBytes()
+		if e.mapped != nil {
+			total += e.mapped.MappedBytes()
 		}
 	}
 	return total

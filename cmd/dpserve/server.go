@@ -150,7 +150,6 @@ type sharded interface {
 }
 
 func infoFor(name string, s dpgrid.Synopsis) synopsisInfo {
-	s = unwrap(s)
 	info := synopsisInfo{Name: name, Kind: dpgrid.SynopsisKind(s)}
 	if m, ok := s.(metadata); ok {
 		d := m.Domain()
@@ -403,14 +402,15 @@ type answerStats struct {
 }
 
 // answer resolves every rectangle, serving what it can from the answer
-// cache and computing the rest against the synopsis with the same
-// fan-out QueryBatch uses — so answers are bit-identical whether they
-// come from the cache, the cached path's miss computation, or a
-// cache-disabled server. Sharded synopses additionally report per-rect
-// routing stats, and honor ctx between shards: a request whose client
-// has gone away stops burning CPU (and, for lazy releases, stops
-// materializing tiles) mid-mosaic. A non-nil error means the batch was
-// abandoned; no partial results are cached.
+// cache and computing the misses with dpgrid.QueryStatsCtx across the
+// worker pool — so answers are bit-identical whether they come from the
+// cache or the synopsis, and every kind takes the same compute path.
+// The misses honor ctx (sharded releases between shards, monolithic
+// ones per rect): a request whose client has gone away stops burning
+// CPU and, for lazy releases, stops materializing tiles mid-mosaic.
+// Sharded synopses additionally report per-rect routing stats. A
+// non-nil error means the batch was abandoned; no partial results are
+// cached.
 func (s *server) answer(ctx context.Context, name string, gen uint64, syn dpgrid.Synopsis, rects [][4]float64) ([]float64, answerStats, error) {
 	counts := make([]float64, len(rects))
 	grects := make([]dpgrid.Rect, len(rects))
@@ -445,49 +445,28 @@ func (s *server) answer(ctx context.Context, name string, gen uint64, syn dpgrid
 		misses: len(miss),
 	}
 
-	if ctxSyn, ok := syn.(dpgrid.ShardContextObserver); ok {
-		var mats atomic.Int64
-		var cancelled atomic.Bool
+	if _, ok := syn.(sharded); ok {
 		st.fanouts = make([]int, len(miss))
-		pool.For(len(miss), 0, func(j int) {
-			i := miss[j]
-			est, qs, err := ctxSyn.QueryStatsCtx(ctx, grects[i])
-			if err != nil {
-				cancelled.Store(true)
-				return
-			}
-			counts[i] = est
-			st.fanouts[j] = qs.Shards
-			mats.Add(int64(qs.Materialized))
-		})
-		if cancelled.Load() {
-			return nil, st, context.Cause(ctx)
-		}
-		st.materialized = mats.Load()
-	} else if obsSyn, isSharded := syn.(dpgrid.ShardObserver); isSharded {
-		var mats atomic.Int64
-		st.fanouts = make([]int, len(miss))
-		pool.For(len(miss), 0, func(j int) {
-			i := miss[j]
-			est, qs := obsSyn.QueryStats(grects[i])
-			counts[i] = est
-			st.fanouts[j] = qs.Shards
-			mats.Add(int64(qs.Materialized))
-		})
-		st.materialized = mats.Load()
-	} else if len(miss) == len(rects) {
-		// No hits: hand the whole batch to the synopsis's own fan-out.
-		copy(counts, dpgrid.QueryBatch(syn, grects, 0))
-	} else {
-		missRects := make([]dpgrid.Rect, len(miss))
-		for j, i := range miss {
-			missRects[j] = grects[i]
-		}
-		vals := dpgrid.QueryBatch(syn, missRects, 0)
-		for j, i := range miss {
-			counts[i] = vals[j]
-		}
 	}
+	var mats atomic.Int64
+	var cancelled atomic.Bool
+	pool.For(len(miss), 0, func(j int) {
+		i := miss[j]
+		est, qs, err := dpgrid.QueryStatsCtx(ctx, syn, grects[i])
+		if err != nil {
+			cancelled.Store(true)
+			return
+		}
+		counts[i] = est
+		if st.fanouts != nil {
+			st.fanouts[j] = qs.Shards
+			mats.Add(int64(qs.Materialized))
+		}
+	})
+	if cancelled.Load() {
+		return nil, st, context.Cause(ctx)
+	}
+	st.materialized = mats.Load()
 	if keys != nil {
 		for _, i := range miss {
 			s.cache.Put(keys[i], counts[i])

@@ -49,7 +49,8 @@
 // ShardOptions.Workers) draws each cell's or shard's noise from the
 // sub-stream keyed by its index, so for a fixed seed the released
 // synopsis is bit-identical for every worker count. Batches of queries
-// fan out across a worker pool with QueryBatch.
+// fan out across a worker pool with QueryBatch(s, rects, workers), the
+// one batch entry point for every Synopsis.
 //
 // # Serialization
 //
@@ -66,8 +67,9 @@
 // BuildSharded* constructors release one full-epsilon synopsis per tile
 // — private by parallel composition over disjoint tiles. Queries route
 // to overlapping shards only, and sharded releases report per-query
-// routing observations through the ShardObserver interface, which is
-// how the serving daemon feeds its metrics.
+// routing observations through QueryStatsCtx — one cancellable query
+// entry point for every Synopsis, which is how the serving daemon
+// answers and feeds its metrics.
 //
 // See docs/ARCHITECTURE.md for the package map and the serving-path
 // narrative.

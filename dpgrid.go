@@ -65,30 +65,12 @@ type Synopsis interface {
 	Query(r Rect) float64
 }
 
-// BatchSynopsis is a Synopsis that also answers batches directly.
-// Every released synopsis type (UniformGrid, AdaptiveGrid, Hierarchy,
-// KDTree, Privlet, Sharded, LazySharded) implements it; today their
-// QueryBatch methods and the generic fan-out below do the same work
-// (pool.Map over Query), but the interface leaves room for synopsis
-// types whose batch path is genuinely smarter (e.g. sorting queries for
-// locality).
-type BatchSynopsis interface {
-	Synopsis
-	// QueryBatch answers every rectangle, in input order, fanned out
-	// across one worker per CPU.
-	QueryBatch(rs []Rect) []float64
-}
-
 // QueryBatch answers every rectangle in rs against s and returns the
 // estimates in input order, fanned out across a worker pool — safe for
-// any Synopsis in this package because released synopses are immutable.
-// workers < 1 means one worker per CPU and delegates to the synopsis's
-// own QueryBatch when it implements BatchSynopsis; an explicit workers
-// count always uses the generic fan-out with that bound.
+// any Synopsis in this package because released synopses are immutable
+// and every rect answer is a few table lookups. workers < 1 means one
+// worker per CPU.
 func QueryBatch(s Synopsis, rs []Rect, workers int) []float64 {
-	if b, ok := s.(BatchSynopsis); ok && workers < 1 {
-		return b.QueryBatch(rs)
-	}
 	return pool.Map(rs, workers, s.Query)
 }
 

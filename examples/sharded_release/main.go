@@ -67,8 +67,8 @@ func main() {
 		y0 := data.Domain.MinY + rng.Float64()*(data.Domain.Height()-h)
 		rects[i] = dpgrid.NewRect(x0, y0, x0+w, y0+h)
 	}
-	monoAns := mono.QueryBatch(rects)
-	shardAns := sharded.QueryBatch(rects) // routed to overlapping shards only
+	monoAns := dpgrid.QueryBatch(mono, rects, 0)
+	shardAns := dpgrid.QueryBatch(sharded, rects, 0) // routed to overlapping shards only
 	for i, r := range rects {
 		truth := float64(idx.Count(r))
 		monoErr += math.Abs(monoAns[i] - truth)

@@ -419,14 +419,6 @@ func (a *AdaptiveGrid) Query(r geom.Rect) float64 {
 	return total
 }
 
-// QueryBatch answers every rectangle in rs, fanned out across one worker
-// per CPU, and returns the estimates in input order. Queries are pure
-// post-processing over immutable prefix tables, so answering them
-// concurrently is safe and spends no privacy budget.
-func (a *AdaptiveGrid) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, a.Query)
-}
-
 // QueryIter answers r by iterating every touched leaf cell directly —
 // the O(touched leaves) baseline the two-level prefix strategy
 // replaces, kept as the differential-test and benchmark reference. Leaf

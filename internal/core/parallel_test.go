@@ -8,6 +8,7 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func parallelTestPoints(n int, seed int64, dom geom.Domain) []geom.Point {
@@ -126,48 +127,6 @@ func TestParallelAGZeroNoiseExact(t *testing.T) {
 	}
 }
 
-func TestQueryBatchMatchesQuery(t *testing.T) {
-	dom, _ := geom.NewDomain(0, 0, 100, 100)
-	pts := parallelTestPoints(10000, 5, dom)
-
-	ug, err := BuildUniformGrid(pts, dom, 1, UGOptions{GridSize: 30}, noise.NewSource(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag, err := BuildAdaptiveGrid(pts, dom, 1, AGOptions{M1: 6}, noise.NewSource(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	qrng := rand.New(rand.NewSource(6))
-	rects := make([]geom.Rect, 500)
-	for i := range rects {
-		rects[i] = geom.NewRect(qrng.Float64()*100, qrng.Float64()*100, qrng.Float64()*100, qrng.Float64()*100)
-	}
-
-	for _, tc := range []struct {
-		name  string
-		batch func([]geom.Rect) []float64
-		one   func(geom.Rect) float64
-	}{
-		{"UG", ug.QueryBatch, ug.Query},
-		{"AG", ag.QueryBatch, ag.Query},
-	} {
-		got := tc.batch(rects)
-		if len(got) != len(rects) {
-			t.Fatalf("%s: %d results for %d rects", tc.name, len(got), len(rects))
-		}
-		for i, r := range rects {
-			if want := tc.one(r); got[i] != want {
-				t.Fatalf("%s rect %d: batch %v != single %v", tc.name, i, got[i], want)
-			}
-		}
-	}
-	if got := ug.QueryBatch(nil); len(got) != 0 {
-		t.Fatalf("empty batch returned %d results", len(got))
-	}
-}
-
 // Reusing one Source instance across builds must yield FRESH noise each
 // time: Fork(i) is state-independent by contract, so without a per-build
 // nonce two releases would carry bit-identical level-2 noise, letting an
@@ -196,4 +155,51 @@ func TestSourceReuseGivesFreshNoise(t *testing.T) {
 	if same {
 		t.Fatal("two builds reusing one source released identical noise")
 	}
+}
+
+func TestQueryBatchMatchesQuery(t *testing.T) {
+	dom, _ := geom.NewDomain(0, 0, 100, 100)
+	pts := parallelTestPoints(10000, 5, dom)
+
+	ug, err := BuildUniformGrid(pts, dom, 1, UGOptions{GridSize: 30}, noise.NewSource(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := BuildAdaptiveGrid(pts, dom, 1, AGOptions{M1: 6}, noise.NewSource(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	qrng := rand.New(rand.NewSource(6))
+	rects := make([]geom.Rect, 500)
+	for i := range rects {
+		rects[i] = geom.NewRect(qrng.Float64()*100, qrng.Float64()*100, qrng.Float64()*100, qrng.Float64()*100)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		batch func([]geom.Rect) []float64
+		one   func(geom.Rect) float64
+	}{
+		{"UG", batchOf(ug.Query), ug.Query},
+		{"AG", batchOf(ag.Query), ag.Query},
+	} {
+		got := tc.batch(rects)
+		if len(got) != len(rects) {
+			t.Fatalf("%s: %d results for %d rects", tc.name, len(got), len(rects))
+		}
+		for i, r := range rects {
+			if want := tc.one(r); got[i] != want {
+				t.Fatalf("%s rect %d: batch %v != single %v", tc.name, i, got[i], want)
+			}
+		}
+	}
+	if got := batchOf(ug.Query)(nil); len(got) != 0 {
+		t.Fatalf("empty batch returned %d results", len(got))
+	}
+}
+
+// batchOf is the batch path every synopsis shares: pool.Map over Query.
+func batchOf(q func(geom.Rect) float64) func([]geom.Rect) []float64 {
+	return func(rs []geom.Rect) []float64 { return pool.Map(rs, 0, q) }
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Differential query-equivalence suite for the summed-area fast path.
@@ -371,23 +372,23 @@ func TestSATViewMetadata(t *testing.T) {
 	}
 }
 
-// TestSATViewBatch: QueryBatch through the views matches per-rect Query
+func mustNoErr(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSATViewBatch: a pool.Map batch through the views matches per-rect Query
 // bitwise in input order.
 func TestSATViewBatch(t *testing.T) {
 	dom, exact, _, _ := ugVariants(t, 7)
 	view := exact[len(exact)-1].syn.(*UGView)
 	rects := satRects(dom)
-	got := view.QueryBatch(rects)
+	got := pool.Map(rects, 0, view.Query)
 	for i, r := range rects {
 		if want := view.Query(r); math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Errorf("rect %d: batch %v, single %v", i, got[i], want)
 		}
-	}
-}
-
-func mustNoErr(t *testing.T, err error) {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
 	"github.com/dpgrid/dpgrid/internal/noise"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // UGOptions configures BuildUniformGrid. The zero value reproduces the
@@ -160,14 +159,6 @@ func aspectDims(m int, dom geom.Domain) (mx, my int) {
 
 // Query estimates the number of data points in r.
 func (u *UniformGrid) Query(r geom.Rect) float64 { return u.prefix.Query(r) }
-
-// QueryBatch answers every rectangle in rs, fanned out across one worker
-// per CPU, and returns the estimates in input order. Queries are pure
-// post-processing over an immutable prefix table, so answering them
-// concurrently is safe and spends no privacy budget.
-func (u *UniformGrid) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, u.Query)
-}
 
 // QueryIter answers r by iterating the covered cells directly — the
 // O(covered cells) baseline the prefix path replaces. It exists as the

@@ -6,7 +6,6 @@ import (
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Zero-copy synopsis views — what the mmap serving path materializes.
@@ -37,12 +36,6 @@ type UGView struct {
 
 // Query estimates the number of data points in r.
 func (v *UGView) Query(r geom.Rect) float64 { return v.prefix.Query(r) }
-
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, in input order.
-func (v *UGView) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, v.Query)
-}
 
 // GridSize returns the nominal grid size m.
 func (v *UGView) GridSize() int { return v.m }
@@ -146,12 +139,6 @@ func (v *AGView) Query(r geom.Rect) float64 {
 		}
 	}
 	return total
-}
-
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, in input order.
-func (v *AGView) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, v.Query)
 }
 
 // M1 returns the first-level grid size.

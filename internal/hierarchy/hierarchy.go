@@ -19,7 +19,6 @@ import (
 	"github.com/dpgrid/dpgrid/internal/grid"
 	"github.com/dpgrid/dpgrid/internal/infer"
 	"github.com/dpgrid/dpgrid/internal/noise"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Options configures BuildHierarchy.
@@ -174,14 +173,6 @@ func BuildHierarchy(points []geom.Point, dom geom.Domain, eps float64, opts Opti
 
 // Query estimates the number of data points in r.
 func (h *Hierarchy) Query(r geom.Rect) float64 { return h.prefix.Query(r) }
-
-// QueryBatch answers every rectangle in rs, fanned out across one worker
-// per CPU, and returns the estimates in input order. Queries are pure
-// post-processing over an immutable prefix table, so answering them
-// concurrently is safe and spends no privacy budget.
-func (h *Hierarchy) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, h.Query)
-}
 
 // Epsilon returns the total privacy budget consumed.
 func (h *Hierarchy) Epsilon() float64 { return h.eps }

@@ -8,6 +8,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
 	"github.com/dpgrid/dpgrid/internal/pointindex"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func uniformPoints(seed int64, n int, dom geom.Domain) []geom.Point {
@@ -202,7 +203,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 	for i := range rects {
 		rects[i] = geom.NewRect(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
 	}
-	got := h.QueryBatch(rects)
+	got := pool.Map(rects, 0, h.Query)
 	if len(got) != len(rects) {
 		t.Fatalf("%d results for %d rects", len(got), len(rects))
 	}

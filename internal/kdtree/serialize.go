@@ -9,7 +9,6 @@ import (
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Serialization of kd-tree synopses. Unlike the grid-backed kinds, a
@@ -62,14 +61,6 @@ func init() {
 
 // ContainerKind reports the synopsis's container kind.
 func (t *Tree) ContainerKind() codec.Kind { return codec.KindKDTree }
-
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, and returns the estimates in input order. Queries are
-// pure post-processing over the released tree, so answering them
-// concurrently is safe and spends no privacy budget.
-func (t *Tree) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, t.Query)
-}
 
 // AppendBinary appends the synopsis's dpgridv2 container to dst and
 // returns the extended slice.

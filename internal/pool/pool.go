@@ -25,8 +25,8 @@ func Workers(n int) int {
 }
 
 // Map runs f over every item, spread across at most workers goroutines
-// (see For), and returns the results in input order. It is the single
-// fan-out implementation behind every QueryBatch variant.
+// (see For), and returns the results in input order. dpgrid.QueryBatch
+// is Map over Synopsis.Query.
 func Map[T, R any](items []T, workers int, f func(T) R) []R {
 	out := make([]R, len(items))
 	For(len(items), workers, func(i int) { out[i] = f(items[i]) })

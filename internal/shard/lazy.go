@@ -9,7 +9,6 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Lazy is a sharded release backed by a dpgridv2 manifest whose
@@ -87,7 +86,7 @@ func (l *Lazy) shard(i int) Synopsis { return l.shardTrack(i, nil) }
 // fresh is non-nil and this call wins the tile's sync.Once, *fresh is
 // incremented. The closure runs only in the winning goroutine, so a
 // decode raced by concurrent first touches is attributed to exactly one
-// caller — which is what lets QueryStats report materializations as a
+// caller — which is what lets QueryStatsCtx report materializations as a
 // counter without double counting.
 //
 // Payloads were exhaustively validated at load, so the parse here
@@ -132,18 +131,11 @@ func (l *Lazy) Query(r geom.Rect) float64 {
 	return routeQuery(l.plan, r, l.shard)
 }
 
-// QueryStats is Query, also reporting the fan-out observations the
-// query produced, including how many shards it decoded on first touch.
-// The estimate is bit-identical to Query's.
-func (l *Lazy) QueryStats(r geom.Rect) (float64, QueryStats) {
-	var fresh int
-	est, n := routeQueryN(l.plan, r, func(i int) Synopsis { return l.shardTrack(i, &fresh) })
-	return est, QueryStats{Shards: n, Materialized: fresh}
-}
-
-// QueryStatsCtx is QueryStats with cancellation (see
-// Sharded.QueryStatsCtx): an abandoned request stops both the fan-out
-// and the lazy materialization of tiles nobody will read.
+// QueryStatsCtx is Query, also reporting the fan-out observations the
+// query produced, including how many shards it decoded on first touch,
+// with cancellation (see Sharded.QueryStatsCtx): an abandoned request
+// stops both the fan-out and the lazy materialization of tiles nobody
+// will read. A completed walk's estimate is bit-identical to Query's.
 func (l *Lazy) QueryStatsCtx(ctx context.Context, r geom.Rect) (float64, QueryStats, error) {
 	var fresh int
 	est, n, err := routeQueryCtx(ctx, l.plan, r, func(i int) Synopsis { return l.shardTrack(i, &fresh) })
@@ -158,12 +150,6 @@ func (l *Lazy) ShardAnswer(i int, r geom.Rect) float64 {
 		return 0
 	}
 	return tileAnswer(l.shard(i), clipped)
-}
-
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, and returns the estimates in input order.
-func (l *Lazy) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, l.Query)
 }
 
 // Plan returns the mosaic plan.

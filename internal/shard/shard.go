@@ -473,14 +473,8 @@ type QueryStats struct {
 // requested from tileAt, so planet-scale mosaics answer small queries
 // by visiting (and, lazily, materializing) a handful of tiles.
 func routeQuery(plan Plan, r geom.Rect, tileAt func(int) Synopsis) float64 {
-	est, _ := routeQueryN(plan, r, tileAt)
+	est, _, _ := routeQueryCtx(context.Background(), plan, r, tileAt)
 	return est
-}
-
-// routeQueryN is routeQuery, also reporting how many shards it visited.
-func routeQueryN(plan Plan, r geom.Rect, tileAt func(int) Synopsis) (float64, int) {
-	est, n, _ := routeQueryCtx(context.Background(), plan, r, tileAt)
-	return est, n
 }
 
 // routeQueryCtx is the cancellable fan-out: between shards it checks
@@ -527,19 +521,12 @@ func (s *Sharded) Query(r geom.Rect) float64 {
 	return routeQuery(s.plan, r, s.tileAt)
 }
 
-// QueryStats is Query, also reporting the fan-out observations the
-// query produced. The estimate is bit-identical to Query's (the same
-// routeQuery walk in the same order).
-func (s *Sharded) QueryStats(r geom.Rect) (float64, QueryStats) {
-	est, n := routeQueryN(s.plan, r, s.tileAt)
-	return est, QueryStats{Shards: n}
-}
-
-// QueryStatsCtx is QueryStats with cancellation: the fan-out checks ctx
-// between shards and abandons the walk with the context's error, so a
-// request whose client has gone away stops burning CPU on a wide
-// mosaic. A completed walk returns the same estimate as Query, bit for
-// bit.
+// QueryStatsCtx is Query, also reporting the fan-out observations the
+// query produced, with cancellation: the fan-out checks ctx between
+// shards and abandons the walk with the context's error, so a request
+// whose client has gone away stops burning CPU on a wide mosaic. A
+// completed walk returns the same estimate as Query, bit for bit (the
+// same routeQuery walk in the same order).
 func (s *Sharded) QueryStatsCtx(ctx context.Context, r geom.Rect) (float64, QueryStats, error) {
 	est, n, err := routeQueryCtx(ctx, s.plan, r, s.tileAt)
 	return est, QueryStats{Shards: n}, err
@@ -557,12 +544,6 @@ func (s *Sharded) ShardAnswer(i int, r geom.Rect) float64 {
 }
 
 func (s *Sharded) tileAt(i int) Synopsis { return s.tiles[i] }
-
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, and returns the estimates in input order.
-func (s *Sharded) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, s.Query)
-}
 
 // Plan returns the mosaic plan.
 func (s *Sharded) Plan() Plan { return s.plan }

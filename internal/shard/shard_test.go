@@ -11,6 +11,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func testPoints(seed int64, n int, dom geom.Domain) []geom.Point {
@@ -380,36 +381,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-// TestQueryBatchMatchesQuery: the batch fan-out must return the same
-// answers as sequential Query calls, in input order.
-func TestQueryBatchMatchesQuery(t *testing.T) {
-	dom := geom.MustDomain(0, 0, 50, 50)
-	plan, err := NewPlan(dom, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := testPoints(2, 6000, dom)
-	s, err := BuildAdaptive(pts, plan, 1, core.AGOptions{}, Options{}, noise.NewSource(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	rects := make([]geom.Rect, 300)
-	for i := range rects {
-		x0, y0 := rng.Float64()*50, rng.Float64()*50
-		rects[i] = geom.NewRect(x0, y0, x0+rng.Float64()*25, y0+rng.Float64()*25)
-	}
-	got := s.QueryBatch(rects)
-	if len(got) != len(rects) {
-		t.Fatalf("batch returned %d answers for %d rects", len(got), len(rects))
-	}
-	for i, r := range rects {
-		if want := s.Query(r); got[i] != want {
-			t.Errorf("rect %d: batch %v, direct %v", i, got[i], want)
-		}
-	}
-}
-
 // TestParseShardedRejectsCorrupt exercises the manifest validation
 // paths one by one.
 func TestParseShardedRejectsCorrupt(t *testing.T) {
@@ -519,7 +490,7 @@ func TestOverlappingTiles(t *testing.T) {
 		}
 	}
 
-	// Cross-check against the fan-out count QueryStats reports, and
+	// Cross-check against the fan-out count QueryStatsCtx reports, and
 	// against the sum of per-tile answers in returned order.
 	pts := testPoints(7, 20000, dom)
 	s, err := BuildUniform(pts, plan, 1, core.UGOptions{}, Options{}, noise.NewSource(17))
@@ -531,9 +502,9 @@ func TestOverlappingTiles(t *testing.T) {
 		x0, y0 := rng.Float64()*110-5, rng.Float64()*110-5
 		r := geom.NewRect(x0, y0, x0+rng.Float64()*70, y0+rng.Float64()*70)
 		tiles := plan.OverlappingTiles(r)
-		est, qs := s.QueryStats(r)
+		est, qs := statsOf(t, s.QueryStatsCtx, r)
 		if len(tiles) != qs.Shards {
-			t.Fatalf("rect %v: %d overlapping tiles, QueryStats visited %d", r, len(tiles), qs.Shards)
+			t.Fatalf("rect %v: %d overlapping tiles, QueryStatsCtx visited %d", r, len(tiles), qs.Shards)
 		}
 		var sum float64
 		for _, ti := range tiles {
@@ -600,5 +571,35 @@ func TestQueryStatsCtx(t *testing.T) {
 	}
 	if n := lazy2.MaterializedShards(); n != 0 {
 		t.Fatalf("cancelled query materialized %d shards", n)
+	}
+}
+
+// TestQueryBatchMatchesQuery: the batch fan-out must return the same
+// answers as sequential Query calls, in input order.
+func TestQueryBatchMatchesQuery(t *testing.T) {
+	dom := geom.MustDomain(0, 0, 50, 50)
+	plan, err := NewPlan(dom, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := testPoints(2, 6000, dom)
+	s, err := BuildAdaptive(pts, plan, 1, core.AGOptions{}, Options{}, noise.NewSource(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	rects := make([]geom.Rect, 300)
+	for i := range rects {
+		x0, y0 := rng.Float64()*50, rng.Float64()*50
+		rects[i] = geom.NewRect(x0, y0, x0+rng.Float64()*25, y0+rng.Float64()*25)
+	}
+	got := pool.Map(rects, 0, s.Query)
+	if len(got) != len(rects) {
+		t.Fatalf("batch returned %d answers for %d rects", len(got), len(rects))
+	}
+	for i, r := range rects {
+		if want := s.Query(r); got[i] != want {
+			t.Errorf("rect %d: batch %v, direct %v", i, got[i], want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"testing"
 
 	"github.com/dpgrid/dpgrid/internal/core"
@@ -33,6 +34,16 @@ func buildStatsFixture(t *testing.T) (*Sharded, *Lazy) {
 	return eager, lazy
 }
 
+// statsOf runs a QueryStatsCtx method under a live context.
+func statsOf(t *testing.T, q func(context.Context, geom.Rect) (float64, QueryStats, error), r geom.Rect) (float64, QueryStats) {
+	t.Helper()
+	est, st, err := q(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est, st
+}
+
 func TestQueryStatsFanout(t *testing.T) {
 	eager, lazy := buildStatsFixture(t)
 	cases := []struct {
@@ -48,7 +59,7 @@ func TestQueryStatsFanout(t *testing.T) {
 		{"outside", geom.NewRect(200, 200, 300, 300), 0},
 	}
 	for _, tc := range cases {
-		est, st := eager.QueryStats(tc.rect)
+		est, st := statsOf(t, eager.QueryStatsCtx, tc.rect)
 		if st.Shards != tc.shards {
 			t.Errorf("%s: eager fan-out %d, want %d", tc.name, st.Shards, tc.shards)
 		}
@@ -56,9 +67,9 @@ func TestQueryStatsFanout(t *testing.T) {
 			t.Errorf("%s: eager release reported %d materializations", tc.name, st.Materialized)
 		}
 		if want := eager.Query(tc.rect); est != want {
-			t.Errorf("%s: QueryStats estimate %g != Query %g", tc.name, est, want)
+			t.Errorf("%s: QueryStatsCtx estimate %g != Query %g", tc.name, est, want)
 		}
-		lest, lst := lazy.QueryStats(tc.rect)
+		lest, lst := statsOf(t, lazy.QueryStatsCtx, tc.rect)
 		if lst.Shards != tc.shards {
 			t.Errorf("%s: lazy fan-out %d, want %d", tc.name, lst.Shards, tc.shards)
 		}
@@ -74,14 +85,14 @@ func TestQueryStatsFanout(t *testing.T) {
 func TestQueryStatsMaterializationAttribution(t *testing.T) {
 	_, lazy := buildStatsFixture(t)
 	r1 := geom.NewRect(2, 2, 18, 18) // one tile
-	if _, st := lazy.QueryStats(r1); st.Materialized != 1 {
+	if _, st := statsOf(t, lazy.QueryStatsCtx, r1); st.Materialized != 1 {
 		t.Fatalf("first touch materialized %d, want 1", st.Materialized)
 	}
-	if _, st := lazy.QueryStats(r1); st.Materialized != 0 {
+	if _, st := statsOf(t, lazy.QueryStatsCtx, r1); st.Materialized != 0 {
 		t.Fatalf("repeat materialized %d, want 0", st.Materialized)
 	}
 	r2 := geom.NewRect(15, 15, 25, 25) // four tiles, one already decoded
-	if _, st := lazy.QueryStats(r2); st.Materialized != 3 {
+	if _, st := statsOf(t, lazy.QueryStatsCtx, r2); st.Materialized != 3 {
 		t.Fatalf("straddling query materialized %d, want 3", st.Materialized)
 	}
 	if lazy.MaterializedShards() != 4 {

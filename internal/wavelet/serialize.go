@@ -10,7 +10,6 @@ import (
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Serialization of Privlet synopses. The wavelet transform is a build-
@@ -49,14 +48,6 @@ func init() {
 
 // ContainerKind reports the synopsis's container kind.
 func (w *Privlet) ContainerKind() codec.Kind { return codec.KindPrivlet }
-
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, and returns the estimates in input order. Queries are
-// pure post-processing over an immutable prefix table, so answering
-// them concurrently is safe and spends no privacy budget.
-func (w *Privlet) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, w.Query)
-}
 
 // AppendBinary appends the synopsis's dpgridv2 container to dst and
 // returns the extended slice.

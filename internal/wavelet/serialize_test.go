@@ -9,6 +9,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func buildTestPrivlet(t *testing.T) *Privlet {
@@ -125,7 +126,7 @@ func TestPrivletQueryBatchMatchesQuery(t *testing.T) {
 		x, y := rng.Float64()*9, rng.Float64()*9
 		rs[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64(), MaxY: y + rng.Float64()}
 	}
-	got := w.QueryBatch(rs)
+	got := pool.Map(rs, 0, w.Query)
 	if len(got) != len(rs) {
 		t.Fatalf("got %d answers for %d queries", len(got), len(rs))
 	}

@@ -26,11 +26,10 @@ var ErrSynopsisClosed = errors.New("dpgrid: synopsis closed")
 // process. Serving layers therefore either never close (letting process
 // exit clean up, as dpserve does on synopsis replacement) or close only
 // after draining their request paths. After Close, QueryStatsCtx
-// reports ErrSynopsisClosed; the plain Query/QueryBatch interfaces have
-// no error channel, so they panic with a message naming the bug rather
-// than letting the process die on an opaque SIGSEGV or — in the read
-// fallback, where the bytes linger until collected — silently serve
-// from a closed file.
+// reports ErrSynopsisClosed; Query has no error channel, so it panics
+// with a message naming the bug rather than letting the process die on
+// an opaque SIGSEGV or — in the read fallback, where the bytes linger
+// until collected — silently serve from a closed file.
 //
 // MappedSynopsis is safe for concurrent queries; Close may race queries
 // only in the sense that it flips the closed flag first, so late
@@ -45,9 +44,10 @@ type MappedSynopsis struct {
 
 // Unwrap returns the underlying synopsis — the decoded view (or
 // materialized synopsis, for encodings without a zero-copy structure).
-// Serving layers use it to reach metadata interfaces (Epsilon, Domain,
-// ContainerKind, NumShards) without each of them being re-exported
-// here.
+// Serving layers that drain their own request paths (dpserve never
+// closes a mapping) query it directly, which also exposes its real
+// type: metadata (Epsilon, Domain, ContainerKind, NumShards) and, for
+// sharded releases, ShardRouter and ShardContextObserver.
 func (m *MappedSynopsis) Unwrap() Synopsis { return m.inner }
 
 // MappedBytes returns the size of the memory-mapped file image backing
@@ -80,61 +80,24 @@ func (m *MappedSynopsis) Close() error {
 	return m.file.Close()
 }
 
-func (m *MappedSynopsis) checkOpen() {
-	if m.closed.Load() {
-		panic("dpgrid: query on a closed MappedSynopsis (drain queries before Close, or use QueryStatsCtx for an error instead of a panic)")
-	}
-}
-
 // Query estimates the number of data points in r. It panics after
 // Close; serving paths should prefer QueryStatsCtx, which returns
 // ErrSynopsisClosed instead.
 func (m *MappedSynopsis) Query(r Rect) float64 {
-	m.checkOpen()
+	if m.closed.Load() {
+		panic("dpgrid: query on a closed MappedSynopsis (drain queries before Close, or use QueryStatsCtx for an error instead of a panic)")
+	}
 	return m.inner.Query(r)
 }
 
-// QueryBatch answers every rectangle in rs in input order (panics after
-// Close, like Query).
-func (m *MappedSynopsis) QueryBatch(rs []Rect) []float64 {
-	m.checkOpen()
-	if bs, ok := m.inner.(BatchSynopsis); ok {
-		return bs.QueryBatch(rs)
-	}
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = m.inner.Query(r)
-	}
-	return out
-}
-
-// QueryStats forwards to the inner release's instrumented query;
-// monolithic inner synopses report a single-shard fan-out. It panics
-// after Close (no error channel); QueryStatsCtx is the closable form.
-func (m *MappedSynopsis) QueryStats(r Rect) (float64, ShardQueryStats) {
-	m.checkOpen()
-	if so, ok := m.inner.(ShardObserver); ok {
-		return so.QueryStats(r)
-	}
-	return m.inner.Query(r), ShardQueryStats{Shards: 1}
-}
-
-// QueryStatsCtx is the serving entry point: QueryStats with
-// cancellation and with Close surfaced as ErrSynopsisClosed rather than
-// a panic. Monolithic inner synopses answer as one uncancellable shard
-// after an up-front ctx check.
+// QueryStatsCtx is the closable form of Query: dpgrid.QueryStatsCtx
+// against the inner synopsis, with Close surfaced as ErrSynopsisClosed
+// rather than a panic.
 func (m *MappedSynopsis) QueryStatsCtx(ctx context.Context, r Rect) (float64, ShardQueryStats, error) {
 	if m.closed.Load() {
 		return 0, ShardQueryStats{}, ErrSynopsisClosed
 	}
-	if sco, ok := m.inner.(ShardContextObserver); ok {
-		return sco.QueryStatsCtx(ctx, r)
-	}
-	if err := context.Cause(ctx); err != nil {
-		return 0, ShardQueryStats{}, err
-	}
-	est, stats := m.QueryStats(r)
-	return est, stats, nil
+	return QueryStatsCtx(ctx, m.inner, r)
 }
 
 // MapSynopsisFile loads a synopsis file for serving with a

@@ -32,7 +32,7 @@ func NewShardPlan(dom Domain, kx, ky int) (ShardPlan, error) {
 type ShardOptions = shard.Options
 
 // Sharded is a geo-sharded release: one per-tile synopsis per shard of
-// a ShardPlan. It implements Synopsis and BatchSynopsis; a query is
+// a ShardPlan. It implements Synopsis and ShardRouter; a query is
 // routed to only the overlapping shards, with fully-covered shards
 // short-circuiting through their TotalEstimate.
 type Sharded = shard.Sharded
@@ -54,30 +54,35 @@ type LazySharded = shard.Lazy
 // into its /metrics families.
 type ShardQueryStats = shard.QueryStats
 
-// ShardObserver is implemented by sharded releases (Sharded,
-// LazySharded) whose queries can report routing observations.
-// QueryStats returns the same estimate as Query, bit for bit, plus the
-// per-query stats; serving layers type-assert this interface so
-// monolithic synopses (which have no fan-out to observe) skip the
-// instrumentation entirely.
-type ShardObserver interface {
+// ShardContextObserver is implemented by sharded releases (Sharded,
+// LazySharded) whose queries report routing observations and honor
+// context cancellation: QueryStatsCtx checks ctx between shards and
+// abandons the walk with the context's error, so a serving layer whose
+// client has gone away (request timeout, dropped connection) stops
+// burning CPU — and, for lazy releases, stops materializing tiles — on
+// wide mosaics. A completed walk returns the same estimate as Query,
+// bit for bit.
+type ShardContextObserver interface {
 	Synopsis
-	// QueryStats estimates the number of data points in r and reports
-	// the fan-out observations of the query.
-	QueryStats(r Rect) (float64, ShardQueryStats)
+	// QueryStatsCtx estimates the number of data points in r and
+	// reports the fan-out observations of the query.
+	QueryStatsCtx(ctx context.Context, r Rect) (float64, ShardQueryStats, error)
 }
 
-// ShardContextObserver is a ShardObserver whose fan-out honors context
-// cancellation: QueryStatsCtx checks ctx between shards and abandons
-// the walk with the context's error, so a serving layer whose client
-// has gone away (request timeout, dropped connection) stops burning
-// CPU — and, for lazy releases, stops materializing tiles — on wide
-// mosaics. Sharded and LazySharded implement it; a completed walk
-// returns the same estimate as Query, bit for bit.
-type ShardContextObserver interface {
-	ShardObserver
-	// QueryStatsCtx is QueryStats with between-shard cancellation.
-	QueryStatsCtx(ctx context.Context, r Rect) (float64, ShardQueryStats, error)
+// QueryStatsCtx answers r against s and reports the query's routing
+// observations; it is the serving path's one query entry point. A
+// ShardContextObserver answers through its own cancellable fan-out; any
+// other synopsis answers as one uncancellable shard after an up-front
+// ctx check. A completed query returns the same estimate as s.Query(r),
+// bit for bit.
+func QueryStatsCtx(ctx context.Context, s Synopsis, r Rect) (float64, ShardQueryStats, error) {
+	if o, ok := s.(ShardContextObserver); ok {
+		return o.QueryStatsCtx(ctx, r)
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, ShardQueryStats{}, err
+	}
+	return s.Query(r), ShardQueryStats{Shards: 1}, nil
 }
 
 // ShardRouter is the tile-level routing surface of a sharded release —
