@@ -33,8 +33,9 @@ func batchTestRects(n int, seed int64) []Rect {
 
 // QueryBatch and QueryStatsCtx, the batch and serving entry points, must
 // agree bit for bit with Query for every synopsis kind and for the
-// loaded forms the serving path queries (a lazily read sharded manifest,
-// memory-mapped UG/AG views and sharded manifest), at every worker count.
+// loaded forms the serving path queries (UG/AG views and a sharded
+// manifest of views, over heap bytes and over a memory mapping), at
+// every worker count.
 func TestQueryBatchAllMethods(t *testing.T) {
 	pts, dom := batchTestData(t, 8000, 1)
 	rects := batchTestRects(200, 2)
@@ -65,6 +66,10 @@ func TestQueryBatchAllMethods(t *testing.T) {
 		}
 		return p
 	}
+	loaded := func(name string, s Synopsis) Synopsis {
+		t.Helper()
+		return must(LoadSynopsisFile(write(name, s)))
+	}
 	mapped := func(name string, s Synopsis) Synopsis {
 		t.Helper()
 		m, err := MapSynopsisFile(write(name, s))
@@ -86,7 +91,9 @@ func TestQueryBatchAllMethods(t *testing.T) {
 		{"Privlet", must(BuildPrivlet(pts, dom, 1, PrivletOptions{GridSize: 32}, NewNoiseSource(5)))},
 		{"Hist1D", must(BuildHist1DHierarchical(xs, 0, 100, 64, 2, 3, 1, NewNoiseSource(6)))},
 		{"Sharded", sharded},
-		{"LazySharded", must(ReadSynopsisFileLazy(write("lazy", sharded)))},
+		{"LoadedUG", loaded("loaded-ug", ug)},
+		{"LoadedAG", loaded("loaded-ag", ag)},
+		{"LoadedSharded", loaded("loaded-sharded", sharded)},
 		{"MappedUG", mapped("ug", ug)},
 		{"MappedAG", mapped("ag", ag)},
 		{"MappedSharded", mapped("sharded", sharded)},

@@ -435,9 +435,9 @@ func BenchmarkSerializeSharded(b *testing.B) {
 //
 // JSON vs dpgridv2 binary for a sharded manifest at matched cell
 // counts (the same release encoded both ways). The decode family is
-// the serving daemon's cold-start path; `lazy` measures what dpserve
-// actually pays at startup now (validate everything, materialize
-// nothing), and `lazy-first-query` adds the first single-tile hit.
+// the serving daemon's cold-start path; `view` measures what dpserve
+// pays at startup (validate everything, build zero-copy views of every
+// tile), and `view-first-query` adds the first single-tile hit.
 // Each sub-benchmark reports the encoded size as file-bytes.
 
 func benchShardedRelease(b *testing.B) *Sharded {
@@ -506,17 +506,17 @@ func BenchmarkDecodeSharded(b *testing.B) {
 			}
 		}
 	})
-	b.Run("binary-lazy", func(b *testing.B) {
+	b.Run("binary-view", func(b *testing.B) {
 		b.ReportMetric(float64(len(binData)), "file-bytes")
 		for i := 0; i < b.N; i++ {
-			if _, err := ReadSynopsisLazy(bytes.NewReader(binData)); err != nil {
+			if _, err := LoadSynopsis(binData); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("binary-lazy-first-query", func(b *testing.B) {
+	b.Run("binary-view-first-query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			syn, err := ReadSynopsisLazy(bytes.NewReader(binData))
+			syn, err := LoadSynopsis(binData)
 			if err != nil {
 				b.Fatal(err)
 			}

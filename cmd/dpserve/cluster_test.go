@@ -389,7 +389,7 @@ func TestBackendClusterEndpoint(t *testing.T) {
 
 // TestMappedBackendClusterQuery: a backend that memory-mapped its
 // sharded release (dpserve -mmap) answers the cluster endpoint, and its
-// partials equal those of the same release read lazily.
+// partials equal those of the same release read by the copying reader.
 func TestMappedBackendClusterQuery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "checkins.dpgrid")
 	if err := dpgrid.WriteSynopsisFileFormat(path, testClusterSharded(t, 37), dpgrid.FormatBinary); err != nil {
@@ -399,7 +399,7 @@ func TestMappedBackendClusterQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := dpgrid.ReadSynopsisFileLazy(path)
+	read, err := dpgrid.ReadSynopsisFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestMappedBackendClusterQuery(t *testing.T) {
 		Rects:    [][4]float64{{0, 0, 100, 100}, {10, 20, 70, 90}, {40, 40, 45, 45}},
 	}
 	var got [2]cluster.ShardQueryResponse
-	for i, syn := range []dpgrid.Synopsis{mapped, lazy} {
+	for i, syn := range []dpgrid.Synopsis{mapped, read} {
 		resp, out := postShardQuery(t, startClusterBackend(t, syn).URL, req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("backend %d (%T): cluster query status %d, want 200", i, syn, resp.StatusCode)
@@ -422,11 +422,11 @@ func TestMappedBackendClusterQuery(t *testing.T) {
 	for r := range req.Rects {
 		m, l := got[0].Partials[r], got[1].Partials[r]
 		if len(m) != len(l) {
-			t.Fatalf("rect %d: mapped partials %+v, lazy %+v", r, m, l)
+			t.Fatalf("rect %d: mapped partials %+v, read %+v", r, m, l)
 		}
 		for k := range m {
 			if m[k] != l[k] {
-				t.Errorf("rect %d: mapped partial %+v != lazy %+v", r, m[k], l[k])
+				t.Errorf("rect %d: mapped partial %+v != read %+v", r, m[k], l[k])
 			}
 		}
 	}

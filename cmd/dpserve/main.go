@@ -17,8 +17,8 @@
 //	                             at /healthz
 //	GET    /metrics              Prometheus text exposition: per-synopsis
 //	                             query counts, answer-time histograms,
-//	                             shard fan-out, lazy materializations, cache
-//	                             hit/miss, decode errors, admission drops
+//	                             shard fan-out, cache hit/miss, decode
+//	                             errors, admission drops
 //	GET    /v1/synopses          list registered synopses with metadata
 //	GET    /v1/synopses/<name>   metadata for one synopsis
 //	PUT    /v1/synopses/<name>   register the synopsis serialized in the body
@@ -41,9 +41,11 @@
 // same registry: a sharded manifest loads as one named synopsis whose
 // queries fan out to only the overlapping shards, so a single daemon
 // can serve domains far beyond the monolithic cell cap. Synopsis files
-// may be JSON or binary (dpgridv2) — the format is sniffed — and a
-// binary sharded manifest loads lazily: every shard is validated at
-// load, but decoded only when a query first touches its tile.
+// may be JSON or binary (dpgridv2) — the format is sniffed. Every file
+// and upload is validated and decoded at load by the same loader: binary
+// UG and AG releases, and the tiles of sharded manifests, become
+// zero-copy views answering straight from the bytes, which -mmap keeps
+// in a memory mapping instead of on the heap.
 //
 // A query request names a synopsis and carries rectangles as
 // [minX, minY, maxX, maxY] quadruples; the response returns one estimate
@@ -113,7 +115,7 @@ func run(args []string) error {
 	listen := fs.String("listen", ":8080", "address to serve HTTP on")
 	readonly := fs.Bool("readonly", false, "disable PUT/DELETE /v1/synopses/<name>; serve only synopses loaded at startup")
 	cacheEntries := fs.Int("cache-entries", 4096, "result cache capacity in (synopsis, rect) answers; 0 disables caching")
-	mmap := fs.Bool("mmap", false, "serve -synopsis files from memory-mapped zero-copy views (falls back to a plain read where mmap is unavailable)")
+	mmap := fs.Bool("mmap", false, "picks where the bytes live: serve -synopsis files from memory mappings instead of heap reads (falls back to a plain read where mmap is unavailable)")
 	maxInflight := fs.Int("max-inflight", 0, "reject API requests beyond this many in flight with 429; 0 means unlimited")
 	requestTimeout := fs.Duration("request-timeout", time.Minute, "per-request deadline for /v1 endpoints; 0 disables")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long graceful shutdown waits for in-flight requests")

@@ -510,7 +510,7 @@ func TestServerTimeoutsConfigured(t *testing.T) {
 	}
 }
 
-// ---- serving-path validation and lazy-loading tests ----
+// ---- serving-path validation and loading tests ----
 
 func TestBadRectIndex(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -615,73 +615,67 @@ func TestLoadSynopsesLoadsAll(t *testing.T) {
 	}
 }
 
-// TestRegistryLoadsShardedManifestLazily is the registry-level lazy
-// contract: loading a binary sharded manifest materializes nothing, a
-// query materializes exactly the shards overlapping its rects, and the
-// answers match the eagerly loaded release bit for bit.
+// TestRegistryLoadsShardedManifestLazily is the registry-level load
+// contract: a binary sharded manifest registers as a *dpgrid.Sharded of
+// zero-copy tiles whether or not the file is mapped, reports its
+// shards, and answers like the built release bit for bit.
 func TestRegistryLoadsShardedManifestLazily(t *testing.T) {
 	syn := testShardedSynopsis(t, 42) // 2x2 mosaic over [0,100]^2
 	path := filepath.Join(t.TempDir(), "mosaic.dpgrid")
 	if err := dpgrid.WriteSynopsisFileFormat(path, syn, dpgrid.FormatBinary); err != nil {
 		t.Fatal(err)
 	}
-	reg := newRegistry()
-	if err := reg.loadFile("mosaic", path, false); err != nil {
-		t.Fatal(err)
-	}
-	got, _, ok := reg.get("mosaic")
-	if !ok {
-		t.Fatal("manifest not registered")
-	}
-	lazy, ok := got.(*dpgrid.LazySharded)
-	if !ok {
-		t.Fatalf("registered type %T, want *dpgrid.LazySharded", got)
-	}
-	if lazy.MaterializedShards() != 0 {
-		t.Fatalf("load materialized %d shards", lazy.MaterializedShards())
-	}
+	for _, mmap := range []bool{false, true} {
+		reg := newRegistry()
+		if err := reg.loadFile("mosaic", path, mmap); err != nil {
+			t.Fatal(err)
+		}
+		got, _, ok := reg.get("mosaic")
+		if !ok {
+			t.Fatal("manifest not registered")
+		}
+		sh, ok := got.(*dpgrid.Sharded)
+		if !ok {
+			t.Fatalf("mmap=%v: registered type %T, want *dpgrid.Sharded", mmap, got)
+		}
+		if !sh.SATBacked() {
+			t.Errorf("mmap=%v: loaded tiles are not SAT-backed views", mmap)
+		}
 
-	srv := newTestServer(t, reg)
-
-	// Metadata must not materialize anything.
-	var info synopsisInfo
-	getJSON(t, srv.URL+"/v1/synopses/mosaic", &info)
-	if info.Shards != 4 || lazy.MaterializedShards() != 0 {
-		t.Fatalf("metadata: %d shards reported, %d materialized", info.Shards, lazy.MaterializedShards())
+		srv := newTestServer(t, reg)
+		var info synopsisInfo
+		getJSON(t, srv.URL+"/v1/synopses/mosaic", &info)
+		if info.Shards != 4 {
+			t.Fatalf("mmap=%v: metadata reports %d shards, want 4", mmap, info.Shards)
+		}
+		rects := [][4]float64{{5, 5, 40, 40}, {45, 45, 55, 55}}
+		counts := postQuery(t, srv.URL, "mosaic", rects)
+		for i, q := range rects {
+			if want := syn.Query(dpgrid.NewRect(q[0], q[1], q[2], q[3])); counts[i] != want {
+				t.Errorf("mmap=%v rect %d: served %g, built %g", mmap, i, counts[i], want)
+			}
+		}
 	}
+}
 
-	// One rect inside the lower-left tile: exactly one shard decodes.
-	req := queryRequest{Synopsis: "mosaic", Rects: [][4]float64{{5, 5, 40, 40}}}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
+// TestReadUploadHasNoSlack: an upload read without a Content-Length
+// keeps no spare capacity, because the loaded views retain the buffer
+// for the synopsis's lifetime.
+func TestReadUploadHasNoSlack(t *testing.T) {
+	body := bytes.Repeat([]byte("dpgrid"), 1000) // 6000 bytes: io.ReadAll overshoots
+	req := httptest.NewRequest(http.MethodPut, "/v1/synopses/x", io.NopCloser(bytes.NewReader(body)))
+	if req.ContentLength > 0 {
+		t.Fatalf("request declares Content-Length %d; the test needs none", req.ContentLength)
+	}
+	data, err := readUpload(req.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status = %d", resp.StatusCode)
+	if !bytes.Equal(data, body) {
+		t.Fatal("upload bytes changed")
 	}
-	var got1 queryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got1); err != nil {
-		t.Fatal(err)
-	}
-	if want := syn.Query(dpgrid.NewRect(5, 5, 40, 40)); got1.Counts[0] != want {
-		t.Errorf("lazy answer %g, eager %g", got1.Counts[0], want)
-	}
-	if got := lazy.MaterializedShards(); got != 1 {
-		t.Fatalf("single-tile query materialized %d shards, want 1", got)
-	}
-
-	// A straddling rect pulls in the rest.
-	req = queryRequest{Synopsis: "mosaic", Rects: [][4]float64{{45, 45, 55, 55}}}
-	body, _ = json.Marshal(req)
-	resp2, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if got := lazy.MaterializedShards(); got != 4 {
-		t.Fatalf("straddling query materialized %d shards, want 4", got)
+	if cap(data) != len(data) {
+		t.Fatalf("upload buffer cap %d != len %d", cap(data), len(data))
 	}
 }
 

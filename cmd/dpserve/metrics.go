@@ -10,8 +10,7 @@ import (
 
 // queryLatencyBounds buckets per-request query latency from 100µs to
 // 10s: the fast edge resolves cache hits and single-shard prefix-table
-// reads, the slow edge catches lazy materialization storms and huge
-// batches.
+// reads, the slow edge catches mosaic-wide fan-outs and huge batches.
 var queryLatencyBounds = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
@@ -29,13 +28,12 @@ type serverMetrics struct {
 	reg *obs.Registry
 
 	// Per-synopsis serving-path families.
-	queryRects       *obs.CounterVec   // rectangles answered
-	latency          *obs.HistogramVec // seconds in answer() per POST /v1/query
-	fanout           *obs.HistogramVec // shards visited per rectangle
-	materializations *obs.CounterVec   // lazy shards decoded on first touch
-	cacheHits        *obs.CounterVec
-	cacheMisses      *obs.CounterVec
-	synopsisKind     *obs.InfoVec // container kind per served synopsis
+	queryRects   *obs.CounterVec   // rectangles answered
+	latency      *obs.HistogramVec // seconds in answer() per POST /v1/query
+	fanout       *obs.HistogramVec // shards visited per rectangle
+	cacheHits    *obs.CounterVec
+	cacheMisses  *obs.CounterVec
+	synopsisKind *obs.InfoVec // container kind per served synopsis
 
 	// Registry and lifecycle counters.
 	decodeErrors *obs.Counter // rejected PUT bodies
@@ -57,8 +55,6 @@ func newServerMetrics(cacheEntries, synopsisCount, mappedBytes func() float64) *
 		"Seconds spent answering the rects of a POST /v1/query (cache lookups and synopsis queries), by synopsis; body decode, validation and response encode fall outside it.", "synopsis", queryLatencyBounds)
 	m.fanout = r.HistogramVec("dpserve_shard_fanout",
 		"Shards visited per rectangle against sharded synopses (cache misses only).", "synopsis", fanoutBounds)
-	m.materializations = r.CounterVec("dpserve_lazy_materializations_total",
-		"Lazily loaded shards decoded on first touch, by synopsis.", "synopsis")
 	m.cacheHits = r.CounterVec("dpserve_cache_hits_total",
 		"Rectangle queries answered from the result cache, by synopsis.", "synopsis")
 	m.cacheMisses = r.CounterVec("dpserve_cache_misses_total",
@@ -92,7 +88,6 @@ func (m *serverMetrics) forgetSynopsis(name string) {
 	m.queryRects.Forget(name)
 	m.latency.Forget(name)
 	m.fanout.Forget(name)
-	m.materializations.Forget(name)
 	m.cacheHits.Forget(name)
 	m.cacheMisses.Forget(name)
 	m.synopsisKind.Forget(name)

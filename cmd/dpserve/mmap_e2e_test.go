@@ -161,9 +161,9 @@ func TestMmapSATMetrics(t *testing.T) {
 	}
 }
 
-// TestMmapShardSeries: the fan-out and materialization series describe
-// sharded releases only. A mapped monolithic AG records neither; a
-// mapped sharded release records both.
+// TestMmapShardSeries: the fan-out series describes sharded releases
+// only. A mapped monolithic AG does not record it; a mapped sharded
+// release does.
 func TestMmapShardSeries(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -189,7 +189,6 @@ func TestMmapShardSeries(t *testing.T) {
 		metrics := getMetricsPage(t, srv.URL)
 		for _, series := range []string{
 			`dpserve_shard_fanout_count{synopsis="syn"}`,
-			`dpserve_lazy_materializations_total{synopsis="syn"}`,
 		} {
 			if got := strings.Contains(metrics, series); got != tc.sharded {
 				t.Errorf("%s: series %s present = %v, want %v:\n%s",

@@ -81,21 +81,21 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 	return series
 }
 
-// TestMetricsEndpoint drives a lazily loaded sharded synopsis through
-// the API and asserts the exposition parses and every counter family
-// the issue names moves as traffic flows.
+// TestMetricsEndpoint drives a sharded synopsis, loaded the way dpserve
+// loads uploads and files, through the API and asserts the exposition
+// parses and every counter family moves as traffic flows.
 func TestMetricsEndpoint(t *testing.T) {
 	syn := testShardedSynopsis(t, 71) // 2x2 mosaic over [0,100]^2
 	var buf bytes.Buffer
 	if err := dpgrid.WriteSynopsisBinary(&buf, syn); err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := dpgrid.ReadSynopsisLazy(&buf)
+	loaded, err := dpgrid.LoadSynopsis(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := newRegistry()
-	reg.put("mosaic", lazy)
+	reg.put("mosaic", loaded)
 	dps := newTestDPServer(reg, serverOptions{})
 	srv := httptest.NewServer(dps.handler())
 	t.Cleanup(srv.Close)
@@ -110,9 +110,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Request 1: two rects, both inside the lower-left tile (fan-out 1
-	// each, one lazy materialization total). Request 2 repeats the first
-	// rect (cache hit) and adds a straddling rect (fan-out 4, three more
-	// materializations).
+	// each). Request 2 repeats the first rect (cache hit) and adds a
+	// straddling rect (fan-out 4).
 	postQuery(t, srv.URL, "mosaic", [][4]float64{{5, 5, 20, 20}, {10, 10, 30, 30}})
 	postQuery(t, srv.URL, "mosaic", [][4]float64{{5, 5, 20, 20}, {45, 45, 55, 55}})
 
@@ -124,7 +123,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dpserve_cache_misses_total{synopsis="mosaic"}`:          3,
 		`dpserve_shard_fanout_count{synopsis="mosaic"}`:          3, // misses only
 		`dpserve_shard_fanout_sum{synopsis="mosaic"}`:            6, // 1 + 1 + 4
-		`dpserve_lazy_materializations_total{synopsis="mosaic"}`: 4,
 		"dpserve_cache_entries":                                  3,
 		"dpserve_decode_errors_total":                            0,
 		"dpserve_requests_rejected_total":                        0,
@@ -138,6 +136,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		if got != wantV {
 			t.Errorf("%s = %g, want %g", series, got, wantV)
+		}
+	}
+	for series := range m {
+		if strings.HasPrefix(series, "dpserve_lazy_materializations") {
+			t.Errorf("removed family still exported: %s", series)
 		}
 	}
 	// The latency histogram carries cumulative buckets ending at +Inf.

@@ -96,25 +96,23 @@ func (r *registry) names() []string {
 	return out
 }
 
-// loadFile reads the synopsis file at path and registers it under name.
-// Binary sharded manifests load lazily: the file is fully validated,
-// but each shard's query structure is decoded only when traffic first
-// touches its tile, so startup cost and memory track the working set
-// rather than the mosaic size. With mmap the file is served off a
-// memory-mapped zero-copy view instead (dpgrid.MapSynopsisFile): the
-// kernel page cache holds the float payload and heap cost tracks
-// descriptors, not grids. Mapped synopses are never explicitly closed —
-// replacement or retirement just drops the registry reference, because
-// an in-flight query reading mapped bytes at unmap time would fault;
-// the mapping lives until process exit, which for a serving daemon is
-// the correct lifetime.
+// loadFile loads the synopsis file at path and registers it under name.
+// The file is fully validated and decoded at load, binary UG and AG
+// releases (and their shards) as zero-copy views over the file bytes.
+// mmap only picks where those bytes live: in a memory mapping
+// (dpgrid.MapSynopsisFile), where the kernel page cache holds the float
+// payload, or read onto the heap (dpgrid.LoadSynopsisFile). Mapped
+// synopses are never explicitly closed — replacement or retirement just
+// drops the registry reference, because an in-flight query reading
+// mapped bytes at unmap time would fault; the mapping lives until
+// process exit, which for a serving daemon is the correct lifetime.
 func (r *registry) loadFile(name, path string, mmap bool) error {
 	var s dpgrid.Synopsis
 	var err error
 	if mmap {
 		s, err = dpgrid.MapSynopsisFile(path)
 	} else {
-		s, err = dpgrid.ReadSynopsisFileLazy(path)
+		s, err = dpgrid.LoadSynopsisFile(path)
 	}
 	if err != nil {
 		return fmt.Errorf("load %q from %s: %w", name, path, err)

@@ -143,8 +143,7 @@ type metadata interface {
 	Domain() dpgrid.Domain
 }
 
-// sharded is implemented by geo-sharded releases (dpgrid.Sharded and
-// dpgrid.LazySharded).
+// sharded is implemented by geo-sharded releases (dpgrid.Sharded).
 type sharded interface {
 	NumShards() int
 }
@@ -385,7 +384,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			for _, f := range st.fanouts {
 				h.Observe(float64(f))
 			}
-			s.met.materializations.With(name).Add(uint64(st.materialized))
 		}
 	}
 	writeJSON(w, http.StatusOK, queryResponse{Synopsis: req.Synopsis, Counts: counts})
@@ -398,7 +396,6 @@ type answerStats struct {
 	cached       bool  // cache enabled: hits/misses are meaningful
 	hits, misses int   // per-rect cache outcomes
 	fanouts      []int // per-miss shard fan-out; nil for monolithic synopses
-	materialized int64 // lazy shards decoded on first touch
 }
 
 // answer resolves every rectangle, serving what it can from the answer
@@ -407,7 +404,7 @@ type answerStats struct {
 // cache or the synopsis, and every kind takes the same compute path.
 // The misses honor ctx (sharded releases between shards, monolithic
 // ones per rect): a request whose client has gone away stops burning
-// CPU and, for lazy releases, stops materializing tiles mid-mosaic.
+// CPU.
 // Sharded synopses additionally report per-rect routing stats. A
 // non-nil error means the batch was abandoned; no partial results are
 // cached.
@@ -448,7 +445,6 @@ func (s *server) answer(ctx context.Context, name string, gen uint64, syn dpgrid
 	if _, ok := syn.(sharded); ok {
 		st.fanouts = make([]int, len(miss))
 	}
-	var mats atomic.Int64
 	var cancelled atomic.Bool
 	pool.For(len(miss), 0, func(j int) {
 		i := miss[j]
@@ -460,13 +456,11 @@ func (s *server) answer(ctx context.Context, name string, gen uint64, syn dpgrid
 		counts[i] = est
 		if st.fanouts != nil {
 			st.fanouts[j] = qs.Shards
-			mats.Add(int64(qs.Materialized))
 		}
 	})
 	if cancelled.Load() {
 		return nil, st, context.Cause(ctx)
 	}
-	st.materialized = mats.Load()
 	if keys != nil {
 		for _, i := range miss {
 			s.cache.Put(keys[i], counts[i])
@@ -494,14 +488,32 @@ func badRectIndex(rects [][4]float64) int {
 	return -1
 }
 
-// readSynopsisBody parses an uploaded synopsis in either encoding
-// (sniffed). Binary sharded manifests load lazily: the upload is fully
-// validated, but per-shard decode cost is deferred to the first query
-// touching each tile.
+// readSynopsisBody decodes an uploaded synopsis in either encoding
+// (sniffed) with dpgrid.LoadSynopsis, the loader -synopsis files go
+// through, so an upload is validated and served exactly like a file.
 func readSynopsisBody(r *http.Request) (dpgrid.Synopsis, error) {
-	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+	data, err := readUpload(r.Body)
+	if err != nil {
+		return nil, err
+	}
+	return dpgrid.LoadSynopsis(data)
+}
+
+// readUpload reads an upload body of at most maxBodyBytes into a buffer
+// with no spare capacity. The loaded views retain the buffer for the
+// synopsis's lifetime, and io.ReadAll's growth slack — up to a quarter
+// of the body — would be retained with it.
+func readUpload(r io.ReadCloser) ([]byte, error) {
+	body := http.MaxBytesReader(nil, r, maxBodyBytes)
 	defer io.Copy(io.Discard, body)
-	return dpgrid.ReadSynopsisLazy(body)
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return nil, fmt.Errorf("dpgrid: read synopsis: %w", err)
+	}
+	if cap(data) > len(data) {
+		data = append(make([]byte, 0, len(data)), data...)
+	}
+	return data, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

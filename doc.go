@@ -3,8 +3,8 @@
 // of Qardaji, Yang, Li: "Differentially Private Grids for Geospatial
 // Data" (ICDE 2013), and grows them into a production-shaped serving
 // stack: deterministic parallel construction, a compact binary release
-// format, geo-sharded mosaics with lazy loading, and an HTTP serving
-// daemon with caching and observability (cmd/dpserve).
+// format, geo-sharded mosaics served as zero-copy views, and an HTTP
+// serving daemon with caching and observability (cmd/dpserve).
 //
 // # Methods
 //
@@ -57,9 +57,10 @@
 // Releases serialize in two interchangeable encodings carrying the same
 // artifact: versioned JSON and the compact dpgridv2 binary container
 // (see WriteSynopsisFormat and docs/FORMAT.md). ReadSynopsis sniffs the
-// encoding from the leading bytes; file writes are atomic. Binary
-// sharded manifests additionally support lazy, shard-by-shard loading
-// via ReadSynopsisLazy.
+// encoding from the leading bytes; file writes are atomic. Serving
+// loads (LoadSynopsis, LoadSynopsisFile, MapSynopsisFile) decode binary
+// UG and AG releases, and the tiles of sharded manifests, as zero-copy
+// views that answer straight from the file bytes.
 //
 // # Scaling out
 //

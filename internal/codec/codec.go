@@ -4,8 +4,8 @@
 // body built from fixed-width little-endian fields and length-prefixed
 // float64 sections. Compared to the JSON release files, the binary form
 // is a fraction of the size (8 bytes per count instead of a decimal
-// rendering) and decodes by copying, not parsing — which is what lets a
-// serving daemon load a sharded mosaic lazily, shard by shard.
+// rendering) and decodes by copying, not parsing — or, for the kinds
+// with zero-copy views, by pointing query tables at the bytes in place.
 //
 // The package deliberately knows nothing about synopses; it provides the
 // container framing (Detect, NewEnc, NewDec) and truncation-safe
@@ -236,8 +236,7 @@ func (d *Dec) Len(elemSize int) int {
 
 // RawF64s consumes a length-prefixed float64 section that must hold
 // exactly want elements and returns its raw bytes unconverted — the
-// no-allocation path validators and lazy loaders use. Decode elements
-// with F64At.
+// no-allocation path zero-copy views use. Decode elements with F64At.
 func (d *Dec) RawF64s(want int) []byte {
 	n := d.Len(8)
 	if d.err != nil {

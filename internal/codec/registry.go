@@ -31,16 +31,6 @@ type Kinder interface {
 	ContainerKind() Kind
 }
 
-// Info summarizes a payload's envelope-level fields — what a manifest
-// validator needs to cross-check an embedded shard without
-// materializing it. SAT reports whether the payload carries a stored
-// summed-area section (see SATTag); kinds without one leave it false.
-type Info struct {
-	Dom geom.Domain
-	Eps float64
-	SAT bool
-}
-
 // Registration describes one synopsis kind: its identity (container
 // kind, short name, JSON format tag) and its codecs. Decode functions
 // receive the complete serialized bytes (container header included for
@@ -57,33 +47,28 @@ type Registration struct {
 	// DecodeBinary deserializes a dpgridv2 container of this kind,
 	// materializing the synopsis. Required.
 	DecodeBinary func(data []byte) (Synopsis, error)
-	// DecodeBinaryLazy, when set, is preferred by lazy read paths (e.g.
-	// sharded manifests that defer per-shard decoding).
-	DecodeBinaryLazy func(data []byte) (Synopsis, error)
 	// DecodeBinaryView, when set, decodes a container into a zero-copy
 	// view that answers queries directly from data's float sections —
-	// the mmap serving path. The returned synopsis retains data; the
-	// caller must keep it immutable and alive (e.g. an mmap'd file
-	// image) for the synopsis's lifetime. Kinds without a useful
-	// zero-copy structure leave it nil and mapped readers fall back to
-	// the copying decoder.
+	// how every served release loads, whether data was mapped, read
+	// from a file or uploaded. The returned synopsis retains data; the
+	// caller must keep it immutable and alive for the synopsis's
+	// lifetime. Kinds without a useful zero-copy structure leave it nil
+	// and serving loads fall back to the copying decoder.
 	DecodeBinaryView func(data []byte) (Synopsis, error)
 	// DecodeJSON deserializes the kind's JSON encoding. Required when
 	// JSONFormat is set.
 	DecodeJSON func(data []byte) (Synopsis, error)
-	// Validate runs every structural and value check of DecodeBinary
-	// without materializing the synopsis. Kinds that provide it (plus
-	// both decoders) are embeddable as sharded-manifest payloads; the
-	// manifest kind itself leaves it nil, which is what rules out
-	// nested sharding.
-	Validate func(data []byte) (Info, error)
+	// Tile marks kinds that may be embedded as the tiles of a sharded
+	// manifest. The manifest kind itself leaves it false, which is what
+	// rules out nested sharding.
+	Tile bool
 }
 
 // Embeddable reports whether payloads of this kind may be embedded as
-// tiles of a sharded manifest: the manifest needs the validate-only
-// check for lazy loading plus both per-tile codecs.
+// tiles of a sharded manifest: the kind must be marked Tile and carry
+// both per-tile codecs.
 func (r Registration) Embeddable() bool {
-	return r.Validate != nil && r.DecodeBinary != nil &&
+	return r.Tile && r.DecodeBinary != nil &&
 		r.DecodeJSON != nil && r.JSONFormat != ""
 }
 

@@ -88,18 +88,17 @@ func TestLookupByKindNameAndFormat(t *testing.T) {
 
 func TestEmbeddable(t *testing.T) {
 	stub := func(data []byte) (Synopsis, error) { return nil, nil }
-	val := func(data []byte) (Info, error) { return Info{}, nil }
 	full := Registration{
 		Name: "x", DecodeBinary: stub, DecodeJSON: stub,
-		JSONFormat: "dpgrid/x", Validate: val,
+		JSONFormat: "dpgrid/x", Tile: true,
 	}
 	if !full.Embeddable() {
 		t.Error("fully equipped registration not embeddable")
 	}
-	noVal := full
-	noVal.Validate = nil
-	if noVal.Embeddable() {
-		t.Error("registration without Validate reported embeddable")
+	noTile := full
+	noTile.Tile = false
+	if noTile.Embeddable() {
+		t.Error("registration without Tile reported embeddable")
 	}
 }
 

@@ -56,7 +56,7 @@ func CheckFiniteRaw(raw []byte) error {
 
 // CheckPrefixSumsRaw validates an undecoded (mx+1) x (my+1) prefix-sum
 // table: every entry finite, first row and column zero.
-// grid.PrefixFromSums enforces the same border, so validate-only and
+// grid.PrefixFromSums enforces the same border, so zero-copy views and
 // materializing decodes accept exactly the same payloads.
 func CheckPrefixSumsRaw(raw []byte, mx, my int) error {
 	w := mx + 1

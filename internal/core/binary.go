@@ -44,13 +44,6 @@ import (
 // zero-copy view parsers below serve queries straight from the mapped
 // trailer bytes.
 
-// BinaryInfo summarizes a binary payload's envelope-level fields. It is
-// what a manifest validator needs to cross-check an embedded shard
-// without materializing it. It is an alias of codec.Info so the
-// registry's Validate hooks and this package's validators interchange
-// freely.
-type BinaryInfo = codec.Info
-
 // init announces the UG and AG codecs to the kind registry; every
 // serialization layer (container sniffing, sharded-manifest embedding,
 // dpserve loading) dispatches through it.
@@ -66,7 +59,7 @@ func init() {
 			return ParseUniformGrid(data)
 		},
 		DecodeBinaryView: ParseUniformGridBinaryView,
-		Validate:         ValidateUniformGridBinary,
+		Tile:             true,
 	})
 	codec.Register(codec.Registration{
 		Kind:       codec.KindAdaptive,
@@ -79,7 +72,7 @@ func init() {
 			return ParseAdaptiveGrid(data)
 		},
 		DecodeBinaryView: ParseAdaptiveGridBinaryView,
-		Validate:         ValidateAdaptiveGridBinary,
+		Tile:             true,
 	})
 }
 
@@ -151,7 +144,7 @@ func (a *AdaptiveGrid) encodeSAT() ([]float64, error) {
 // ParseUniformGridBinary deserializes a UG dpgridv2 container,
 // validating all structural invariants.
 func ParseUniformGridBinary(data []byte) (*UniformGrid, error) {
-	f, err := decodeUGBinary(data, true)
+	f, err := decodeUGBinary(data)
 	if err != nil {
 		return nil, err
 	}
@@ -161,33 +154,11 @@ func ParseUniformGridBinary(data []byte) (*UniformGrid, error) {
 // ParseAdaptiveGridBinary deserializes an AG dpgridv2 container,
 // validating all structural invariants.
 func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
-	f, err := decodeAGBinary(data, true, false)
+	f, err := decodeAGBinary(data)
 	if err != nil {
 		return nil, err
 	}
 	return f.build()
-}
-
-// ValidateUniformGridBinary runs every structural and value check of
-// ParseUniformGridBinary without materializing the synopsis — no large
-// allocations, no prefix build. A payload that validates cannot fail a
-// later parse; lazy shard loading relies on that.
-func ValidateUniformGridBinary(data []byte) (BinaryInfo, error) {
-	f, err := decodeUGBinary(data, false)
-	if err != nil {
-		return BinaryInfo{}, err
-	}
-	return BinaryInfo{Dom: f.dom, Eps: f.eps, SAT: f.rawSAT != nil}, nil
-}
-
-// ValidateAdaptiveGridBinary is ValidateUniformGridBinary for AG
-// payloads.
-func ValidateAdaptiveGridBinary(data []byte) (BinaryInfo, error) {
-	f, err := decodeAGBinary(data, false, false)
-	if err != nil {
-		return BinaryInfo{}, err
-	}
-	return BinaryInfo{Dom: f.dom, Eps: f.eps, SAT: f.rawSAT != nil}, nil
 }
 
 // EncodeDomain appends a domain's four bounds as float64s — the shared
@@ -205,17 +176,16 @@ type ugBinary struct {
 	eps       float64
 	m         int
 	mx, my    int
-	rawCounts []byte    // counts section in place (a view into data)
-	rawSAT    []byte    // stored SAT section in place; nil when absent
-	counts    []float64 // nil when decoded in validate-only mode
-	sums      []float64 // decoded SAT; nil when absent or validate-only
+	rawCounts []byte // counts section in place (a view into data)
+	rawSAT    []byte // stored SAT section in place; nil when absent
 }
 
-// decodeUGBinary reads and validates a UG container. With keep false it
-// checks every invariant — including count finiteness and the stored
-// SAT's bitwise consistency with the counts, scanned in place — but
-// materializes nothing; the raw section views are captured either way.
-func decodeUGBinary(data []byte, keep bool) (ugBinary, error) {
+// decodeUGBinary reads and validates a UG container — every invariant,
+// including count finiteness and the stored SAT's bitwise consistency
+// with the counts, scanned in place — and captures the float sections
+// as views into data. build copies them; the view parser reads them
+// where they are.
+func decodeUGBinary(data []byte) (ugBinary, error) {
 	var f ugBinary
 	d, kind, err := codec.NewDec(data)
 	if err != nil {
@@ -261,12 +231,6 @@ func decodeUGBinary(data []byte, keep bool) (ugBinary, error) {
 			return f, fmt.Errorf("core: parse UG synopsis: %w", err)
 		}
 	}
-	if keep {
-		f.counts = decodeF64s(f.rawCounts)
-		if f.rawSAT != nil {
-			f.sums = decodeF64s(f.rawSAT)
-		}
-	}
 	return f, nil
 }
 
@@ -275,14 +239,17 @@ func (f *ugBinary) build() (*UniformGrid, error) {
 	if err != nil {
 		return nil, err
 	}
-	copy(counts.Values(), f.counts)
+	vals := counts.Values()
+	for i := range vals {
+		vals[i] = codec.F64At(f.rawCounts, i)
+	}
 	// With a stored SAT the prefix table is adopted rather than rebuilt;
 	// the decode-time bitwise check against the counts guarantees it is
 	// the exact table NewPrefix would produce, so both paths answer (and
 	// re-encode) identically.
 	var prefix *grid.Prefix
-	if f.sums != nil {
-		prefix, err = grid.PrefixFromSums(f.dom, f.mx, f.my, f.sums)
+	if f.rawSAT != nil {
+		prefix, err = grid.PrefixFromSums(f.dom, f.mx, f.my, decodeF64s(f.rawSAT))
 		if err != nil {
 			return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
 		}
@@ -297,7 +264,7 @@ func (f *ugBinary) build() (*UniformGrid, error) {
 		my:        f.my,
 		noisy:     counts,
 		prefix:    prefix,
-		satBacked: f.sums != nil,
+		satBacked: f.rawSAT != nil,
 	}, nil
 }
 
@@ -306,32 +273,26 @@ func (f *ugBinary) build() (*UniformGrid, error) {
 // queries read the mapped sums bytes in place, and the only decode
 // allocations are the view descriptor itself. Containers without the
 // section (written before it existed) have no zero-copy query
-// structure and fall back to the materializing parser. Either way the
-// result retains data; the caller keeps it immutable and alive.
+// structure and are copied into a UniformGrid instead. The caller keeps
+// data immutable and alive for the result's lifetime.
 func ParseUniformGridBinaryView(data []byte) (codec.Synopsis, error) {
-	f, err := decodeUGBinary(data, false)
+	f, err := decodeUGBinary(data)
 	if err != nil {
 		return nil, err
 	}
 	if f.rawSAT == nil {
-		return ParseUniformGridBinary(data)
+		return buildSynopsis(f.build())
 	}
 	prefix, err := grid.RawPrefixFromSection(f.dom, f.mx, f.my, f.rawSAT)
 	if err != nil {
 		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
 	}
 	return &UGView{
-		raw:       data,
-		eps:       f.eps,
-		m:         f.m,
-		rawCounts: f.rawCounts,
-		prefix:    prefix,
+		raw:    data,
+		eps:    f.eps,
+		m:      f.m,
+		prefix: prefix,
 	}, nil
-}
-
-type agBinaryCell struct {
-	m2   int
-	sums []float64 // nil when decoded in validate-only mode
 }
 
 type agBinary struct {
@@ -339,24 +300,21 @@ type agBinary struct {
 	eps      float64
 	alpha    float64
 	m1       int
-	cells    []agBinaryCell
-	m2s      []int     // every cell's m2, kept in all modes
+	m2s      []int     // every cell's m2
 	totals   []float64 // every cell table's last entry (its total)
-	rawCells [][]byte  // raw sums sections in place; only when keepRaw
+	rawCells [][]byte  // every cell's sums section in place
 	rawSAT   []byte    // stored level-1 SAT in place; nil when absent
-	sums     []float64 // decoded SAT; nil when absent or not keep
 }
 
-// decodeAGBinary reads and validates an AG container (see decodeUGBinary
-// for the keep contract; keepRaw additionally captures each cell's raw
-// sums section for the zero-copy view builder). Each cell's sums table
-// is checked for finiteness and the zero border every NewPrefix-built
-// table has; a stored level-1 SAT is checked bit-for-bit against the
-// cell totals it summarizes. The per-cell m2s and totals (O(m1^2), a
-// sliver of the payload the minimum-cell-size guard already bounded)
-// are collected in every mode — the SAT sits after the cells, so its
-// consistency check needs the totals of all of them.
-func decodeAGBinary(data []byte, keep, keepRaw bool) (agBinary, error) {
+// decodeAGBinary reads and validates an AG container, capturing each
+// cell's sums section and the level-1 SAT as views into data (see
+// decodeUGBinary). Each cell's sums table is checked for finiteness and
+// the zero border every NewPrefix-built table has; a stored level-1 SAT
+// is checked bit-for-bit against the cell totals it summarizes. The
+// per-cell m2s and totals are O(m1^2), a sliver of the payload the
+// minimum-cell-size guard already bounded — the SAT sits after the
+// cells, so its consistency check needs the totals of all of them.
+func decodeAGBinary(data []byte) (agBinary, error) {
 	var f agBinary
 	d, kind, err := codec.NewDec(data)
 	if err != nil {
@@ -394,12 +352,7 @@ func decodeAGBinary(data []byte, keep, keepRaw bool) (agBinary, error) {
 	if n > d.Remaining()/minCellBytes {
 		return f, fmt.Errorf("core: m1 %d demands %d cells but only %d bytes remain", f.m1, n, d.Remaining())
 	}
-	if keep {
-		f.cells = make([]agBinaryCell, 0, n)
-	}
-	if keepRaw {
-		f.rawCells = make([][]byte, 0, n)
-	}
+	f.rawCells = make([][]byte, 0, n)
 	f.m2s = make([]int, 0, n)
 	f.totals = make([]float64, 0, n)
 	for k := 0; k < n; k++ {
@@ -419,12 +372,7 @@ func decodeAGBinary(data []byte, keep, keepRaw bool) (agBinary, error) {
 		}
 		f.m2s = append(f.m2s, m2)
 		f.totals = append(f.totals, codec.F64At(raw, (m2+1)*(m2+1)-1))
-		if keep {
-			f.cells = append(f.cells, agBinaryCell{m2: m2, sums: decodeF64s(raw)})
-		}
-		if keepRaw {
-			f.rawCells = append(f.rawCells, raw)
-		}
+		f.rawCells = append(f.rawCells, raw)
 	}
 	f.rawSAT = d.SATSection(f.m1, f.m1)
 	if err := d.Finish(); err != nil {
@@ -436,9 +384,6 @@ func decodeAGBinary(data []byte, keep, keepRaw bool) (agBinary, error) {
 		})
 		if err != nil {
 			return f, fmt.Errorf("core: parse AG synopsis: %w", err)
-		}
-		if keep {
-			f.sums = decodeF64s(f.rawSAT)
 		}
 	}
 	return f, nil
@@ -461,30 +406,30 @@ func (f *agBinary) build() (*AdaptiveGrid, error) {
 	for iy := 0; iy < f.m1; iy++ {
 		for ix := 0; ix < f.m1; ix++ {
 			k := iy*f.m1 + ix
-			cf := f.cells[k]
+			m2 := f.m2s[k]
 			cellRect := f.dom.CellRect(ix, iy, f.m1, f.m1)
-			prefix, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, cf.m2, cf.m2, cf.sums)
+			prefix, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, m2, m2, decodeF64s(f.rawCells[k]))
 			if err != nil {
 				return nil, fmt.Errorf("core: cell %d: %w", k, err)
 			}
 			ag.cells[k] = agCell{
 				rect:   cellRect,
-				m2:     cf.m2,
+				m2:     m2,
 				total:  prefix.Total(),
 				leaves: prefix,
 			}
 			totals.Set(ix, iy, prefix.Total())
-			leafPop += cf.m2 * cf.m2
-			if cf.m2 > maxM2 {
-				maxM2 = cf.m2
+			leafPop += m2 * m2
+			if m2 > maxM2 {
+				maxM2 = m2
 			}
 		}
 	}
 	// A stored SAT was verified bit-identical to NewPrefix(totals) at
 	// decode time, so adopting it changes no answer — it just skips the
 	// rebuild.
-	if f.sums != nil {
-		ag.level1, err = grid.PrefixFromSums(f.dom, f.m1, f.m1, f.sums)
+	if f.rawSAT != nil {
+		ag.level1, err = grid.PrefixFromSums(f.dom, f.m1, f.m1, decodeF64s(f.rawSAT))
 		if err != nil {
 			return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
 		}
@@ -502,14 +447,14 @@ func (f *agBinary) build() (*AdaptiveGrid, error) {
 // containers: with a stored SAT section, the level-1 table and every
 // cell's sums table are served zero-copy from data (the view
 // materializes O(m1^2) cell descriptors, never the float payload);
-// without one it falls back to the materializing parser.
+// without one it is copied into an AdaptiveGrid instead.
 func ParseAdaptiveGridBinaryView(data []byte) (codec.Synopsis, error) {
-	f, err := decodeAGBinary(data, false, true)
+	f, err := decodeAGBinary(data)
 	if err != nil {
 		return nil, err
 	}
 	if f.rawSAT == nil {
-		return ParseAdaptiveGridBinary(data)
+		return buildSynopsis(f.build())
 	}
 	level1, err := grid.RawPrefixFromSection(f.dom, f.m1, f.m1, f.rawSAT)
 	if err != nil {
@@ -543,6 +488,15 @@ func ParseAdaptiveGridBinaryView(data []byte) (codec.Synopsis, error) {
 	return v, nil
 }
 
+// buildSynopsis returns a copying parser's result as a codec.Synopsis,
+// keeping a failed build's nil pointer out of the interface.
+func buildSynopsis[S codec.Synopsis](syn S, err error) (codec.Synopsis, error) {
+	if err != nil {
+		return nil, err
+	}
+	return syn, nil
+}
+
 // decodeF64s materializes a raw float64 section.
 func decodeF64s(raw []byte) []float64 { return codec.DecodeF64s(raw) }
 
@@ -551,7 +505,7 @@ func checkFiniteRaw(raw []byte) error { return codec.CheckFiniteRaw(raw) }
 
 // checkSumsRaw validates an undecoded (m2+1)^2 prefix-sum table: every
 // entry finite, first row and column zero (grid.PrefixFromSums enforces
-// the same border, so validate-only and materializing decodes accept
+// the same border, so zero-copy views and materializing decodes accept
 // exactly the same payloads).
 func checkSumsRaw(raw []byte, m2 int) error {
 	return codec.CheckPrefixSumsRaw(raw, m2, m2)

@@ -137,36 +137,47 @@ func TestBinaryMatchesJSONAnswers(t *testing.T) {
 	}
 }
 
+// TestValidateMatchesParse: the view parsers — the serving load path —
+// validate exactly what the copying parsers validate. They report the
+// same envelope, and every truncation of each payload either loads
+// through both or fails both.
 func TestValidateMatchesParse(t *testing.T) {
 	ug := testUG(t)
 	ag := testAG(t)
 	ugBin, _ := ug.AppendBinary(nil)
 	agBin, _ := ag.AppendBinary(nil)
 
-	info, err := ValidateUniformGridBinary(ugBin)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name        string
+		data        []byte
+		parse, view func([]byte) (codec.Synopsis, error)
+	}{
+		{"ug", ugBin, func(b []byte) (codec.Synopsis, error) { return buildSynopsis(ParseUniformGridBinary(b)) }, ParseUniformGridBinaryView},
+		{"ag", agBin, func(b []byte) (codec.Synopsis, error) { return buildSynopsis(ParseAdaptiveGridBinary(b)) }, ParseAdaptiveGridBinaryView},
 	}
-	if info.Dom != ug.Domain() || info.Eps != ug.Epsilon() {
-		t.Errorf("UG info = %+v", info)
+	type envelope interface {
+		Domain() geom.Domain
+		Epsilon() float64
 	}
-	info, err = ValidateAdaptiveGridBinary(agBin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Dom != ag.Domain() || info.Eps != ag.Epsilon() {
-		t.Errorf("AG info = %+v", info)
-	}
-
-	// Validate must reject exactly what Parse rejects: every truncation
-	// of each payload either passes both or fails both.
-	for _, data := range [][]byte{ugBin, agBin} {
-		for _, cut := range []int{0, 8, 12, len(data) / 2, len(data) - 1} {
-			trunc := data[:cut]
-			_, vErr := ValidateUniformGridBinary(trunc)
-			_, pErr := ParseUniformGridBinary(trunc)
+	for _, tc := range cases {
+		parsed, err := tc.parse(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := tc.view(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, v := parsed.(envelope), view.(envelope)
+		if p.Domain() != v.Domain() || p.Epsilon() != v.Epsilon() {
+			t.Errorf("%s: view envelope %v/%g, parsed %v/%g", tc.name, v.Domain(), v.Epsilon(), p.Domain(), p.Epsilon())
+		}
+		for cut := 0; cut < len(tc.data); cut += 1 + cut/8 {
+			trunc := tc.data[:cut]
+			_, vErr := tc.view(trunc)
+			_, pErr := tc.parse(trunc)
 			if (vErr == nil) != (pErr == nil) {
-				t.Errorf("cut %d: validate err %v, parse err %v", cut, vErr, pErr)
+				t.Errorf("%s cut %d: view err %v, parse err %v", tc.name, cut, vErr, pErr)
 			}
 		}
 	}
@@ -249,8 +260,8 @@ func TestBinaryRejectsInvalidFields(t *testing.T) {
 		if _, err := ParseUniformGridBinary(tc.data); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-		if _, err := ValidateUniformGridBinary(tc.data); err == nil {
-			t.Errorf("%s: validate accepted", tc.name)
+		if _, err := ParseUniformGridBinaryView(tc.data); err == nil {
+			t.Errorf("%s: view accepted", tc.name)
 		}
 	}
 }
@@ -281,8 +292,8 @@ func TestAGBinaryRejectsBadSumsTable(t *testing.T) {
 		if _, err := ParseAdaptiveGridBinary(mkAG(sums)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		if _, err := ValidateAdaptiveGridBinary(mkAG(sums)); err == nil {
-			t.Errorf("%s: validate accepted", name)
+		if _, err := ParseAdaptiveGridBinaryView(mkAG(sums)); err == nil {
+			t.Errorf("%s: view accepted", name)
 		}
 	}
 }
@@ -349,7 +360,7 @@ func buildRawUGSAT(counts, sums []float64, tag uint16) []byte {
 }
 
 // TestSATTrailerRejectsCorrupt: every malformed trailer must fail both
-// Parse and Validate — wrong tag, wrong length, truncation, border
+// the copying and the view parser — wrong tag, wrong length, truncation, border
 // violations, non-finite entries, and entries inconsistent with the
 // counts. The last case is the critical one: a structurally perfect
 // prefix table whose values disagree with the body would silently
@@ -393,9 +404,6 @@ func TestSATTrailerRejectsCorrupt(t *testing.T) {
 		if _, err := ParseUniformGridBinary(tc.data); err == nil {
 			t.Errorf("%s: parse accepted", tc.name)
 		}
-		if _, err := ValidateUniformGridBinary(tc.data); err == nil {
-			t.Errorf("%s: validate accepted", tc.name)
-		}
 		if _, err := ParseUniformGridBinaryView(tc.data); err == nil {
 			t.Errorf("%s: view accepted", tc.name)
 		}
@@ -407,15 +415,12 @@ func TestSATTrailerRejectsCorrupt(t *testing.T) {
 // parser falls back to a materializing decode.
 func TestSATTrailerOptional(t *testing.T) {
 	data := buildRawUG([4]float64{0, 0, 1, 1}, 1, 2, 2, 2, []float64{1, 2, 3, 4})
-	if _, err := ParseUniformGridBinary(data); err != nil {
+	u, err := ParseUniformGridBinary(data)
+	if err != nil {
 		t.Fatalf("trailerless container rejected: %v", err)
 	}
-	info, err := ValidateUniformGridBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.SAT {
-		t.Error("trailerless container validated with SAT=true")
+	if u.SATBacked() {
+		t.Error("trailerless container loaded with SATBacked=true")
 	}
 	view, err := ParseUniformGridBinaryView(data)
 	if err != nil {
@@ -426,25 +431,42 @@ func TestSATTrailerOptional(t *testing.T) {
 	}
 }
 
-// TestValidateReportsSAT: Validate's Info.SAT mirrors trailer presence,
-// which is what lets a sharded manifest report SATBacked for its whole
-// mosaic.
+// TestValidateReportsSAT: what a load validated is reported through
+// SATBacked, which mirrors trailer presence on both the copying and the
+// view parser — and is what lets a sharded manifest report SATBacked
+// for its whole mosaic.
 func TestValidateReportsSAT(t *testing.T) {
+	type satBacked interface{ SATBacked() bool }
 	ugBin, _ := testUG(t).AppendBinary(nil)
-	info, err := ValidateUniformGridBinary(ugBin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.SAT {
-		t.Error("encoder-produced UG container validated with SAT=false")
-	}
 	agBin, _ := testAG(t).AppendBinary(nil)
-	info, err = ValidateAdaptiveGridBinary(agBin)
+	u, err := ParseUniformGridBinary(ugBin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.SAT {
-		t.Error("encoder-produced AG container validated with SAT=false")
+	a, err := ParseAdaptiveGridBinary(agBin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uv, err := ParseUniformGridBinaryView(ugBin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	av, err := ParseAdaptiveGridBinaryView(agBin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, syn := range map[string]satBacked{"UG": u, "AG": a, "UG view": uv.(satBacked), "AG view": av.(satBacked)} {
+		if !syn.SATBacked() {
+			t.Errorf("encoder-produced %s container loaded with SATBacked=false", name)
+		}
+	}
+	stripped := buildRawUG([4]float64{0, 0, 1, 1}, 1, 2, 2, 2, []float64{1, 2, 3, 4})
+	sv, err := ParseUniformGridBinaryView(stripped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv.(satBacked).SATBacked() {
+		t.Error("trailerless UG container loaded through the view parser with SATBacked=true")
 	}
 }
 
@@ -475,9 +497,6 @@ func TestAGSATTrailerRejectsInconsistent(t *testing.T) {
 	} {
 		if _, err := ParseAdaptiveGridBinary(mk(sat)); err == nil {
 			t.Errorf("%s: parse accepted", name)
-		}
-		if _, err := ValidateAdaptiveGridBinary(mk(sat)); err == nil {
-			t.Errorf("%s: validate accepted", name)
 		}
 		if _, err := ParseAdaptiveGridBinaryView(mk(sat)); err == nil {
 			t.Errorf("%s: view accepted", name)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
@@ -8,30 +9,30 @@ import (
 	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
-// Zero-copy synopsis views — what the mmap serving path materializes.
-// A view keeps the container bytes it was decoded from and answers
-// queries through grid.RawPrefix tables that read the stored
-// summed-area sections in place: decoding allocates descriptors
+// Zero-copy synopsis views — what every served UG or AG release with a
+// stored SAT section loads as, whether its bytes are mapped, read from
+// a file or uploaded. A view keeps the container bytes it was decoded
+// from and answers queries through grid.RawPrefix tables that read the
+// stored summed-area sections in place: decoding allocates descriptors
 // (O(m1^2) for AG, O(1) for UG), never a float payload, and a query
-// touches a handful of mapped bytes instead of a heap copy of the grid.
+// touches a handful of bytes instead of a heap copy of the grid.
 // The decode-time bitwise SAT check (codec.CheckSATRaw) plus
 // RawPrefix's answer-identical arithmetic make a view's estimates
 // bit-for-bit equal to the materializing parsers' — the differential
 // suite locks that.
 //
-// Views borrow their bytes: the caller (dpgrid.MappedSynopsis, or any
-// direct user of ParseUniformGridBinaryView/ParseAdaptiveGridBinaryView)
-// must keep the underlying buffer immutable and alive for the view's
-// lifetime.
+// Views borrow their bytes: the caller (dpgrid.MappedSynopsis, the
+// serving loaders, or any direct user of ParseUniformGridBinaryView/
+// ParseAdaptiveGridBinaryView) must keep the underlying buffer immutable
+// and alive for the view's lifetime.
 
 // UGView is the zero-copy form of UniformGrid over a container with a
 // stored SAT section.
 type UGView struct {
-	raw       []byte // the complete dpgridv2 container
-	eps       float64
-	m         int
-	rawCounts []byte // counts section in place (diagnostics only)
-	prefix    *grid.RawPrefix
+	raw    []byte // the complete dpgridv2 container
+	eps    float64
+	m      int
+	prefix *grid.RawPrefix
 }
 
 // Query estimates the number of data points in r.
@@ -64,6 +65,17 @@ func (v *UGView) ContainerKind() codec.Kind { return codec.KindUniform }
 // serialized form, so re-encoding is a copy and trivially canonical.
 func (v *UGView) AppendBinary(dst []byte) ([]byte, error) {
 	return append(dst, v.raw...), nil
+}
+
+// WriteTo serializes the synopsis as JSON: the bytes the copying parser's
+// UniformGrid writes for the same container. JSON export is rare, so it
+// decodes a copy rather than keeping a second encoder in step.
+func (v *UGView) WriteTo(w io.Writer) (int64, error) {
+	u, err := ParseUniformGridBinary(v.raw)
+	if err != nil {
+		return 0, err
+	}
+	return u.WriteTo(w)
 }
 
 // agViewCell is agCell with a zero-copy leaves table.
@@ -166,4 +178,13 @@ func (v *AGView) ContainerKind() codec.Kind { return codec.KindAdaptive }
 // AppendBinary appends the container verbatim (see UGView.AppendBinary).
 func (v *AGView) AppendBinary(dst []byte) ([]byte, error) {
 	return append(dst, v.raw...), nil
+}
+
+// WriteTo serializes the synopsis as JSON (see UGView.WriteTo).
+func (v *AGView) WriteTo(w io.Writer) (int64, error) {
+	a, err := ParseAdaptiveGridBinary(v.raw)
+	if err != nil {
+		return 0, err
+	}
+	return a.WriteTo(w)
 }

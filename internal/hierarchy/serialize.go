@@ -45,7 +45,7 @@ func init() {
 		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
 			return ParseHierarchy(data)
 		},
-		Validate: ValidateHierarchyBinary,
+		Tile: true,
 	})
 }
 
@@ -130,14 +130,12 @@ type hierBinary struct {
 	eps     float64
 	m, b, d int
 	levels  []int
-	sums    []float64 // nil when decoded in validate-only mode
+	sums    []float64
 }
 
-// decodeHierarchyBinary reads and validates a hierarchy container. With
-// keep false it checks every invariant — including the prefix table's
-// finiteness and zero border, scanned in place — but materializes
-// nothing.
-func decodeHierarchyBinary(data []byte, keep bool) (hierBinary, error) {
+// decodeHierarchyBinary reads and validates a hierarchy container,
+// including the prefix table's finiteness and zero border.
+func decodeHierarchyBinary(data []byte) (hierBinary, error) {
 	var f hierBinary
 	d, kind, err := codec.NewDec(data)
 	if err != nil {
@@ -169,9 +167,7 @@ func decodeHierarchyBinary(data []byte, keep bool) (hierBinary, error) {
 	if err := codec.CheckPrefixSumsRaw(raw, f.m, f.m); err != nil {
 		return f, fmt.Errorf("hierarchy: %w", err)
 	}
-	if keep {
-		f.sums = codec.DecodeF64s(raw)
-	}
+	f.sums = codec.DecodeF64s(raw)
 	return f, nil
 }
 
@@ -192,23 +188,11 @@ func (f *hierBinary) build() (*Hierarchy, error) {
 // ParseHierarchyBinary deserializes a hierarchy dpgridv2 container,
 // validating all structural invariants.
 func ParseHierarchyBinary(data []byte) (*Hierarchy, error) {
-	f, err := decodeHierarchyBinary(data, true)
+	f, err := decodeHierarchyBinary(data)
 	if err != nil {
 		return nil, err
 	}
 	return f.build()
-}
-
-// ValidateHierarchyBinary runs every check of ParseHierarchyBinary
-// without materializing the synopsis — the registry's Validate hook,
-// which is what makes hierarchy payloads embeddable in sharded
-// manifests with lazy loading.
-func ValidateHierarchyBinary(data []byte) (codec.Info, error) {
-	f, err := decodeHierarchyBinary(data, false)
-	if err != nil {
-		return codec.Info{}, err
-	}
-	return codec.Info{Dom: f.dom, Eps: f.eps}, nil
 }
 
 // ParseHierarchy deserializes a JSON hierarchy synopsis, validating all

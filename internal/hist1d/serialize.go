@@ -40,7 +40,7 @@ const (
 )
 
 func init() {
-	// No Validate hook: a 1D histogram has no 2D domain to cross-check
+	// Not a Tile: a 1D histogram has no 2D domain to cross-check
 	// against a mosaic tile, so hist1d payloads are deliberately not
 	// embeddable in sharded manifests.
 	codec.Register(codec.Registration{

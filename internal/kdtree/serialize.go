@@ -55,7 +55,7 @@ func init() {
 		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
 			return ParseTree(data)
 		},
-		Validate: ValidateTreeBinary,
+		Tile: true,
 	})
 }
 
@@ -296,19 +296,6 @@ func ParseTreeBinary(data []byte) (*Tree, error) {
 		return nil, err
 	}
 	return p.build(), nil
-}
-
-// ValidateTreeBinary runs every check of ParseTreeBinary without
-// returning the synopsis — the registry's Validate hook, which is what
-// makes kd-tree payloads embeddable in sharded manifests with lazy
-// loading. Topology validation inherently materializes the node table;
-// unlike the grid kinds there is no flat section to scan in place.
-func ValidateTreeBinary(data []byte) (codec.Info, error) {
-	p, err := decodeTreeBinary(data)
-	if err != nil {
-		return codec.Info{}, err
-	}
-	return codec.Info{Dom: p.dom, Eps: p.eps}, nil
 }
 
 // ParseTree deserializes a JSON kd-tree synopsis, validating all

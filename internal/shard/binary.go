@@ -18,7 +18,8 @@ import (
 // like the JSON manifest — a shard can be cut out of a release and
 // served standalone. The offset table is what the JSON format cannot
 // offer: a reader locates any shard's bytes in O(1) without decoding
-// the others, which is the foundation of lazy loading (see Lazy).
+// the others, so every tile can be a zero-copy view over its own slice
+// of the file (see ParseShardedBinaryView).
 //
 // Encodings are canonical: offsets are required to be contiguous from
 // zero, so re-encoding a decoded release reproduces the bytes exactly.
@@ -90,24 +91,29 @@ func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// shardedBinary is a decoded-but-not-materialized manifest: the plan,
-// release metadata, and one raw container slice per shard.
-type shardedBinary struct {
-	raw      []byte
-	plan     Plan
-	eps      float64
-	format   string
-	kind     codec.Kind
-	payloads [][]byte
-	satAll   bool // every payload carries a stored SAT (set when validated)
+// ParseShardedBinary deserializes a dpgridv2 sharded manifest, copying
+// every tile through its kind's DecodeBinary — the binary counterpart
+// of ParseSharded.
+func ParseShardedBinary(data []byte) (*Sharded, error) {
+	return parseShardedBinary(data, false)
 }
 
-// decodeShardedBinary validates the manifest framing and slices the
-// per-shard payloads out of the blob. With validatePayloads it also
-// runs the full no-materialization check on every payload — structure,
-// finiteness, and the domain/epsilon cross-checks against the manifest
-// — so that a later materialization cannot fail.
-func decodeShardedBinary(data []byte, validatePayloads bool) (*shardedBinary, error) {
+// ParseShardedBinaryView is ParseShardedBinary for serving: every tile
+// decodes through its kind's zero-copy view decoder (kinds without one
+// copy through DecodeBinary), so UG and AG tiles answer straight from
+// data's payload bytes. Validation is identical, and so are the
+// answers. The result retains data; the caller must keep it immutable
+// and alive (e.g. hold the mapping open) for its lifetime.
+func ParseShardedBinaryView(data []byte) (*Sharded, error) {
+	return parseShardedBinary(data, true)
+}
+
+// parseShardedBinary validates the manifest framing, slices the
+// per-shard payloads out of the blob and decodes every one — through
+// the shard kind's view decoder when view is set and the kind has one,
+// through its copying decoder otherwise — cross-checking each tile's
+// domain and epsilon against the manifest.
+func parseShardedBinary(data []byte, view bool) (*Sharded, error) {
 	d, kind, err := codec.NewDec(data)
 	if err != nil {
 		return nil, fmt.Errorf("shard: parse manifest: %w", err)
@@ -179,105 +185,37 @@ func decodeShardedBinary(data []byte, validatePayloads bool) (*shardedBinary, er
 		return nil, fmt.Errorf("shard: parse manifest: %w", err)
 	}
 
-	sb := &shardedBinary{
-		raw:      data,
-		plan:     plan,
-		eps:      eps,
-		format:   shardReg.JSONFormat,
-		kind:     shardKind,
-		payloads: make([][]byte, n),
+	decode := shardReg.DecodeBinary
+	if view && shardReg.DecodeBinaryView != nil {
+		decode = shardReg.DecodeBinaryView
 	}
+	s := &Sharded{plan: plan, eps: eps, format: shardReg.JSONFormat, tiles: make([]Synopsis, n)}
 	for i, off := range offsets {
-		sb.payloads[i] = blob[off[0] : off[0]+off[1]]
-	}
-	if validatePayloads {
-		sb.satAll = true
-		for i, payload := range sb.payloads {
-			info, err := validateShardPayload(shardKind, payload)
-			if err != nil {
-				return nil, fmt.Errorf("shard: tile %d: %w", i, err)
-			}
-			if got, want := info.Dom, plan.Tile(i); got != want {
-				return nil, fmt.Errorf("shard: tile %d: domain %v does not cover its plan tile %v", i, got.Rect, want.Rect)
-			}
-			if info.Eps != eps {
-				return nil, fmt.Errorf("shard: tile %d: epsilon %g != manifest epsilon %g", i, info.Eps, eps)
-			}
-			sb.satAll = sb.satAll && info.SAT
-		}
-	}
-	return sb, nil
-}
-
-func validateShardPayload(kind codec.Kind, data []byte) (codec.Info, error) {
-	reg, err := embeddableByKind(kind)
-	if err != nil {
-		return codec.Info{}, err
-	}
-	return reg.Validate(data)
-}
-
-func parseShardPayload(kind codec.Kind, data []byte) (Synopsis, error) {
-	reg, err := embeddableByKind(kind)
-	if err != nil {
-		return nil, err
-	}
-	syn, err := reg.DecodeBinary(data)
-	return assertTile(reg, syn, err)
-}
-
-// parseShardPayloadView is parseShardPayload through the kind's
-// zero-copy view decoder, for manifests served off a memory-mapped
-// file: the tile answers queries straight from the mapped payload
-// bytes. Kinds without a view decoder (or payloads without the
-// structure it needs — the view parsers fall back internally) still
-// materialize correctly via DecodeBinary.
-func parseShardPayloadView(kind codec.Kind, data []byte) (Synopsis, error) {
-	reg, err := embeddableByKind(kind)
-	if err != nil {
-		return nil, err
-	}
-	decode := reg.DecodeBinaryView
-	if decode == nil {
-		decode = reg.DecodeBinary
-	}
-	syn, err := decode(data)
-	return assertTile(reg, syn, err)
-}
-
-func assertTile(reg codec.Registration, syn codec.Synopsis, err error) (Synopsis, error) {
-	if err != nil {
-		return nil, err
-	}
-	tile, ok := syn.(Synopsis)
-	if !ok {
-		return nil, fmt.Errorf("shard: %s decoder returned %T, which lacks the per-tile synopsis interface", reg.Name, syn)
-	}
-	return tile, nil
-}
-
-// ParseShardedBinary deserializes a dpgridv2 sharded manifest eagerly,
-// materializing every shard up front — the drop-in binary counterpart
-// of ParseSharded. Serving daemons that want decode-on-first-touch use
-// ParseShardedLazy instead.
-func ParseShardedBinary(data []byte) (*Sharded, error) {
-	sb, err := decodeShardedBinary(data, false)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sharded{plan: sb.plan, eps: sb.eps, format: sb.format, tiles: make([]Synopsis, len(sb.payloads))}
-	for i, payload := range sb.payloads {
-		tile, err := parseShardPayload(sb.kind, payload)
+		syn, err := decode(blob[off[0] : off[0]+off[1]])
 		if err != nil {
 			return nil, fmt.Errorf("shard: tile %d: %w", i, err)
 		}
-		if got, want := tile.Domain(), sb.plan.Tile(i); got != want {
-			return nil, fmt.Errorf("shard: tile %d: domain %v does not cover its plan tile %v", i, got.Rect, want.Rect)
+		if s.tiles[i], err = checkTile(s, i, shardReg, syn); err != nil {
+			return nil, err
 		}
-		if tile.Epsilon() != sb.eps {
-			return nil, fmt.Errorf("shard: tile %d: epsilon %g != manifest epsilon %g", i, tile.Epsilon(), sb.eps)
-		}
-		s.tiles[i] = tile
 	}
 	return s, nil
+}
+
+// checkTile asserts that a decoded payload is a per-tile synopsis
+// covering exactly tile i of s under the release epsilon: a shard that
+// parses cleanly but covers the wrong tile is a corrupt release, not a
+// usable one.
+func checkTile(s *Sharded, i int, reg codec.Registration, syn codec.Synopsis) (Synopsis, error) {
+	tile, ok := syn.(Synopsis)
+	if !ok {
+		return nil, fmt.Errorf("shard: tile %d: %s decoder returned %T, which lacks the per-tile synopsis interface", i, reg.Name, syn)
+	}
+	if got, want := tile.Domain(), s.plan.Tile(i); got != want {
+		return nil, fmt.Errorf("shard: tile %d: domain %v does not cover its plan tile %v", i, got.Rect, want.Rect)
+	}
+	if tile.Epsilon() != s.eps {
+		return nil, fmt.Errorf("shard: tile %d: epsilon %g != manifest epsilon %g", i, tile.Epsilon(), s.eps)
+	}
+	return tile, nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 
@@ -71,9 +72,9 @@ func TestShardedBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLazyMatchesEager: the lazy release answers every query exactly
-// like the eager parse of the same bytes, materializing only touched
-// shards along the way.
+// TestLazyMatchesEager: the serving parse (zero-copy view tiles)
+// answers every query exactly like the copying parse of the same bytes,
+// with the same metadata.
 func TestLazyMatchesEager(t *testing.T) {
 	orig := buildTestSharded(t, 72, 4, 4, true)
 	data, err := orig.AppendBinary(nil)
@@ -84,106 +85,79 @@ func TestLazyMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := ParseShardedLazy(data)
+	view, err := ParseShardedBinaryView(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lazy.MaterializedShards() != 0 {
-		t.Fatalf("fresh lazy release has %d shards materialized", lazy.MaterializedShards())
+	if view.NumShards() != 16 || view.Epsilon() != 1 || view.Domain() != orig.Domain() || view.ShardFormat() != core.FormatAG {
+		t.Fatalf("metadata: %d shards, eps %g", view.NumShards(), view.Epsilon())
 	}
-	if lazy.NumShards() != 16 || lazy.Epsilon() != 1 || lazy.Domain() != orig.Domain() || lazy.ShardFormat() != core.FormatAG {
-		t.Fatalf("metadata: %d shards, eps %g", lazy.NumShards(), lazy.Epsilon())
+	if _, ok := view.Shard(0).(*core.AGView); !ok {
+		t.Fatalf("view tile is %T, want *core.AGView", view.Shard(0))
 	}
-	// Metadata alone must not materialize anything.
-	if lazy.MaterializedShards() != 0 {
-		t.Fatalf("metadata access materialized %d shards", lazy.MaterializedShards())
+	if !view.SATBacked() || !eager.SATBacked() {
+		t.Errorf("SATBacked: view %v, eager %v; want both true", view.SATBacked(), eager.SATBacked())
 	}
-
-	// A query inside one tile materializes exactly that tile.
 	inFirstTile := geom.NewRect(2, 2, 20, 15)
-	if a, b := eager.Query(inFirstTile), lazy.Query(inFirstTile); a != b {
-		t.Errorf("Query(%v): eager %g, lazy %g", inFirstTile, a, b)
-	}
-	if got := lazy.MaterializedShards(); got != 1 {
-		t.Fatalf("single-tile query materialized %d shards, want 1", got)
-	}
-
-	for _, r := range binaryTestRects {
-		if a, b := eager.Query(r), lazy.Query(r); a != b {
-			t.Errorf("Query(%v): eager %g, lazy %g", r, a, b)
+	for _, r := range append(binaryTestRects, inFirstTile) {
+		if a, b := eager.Query(r), view.Query(r); a != b {
+			t.Errorf("Query(%v): eager %g, view %g", r, a, b)
 		}
 	}
-	if a, b := eager.TotalEstimate(), lazy.TotalEstimate(); a != b {
-		t.Errorf("TotalEstimate: eager %g, lazy %g", a, b)
+	if a, b := eager.TotalEstimate(), view.TotalEstimate(); a != b {
+		t.Errorf("TotalEstimate: eager %g, view %g", a, b)
 	}
-	if got := lazy.MaterializedShards(); got != 16 {
-		t.Fatalf("after whole-domain queries %d shards materialized, want 16", got)
-	}
-	if a, b := eager.ShardAnswer(3, inFirstTile), lazy.ShardAnswer(3, inFirstTile); a != b {
-		t.Errorf("ShardAnswer: eager %g, lazy %g", a, b)
+	if a, b := eager.ShardAnswer(3, inFirstTile), view.ShardAnswer(3, inFirstTile); a != b {
+		t.Errorf("ShardAnswer: eager %g, view %g", a, b)
 	}
 }
 
-// TestLazyOutsideDomainMaterializesNothing: a miss is free.
-func TestLazyOutsideDomainMaterializesNothing(t *testing.T) {
-	orig := buildTestSharded(t, 73, 2, 2, false)
-	data, err := orig.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := ParseShardedLazy(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lazy.Query(geom.NewRect(1000, 1000, 2000, 2000)); got != 0 {
-		t.Fatalf("out-of-domain query = %g, want 0", got)
-	}
-	if lazy.MaterializedShards() != 0 {
-		t.Fatalf("out-of-domain query materialized %d shards", lazy.MaterializedShards())
-	}
-}
-
-// TestLazyAppendBinaryIsVerbatim: re-encoding a lazy release returns
-// the retained container bytes without materializing anything.
+// TestLazyAppendBinaryIsVerbatim: re-encoding a view-backed release
+// reproduces the container bytes, and its JSON is the JSON of the
+// copying parse, byte for byte.
 func TestLazyAppendBinaryIsVerbatim(t *testing.T) {
 	orig := buildTestSharded(t, 74, 2, 2, true)
 	data, err := orig.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := ParseShardedLazy(data)
+	view, err := ParseShardedBinaryView(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := lazy.AppendBinary(nil)
+	again, err := view.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, again) {
-		t.Fatal("lazy re-encode changed bytes")
+		t.Fatal("view re-encode changed bytes")
 	}
-	if lazy.MaterializedShards() != 0 {
-		t.Fatalf("re-encode materialized %d shards", lazy.MaterializedShards())
-	}
-	// The JSON path materializes and must round-trip through the JSON
-	// parser.
-	var buf bytes.Buffer
-	if _, err := lazy.WriteTo(&buf); err != nil {
+	eager, err := ParseShardedBinary(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, err := ParseSharded(buf.Bytes())
+	var viewJSON, eagerJSON bytes.Buffer
+	if _, err := view.WriteTo(&viewJSON); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eager.WriteTo(&eagerJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viewJSON.Bytes(), eagerJSON.Bytes()) {
+		t.Fatal("view JSON differs from the copying parse's JSON")
+	}
+	fromJSON, err := ParseSharded(viewJSON.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := geom.NewRect(10, 10, 90, 70)
-	if a, b := lazy.Query(r), fromJSON.Query(r); a != b {
-		t.Errorf("JSON round trip of lazy release: %g vs %g", a, b)
+	if a, b := view.Query(r), fromJSON.Query(r); a != b {
+		t.Errorf("JSON round trip of view release: %g vs %g", a, b)
 	}
 }
 
-// TestLazyConcurrentQueries: racing queries over the same cold release
-// materialize each shard exactly once and agree with the eager answers.
-// Run under -race in CI.
+// TestLazyConcurrentQueries: racing queries over one view-backed release
+// agree with the copying parse. Run under -race in CI.
 func TestLazyConcurrentQueries(t *testing.T) {
 	orig := buildTestSharded(t, 75, 4, 2, false)
 	data, err := orig.AppendBinary(nil)
@@ -194,7 +168,7 @@ func TestLazyConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := ParseShardedLazy(data)
+	view, err := ParseShardedBinaryView(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +179,7 @@ func TestLazyConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, r := range binaryTestRects {
-				if a, b := eager.Query(r), lazy.Query(r); a != b {
+				if a, b := eager.Query(r), view.Query(r); a != b {
 					errs <- r.String()
 				}
 			}
@@ -216,13 +190,11 @@ func TestLazyConcurrentQueries(t *testing.T) {
 	for r := range errs {
 		t.Errorf("concurrent Query(%s) diverged", r)
 	}
-	if got := lazy.MaterializedShards(); got != 8 {
-		t.Fatalf("materialized %d shards, want 8", got)
-	}
 }
 
-// TestShardedBinaryRejectsCorrupt: framing-level corruption must fail
-// for both the eager and the lazy parser.
+// TestShardedBinaryRejectsCorrupt: corruption in the framing or in any
+// payload fails at load, for both the copying and the serving parser —
+// so no query can ever meet a damaged tile.
 func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 	orig := buildTestSharded(t, 76, 2, 2, true)
 	data, err := orig.AppendBinary(nil)
@@ -231,66 +203,61 @@ func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 	}
 	// Field offsets in the manifest body: 12-byte header, 32-byte
 	// domain, 8-byte eps, 8 bytes kx+ky, 2 bytes shard kind, 8 bytes
-	// shard count, then the offset table.
+	// shard count, then the offset table. The first payload follows
+	// the 4-entry table and the blob length.
 	const tableOff = 12 + 32 + 8 + 8 + 2 + 8
+	const payloadOff = tableOff + 4*16 + 8
 	mut := func(f func(b []byte)) []byte {
 		b := bytes.Clone(data)
 		f(b)
 		return b
 	}
-	cases := map[string][]byte{
-		"empty":     nil,
-		"truncated": data[:len(data)/2],
-		"trailing":  append(bytes.Clone(data), 0xAB),
-		"wrong kind on manifest": mut(func(b []byte) {
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"truncated", data[:len(data)/2]},
+		{"trailing", append(bytes.Clone(data), 0xAB)},
+		{"wrong kind on manifest", mut(func(b []byte) {
 			binary.LittleEndian.PutUint16(b[10:], uint16(codec.KindUniform))
-		}),
-		"bad shard kind": mut(func(b []byte) {
+		})},
+		{"bad shard kind", mut(func(b []byte) {
 			binary.LittleEndian.PutUint16(b[12+32+8+8:], 0xEE)
-		}),
-		"zero epsilon": mut(func(b []byte) {
+		})},
+		{"zero epsilon", mut(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[12+32:], 0)
-		}),
-		"non-contiguous offsets": mut(func(b []byte) {
+		})},
+		{"non-contiguous offsets", mut(func(b []byte) {
 			// Second table entry's offset += 1.
 			off := binary.LittleEndian.Uint64(b[tableOff+16:])
 			binary.LittleEndian.PutUint64(b[tableOff+16:], off+1)
-		}),
-		// Flip the first payload's magic (it sits right after the
-		// 4-entry offset table and the blob length).
-		"shard payload bad magic": mut(func(b []byte) {
-			b[tableOff+4*16+8] ^= 0xFF
-		}),
+		})},
+		{"shard payload bad magic", mut(func(b []byte) {
+			b[payloadOff] ^= 0xFF
+		})},
+		// The first AG cell's sums table starts after the payload's
+		// 12-byte header, 32-byte domain, eps, alpha, m1, the cell's m2
+		// and the section length.
+		{"nan payload value", mut(func(b []byte) {
+			binary.LittleEndian.PutUint64(b[payloadOff+12+32+8+8+4+4+8:], 0x7FF8000000000001)
+		})},
+		// The manifest's final 8 bytes are the last tile's SAT total: a
+		// finite value that disagrees with the cell totals.
+		{"SAT mismatch", mut(func(b []byte) {
+			last := b[len(b)-8:]
+			binary.LittleEndian.PutUint64(last, math.Float64bits(math.Float64frombits(binary.LittleEndian.Uint64(last))+1))
+		})},
 	}
-	for name, bad := range cases {
-		if _, err := ParseShardedBinary(bad); err == nil {
-			t.Errorf("eager parse accepted %s", name)
-		}
-		if _, err := ParseShardedLazy(bad); err == nil {
-			t.Errorf("lazy parse accepted %s", name)
-		}
-	}
-}
-
-// TestLazyValidationCatchesPayloadValueCorruption: a payload whose
-// floats are corrupt (non-finite count) must fail at load time, not at
-// materialization — the lazy contract is that post-load queries cannot
-// hit decode errors.
-func TestLazyValidationCatchesPayloadValueCorruption(t *testing.T) {
-	orig := buildTestSharded(t, 77, 2, 1, false)
-	data, err := orig.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plant a NaN over the last count of the last shard payload: the
-	// payload's final 8 bytes.
-	bad := bytes.Clone(data)
-	binary.LittleEndian.PutUint64(bad[len(bad)-8:], 0x7FF8000000000001)
-	if _, err := ParseShardedLazy(bad); err == nil {
-		t.Fatal("lazy parse accepted a NaN shard count")
-	}
-	if _, err := ParseShardedBinary(bad); err == nil {
-		t.Fatal("eager parse accepted a NaN shard count")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ParseShardedBinary(tc.data); err == nil {
+				t.Error("copying parse accepted it")
+			}
+			if _, err := ParseShardedBinaryView(tc.data); err == nil {
+				t.Error("view parse accepted it")
+			}
+		})
 	}
 }
 
@@ -309,8 +276,8 @@ func TestShardedBinaryMismatchedShardMetadata(t *testing.T) {
 	bad := bytes.Clone(data)
 	epsOff := payloadOff + 12 + 32
 	binary.LittleEndian.PutUint64(bad[epsOff:], binary.LittleEndian.Uint64(bad[epsOff:])+1)
-	if _, err := ParseShardedLazy(bad); err == nil {
-		t.Fatal("lazy parse accepted an epsilon-mismatched shard")
+	if _, err := ParseShardedBinaryView(bad); err == nil {
+		t.Fatal("view parse accepted an epsilon-mismatched shard")
 	}
 	if _, err := ParseShardedBinary(bad); err == nil {
 		t.Fatal("eager parse accepted an epsilon-mismatched shard")
@@ -338,7 +305,7 @@ func TestShardedBinaryRejectsOverflowingOffsetTable(t *testing.T) {
 	if _, err := ParseShardedBinary(bad); err == nil {
 		t.Fatal("eager parse accepted an overflowing offset table")
 	}
-	if _, err := ParseShardedLazy(bad); err == nil {
-		t.Fatal("lazy parse accepted an overflowing offset table")
+	if _, err := ParseShardedBinaryView(bad); err == nil {
+		t.Fatal("view parse accepted an overflowing offset table")
 	}
 }

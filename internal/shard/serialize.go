@@ -35,25 +35,19 @@ func init() {
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseShardedBinary(data)
 		},
-		DecodeBinaryLazy: func(data []byte) (codec.Synopsis, error) {
-			return ParseShardedLazy(data)
-		},
 		DecodeBinaryView: func(data []byte) (codec.Synopsis, error) {
-			return ParseShardedLazyView(data)
+			return ParseShardedBinaryView(data)
 		},
 		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
 			return ParseSharded(data)
 		},
-		// No Validate: the manifest kind is deliberately not embeddable
+		// Not a Tile: the manifest kind is deliberately not embeddable
 		// as a tile of another manifest.
 	})
 }
 
 // ContainerKind reports the release's container kind.
 func (s *Sharded) ContainerKind() codec.Kind { return codec.KindSharded }
-
-// ContainerKind reports the release's container kind.
-func (l *Lazy) ContainerKind() codec.Kind { return codec.KindSharded }
 
 // manifestFile is the on-disk sharded release.
 type manifestFile struct {
@@ -147,17 +141,9 @@ func ParseSharded(data []byte) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: tile %d: %w", i, err)
 		}
-		tile, ok := syn.(Synopsis)
-		if !ok {
-			return nil, fmt.Errorf("shard: tile %d: %s decoder returned %T, which lacks the per-tile synopsis interface", i, shardReg.Name, syn)
+		if s.tiles[i], err = checkTile(s, i, shardReg, syn); err != nil {
+			return nil, err
 		}
-		if got, want := tile.Domain(), plan.Tile(i); got != want {
-			return nil, fmt.Errorf("shard: tile %d: domain %v does not cover its plan tile %v", i, got.Rect, want.Rect)
-		}
-		if tile.Epsilon() != f.Epsilon {
-			return nil, fmt.Errorf("shard: tile %d: epsilon %g != manifest epsilon %g", i, tile.Epsilon(), f.Epsilon)
-		}
-		s.tiles[i] = tile
 	}
 	return s, nil
 }

@@ -460,18 +460,13 @@ type QueryStats struct {
 	// Shards is the number of overlapping shards the fan-out visited
 	// (every visited shard contributes to the answer).
 	Shards int
-	// Materialized is the number of shards this query decoded on first
-	// touch. It is always 0 for an eagerly loaded release, and for a
-	// Lazy it attributes each one-time decode to exactly one query even
-	// under concurrent first touches.
-	Materialized int
 }
 
-// routeQuery is the shared fan-out both the eager and the lazy release
-// use: the answer is the sum, in shard-index order, of every
-// overlapping shard's partial answer. Non-overlapping shards are never
-// requested from tileAt, so planet-scale mosaics answer small queries
-// by visiting (and, lazily, materializing) a handful of tiles.
+// routeQuery is the fan-out every query takes: the answer is the sum,
+// in shard-index order, of every overlapping shard's partial answer.
+// Non-overlapping shards are never requested from tileAt, so
+// planet-scale mosaics answer small queries by visiting a handful of
+// tiles.
 func routeQuery(plan Plan, r geom.Rect, tileAt func(int) Synopsis) float64 {
 	est, _, _ := routeQueryCtx(context.Background(), plan, r, tileAt)
 	return est
@@ -480,8 +475,7 @@ func routeQuery(plan Plan, r geom.Rect, tileAt func(int) Synopsis) float64 {
 // routeQueryCtx is the cancellable fan-out: between shards it checks
 // ctx and abandons the walk on cancellation, so a wide fan-out whose
 // client has already gone away (request timeout, dropped connection)
-// stops burning CPU — and, for lazy releases, stops materializing
-// tiles nobody will read. The per-shard check is one atomic load
+// stops burning CPU. The per-shard check is one atomic load
 // (ctx.Err on the standard contexts), negligible next to a tile
 // answer. On cancellation the partial sum is discarded and err is the
 // context's error; a completed walk returns err == nil and the same
@@ -566,6 +560,19 @@ func (s *Sharded) Epsilon() float64 { return s.eps }
 
 // Domain returns the full sharded domain.
 func (s *Sharded) Domain() geom.Domain { return s.plan.dom }
+
+// SATBacked reports whether every tile answers from a stored
+// summed-area section — i.e. whether queries against this release run
+// on the O(1) prefix fast path in every tile.
+func (s *Sharded) SATBacked() bool {
+	for _, t := range s.tiles {
+		sb, ok := t.(interface{ SATBacked() bool })
+		if !ok || !sb.SATBacked() {
+			return false
+		}
+	}
+	return true
+}
 
 // TotalEstimate returns the noisy estimate of the dataset size: the sum
 // of every shard's estimate, in shard-index order.

@@ -518,7 +518,7 @@ func TestOverlappingTiles(t *testing.T) {
 
 // TestQueryStatsCtx: an un-cancelled context answers bit-identically
 // to Query; a cancelled one abandons the fan-out with the context's
-// error on both the eager and the lazy release.
+// error on both the built and the view-loaded release.
 func TestQueryStatsCtx(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 100, 100)
 	plan, err := NewPlan(dom, 3, 3)
@@ -534,7 +534,7 @@ func TestQueryStatsCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := ParseShardedLazy(bin)
+	view, err := ParseShardedBinaryView(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,12 +547,12 @@ func TestQueryStatsCtx(t *testing.T) {
 	if want := s.Query(r); est != want || qs.Shards != 9 {
 		t.Fatalf("ctx query = %v (%d shards), want %v (9 shards)", est, qs.Shards, want)
 	}
-	lest, _, err := lazy.QueryStatsCtx(context.Background(), r)
+	vest, _, err := view.QueryStatsCtx(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lest != est {
-		t.Fatalf("lazy ctx query %v != eager %v", lest, est)
+	if vest != est {
+		t.Fatalf("view ctx query %v != eager %v", vest, est)
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -560,17 +560,8 @@ func TestQueryStatsCtx(t *testing.T) {
 	if _, _, err := s.QueryStatsCtx(cancelled, r); err != context.Canceled {
 		t.Fatalf("cancelled eager query err = %v, want context.Canceled", err)
 	}
-	// A cancelled lazy query must stop materializing: fresh release,
-	// cancelled before the first tile.
-	lazy2, err := ParseShardedLazy(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := lazy2.QueryStatsCtx(cancelled, r); err != context.Canceled {
-		t.Fatalf("cancelled lazy query err = %v, want context.Canceled", err)
-	}
-	if n := lazy2.MaterializedShards(); n != 0 {
-		t.Fatalf("cancelled query materialized %d shards", n)
+	if _, _, err := view.QueryStatsCtx(cancelled, r); err != context.Canceled {
+		t.Fatalf("cancelled view query err = %v, want context.Canceled", err)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // buildStatsFixture builds a 4x2 UG mosaic over [0,80]x[0,40] (tiles
-// 20x20) and its lazily loaded twin.
-func buildStatsFixture(t *testing.T) (*Sharded, *Lazy) {
+// 20x20) and its twin loaded for serving (zero-copy view tiles).
+func buildStatsFixture(t *testing.T) (*Sharded, *Sharded) {
 	t.Helper()
 	dom := geom.MustDomain(0, 0, 80, 40)
 	plan, err := NewPlan(dom, 4, 2)
@@ -27,11 +27,11 @@ func buildStatsFixture(t *testing.T) (*Sharded, *Lazy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := ParseShardedLazy(data)
+	view, err := ParseShardedBinaryView(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eager, lazy
+	return eager, view
 }
 
 // statsOf runs a QueryStatsCtx method under a live context.
@@ -45,7 +45,7 @@ func statsOf(t *testing.T, q func(context.Context, geom.Rect) (float64, QuerySta
 }
 
 func TestQueryStatsFanout(t *testing.T) {
-	eager, lazy := buildStatsFixture(t)
+	eager, view := buildStatsFixture(t)
 	cases := []struct {
 		name   string
 		rect   geom.Rect
@@ -63,39 +63,15 @@ func TestQueryStatsFanout(t *testing.T) {
 		if st.Shards != tc.shards {
 			t.Errorf("%s: eager fan-out %d, want %d", tc.name, st.Shards, tc.shards)
 		}
-		if st.Materialized != 0 {
-			t.Errorf("%s: eager release reported %d materializations", tc.name, st.Materialized)
-		}
 		if want := eager.Query(tc.rect); est != want {
 			t.Errorf("%s: QueryStatsCtx estimate %g != Query %g", tc.name, est, want)
 		}
-		lest, lst := statsOf(t, lazy.QueryStatsCtx, tc.rect)
-		if lst.Shards != tc.shards {
-			t.Errorf("%s: lazy fan-out %d, want %d", tc.name, lst.Shards, tc.shards)
+		vest, vst := statsOf(t, view.QueryStatsCtx, tc.rect)
+		if vst.Shards != tc.shards {
+			t.Errorf("%s: view fan-out %d, want %d", tc.name, vst.Shards, tc.shards)
 		}
-		if lest != est {
-			t.Errorf("%s: lazy estimate %g != eager %g", tc.name, lest, est)
+		if vest != est {
+			t.Errorf("%s: view estimate %g != eager %g", tc.name, vest, est)
 		}
-	}
-}
-
-// TestQueryStatsMaterializationAttribution: each lazy decode is counted
-// by exactly the query that performed it; repeats over the same tiles
-// report zero.
-func TestQueryStatsMaterializationAttribution(t *testing.T) {
-	_, lazy := buildStatsFixture(t)
-	r1 := geom.NewRect(2, 2, 18, 18) // one tile
-	if _, st := statsOf(t, lazy.QueryStatsCtx, r1); st.Materialized != 1 {
-		t.Fatalf("first touch materialized %d, want 1", st.Materialized)
-	}
-	if _, st := statsOf(t, lazy.QueryStatsCtx, r1); st.Materialized != 0 {
-		t.Fatalf("repeat materialized %d, want 0", st.Materialized)
-	}
-	r2 := geom.NewRect(15, 15, 25, 25) // four tiles, one already decoded
-	if _, st := statsOf(t, lazy.QueryStatsCtx, r2); st.Materialized != 3 {
-		t.Fatalf("straddling query materialized %d, want 3", st.Materialized)
-	}
-	if lazy.MaterializedShards() != 4 {
-		t.Fatalf("MaterializedShards = %d, want 4", lazy.MaterializedShards())
 	}
 }

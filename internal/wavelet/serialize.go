@@ -42,7 +42,7 @@ func init() {
 		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
 			return ParsePrivlet(data)
 		},
-		Validate: ValidatePrivletBinary,
+		Tile: true,
 	})
 }
 
@@ -104,14 +104,12 @@ type privletBinary struct {
 	dom  geom.Domain
 	eps  float64
 	m    int
-	sums []float64 // nil when decoded in validate-only mode
+	sums []float64
 }
 
-// decodePrivletBinary reads and validates a Privlet container. With
-// keep false it checks every invariant — including the prefix table's
-// finiteness and zero border, scanned in place — but materializes
-// nothing.
-func decodePrivletBinary(data []byte, keep bool) (privletBinary, error) {
+// decodePrivletBinary reads and validates a Privlet container,
+// including the prefix table's finiteness and zero border.
+func decodePrivletBinary(data []byte) (privletBinary, error) {
 	var f privletBinary
 	d, kind, err := codec.NewDec(data)
 	if err != nil {
@@ -142,9 +140,7 @@ func decodePrivletBinary(data []byte, keep bool) (privletBinary, error) {
 	if err := codec.CheckPrefixSumsRaw(raw, f.m, f.m); err != nil {
 		return f, fmt.Errorf("wavelet: %w", err)
 	}
-	if keep {
-		f.sums = codec.DecodeF64s(raw)
-	}
+	f.sums = codec.DecodeF64s(raw)
 	return f, nil
 }
 
@@ -165,23 +161,11 @@ func (f *privletBinary) build() (*Privlet, error) {
 // ParsePrivletBinary deserializes a Privlet dpgridv2 container,
 // validating all structural invariants.
 func ParsePrivletBinary(data []byte) (*Privlet, error) {
-	f, err := decodePrivletBinary(data, true)
+	f, err := decodePrivletBinary(data)
 	if err != nil {
 		return nil, err
 	}
 	return f.build()
-}
-
-// ValidatePrivletBinary runs every check of ParsePrivletBinary without
-// materializing the synopsis — the registry's Validate hook, which is
-// what makes Privlet payloads embeddable in sharded manifests with
-// lazy loading.
-func ValidatePrivletBinary(data []byte) (codec.Info, error) {
-	f, err := decodePrivletBinary(data, false)
-	if err != nil {
-		return codec.Info{}, err
-	}
-	return codec.Info{Dom: f.dom, Eps: f.eps}, nil
 }
 
 // ParsePrivlet deserializes a JSON Privlet synopsis, validating all

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync/atomic"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
@@ -100,15 +101,44 @@ func (m *MappedSynopsis) QueryStatsCtx(ctx context.Context, r Rect) (float64, Sh
 	return QueryStatsCtx(ctx, m.inner, r)
 }
 
+// LoadSynopsis decodes a synopsis for serving from bytes the caller
+// already holds (a file read, an upload). It is ReadSynopsis except
+// that UG and AG releases with a stored SAT section — monolithic or as
+// the tiles of a sharded manifest — decode as zero-copy views that
+// answer straight from data, so loading costs descriptors instead of a
+// heap copy of every grid. Answers are bit-identical to ReadSynopsis's.
+// The result may retain data: the caller must not modify it afterwards.
+func LoadSynopsis(data []byte) (Synopsis, error) {
+	syn, _, err := readSynopsisView(data)
+	return syn, err
+}
+
+// LoadSynopsisFile reads the file at path and decodes it with
+// LoadSynopsis. MapSynopsisFile is the same load with the bytes left
+// in a memory mapping rather than read onto the heap.
+func LoadSynopsisFile(path string) (Synopsis, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("dpgrid: %w", err)
+	}
+	return LoadSynopsis(data)
+}
+
+// ReadSynopsisFileLazy is LoadSynopsisFile.
+//
+// Deprecated: shards are no longer decoded on first touch; use
+// LoadSynopsisFile.
+func ReadSynopsisFileLazy(path string) (Synopsis, error) { return LoadSynopsisFile(path) }
+
 // MapSynopsisFile loads a synopsis file for serving with a
 // memory-mapped backing: the file image is mmap'd (read-only, private;
-// see internal/mmapfile) and the synopsis decodes as a zero-copy view
-// answering queries straight from the mapped bytes. Kinds or encodings
-// without a zero-copy structure still load — lazily or eagerly, as
-// ReadSynopsisFileLazy would — with the mapping retained only when the
-// decoded form actually borrows from it. On platforms (or builds) where
-// mmap is unavailable the file is read into memory and everything else
-// behaves identically, with MappedBytes reporting 0.
+// see internal/mmapfile) and decoded exactly as LoadSynopsis decodes
+// bytes, so the views answer queries straight from the mapped pages.
+// When nothing decoded borrows from the image (JSON files, kinds
+// without a zero-copy structure) the mapping is released after the
+// load. On platforms (or builds) where mmap is unavailable the file is
+// read into memory and everything else behaves identically, with
+// MappedBytes reporting 0.
 //
 // The returned synopsis must be kept open for as long as queries may
 // run; see MappedSynopsis for the Close contract.
@@ -131,33 +161,24 @@ func MapSynopsisFile(path string) (*MappedSynopsis, error) {
 	return &MappedSynopsis{inner: syn, file: f}, nil
 }
 
-// readSynopsisView decodes data preferring zero-copy view decoders,
-// reporting whether the result retains (borrows from) data. Fallback
-// order: DecodeBinaryView (retains), DecodeBinaryLazy (retains — lazy
-// manifests keep the raw payload slices), DecodeBinary (copies). JSON
-// files always copy.
+// readSynopsisView is the one decoder every served release goes
+// through, wherever its bytes came from. It prefers the kind's
+// zero-copy view decoder and reports whether the result retains
+// (borrows from) data; kinds without a view decoder, and JSON files,
+// copy through the same decoders as ReadSynopsis.
 func readSynopsisView(data []byte) (Synopsis, bool, error) {
 	if !codec.Detect(data) {
 		syn, err := readSynopsisJSON(data)
 		return syn, false, err
 	}
-	_, kind, err := codec.NewDec(data)
+	reg, err := binaryKind(data)
 	if err != nil {
-		return nil, false, fmt.Errorf("dpgrid: %w", err)
+		return nil, false, err
 	}
-	reg, ok := codec.Lookup(kind)
-	if !ok {
-		return nil, false, fmt.Errorf("dpgrid: unknown synopsis kind %v", kind)
-	}
-	switch {
-	case reg.DecodeBinaryView != nil:
-		syn, err := reg.DecodeBinaryView(data)
-		return syn, true, err
-	case reg.DecodeBinaryLazy != nil:
-		syn, err := reg.DecodeBinaryLazy(data)
-		return syn, true, err
-	default:
+	if reg.DecodeBinaryView == nil {
 		syn, err := reg.DecodeBinary(data)
 		return syn, false, err
 	}
+	syn, err := reg.DecodeBinaryView(data)
+	return syn, true, err
 }

@@ -1,7 +1,9 @@
 package dpgrid
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -57,8 +59,8 @@ func mmapAvailable(t *testing.T, path string) bool {
 }
 
 // TestMapSynopsisFileEquivalence: for every kind in both encodings, a
-// mapped load answers the query battery bit-identically to the plain
-// lazy file reader.
+// mapped load and a serving load of the file read onto the heap answer
+// the query battery bit-identically to the copying file reader.
 func TestMapSynopsisFileEquivalence(t *testing.T) {
 	for _, format := range []string{FormatBinary, FormatJSON} {
 		for name, path := range writeMappedTestFiles(t, format) {
@@ -66,14 +68,25 @@ func TestMapSynopsisFileEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (%s): MapSynopsisFile: %v", name, format, err)
 			}
-			plain, err := ReadSynopsisFileLazy(path)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap, err := LoadSynopsis(data)
+			if err != nil {
+				t.Fatalf("%s (%s): LoadSynopsis: %v", name, format, err)
+			}
+			plain, err := ReadSynopsisFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range mappedTestRects {
-				a, b := mapped.Query(r), plain.Query(r)
+				a, h, b := mapped.Query(r), heap.Query(r), plain.Query(r)
 				if math.Float64bits(a) != math.Float64bits(b) {
 					t.Errorf("%s (%s): Query(%v): mapped %v, read %v", name, format, r, a, b)
+				}
+				if math.Float64bits(h) != math.Float64bits(b) {
+					t.Errorf("%s (%s): Query(%v): heap bytes %v, read %v", name, format, r, h, b)
 				}
 			}
 		}
@@ -85,9 +98,8 @@ func TestMapSynopsisFileEquivalence(t *testing.T) {
 // JSON loads always copy and report 0.
 func TestMappedBytesAccounting(t *testing.T) {
 	binPaths := writeMappedTestFiles(t, FormatBinary)
-	// UG, AG (zero-copy views) and sharded (lazy manifest borrowing
-	// payload slices) retain the mapping; fully materializing kinds drop
-	// it.
+	// UG, AG and sharded (zero-copy views, monolithic or as tiles)
+	// retain the mapping; fully materializing kinds drop it.
 	for _, name := range []string{"ug", "ag", "sharded"} {
 		path := binPaths[name]
 		mapped, err := MapSynopsisFile(path)
@@ -164,21 +176,19 @@ func TestMappedSynopsisClose(t *testing.T) {
 	mapped.Query(r)
 }
 
-// TestMappedShardedConcurrentMaterialization: concurrent queries racing
-// first-touch shard materialization against MaterializedShards reads
-// must be clean under -race, and every answer must match a fresh
-// single-threaded load.
+// TestMappedShardedConcurrentMaterialization: concurrent queries
+// against a mapped sharded release must be clean under -race, and every
+// answer must match a fresh single-threaded copying load.
 func TestMappedShardedConcurrentMaterialization(t *testing.T) {
 	path := writeMappedTestFiles(t, FormatBinary)["sharded"]
 	mapped, err := MapSynopsisFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, ok := mapped.Unwrap().(*LazySharded)
-	if !ok {
-		t.Fatalf("mapped sharded inner is %T, want *LazySharded", mapped.Unwrap())
+	if _, ok := mapped.Unwrap().(*Sharded); !ok {
+		t.Fatalf("mapped sharded inner is %T, want *Sharded", mapped.Unwrap())
 	}
-	plain, err := ReadSynopsisFileLazy(path)
+	plain, err := ReadSynopsisFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,17 +210,10 @@ func TestMappedShardedConcurrentMaterialization(t *testing.T) {
 						return
 					}
 				}
-				if n := lazy.MaterializedShards(); n < 0 || n > lazy.NumShards() {
-					t.Errorf("worker %d: MaterializedShards = %d out of [0, %d]", w, n, lazy.NumShards())
-					return
-				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if n := lazy.MaterializedShards(); n == 0 {
-		t.Error("no shards materialized after the query storm")
-	}
 }
 
 // TestMapSynopsisFileRejectsCorrupt: truncated or damaged files fail at
@@ -234,5 +237,71 @@ func TestMapSynopsisFileRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := MapSynopsisFile(filepath.Join(t.TempDir(), "absent.dpgrid")); err == nil {
 		t.Error("MapSynopsisFile accepted a missing file")
+	}
+}
+
+// TestServingLoadRejectsCorruptManifest: a sharded manifest damaged in
+// its offset table or inside any tile payload is rejected at load by
+// every loader — the copying reader, the serving loader over heap
+// bytes or a read file, and the mapped loader — before any query runs.
+func TestServingLoadRejectsCorruptManifest(t *testing.T) {
+	data := validBinarySynopsisFiles(t)["sharded"] // 2x1 AG mosaic
+	// Manifest body: 12-byte header, 32-byte domain, 8-byte eps, 8 bytes
+	// kx+ky, 2 bytes shard kind, 8 bytes shard count, then the offset
+	// table; the first payload follows the 2-entry table and the blob
+	// length.
+	const tableOff = 12 + 32 + 8 + 8 + 2 + 8
+	const payloadOff = tableOff + 2*16 + 8
+	mut := func(f func(b []byte)) []byte {
+		b := bytes.Clone(data)
+		f(b)
+		return b
+	}
+	u64 := binary.LittleEndian.Uint64
+	put := binary.LittleEndian.PutUint64
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"non-contiguous offsets", mut(func(b []byte) { put(b[tableOff+16:], u64(b[tableOff+16:])+1) })},
+		{"overflowing offsets", mut(func(b []byte) {
+			// entry 0: length 2^64-8; entry 1: offset 2^64-8, length
+			// blobLen+8 -> the end wraps back to blobLen.
+			blobLen := u64(b[tableOff+2*16:])
+			put(b[tableOff+8:], ^uint64(0)-7)
+			put(b[tableOff+16:], ^uint64(0)-7)
+			put(b[tableOff+24:], blobLen+8)
+		})},
+		{"payload bad magic", mut(func(b []byte) { b[payloadOff] ^= 0xFF })},
+		// The first cell's sums table follows the payload's header,
+		// domain, eps, alpha, m1, the cell's m2 and the section length.
+		{"nan payload value", mut(func(b []byte) { put(b[payloadOff+12+32+8+8+4+4+8:], math.Float64bits(math.NaN())) })},
+		{"payload epsilon mismatch", mut(func(b []byte) { put(b[payloadOff+12+32:], u64(b[payloadOff+12+32:])+1) })},
+		// The final 8 bytes are the last tile's SAT total.
+		{"SAT mismatch", mut(func(b []byte) {
+			last := b[len(b)-8:]
+			put(last, math.Float64bits(math.Float64frombits(u64(last))+1))
+		})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.dpgrid")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadSynopsis(bytes.NewReader(tc.data)); err == nil {
+				t.Error("ReadSynopsis accepted it")
+			}
+			if _, err := LoadSynopsis(tc.data); err == nil {
+				t.Error("LoadSynopsis accepted it")
+			}
+			if _, err := LoadSynopsisFile(path); err == nil {
+				t.Error("LoadSynopsisFile accepted it")
+			}
+			if m, err := MapSynopsisFile(path); err == nil {
+				m.Close()
+				t.Error("MapSynopsisFile accepted it")
+			}
+		})
 	}
 }

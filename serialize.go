@@ -17,7 +17,7 @@ import (
 //   - FormatJSON: the original human-readable versioned JSON.
 //   - FormatBinary: the compact "dpgridv2" container — little-endian,
 //     length-prefixed float64 sections, and for sharded manifests a
-//     per-shard offset table that enables lazy shard loading.
+//     per-shard offset table that lets every tile be read in place.
 //
 // ReadSynopsis sniffs the encoding from the leading bytes (binary files
 // start with the "dpgridv2" magic, JSON files with '{'), so readers
@@ -28,9 +28,10 @@ const (
 )
 
 // WriteSynopsis serializes a released synopsis (any kind in the
-// registry: UniformGrid, AdaptiveGrid, Hierarchy, KDTree, Privlet,
-// Sharded, or LazySharded) as versioned JSON. A Sharded release
-// serializes as a manifest embedding one per-shard payload per tile.
+// registry, built or loaded — UniformGrid, AdaptiveGrid, Hierarchy,
+// KDTree, Privlet, Sharded, or a zero-copy view) as versioned JSON. A
+// Sharded release serializes as a manifest embedding one per-shard
+// payload per tile.
 // For the compact binary encoding use WriteSynopsisBinary.
 func WriteSynopsis(w io.Writer, s Synopsis) error {
 	wt, ok := s.(io.WriterTo)
@@ -43,8 +44,8 @@ func WriteSynopsis(w io.Writer, s Synopsis) error {
 
 // WriteSynopsisBinary serializes a released synopsis as a dpgridv2
 // binary container: a fraction of the JSON size, decoded by copying
-// rather than parsing, and — for sharded manifests — loadable shard by
-// shard (see ReadSynopsisLazy).
+// rather than parsing, and served as zero-copy views of its own bytes
+// (see LoadSynopsis).
 func WriteSynopsisBinary(w io.Writer, s Synopsis) error {
 	ba, ok := s.(interface {
 		AppendBinary(dst []byte) ([]byte, error)
@@ -94,51 +95,37 @@ func WriteSynopsisFormat(w io.Writer, s Synopsis, format string) error {
 
 // ReadSynopsis deserializes a synopsis written by WriteSynopsis or
 // WriteSynopsisBinary, sniffing the encoding from the leading bytes and
-// validating the file's structure. Sharded manifests are materialized
-// eagerly; serving paths that want decode-on-first-touch should use
-// ReadSynopsisLazy.
+// validating the file's structure. The result copies what it needs, so
+// it keeps no reference to the bytes read; serving paths that would
+// rather answer from the bytes in place use LoadSynopsis.
 func ReadSynopsis(r io.Reader) (Synopsis, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("dpgrid: read synopsis: %w", err)
 	}
-	if codec.Detect(data) {
-		return readSynopsisBinary(data, false)
+	if !codec.Detect(data) {
+		return readSynopsisJSON(data)
 	}
-	return readSynopsisJSON(data)
-}
-
-// ReadSynopsisLazy is ReadSynopsis except that a binary sharded
-// manifest loads as a *LazySharded: every shard payload is validated up
-// front, but a shard's query structure is decoded only when a query
-// first touches its tile. Monolithic synopses and JSON files (which
-// lack the offset table lazy loading needs) load eagerly as usual.
-func ReadSynopsisLazy(r io.Reader) (Synopsis, error) {
-	data, err := io.ReadAll(r)
+	reg, err := binaryKind(data)
 	if err != nil {
-		return nil, fmt.Errorf("dpgrid: read synopsis: %w", err)
+		return nil, err
 	}
-	if codec.Detect(data) {
-		return readSynopsisBinary(data, true)
-	}
-	return readSynopsisJSON(data)
+	return reg.DecodeBinary(data)
 }
 
-func readSynopsisBinary(data []byte, lazy bool) (Synopsis, error) {
+// binaryKind returns the registration of a dpgridv2 container's kind.
+func binaryKind(data []byte) (codec.Registration, error) {
 	_, kind, err := codec.NewDec(data)
 	if err != nil {
-		return nil, fmt.Errorf("dpgrid: %w", err)
+		return codec.Registration{}, fmt.Errorf("dpgrid: %w", err)
 	}
 	// NewDec already rejected unregistered kinds (with the corrupt-vs-
 	// newer-writer distinction), so the lookup cannot miss here.
 	reg, ok := codec.Lookup(kind)
 	if !ok {
-		return nil, fmt.Errorf("dpgrid: unknown synopsis kind %v", kind)
+		return codec.Registration{}, fmt.Errorf("dpgrid: unknown synopsis kind %v", kind)
 	}
-	if lazy && reg.DecodeBinaryLazy != nil {
-		return reg.DecodeBinaryLazy(data)
-	}
-	return reg.DecodeBinary(data)
+	return reg, nil
 }
 
 func readSynopsisJSON(data []byte) (Synopsis, error) {
@@ -188,20 +175,10 @@ func writeFileAtomic(path string, encode func(io.Writer) error) error {
 // ReadSynopsisFile reads a synopsis previously written by
 // WriteSynopsisFile (or WriteSynopsis) from path, in either encoding.
 func ReadSynopsisFile(path string) (Synopsis, error) {
-	return readSynopsisFile(path, ReadSynopsis)
-}
-
-// ReadSynopsisFileLazy is ReadSynopsisFile with lazy shard loading for
-// binary sharded manifests (see ReadSynopsisLazy).
-func ReadSynopsisFileLazy(path string) (Synopsis, error) {
-	return readSynopsisFile(path, ReadSynopsisLazy)
-}
-
-func readSynopsisFile(path string, read func(io.Reader) (Synopsis, error)) (Synopsis, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dpgrid: %w", err)
 	}
 	defer f.Close()
-	return read(f)
+	return ReadSynopsis(f)
 }

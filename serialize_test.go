@@ -226,6 +226,42 @@ func validBinarySynopsisFiles(t interface{ Fatal(...any) }) map[string][]byte {
 	return out
 }
 
+// satlessBinarySynopsisFiles encodes the UG, AG and sharded releases of
+// validSynopses without their summed-area trailers, as files written
+// before the trailer existed: the view parsers must load them through
+// their copying fallback. The encoder always writes the trailer, so the
+// manifest is reassembled around the stripped tile payloads.
+func satlessBinarySynopsisFiles(t testing.TB) map[string][]byte {
+	valid := validBinarySynopsisFiles(t)
+	strip := func(data []byte) []byte { return data[:len(data)-goldenSATTrailerLen(t, data)] }
+	sh := validSynopses(t)["sharded"].(*Sharded)
+	var blob []byte
+	var offsets []uint64
+	for i := 0; i < sh.NumShards(); i++ {
+		var buf bytes.Buffer
+		if err := WriteSynopsisBinary(&buf, sh.Shard(i)); err != nil {
+			t.Fatal(err)
+		}
+		offsets = append(offsets, uint64(len(blob)))
+		blob = append(blob, strip(buf.Bytes())...)
+		offsets = append(offsets, uint64(len(blob))-offsets[len(offsets)-1])
+	}
+	kx, ky := sh.Plan().Dims()
+	e := codec.NewEnc(nil, codec.KindSharded)
+	e.Domain(sh.Domain())
+	e.F64(sh.Epsilon())
+	e.U32(uint32(kx))
+	e.U32(uint32(ky))
+	e.U16(uint16(codec.KindAdaptive))
+	e.U64(uint64(sh.NumShards()))
+	for _, v := range offsets {
+		e.U64(v)
+	}
+	e.U64(uint64(len(blob)))
+	e.Raw(blob)
+	return map[string][]byte{"ug": strip(valid["ug"]), "ag": strip(valid["ag"]), "sharded": e.Bytes()}
+}
+
 // TestReadSynopsisRejectsCorrupt: corrupt or truncated synopsis files
 // must return errors through ReadSynopsis — never panic, never load.
 func TestReadSynopsisRejectsCorrupt(t *testing.T) {
@@ -282,8 +318,8 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 			if _, err := ReadSynopsis(bytes.NewReader(tc.data)); err == nil {
 				t.Errorf("corrupt input accepted: %.80s", tc.data)
 			}
-			if _, err := ReadSynopsisLazy(bytes.NewReader(tc.data)); err == nil {
-				t.Errorf("corrupt input accepted lazily: %.80s", tc.data)
+			if _, err := LoadSynopsis(tc.data); err == nil {
+				t.Errorf("corrupt input accepted by the serving loader: %.80s", tc.data)
 			}
 		})
 	}
@@ -300,18 +336,25 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzReadSynopsis: the public deserialization entry point must never
-// panic and must either return a queryable synopsis or an error, no
-// matter the bytes. The seed corpus covers every format in both
-// encodings, plus truncated and bit-flipped variants of the dpgridv2
-// containers and hand-corrupted JSON.
+// FuzzReadSynopsis: the public deserialization entry points — the
+// copying ReadSynopsis and the serving loader every served release goes
+// through — must never panic and must either return a queryable
+// synopsis or an error, no matter the bytes; they must agree on
+// acceptance and answer bit-identically. The seed corpus covers every
+// format in both encodings, SAT-less containers (the view parsers'
+// copying fallback), plus truncated and bit-flipped variants of the
+// dpgridv2 containers and hand-corrupted JSON.
 func FuzzReadSynopsis(f *testing.F) {
 	valid := validSynopsisFiles(f)
 	for _, data := range valid {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
-	for _, data := range validBinarySynopsisFiles(f) {
+	binaries := validBinarySynopsisFiles(f)
+	for name, data := range satlessBinarySynopsisFiles(f) {
+		binaries["satless "+name] = data
+	}
+	for _, data := range binaries {
 		f.Add(data)
 		f.Add(data[:len(data)/3])
 		f.Add(data[:len(data)-1])
@@ -329,22 +372,21 @@ func FuzzReadSynopsis(f *testing.F) {
 	f.Add([]byte("dpgridv2"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Both the eager and the lazy path must hold the no-panic,
-		// no-NaN contract, and agree on acceptance.
 		syn, err := ReadSynopsis(bytes.NewReader(data))
-		lazySyn, lazyErr := ReadSynopsisLazy(bytes.NewReader(data))
-		if (err == nil) != (lazyErr == nil) {
-			t.Fatalf("eager err %v, lazy err %v", err, lazyErr)
+		served, servedErr := LoadSynopsis(data)
+		if (err == nil) != (servedErr == nil) {
+			t.Fatalf("ReadSynopsis err %v, LoadSynopsis err %v", err, servedErr)
 		}
 		if err != nil {
 			return
 		}
-		got := syn.Query(NewRect(-1e9, -1e9, 1e9, 1e9))
+		full := NewRect(-1e9, -1e9, 1e9, 1e9)
+		got := syn.Query(full)
 		if got != got {
 			t.Fatalf("parsed synopsis produced NaN answer")
 		}
-		if lazyGot := lazySyn.Query(NewRect(-1e9, -1e9, 1e9, 1e9)); lazyGot != got {
-			t.Fatalf("lazy answer %g != eager answer %g", lazyGot, got)
+		if servedGot := served.Query(full); math.Float64bits(servedGot) != math.Float64bits(got) {
+			t.Fatalf("served answer %g != read answer %g", servedGot, got)
 		}
 	})
 }
@@ -378,52 +420,116 @@ func TestWriteReadSynopsisBinary(t *testing.T) {
 	}
 }
 
-// TestReadSynopsisLazySharded: the lazy entry point returns a
-// *LazySharded for binary manifests, which serializes back to both
-// encodings.
+// TestReadSynopsisLazySharded: the serving loader — and
+// ReadSynopsisFileLazy, its deprecated name — decodes a binary manifest
+// into a *Sharded of zero-copy tiles, which re-encodes to the same
+// bytes and serializes back to JSON; kinds with no view decode as
+// ReadSynopsis decodes them.
 func TestReadSynopsisLazySharded(t *testing.T) {
-	sh := validSynopses(t)["sharded"]
-	var buf bytes.Buffer
-	if err := WriteSynopsisBinary(&buf, sh); err != nil {
+	data := validBinarySynopsisFiles(t)["sharded"]
+	path := filepath.Join(t.TempDir(), "sharded.dpgrid")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data := bytes.Clone(buf.Bytes())
-	loaded, err := ReadSynopsisLazy(&buf)
+	fromFile, err := ReadSynopsisFileLazy(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, ok := loaded.(*LazySharded)
-	if !ok {
-		t.Fatalf("lazy read returned %T, want *LazySharded", loaded)
+	if _, ok := fromFile.(*Sharded); !ok {
+		t.Fatalf("ReadSynopsisFileLazy returned %T, want *Sharded", fromFile)
 	}
-	if lazy.MaterializedShards() != 0 {
-		t.Fatalf("read materialized %d shards", lazy.MaterializedShards())
+	loaded, err := LoadSynopsis(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, ok := loaded.(*Sharded)
+	if !ok {
+		t.Fatalf("serving load returned %T, want *Sharded", loaded)
+	}
+	if !sh.SATBacked() {
+		t.Error("served sharded release not SATBacked")
 	}
 	var bin bytes.Buffer
-	if err := WriteSynopsisBinary(&bin, lazy); err != nil {
+	if err := WriteSynopsisBinary(&bin, sh); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bin.Bytes(), data) {
-		t.Error("lazy re-encode changed bytes")
+		t.Error("served release re-encode changed bytes")
 	}
 	var asJSON bytes.Buffer
-	if err := WriteSynopsis(&asJSON, lazy); err != nil {
+	if err := WriteSynopsis(&asJSON, sh); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadSynopsis(&asJSON); err != nil {
-		t.Fatalf("JSON written from a lazy release does not load: %v", err)
+		t.Fatalf("JSON written from a served release does not load: %v", err)
 	}
-	// JSON and monolithic binary files fall back to eager types.
-	var ugBin bytes.Buffer
-	if err := WriteSynopsisBinary(&ugBin, validSynopses(t)["ug"]); err != nil {
-		t.Fatal(err)
-	}
-	eager, err := ReadSynopsisLazy(&ugBin)
+	hier := validBinarySynopsisFiles(t)["hierarchy"]
+	loaded, err = LoadSynopsis(hier)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eager.(*UniformGrid); !ok {
-		t.Fatalf("lazy read of a UG file returned %T", eager)
+	if _, ok := loaded.(*Hierarchy); !ok {
+		t.Fatalf("serving load of a hierarchy file returned %T", loaded)
+	}
+}
+
+// TestLoadSynopsisSATLessFallback: containers without a summed-area
+// trailer have no zero-copy structure; the serving loader copies them,
+// reports them as not SAT-backed, and answers as ReadSynopsis does.
+func TestLoadSynopsisSATLessFallback(t *testing.T) {
+	for name, data := range satlessBinarySynopsisFiles(t) {
+		read, err := ReadSynopsis(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: ReadSynopsis: %v", name, err)
+		}
+		served, err := LoadSynopsis(data)
+		if err != nil {
+			t.Fatalf("%s: LoadSynopsis: %v", name, err)
+		}
+		if sb, ok := served.(interface{ SATBacked() bool }); !ok || sb.SATBacked() {
+			t.Errorf("%s: SAT-less load of %T reported SAT-backed (or cannot say)", name, served)
+		}
+		for _, r := range mappedTestRects {
+			if a, b := served.Query(r), read.Query(r); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%s: Query(%v): served %v, read %v", name, r, a, b)
+			}
+		}
+	}
+}
+
+// TestServedSynopsisJSONMatchesRead: a release loaded for serving —
+// zero-copy views over heap or mapped bytes — writes the same JSON as
+// the copying reader's release of the same file, byte for byte.
+func TestServedSynopsisJSONMatchesRead(t *testing.T) {
+	paths := writeMappedTestFiles(t, FormatBinary)
+	for _, name := range []string{"ug", "ag", "sharded"} {
+		read, err := ReadSynopsisFile(paths[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := WriteSynopsis(&want, read); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSynopsisFile(paths[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := MapSynopsisFile(paths[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for loader, syn := range map[string]Synopsis{"LoadSynopsisFile": loaded, "MapSynopsisFile": mapped.Unwrap()} {
+			var got bytes.Buffer
+			if err := WriteSynopsis(&got, syn); err != nil {
+				t.Errorf("%s via %s: %v", name, loader, err)
+				continue
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s via %s: JSON differs from ReadSynopsisFile's", name, loader)
+			}
+		}
+		mapped.Close()
 	}
 }
 
@@ -580,7 +686,7 @@ func TestRegistryKindsRoundTrip(t *testing.T) {
 
 // TestAssembleShardedNewKinds: every embeddable kind composes into a
 // sharded release through AssembleSharded and survives both encodings,
-// including the lazy binary path dpserve uses.
+// including the serving load dpserve uses.
 func TestAssembleShardedNewKinds(t *testing.T) {
 	dom, err := NewDomain(0, 0, 20, 20)
 	if err != nil {
@@ -641,16 +747,12 @@ func TestAssembleShardedNewKinds(t *testing.T) {
 				t.Error("binary round trip not bit-identical")
 			}
 
-			lazyLoaded, err := ReadSynopsisLazy(bytes.NewReader(data))
+			served, err := LoadSynopsis(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lazy, ok := lazyLoaded.(*LazySharded)
-			if !ok {
-				t.Fatalf("lazy read returned %T, want *LazySharded", lazyLoaded)
-			}
-			if got := lazy.Query(r); got != want {
-				t.Errorf("lazy answer %g != eager %g", got, want)
+			if got := served.Query(r); got != want {
+				t.Errorf("served answer %g != eager %g", got, want)
 			}
 
 			var js bytes.Buffer
@@ -709,7 +811,7 @@ func TestAssembleShardedRejectsBadTiles(t *testing.T) {
 // goldenSATTrailerLen reads a golden UG/AG container's dimension fields
 // off the wire and returns its summed-area trailer's byte length:
 // tag (2) + length prefix (8) + (mx+1)*(my+1) float64 entries.
-func goldenSATTrailerLen(t *testing.T, data []byte) int {
+func goldenSATTrailerLen(t testing.TB, data []byte) int {
 	t.Helper()
 	d, kind, err := codec.NewDec(data)
 	if err != nil {

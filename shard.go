@@ -37,30 +37,18 @@ type ShardOptions = shard.Options
 // short-circuiting through their TotalEstimate.
 type Sharded = shard.Sharded
 
-// LazySharded is a sharded release loaded from a binary (dpgridv2)
-// manifest whose per-shard synopses are decoded on first touch: loading
-// validates every payload but materializes none, so a serving daemon
-// pays decode cost only for the tiles its traffic actually hits.
-// ReadSynopsisLazy returns one; it answers queries identically to the
-// eagerly loaded release and is safe for concurrent use. Use
-// MaterializedShards to observe decode progress and Eager to force a
-// full materialization.
-type LazySharded = shard.Lazy
-
 // ShardQueryStats reports the routing observations of a single query
-// against a sharded release: how many shards the fan-out visited and,
-// for lazily loaded releases, how many it decoded on first touch. It is
+// against a sharded release: how many shards the fan-out visited. It is
 // the serving path's instrumentation hook — dpserve aggregates these
 // into its /metrics families.
 type ShardQueryStats = shard.QueryStats
 
-// ShardContextObserver is implemented by sharded releases (Sharded,
-// LazySharded) whose queries report routing observations and honor
-// context cancellation: QueryStatsCtx checks ctx between shards and
-// abandons the walk with the context's error, so a serving layer whose
-// client has gone away (request timeout, dropped connection) stops
-// burning CPU — and, for lazy releases, stops materializing tiles — on
-// wide mosaics. A completed walk returns the same estimate as Query,
+// ShardContextObserver is implemented by sharded releases (Sharded)
+// whose queries report routing observations and honor context
+// cancellation: QueryStatsCtx checks ctx between shards and abandons
+// the walk with the context's error, so a serving layer whose client
+// has gone away (request timeout, dropped connection) stops burning CPU
+// on wide mosaics. A completed walk returns the same estimate as Query,
 // bit for bit.
 type ShardContextObserver interface {
 	Synopsis
@@ -92,8 +80,7 @@ func QueryStatsCtx(ctx context.Context, s Synopsis, r Rect) (float64, ShardQuery
 // fans out to), and ShardAnswer returns one tile's partial answer:
 // summing ShardAnswer over a rectangle's overlapping tiles in
 // ascending index order reproduces Query bit for bit, no matter how
-// the tiles are partitioned across nodes. Sharded and LazySharded
-// implement it.
+// the tiles are partitioned across nodes. Sharded implements it.
 type ShardRouter interface {
 	Synopsis
 	// Plan returns the mosaic plan.
@@ -141,7 +128,7 @@ func BuildShardedAdaptiveGridSeq(seq PointSeq, plan ShardPlan, eps float64, grid
 // share one kind; parallel composition over the disjoint tiles then
 // makes the assembled release eps-differentially private as a whole.
 // The result serializes like any built release (WriteSynopsis,
-// WriteSynopsisBinary) and its manifests load lazily like any other.
+// WriteSynopsisBinary) and its manifests load like any other.
 func AssembleSharded(plan ShardPlan, eps float64, tiles []Synopsis) (*Sharded, error) {
 	st := make([]shard.Synopsis, len(tiles))
 	for i, t := range tiles {
