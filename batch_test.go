@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -33,9 +34,11 @@ func batchTestRects(n int, seed int64) []Rect {
 
 // QueryBatch and QueryStatsCtx, the batch and serving entry points, must
 // agree bit for bit with Query for every synopsis kind and for the
-// loaded forms the serving path queries (UG/AG views and a sharded
-// manifest of views, over heap bytes and over a memory mapping), at
-// every worker count.
+// loaded forms the serving path queries (UG, AG and a sharded manifest
+// whose tables alias heap bytes or a memory mapping), at every worker
+// count. The misaligned rows load the same containers from an odd
+// address, so every section is copied rather than aliased; they must
+// answer bit for bit like the aligned load.
 func TestQueryBatchAllMethods(t *testing.T) {
 	pts, dom := batchTestData(t, 8000, 1)
 	rects := batchTestRects(200, 2)
@@ -79,25 +82,47 @@ func TestQueryBatchAllMethods(t *testing.T) {
 		t.Cleanup(func() { m.Close() })
 		return m
 	}
+	misaligned := func(name string, s Synopsis) Synopsis {
+		t.Helper()
+		data, err := os.ReadFile(write(name, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, len(data)+1)
+		copy(buf[1:], data)
+		return must(LoadSynopsis(buf[1:]))
+	}
+	loadedUG, loadedAG, loadedSharded := loaded("loaded-ug", ug), loaded("loaded-ag", ag), loaded("loaded-sharded", sharded)
 
 	for _, tc := range []struct {
 		name string
 		syn  Synopsis
+		ref  Synopsis // when set, answers must equal ref's bitwise
 	}{
-		{"UG", ug},
-		{"AG", ag},
-		{"Hierarchy", must(BuildHierarchy(pts, dom, 1, HierarchyOptions{GridSize: 32, Branching: 2, Depth: 3}, NewNoiseSource(3)))},
-		{"KDHybrid", must(BuildKDTree(pts, dom, 1, KDTreeOptions{Method: KDHybrid}, NewNoiseSource(4)))},
-		{"Privlet", must(BuildPrivlet(pts, dom, 1, PrivletOptions{GridSize: 32}, NewNoiseSource(5)))},
-		{"Hist1D", must(BuildHist1DHierarchical(xs, 0, 100, 64, 2, 3, 1, NewNoiseSource(6)))},
-		{"Sharded", sharded},
-		{"LoadedUG", loaded("loaded-ug", ug)},
-		{"LoadedAG", loaded("loaded-ag", ag)},
-		{"LoadedSharded", loaded("loaded-sharded", sharded)},
-		{"MappedUG", mapped("ug", ug)},
-		{"MappedAG", mapped("ag", ag)},
-		{"MappedSharded", mapped("sharded", sharded)},
+		{"UG", ug, nil},
+		{"AG", ag, nil},
+		{"Hierarchy", must(BuildHierarchy(pts, dom, 1, HierarchyOptions{GridSize: 32, Branching: 2, Depth: 3}, NewNoiseSource(3))), nil},
+		{"KDHybrid", must(BuildKDTree(pts, dom, 1, KDTreeOptions{Method: KDHybrid}, NewNoiseSource(4))), nil},
+		{"Privlet", must(BuildPrivlet(pts, dom, 1, PrivletOptions{GridSize: 32}, NewNoiseSource(5))), nil},
+		{"Hist1D", must(BuildHist1DHierarchical(xs, 0, 100, 64, 2, 3, 1, NewNoiseSource(6))), nil},
+		{"Sharded", sharded, nil},
+		{"LoadedUG", loadedUG, nil},
+		{"LoadedAG", loadedAG, nil},
+		{"LoadedSharded", loadedSharded, nil},
+		{"MappedUG", mapped("ug", ug), loadedUG},
+		{"MappedAG", mapped("ag", ag), loadedAG},
+		{"MappedSharded", mapped("sharded", sharded), loadedSharded},
+		{"MisalignedUG", misaligned("misaligned-ug", ug), loadedUG},
+		{"MisalignedAG", misaligned("misaligned-ag", ag), loadedAG},
+		{"MisalignedSharded", misaligned("misaligned-sharded", sharded), loadedSharded},
 	} {
+		if tc.ref != nil {
+			for i, r := range rects {
+				if got, want := tc.syn.Query(r), tc.ref.Query(r); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s rect %d: %v != aligned load's %v", tc.name, i, got, want)
+				}
+			}
+		}
 		for _, workers := range []int{0, 1, 4} {
 			got := QueryBatch(tc.syn, rects, workers)
 			if len(got) != len(rects) {

@@ -435,9 +435,11 @@ func BenchmarkSerializeSharded(b *testing.B) {
 //
 // JSON vs dpgridv2 binary for a sharded manifest at matched cell
 // counts (the same release encoded both ways). The decode family is
-// the serving daemon's cold-start path; `view` measures what dpserve
-// pays at startup (validate everything, build zero-copy views of every
-// tile), and `view-first-query` adds the first single-tile hit.
+// the serving daemon's cold-start path. `binary-eager` is ReadSynopsis
+// (read the bytes into a buffer of its own, then decode); `view` is
+// what dpserve pays at startup, LoadSynopsis over bytes it already
+// holds (validate everything; every tile's tables alias the bytes);
+// `view-first-query` adds the first single-tile hit.
 // Each sub-benchmark reports the encoded size as file-bytes.
 
 func benchShardedRelease(b *testing.B) *Sharded {

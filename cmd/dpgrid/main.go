@@ -13,8 +13,8 @@
 //
 //	# Build and save a geo-sharded 4x4 release (each tile spends the
 //	# full epsilon via parallel composition over disjoint tiles).
-//	# -format binary writes the compact dpgridv2 container, which
-//	# dpserve serves as zero-copy views of its tiles:
+//	# -format binary writes the compact dpgridv2 container, whose
+//	# tiles dpserve serves straight from the file bytes:
 //	dpgrid -in points.csv -domain="0,0,100,100" -method ag -eps 1 \
 //	       -shards 4x4 -format binary -save mosaic.dpgrid
 //
@@ -64,7 +64,7 @@ func run(args []string, w io.Writer) error {
 	queryFlag := fs.String("query", "", "single query rectangle x0,y0,x1,y1")
 	queriesFile := fs.String("queries", "", "file of query rectangles, one x0,y0,x1,y1 per line")
 	saveFile := fs.String("save", "", "write the built synopsis (any method) to this file for later -load")
-	saveFormat := fs.String("format", dpgrid.FormatJSON, "-save encoding: json (readable) or binary (compact dpgridv2; dpserve serves it as zero-copy views)")
+	saveFormat := fs.String("format", dpgrid.FormatJSON, "-save encoding: json (readable) or binary (compact dpgridv2; loads in place, its tables aliasing the file bytes)")
 	loadFile := fs.String("load", "", "load a previously saved synopsis instead of building one (either encoding, sniffed)")
 	synthesize := fs.Int("synthesize", 0, "sample this many synthetic points from the synopsis as CSV on stdout (-1 = synopsis's own size estimate)")
 	if err := fs.Parse(args); err != nil {

@@ -1,6 +1,6 @@
-// Command dplint runs the repo's analyzer suite (DPL001-DPL005): the
-// determinism, context-flow, atomic-write, and allocation-bound checks
-// described in docs/ANALYZERS.md.
+// Command dplint runs the repo's analyzer suite (DPL001-DPL006): the
+// determinism, context-flow, atomic-write, allocation-bound and
+// unsafe-confinement checks described in docs/ANALYZERS.md.
 //
 // Standalone, from the module root:
 //

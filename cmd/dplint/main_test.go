@@ -21,14 +21,14 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestSuiteShape pins the published analyzer set: five checks with
+// TestSuiteShape pins the published analyzer set: six checks with
 // stable, distinct DPL codes (docs/ANALYZERS.md documents each).
 func TestSuiteShape(t *testing.T) {
 	as := suite.Analyzers()
-	if len(as) != 5 {
-		t.Fatalf("suite has %d analyzers, want 5", len(as))
+	if len(as) != 6 {
+		t.Fatalf("suite has %d analyzers, want 6", len(as))
 	}
-	wantCodes := []string{"DPL001", "DPL002", "DPL003", "DPL004", "DPL005"}
+	wantCodes := []string{"DPL001", "DPL002", "DPL003", "DPL004", "DPL005", "DPL006"}
 	for i, a := range as {
 		if a.Code != wantCodes[i] {
 			t.Errorf("analyzer %d (%s) has code %s, want %s", i, a.Name, a.Code, wantCodes[i])

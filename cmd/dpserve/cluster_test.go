@@ -389,7 +389,7 @@ func TestBackendClusterEndpoint(t *testing.T) {
 
 // TestMappedBackendClusterQuery: a backend that memory-mapped its
 // sharded release (dpserve -mmap) answers the cluster endpoint, and its
-// partials equal those of the same release read by the copying reader.
+// partials equal those of the same release read onto the heap.
 func TestMappedBackendClusterQuery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "checkins.dpgrid")
 	if err := dpgrid.WriteSynopsisFileFormat(path, testClusterSharded(t, 37), dpgrid.FormatBinary); err != nil {

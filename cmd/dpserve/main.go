@@ -43,9 +43,9 @@
 // can serve domains far beyond the monolithic cell cap. Synopsis files
 // may be JSON or binary (dpgridv2) — the format is sniffed. Every file
 // and upload is validated and decoded at load by the same loader: binary
-// UG and AG releases, and the tiles of sharded manifests, become
-// zero-copy views answering straight from the bytes, which -mmap keeps
-// in a memory mapping instead of on the heap.
+// releases, and the tiles of sharded manifests, decode to grids whose
+// tables alias the bytes and answer straight from them, which -mmap
+// keeps in a memory mapping instead of on the heap.
 //
 // A query request names a synopsis and carries rectangles as
 // [minX, minY, maxX, maxY] quadruples; the response returns one estimate

@@ -616,9 +616,9 @@ func TestLoadSynopsesLoadsAll(t *testing.T) {
 }
 
 // TestRegistryLoadsShardedManifestLazily is the registry-level load
-// contract: a binary sharded manifest registers as a *dpgrid.Sharded of
-// zero-copy tiles whether or not the file is mapped, reports its
-// shards, and answers like the built release bit for bit.
+// contract: a binary sharded manifest registers as a *dpgrid.Sharded
+// whose tiles alias the file bytes whether or not the file is mapped,
+// reports its shards, and answers like the built release bit for bit.
 func TestRegistryLoadsShardedManifestLazily(t *testing.T) {
 	syn := testShardedSynopsis(t, 42) // 2x2 mosaic over [0,100]^2
 	path := filepath.Join(t.TempDir(), "mosaic.dpgrid")
@@ -639,7 +639,7 @@ func TestRegistryLoadsShardedManifestLazily(t *testing.T) {
 			t.Fatalf("mmap=%v: registered type %T, want *dpgrid.Sharded", mmap, got)
 		}
 		if !sh.SATBacked() {
-			t.Errorf("mmap=%v: loaded tiles are not SAT-backed views", mmap)
+			t.Errorf("mmap=%v: loaded tiles are not SAT-backed", mmap)
 		}
 
 		srv := newTestServer(t, reg)
@@ -655,27 +655,6 @@ func TestRegistryLoadsShardedManifestLazily(t *testing.T) {
 				t.Errorf("mmap=%v rect %d: served %g, built %g", mmap, i, counts[i], want)
 			}
 		}
-	}
-}
-
-// TestReadUploadHasNoSlack: an upload read without a Content-Length
-// keeps no spare capacity, because the loaded views retain the buffer
-// for the synopsis's lifetime.
-func TestReadUploadHasNoSlack(t *testing.T) {
-	body := bytes.Repeat([]byte("dpgrid"), 1000) // 6000 bytes: io.ReadAll overshoots
-	req := httptest.NewRequest(http.MethodPut, "/v1/synopses/x", io.NopCloser(bytes.NewReader(body)))
-	if req.ContentLength > 0 {
-		t.Fatalf("request declares Content-Length %d; the test needs none", req.ContentLength)
-	}
-	data, err := readUpload(req.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, body) {
-		t.Fatal("upload bytes changed")
-	}
-	if cap(data) != len(data) {
-		t.Fatalf("upload buffer cap %d != len %d", cap(data), len(data))
 	}
 }
 

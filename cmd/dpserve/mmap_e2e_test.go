@@ -17,7 +17,7 @@ import (
 
 // stripSATTrailer removes the summed-area trailer from a UG/AG
 // container by decoding the dimension fields off the wire, yielding the
-// bytes an older writer would have produced.
+// bytes a writer without the trailer would have produced.
 func stripSATTrailer(t *testing.T, data []byte) []byte {
 	t.Helper()
 	d, kind, err := codec.NewDec(data)
@@ -43,7 +43,9 @@ func stripSATTrailer(t *testing.T, data []byte) []byte {
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	satLen := 2 + 8 + 8*(mx+1)*(my+1)
+	// Tag, alignment padding (UG and AG bodies end 8-byte aligned),
+	// length prefix, table.
+	satLen := 2 + 6 + 8 + 8*(mx+1)*(my+1)
 	return bytes.Clone(data[:len(data)-satLen])
 }
 

@@ -97,8 +97,8 @@ func (r *registry) names() []string {
 }
 
 // loadFile loads the synopsis file at path and registers it under name.
-// The file is fully validated and decoded at load, binary UG and AG
-// releases (and their shards) as zero-copy views over the file bytes.
+// The file is fully validated and decoded at load; a binary release's
+// tables (and its shards') alias the file bytes.
 // mmap only picks where those bytes live: in a memory mapping
 // (dpgrid.MapSynopsisFile), where the kernel page cache holds the float
 // payload, or read onto the heap (dpgrid.LoadSynopsisFile). Mapped

@@ -488,32 +488,16 @@ func badRectIndex(rects [][4]float64) int {
 	return -1
 }
 
-// readSynopsisBody decodes an uploaded synopsis in either encoding
-// (sniffed) with dpgrid.LoadSynopsis, the loader -synopsis files go
-// through, so an upload is validated and served exactly like a file.
+// readSynopsisBody decodes an uploaded synopsis of at most
+// maxBodyBytes in either encoding (sniffed) with dpgrid.ReadSynopsis,
+// which decodes the way dpgrid.LoadSynopsis decodes -synopsis files, so
+// an upload is validated and served exactly like a file. ReadSynopsis
+// reads into a buffer with no spare capacity, which matters because a
+// binary synopsis retains the buffer for its lifetime.
 func readSynopsisBody(r *http.Request) (dpgrid.Synopsis, error) {
-	data, err := readUpload(r.Body)
-	if err != nil {
-		return nil, err
-	}
-	return dpgrid.LoadSynopsis(data)
-}
-
-// readUpload reads an upload body of at most maxBodyBytes into a buffer
-// with no spare capacity. The loaded views retain the buffer for the
-// synopsis's lifetime, and io.ReadAll's growth slack — up to a quarter
-// of the body — would be retained with it.
-func readUpload(r io.ReadCloser) ([]byte, error) {
-	body := http.MaxBytesReader(nil, r, maxBodyBytes)
+	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
 	defer io.Copy(io.Discard, body)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return nil, fmt.Errorf("dpgrid: read synopsis: %w", err)
-	}
-	if cap(data) > len(data) {
-		data = append(make([]byte, 0, len(data)), data...)
-	}
-	return data, nil
+	return dpgrid.ReadSynopsis(body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

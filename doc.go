@@ -3,7 +3,7 @@
 // of Qardaji, Yang, Li: "Differentially Private Grids for Geospatial
 // Data" (ICDE 2013), and grows them into a production-shaped serving
 // stack: deterministic parallel construction, a compact binary release
-// format, geo-sharded mosaics served as zero-copy views, and an HTTP
+// format that loads in place, geo-sharded mosaics, and an HTTP
 // serving daemon with caching and observability (cmd/dpserve).
 //
 // # Methods
@@ -57,10 +57,11 @@
 // Releases serialize in two interchangeable encodings carrying the same
 // artifact: versioned JSON and the compact dpgridv2 binary container
 // (see WriteSynopsisFormat and docs/FORMAT.md). ReadSynopsis sniffs the
-// encoding from the leading bytes; file writes are atomic. Serving
-// loads (LoadSynopsis, LoadSynopsisFile, MapSynopsisFile) decode binary
-// UG and AG releases, and the tiles of sharded manifests, as zero-copy
-// views that answer straight from the file bytes.
+// encoding from the leading bytes; file writes are atomic. Every binary
+// load (ReadSynopsis, LoadSynopsis, LoadSynopsisFile, MapSynopsisFile)
+// decodes to the ordinary synopsis types, whose float tables alias the
+// container's 8-byte-aligned sections on little-endian hosts, so
+// queries answer straight from the file bytes.
 //
 // # Scaling out
 //

@@ -9,7 +9,7 @@
 // paths build from trusted in-memory state). A length expression is
 // accepted when it is a constant, derives from len/cap, comes from the
 // bounded cursor (Dec.Len validates the claimed count against the bytes
-// actually remaining; Dec.RawF64s/F64s cross-check their argument), or
+// actually remaining; Dec.F64s cross-checks its argument), or
 // is guarded by an early-exit branch that inspects it before the make.
 package alloccap
 
@@ -27,12 +27,12 @@ var Analyzer = &analysis.Analyzer{
 	Name: "alloccap",
 	Code: "DPL005",
 	Doc: "in decode paths (internal/codec, serialize.go files), require wire-derived " +
-		"make lengths to be bounded via Dec.Len/RawF64s or an explicit guard",
+		"make lengths to be bounded via Dec.Len/F64s or an explicit guard",
 	Run: run,
 }
 
 // boundedDecMethods validate their count against the remaining input.
-var boundedDecMethods = map[string]bool{"Len": true, "RawF64s": true, "F64s": true}
+var boundedDecMethods = map[string]bool{"Len": true, "F64s": true}
 
 func run(pass *analysis.Pass) error {
 	codecPkg := strings.HasPrefix(pass.RelPath, "internal/codec")

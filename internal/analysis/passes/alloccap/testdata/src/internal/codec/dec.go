@@ -26,13 +26,13 @@ func (d *Dec) Len(elemSize int) int {
 	return n
 }
 
-// RawF64s validates want against the actual section and returns bytes.
-func (d *Dec) RawF64s(want int) []byte {
+// F64s validates want against the actual section and returns it.
+func (d *Dec) F64s(want int) []float64 {
 	n := d.Len(8)
 	if n != want {
 		return nil
 	}
-	return d.buf[:8*n]
+	return make([]float64, n)
 }
 
 func decodeBlind(d *Dec) []byte {
@@ -58,12 +58,12 @@ func decodeGuarded(d *Dec) []int {
 	return make([]int, n)
 }
 
-func decodeCrossChecked(d *Dec, want int) []float64 {
-	raw := d.RawF64s(want)
-	if raw == nil {
+func decodeCrossChecked(d *Dec, want int) []int {
+	vals := d.F64s(want)
+	if vals == nil {
 		return nil
 	}
-	return make([]float64, want)
+	return make([]int, want)
 }
 
 func decodeFromLen(d *Dec, xs []int) []int {

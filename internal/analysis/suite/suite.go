@@ -10,6 +10,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/analysis/passes/ctxflow"
 	"github.com/dpgrid/dpgrid/internal/analysis/passes/maporder"
 	"github.com/dpgrid/dpgrid/internal/analysis/passes/noisedet"
+	"github.com/dpgrid/dpgrid/internal/analysis/passes/unsafeonly"
 )
 
 // ModulePath is the module the suite's scope rules are written against.
@@ -23,5 +24,6 @@ func Analyzers() []*analysis.Analyzer {
 		ctxflow.Analyzer,     // DPL003
 		atomicwrite.Analyzer, // DPL004
 		alloccap.Analyzer,    // DPL005
+		unsafeonly.Analyzer,  // DPL006
 	}
 }

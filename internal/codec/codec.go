@@ -4,8 +4,10 @@
 // body built from fixed-width little-endian fields and length-prefixed
 // float64 sections. Compared to the JSON release files, the binary form
 // is a fraction of the size (8 bytes per count instead of a decimal
-// rendering) and decodes by copying, not parsing — or, for the kinds
-// with zero-copy views, by pointing query tables at the bytes in place.
+// rendering) and decodes without parsing: version 2 places every
+// float64 section at an 8-byte-aligned offset, so on little-endian
+// hosts a decoded section is the container's own bytes viewed as a
+// []float64 (see Dec.F64s).
 //
 // The package deliberately knows nothing about synopses; it provides the
 // container framing (Detect, NewEnc, NewDec) and truncation-safe
@@ -24,9 +26,17 @@ import (
 // two formats; the full string keeps accidental collisions implausible.
 const Magic = "dpgridv2"
 
-// Version is the current container layout version, bumped on breaking
-// changes.
-const Version = 1
+// Version is the container layout version writers emit. Version 2
+// aligns every float64 section to 8 bytes (see Enc.Align); readers
+// still accept version-1 containers, whose sections are unaligned.
+const Version = 2
+
+// minVersion is the oldest container layout version readers accept.
+const minVersion = 1
+
+// align is the boundary version-2 containers pad float64 sections to,
+// measured from the container's first byte.
+const align = 8
 
 // Kind tags the synopsis type a container holds.
 type Kind uint16
@@ -74,13 +84,15 @@ func Detect(data []byte) bool {
 // Enc builds a container by appending little-endian fields to a byte
 // slice. The zero Enc is not useful; NewEnc writes the header.
 type Enc struct {
-	buf []byte
+	buf   []byte
+	start int // offset of the container's first byte in buf
 }
 
 // NewEnc starts a container of the given kind, appending to dst (which
-// may be nil) so callers can reuse buffers.
+// may be nil) so callers can reuse buffers. Alignment is measured from
+// the container's own first byte, not from the start of dst.
 func NewEnc(dst []byte, kind Kind) *Enc {
-	e := &Enc{buf: append(dst, Magic...)}
+	e := &Enc{buf: append(dst, Magic...), start: len(dst)}
 	e.U16(Version)
 	e.U16(uint16(kind))
 	return e
@@ -98,9 +110,20 @@ func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 // F64 appends the IEEE-754 bits of v, little endian.
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// F64s appends a length-prefixed float64 section: a uint64 element
-// count followed by the raw bits of every element.
+// Align appends zero bytes until the container's length is a multiple
+// of 8. Every float64 section starts with one, so its length prefix and
+// elements sit at aligned offsets.
+func (e *Enc) Align() {
+	for (len(e.buf)-e.start)%align != 0 {
+		e.buf = append(e.buf, 0)
+	}
+}
+
+// F64s appends an aligned, length-prefixed float64 section: zero
+// padding to an 8-byte boundary, a uint64 element count, then the raw
+// bits of every element.
 func (e *Enc) F64s(vs []float64) {
+	e.Align()
 	e.U64(uint64(len(vs)))
 	for _, v := range vs {
 		e.F64(v)
@@ -121,9 +144,10 @@ func (e *Enc) Bytes() []byte { return e.buf }
 // allocation, so a corrupt or hostile length can never demand more
 // memory than the file's own size.
 type Dec struct {
-	data []byte
-	off  int
-	err  error
+	data    []byte
+	off     int
+	err     error
+	version uint16
 }
 
 // NewDec validates the magic and version of data and returns a decoder
@@ -133,13 +157,13 @@ func NewDec(data []byte) (*Dec, Kind, error) {
 		return nil, KindInvalid, fmt.Errorf("codec: not a %s container", Magic)
 	}
 	d := &Dec{data: data, off: len(Magic)}
-	version := d.U16()
+	d.version = d.U16()
 	kind := Kind(d.U16())
 	if d.err != nil {
 		return nil, KindInvalid, d.err
 	}
-	if version != Version {
-		return nil, KindInvalid, fmt.Errorf("codec: unsupported container version %d (have %d)", version, Version)
+	if d.version < minVersion || d.version > Version {
+		return nil, KindInvalid, fmt.Errorf("codec: unsupported container version %d (have %d-%d)", d.version, minVersion, Version)
 	}
 	// The known-kind set is the registry, not a hard-coded range, so a
 	// newly registered kind is accepted everywhere with no further code.
@@ -161,6 +185,9 @@ func NewDec(data []byte) (*Dec, Kind, error) {
 
 // Err returns the first decoding failure, or nil.
 func (d *Dec) Err() error { return d.err }
+
+// Version returns the container layout version NewDec read.
+func (d *Dec) Version() uint16 { return d.version }
 
 // Remaining returns the number of unread bytes.
 func (d *Dec) Remaining() int { return len(d.data) - d.off }
@@ -234,33 +261,50 @@ func (d *Dec) Len(elemSize int) int {
 	return int(n)
 }
 
-// RawF64s consumes a length-prefixed float64 section that must hold
-// exactly want elements and returns its raw bytes unconverted — the
-// no-allocation path zero-copy views use. Decode elements with F64At.
-func (d *Dec) RawF64s(want int) []byte {
-	n := d.Len(8)
-	if d.err != nil {
-		return nil
+// Align consumes the zero padding Enc.Align writes: in a version-2
+// container, the bytes up to the next 8-byte offset, which must all be
+// zero so the encoding stays canonical. Version-1 containers have no
+// padding, so it consumes nothing.
+func (d *Dec) Align() {
+	if d.version < 2 {
+		return
 	}
-	if n != want {
-		d.fail("section holds %d float64s, want %d", n, want)
-		return nil
+	for _, b := range d.take((align - d.off%align) % align) {
+		if b != 0 {
+			d.fail("nonzero alignment padding byte %#02x", b)
+			return
+		}
 	}
-	return d.take(8 * n)
 }
 
 // F64s consumes a length-prefixed float64 section of exactly want
-// elements and materializes it.
+// elements. The result aliases the container bytes when the host can
+// read them in place (see f64s), so it is read-only and lives as long
+// as the bytes do.
 func (d *Dec) F64s(want int) []float64 {
-	raw := d.RawF64s(want)
-	if raw == nil {
+	d.Align()
+	n := d.Len(8)
+	if d.err == nil && n != want {
+		d.fail("section holds %d float64s, want %d", n, want)
+	}
+	return d.section(n)
+}
+
+// F64Section is F64s for a section whose length the caller derives
+// from the section itself (AG cells, whose m2 is the side of their
+// (m2+1)^2 table).
+func (d *Dec) F64Section() []float64 {
+	d.Align()
+	return d.section(d.Len(8))
+}
+
+// section consumes n float64s, returning nil after any failure.
+func (d *Dec) section(n int) []float64 {
+	b := d.take(8 * n)
+	if b == nil {
 		return nil
 	}
-	out := make([]float64, want)
-	for i := range out {
-		out[i] = F64At(raw, i)
-	}
-	return out
+	return f64s(b)
 }
 
 // Raw consumes n bytes verbatim.
@@ -277,10 +321,4 @@ func (d *Dec) Finish() error {
 		return fmt.Errorf("codec: %d trailing bytes after container body", d.Remaining())
 	}
 	return nil
-}
-
-// F64At decodes element i of a raw float64 section (as returned by
-// RawF64s).
-func F64At(raw []byte, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 }

@@ -122,6 +122,7 @@ func TestDecStickyError(t *testing.T) {
 // file has bytes must fail before any allocation is attempted.
 func TestLenBombGuard(t *testing.T) {
 	e := NewEnc(nil, KindUniform)
+	e.Align()
 	e.U64(1 << 50) // section claims a petabyte of floats
 	d, _, err := NewDec(e.Bytes())
 	if err != nil {

@@ -44,17 +44,11 @@ type Registration struct {
 	// JSONFormat is the envelope format tag of the kind's JSON encoding
 	// (e.g. "dpgrid/uniform-grid"), unique when set.
 	JSONFormat string
-	// DecodeBinary deserializes a dpgridv2 container of this kind,
-	// materializing the synopsis. Required.
+	// DecodeBinary deserializes a dpgridv2 container of this kind.
+	// Float sections decode through Dec.F64s, so the result may alias
+	// data: callers keep data immutable and alive for the synopsis's
+	// lifetime. Required.
 	DecodeBinary func(data []byte) (Synopsis, error)
-	// DecodeBinaryView, when set, decodes a container into a zero-copy
-	// view that answers queries directly from data's float sections —
-	// how every served release loads, whether data was mapped, read
-	// from a file or uploaded. The returned synopsis retains data; the
-	// caller must keep it immutable and alive for the synopsis's
-	// lifetime. Kinds without a useful zero-copy structure leave it nil
-	// and serving loads fall back to the copying decoder.
-	DecodeBinaryView func(data []byte) (Synopsis, error)
 	// DecodeJSON deserializes the kind's JSON encoding. Required when
 	// JSONFormat is set.
 	DecodeJSON func(data []byte) (Synopsis, error)

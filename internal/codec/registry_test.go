@@ -143,17 +143,16 @@ func TestSectionHelpers(t *testing.T) {
 	e2 := NewEnc(nil, KindUniform)
 	e2.F64s(sums)
 	d2, _, _ := NewDec(e2.Bytes())
-	raw := d2.RawF64s(4)
-	if err := CheckPrefixSumsRaw(raw, 1, 1); err != nil {
+	vs := d2.F64s(4)
+	if err := CheckPrefixSums(vs, 1, 1); err != nil {
 		t.Fatalf("valid table rejected: %v", err)
 	}
-	vs := DecodeF64s(raw)
 	if len(vs) != 4 || vs[3] != 1 {
-		t.Fatalf("DecodeF64s = %v", vs)
+		t.Fatalf("F64s = %v", vs)
 	}
-	raw2 := append([]byte(nil), raw...)
-	raw2[0] = 1 // border entry nonzero
-	if err := CheckPrefixSumsRaw(raw2, 1, 1); err == nil {
+	bad := append([]float64(nil), vs...)
+	bad[0] = 1 // border entry nonzero
+	if err := CheckPrefixSums(bad, 1, 1); err == nil {
 		t.Fatal("border violation accepted")
 	}
 }

@@ -137,47 +137,54 @@ func TestBinaryMatchesJSONAnswers(t *testing.T) {
 	}
 }
 
-// TestValidateMatchesParse: the view parsers — the serving load path —
-// validate exactly what the copying parsers validate. They report the
-// same envelope, and every truncation of each payload either loads
-// through both or fails both.
+// misaligned returns a copy of data starting one byte past an 8-byte
+// boundary, so no f64 section can be aliased and every decode takes
+// codec's copying branch.
+func misaligned(data []byte) []byte {
+	buf := make([]byte, len(data)+1)
+	copy(buf[1:], data)
+	return buf[1:]
+}
+
+// TestValidateMatchesParse: the aliasing decode of aligned bytes and
+// the copying decode of the same bytes misaligned validate exactly the
+// same. They report the same envelope, and every truncation of each
+// payload either loads through both or fails both.
 func TestValidateMatchesParse(t *testing.T) {
-	ug := testUG(t)
-	ag := testAG(t)
-	ugBin, _ := ug.AppendBinary(nil)
-	agBin, _ := ag.AppendBinary(nil)
+	ugBin, _ := testUG(t).AppendBinary(nil)
+	agBin, _ := testAG(t).AppendBinary(nil)
 
 	cases := []struct {
-		name        string
-		data        []byte
-		parse, view func([]byte) (codec.Synopsis, error)
+		name  string
+		data  []byte
+		parse func([]byte) (codec.Synopsis, error)
 	}{
-		{"ug", ugBin, func(b []byte) (codec.Synopsis, error) { return buildSynopsis(ParseUniformGridBinary(b)) }, ParseUniformGridBinaryView},
-		{"ag", agBin, func(b []byte) (codec.Synopsis, error) { return buildSynopsis(ParseAdaptiveGridBinary(b)) }, ParseAdaptiveGridBinaryView},
+		{"ug", ugBin, func(b []byte) (codec.Synopsis, error) { return ParseUniformGridBinary(b) }},
+		{"ag", agBin, func(b []byte) (codec.Synopsis, error) { return ParseAdaptiveGridBinary(b) }},
 	}
 	type envelope interface {
 		Domain() geom.Domain
 		Epsilon() float64
 	}
 	for _, tc := range cases {
-		parsed, err := tc.parse(tc.data)
+		aligned, err := tc.parse(tc.data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		view, err := tc.view(tc.data)
+		copied, err := tc.parse(misaligned(tc.data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, v := parsed.(envelope), view.(envelope)
-		if p.Domain() != v.Domain() || p.Epsilon() != v.Epsilon() {
-			t.Errorf("%s: view envelope %v/%g, parsed %v/%g", tc.name, v.Domain(), v.Epsilon(), p.Domain(), p.Epsilon())
+		a, c := aligned.(envelope), copied.(envelope)
+		if a.Domain() != c.Domain() || a.Epsilon() != c.Epsilon() {
+			t.Errorf("%s: copied envelope %v/%g, aliased %v/%g", tc.name, c.Domain(), c.Epsilon(), a.Domain(), a.Epsilon())
 		}
 		for cut := 0; cut < len(tc.data); cut += 1 + cut/8 {
 			trunc := tc.data[:cut]
-			_, vErr := tc.view(trunc)
-			_, pErr := tc.parse(trunc)
-			if (vErr == nil) != (pErr == nil) {
-				t.Errorf("%s cut %d: view err %v, parse err %v", tc.name, cut, vErr, pErr)
+			_, aErr := tc.parse(trunc)
+			_, cErr := tc.parse(misaligned(trunc))
+			if (aErr == nil) != (cErr == nil) {
+				t.Errorf("%s cut %d: aliased err %v, copied err %v", tc.name, cut, aErr, cErr)
 			}
 		}
 	}
@@ -260,8 +267,8 @@ func TestBinaryRejectsInvalidFields(t *testing.T) {
 		if _, err := ParseUniformGridBinary(tc.data); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-		if _, err := ParseUniformGridBinaryView(tc.data); err == nil {
-			t.Errorf("%s: view accepted", tc.name)
+		if _, err := ParseUniformGridBinary(misaligned(tc.data)); err == nil {
+			t.Errorf("%s: misaligned copy accepted", tc.name)
 		}
 	}
 }
@@ -274,11 +281,10 @@ func TestAGBinaryRejectsBadSumsTable(t *testing.T) {
 		for _, v := range [4]float64{0, 0, 1, 1} {
 			e.F64(v)
 		}
-		e.F64(1)   // eps
-		e.F64(0.5) // alpha
-		e.U32(1)   // m1
-		e.U32(1)   // cell 0: m2 = 1 -> 2x2 sums
-		e.F64s(sums)
+		e.F64(1)     // eps
+		e.F64(0.5)   // alpha
+		e.U32(1)     // m1
+		e.F64s(sums) // cell 0: 2x2 sums -> m2 = 1
 		return e.Bytes()
 	}
 	if _, err := ParseAdaptiveGridBinary(mkAG([]float64{0, 0, 0, 5})); err != nil {
@@ -288,12 +294,12 @@ func TestAGBinaryRejectsBadSumsTable(t *testing.T) {
 		"nonzero border": {1, 0, 0, 5},
 		"nan sum":        {0, 0, 0, math.NaN()},
 		"short table":    {0, 0, 0},
+		"not a square":   {0, 0, 0, 5, 0},
+		"1x1 table":      {0},
+		"empty table":    {},
 	} {
 		if _, err := ParseAdaptiveGridBinary(mkAG(sums)); err == nil {
 			t.Errorf("%s: accepted", name)
-		}
-		if _, err := ParseAdaptiveGridBinaryView(mkAG(sums)); err == nil {
-			t.Errorf("%s: view accepted", name)
 		}
 	}
 }
@@ -359,8 +365,9 @@ func buildRawUGSAT(counts, sums []float64, tag uint16) []byte {
 	return e.Bytes()
 }
 
-// TestSATTrailerRejectsCorrupt: every malformed trailer must fail both
-// the copying and the view parser — wrong tag, wrong length, truncation, border
+// TestSATTrailerRejectsCorrupt: every malformed trailer must fail the
+// parser over aligned and misaligned bytes alike — wrong tag, nonzero
+// padding, wrong length, truncation, border
 // violations, non-finite entries, and entries inconsistent with the
 // counts. The last case is the critical one: a structurally perfect
 // prefix table whose values disagree with the body would silently
@@ -399,20 +406,23 @@ func TestSATTrailerRejectsCorrupt(t *testing.T) {
 		{"inconsistent corner", buildRawUGSAT(counts, mutate(8, 10.000000000000002), 0)},
 		{"trailing bytes after trailer", append(buildRawUGSAT(counts, good, 0), 0)},
 		{"truncated inside trailer", buildRawUGSAT(counts, good, 0)[:len(buildRawUGSAT(counts, good, 0))-4]},
+		// 64-byte body header + 40-byte counts section: the tag sits at
+		// byte 104 and its 6 bytes of alignment padding follow.
+		{"nonzero trailer padding", func() []byte { b := buildRawUGSAT(counts, good, 0); b[107] = 1; return b }()},
 	}
 	for _, tc := range cases {
 		if _, err := ParseUniformGridBinary(tc.data); err == nil {
 			t.Errorf("%s: parse accepted", tc.name)
 		}
-		if _, err := ParseUniformGridBinaryView(tc.data); err == nil {
-			t.Errorf("%s: view accepted", tc.name)
+		if _, err := ParseUniformGridBinary(misaligned(tc.data)); err == nil {
+			t.Errorf("%s: misaligned copy accepted", tc.name)
 		}
 	}
 }
 
 // TestSATTrailerOptional: a container ending right after its body (the
-// pre-trailer format) is accepted by every decode path, and the view
-// parser falls back to a materializing decode.
+// pre-trailer format) is accepted, and its prefix table is rebuilt
+// from the counts.
 func TestSATTrailerOptional(t *testing.T) {
 	data := buildRawUG([4]float64{0, 0, 1, 1}, 1, 2, 2, 2, []float64{1, 2, 3, 4})
 	u, err := ParseUniformGridBinary(data)
@@ -422,19 +432,14 @@ func TestSATTrailerOptional(t *testing.T) {
 	if u.SATBacked() {
 		t.Error("trailerless container loaded with SATBacked=true")
 	}
-	view, err := ParseUniformGridBinaryView(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, isView := view.(*UGView); isView {
-		t.Error("view decode of a trailerless container returned a zero-copy view")
+	if got := u.Query(geom.NewRect(0, 0, 1, 1)); got != 10 {
+		t.Errorf("full-domain answer %g, want 10", got)
 	}
 }
 
 // TestValidateReportsSAT: what a load validated is reported through
-// SATBacked, which mirrors trailer presence on both the copying and the
-// view parser — and is what lets a sharded manifest report SATBacked
-// for its whole mosaic.
+// SATBacked, which mirrors trailer presence — and is what lets a
+// sharded manifest report SATBacked for its whole mosaic.
 func TestValidateReportsSAT(t *testing.T) {
 	type satBacked interface{ SATBacked() bool }
 	ugBin, _ := testUG(t).AppendBinary(nil)
@@ -447,26 +452,18 @@ func TestValidateReportsSAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uv, err := ParseUniformGridBinaryView(ugBin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	av, err := ParseAdaptiveGridBinaryView(agBin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, syn := range map[string]satBacked{"UG": u, "AG": a, "UG view": uv.(satBacked), "AG view": av.(satBacked)} {
+	for name, syn := range map[string]satBacked{"UG": u, "AG": a} {
 		if !syn.SATBacked() {
 			t.Errorf("encoder-produced %s container loaded with SATBacked=false", name)
 		}
 	}
 	stripped := buildRawUG([4]float64{0, 0, 1, 1}, 1, 2, 2, 2, []float64{1, 2, 3, 4})
-	sv, err := ParseUniformGridBinaryView(stripped)
+	su, err := ParseUniformGridBinary(stripped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sv.(satBacked).SATBacked() {
-		t.Error("trailerless UG container loaded through the view parser with SATBacked=true")
+	if su.SATBacked() {
+		t.Error("trailerless UG container loaded with SATBacked=true")
 	}
 }
 
@@ -478,11 +475,10 @@ func TestAGSATTrailerRejectsInconsistent(t *testing.T) {
 		for _, v := range [4]float64{0, 0, 1, 1} {
 			e.F64(v)
 		}
-		e.F64(1)   // eps
-		e.F64(0.5) // alpha
-		e.U32(1)   // m1
-		e.U32(1)   // cell 0: m2 = 1 -> 2x2 sums, total 5
-		e.F64s([]float64{0, 0, 0, 5})
+		e.F64(1)                      // eps
+		e.F64(0.5)                    // alpha
+		e.U32(1)                      // m1
+		e.F64s([]float64{0, 0, 0, 5}) // cell 0: m2 = 1, total 5
 		e.U16(codec.SATTag)
 		e.F64s(sat)
 		return e.Bytes()
@@ -498,8 +494,66 @@ func TestAGSATTrailerRejectsInconsistent(t *testing.T) {
 		if _, err := ParseAdaptiveGridBinary(mk(sat)); err == nil {
 			t.Errorf("%s: parse accepted", name)
 		}
-		if _, err := ParseAdaptiveGridBinaryView(mk(sat)); err == nil {
-			t.Errorf("%s: view accepted", name)
+	}
+}
+
+// TestAGBinaryReadsVersion1: the version-1 AG layout — a u32 m2 ahead
+// of every cell table, no alignment padding — still decodes, answers
+// bit-identically to the version-2 container of the same release, and
+// re-encodes as version 2.
+func TestAGBinaryReadsVersion1(t *testing.T) {
+	a := testAG(t)
+	v2, err := a.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := codec.NewEnc(nil, codec.KindAdaptive)
+	e.Domain(a.dom)
+	e.F64(a.eps)
+	e.F64(a.alpha)
+	e.U32(uint32(a.m1))
+	unpadded := func(vs []float64) {
+		e.U64(uint64(len(vs)))
+		for _, v := range vs {
+			e.F64(v)
 		}
+	}
+	for k := range a.cells {
+		e.U32(uint32(a.cells[k].m2))
+		unpadded(a.cells[k].leaves.Sums())
+	}
+	sat, err := a.encodeSAT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.U16(codec.SATTag)
+	unpadded(sat)
+	v1 := e.Bytes()
+	binary.LittleEndian.PutUint16(v1[len(codec.Magic):], 1)
+
+	old, err := ParseAdaptiveGridBinary(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := ParseAdaptiveGridBinary(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range satRects(a.dom) {
+		if got, want := old.Query(r), cur.Query(r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("rect %d: version 1 answered %v, version 2 %v", i, got, want)
+		}
+	}
+	again, err := old.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, v2) {
+		t.Error("a version-1 decode did not re-encode to the version-2 container")
+	}
+	// 64-byte body header: the first cell's u32 m2 follows it.
+	binary.LittleEndian.PutUint32(v1[64:], 0)
+	if _, err := ParseAdaptiveGridBinary(v1); err == nil {
+		t.Error("version-1 cell with m2 = 0 accepted")
 	}
 }

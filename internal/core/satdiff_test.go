@@ -15,15 +15,16 @@ import (
 )
 
 // Differential query-equivalence suite for the summed-area fast path.
-// Every container now carries a SAT trailer, which opens three ways to
-// answer the same query: the SAT-backed materialized decode, the
-// decode of the same container with the trailer stripped (the rebuild
-// path old readers take), and the zero-copy view over the raw trailer
-// bytes. Those three must agree BIT FOR BIT — the trailer is checked
-// bitwise against the body at decode time, and RawPrefix performs
-// Prefix's arithmetic on identical values in identical order. The
-// cell-iteration baseline (QueryIter) sums the same released counts in
-// a different order, so it is held to a magnitude-scaled tolerance
+// Every container now carries a SAT trailer, which opens several ways
+// to answer the same query: the SAT-backed decode over aligned bytes
+// (its tables alias the container), the same decode over misaligned
+// bytes (codec copies every section), the decode of the container with
+// the trailer stripped (the rebuild path old readers take), and — for
+// UG — the freshly built synopsis. Those must agree BIT FOR BIT: the
+// trailer is checked bitwise against the body at decode time, and every
+// path runs Prefix's arithmetic on identical values in identical order.
+// The cell-iteration baseline (QueryIter) sums the same released counts
+// in a different order, so it is held to a magnitude-scaled tolerance
 // instead.
 
 // satRects is the rect battery: interior, edge-straddling, single-cell,
@@ -46,7 +47,8 @@ func satRects(dom geom.Domain) []geom.Rect {
 
 // stripSAT removes the summed-area trailer from a UG or AG container
 // using the pinned wire layout (the layout test below keeps the offsets
-// honest), yielding the container an older writer would have produced.
+// honest), yielding the container a writer without the trailer would
+// have produced.
 func stripSAT(t *testing.T, data []byte) []byte {
 	t.Helper()
 	satLen := satTrailerLen(t, data)
@@ -55,7 +57,8 @@ func stripSAT(t *testing.T, data []byte) []byte {
 }
 
 // satTrailerLen computes the trailer's byte length from the container's
-// own dimension fields: tag (2) + length prefix (8) + (mx+1)*(my+1)
+// own dimension fields: tag (2) + alignment padding (6: UG and AG
+// bodies end 8-byte aligned) + length prefix (8) + (mx+1)*(my+1)
 // float64s.
 func satTrailerLen(t *testing.T, data []byte) int {
 	t.Helper()
@@ -82,7 +85,7 @@ func satTrailerLen(t *testing.T, data []byte) int {
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return 2 + 8 + 8*(mx+1)*(my+1)
+	return 2 + 6 + 8 + 8*(mx+1)*(my+1)
 }
 
 // satVariant is one way of answering queries about the same release.
@@ -124,12 +127,9 @@ func ugVariants(t *testing.T, m int) (dom geom.Domain, exact []satVariant, iter 
 	if stripped.SATBacked() {
 		t.Fatal("decode of a stripped container claims SAT backing")
 	}
-	view, err := ParseUniformGridBinaryView(data)
+	copied, err := ParseUniformGridBinary(misaligned(data))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := view.(*UGView); !ok {
-		t.Fatalf("view decode returned %T, want *UGView", view)
 	}
 	for _, v := range u.noisy.Values() {
 		scale += math.Abs(v)
@@ -137,8 +137,8 @@ func ugVariants(t *testing.T, m int) (dom geom.Domain, exact []satVariant, iter 
 	return dom, []satVariant{
 		{"built", u},
 		{"sat-decode", satDec},
+		{"copied-decode", copied},
 		{"stripped-decode", stripped},
-		{"view", view},
 	}, satDec, scale
 }
 
@@ -169,12 +169,9 @@ func agVariants(t *testing.T, m1 int) (dom geom.Domain, exact []satVariant, iter
 	if stripped.SATBacked() {
 		t.Fatal("decode of a stripped container claims SAT backing")
 	}
-	view, err := ParseAdaptiveGridBinaryView(data)
+	copied, err := ParseAdaptiveGridBinary(misaligned(data))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := view.(*AGView); !ok {
-		t.Fatalf("view decode returned %T, want *AGView", view)
 	}
 	for k := range a.cells {
 		scale += math.Abs(a.cells[k].leaves.Total())
@@ -185,8 +182,8 @@ func agVariants(t *testing.T, m1 int) (dom geom.Domain, exact []satVariant, iter
 	// themselves and with the iteration baseline to tolerance.
 	return dom, []satVariant{
 		{"sat-decode", satDec},
+		{"copied-decode", copied},
 		{"stripped-decode", stripped},
-		{"view", view},
 	}, satDec, scale
 }
 
@@ -235,7 +232,7 @@ func TestSATDifferentialAG(t *testing.T) {
 
 // TestSATDifferentialConcurrent re-runs the battery from 1, 2, and
 // GOMAXPROCS workers simultaneously against shared synopses — under
-// -race this proves the SAT-backed and zero-copy paths are free of
+// -race this proves the SAT-backed and aliased paths are free of
 // hidden mutable state.
 func TestSATDifferentialConcurrent(t *testing.T) {
 	domUG, exactUG, iterUG, scaleUG := ugVariants(t, 7)
@@ -296,58 +293,58 @@ func TestSATStrippedReencodeGainsTrailer(t *testing.T) {
 	}
 }
 
-// TestSATViewReencodeVerbatim: the zero-copy views re-encode by
-// returning their retained container bytes unchanged.
+// TestSATViewReencodeVerbatim: a decode whose tables alias (view) the
+// container bytes re-encodes to exactly those bytes, and so does the
+// copying decode of the same bytes misaligned.
 func TestSATViewReencodeVerbatim(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		data  func(t *testing.T) []byte
 		parse func([]byte) (codec.Synopsis, error)
 	}{
-		{"ug", func(t *testing.T) []byte { d, err := testUG(t).AppendBinary(nil); mustNoErr(t, err); return d }, ParseUniformGridBinaryView},
-		{"ag", func(t *testing.T) []byte { d, err := testAG(t).AppendBinary(nil); mustNoErr(t, err); return d }, ParseAdaptiveGridBinaryView},
+		{"ug", func(t *testing.T) []byte { d, err := testUG(t).AppendBinary(nil); mustNoErr(t, err); return d },
+			func(b []byte) (codec.Synopsis, error) { return ParseUniformGridBinary(b) }},
+		{"ag", func(t *testing.T) []byte { d, err := testAG(t).AppendBinary(nil); mustNoErr(t, err); return d },
+			func(b []byte) (codec.Synopsis, error) { return ParseAdaptiveGridBinary(b) }},
 	} {
 		data := tc.data(t)
-		view, err := tc.parse(data)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		ba, ok := view.(interface{ AppendBinary([]byte) ([]byte, error) })
-		if !ok {
-			t.Fatalf("%s: view lacks AppendBinary", tc.name)
-		}
-		again, err := ba.AppendBinary(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Errorf("%s: view re-encode changed bytes", tc.name)
+		for _, in := range [][]byte{data, misaligned(data)} {
+			syn, err := tc.parse(in)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			again, err := syn.(interface{ AppendBinary([]byte) ([]byte, error) }).AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Errorf("%s: re-encode changed bytes", tc.name)
+			}
 		}
 	}
 }
 
-// TestSATViewMetadata: views report the same envelope metadata as the
-// materialized decode.
+// TestSATViewMetadata: a decode over the container bytes reports the
+// envelope metadata of the synopsis that was encoded.
 func TestSATViewMetadata(t *testing.T) {
 	u := testUG(t)
 	data, err := u.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := ParseUniformGridBinaryView(data)
+	uv, err := ParseUniformGridBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uv := view.(*UGView)
 	if uv.Epsilon() != u.Epsilon() || uv.Domain() != u.Domain() || uv.GridSize() != u.GridSize() {
-		t.Errorf("UG view metadata: eps %g dom %v m %d", uv.Epsilon(), uv.Domain(), uv.GridSize())
+		t.Errorf("UG decode metadata: eps %g dom %v m %d", uv.Epsilon(), uv.Domain(), uv.GridSize())
 	}
 	mx, my := u.Dims()
 	if vmx, vmy := uv.Dims(); vmx != mx || vmy != my {
-		t.Errorf("UG view dims %dx%d, want %dx%d", vmx, vmy, mx, my)
+		t.Errorf("UG decode dims %dx%d, want %dx%d", vmx, vmy, mx, my)
 	}
 	if got, want := uv.TotalEstimate(), u.TotalEstimate(); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("UG view TotalEstimate %v, want %v", got, want)
+		t.Errorf("UG decode TotalEstimate %v, want %v", got, want)
 	}
 
 	a := testAG(t)
@@ -355,20 +352,24 @@ func TestSATViewMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agView, err := ParseAdaptiveGridBinaryView(agData)
+	av, err := ParseAdaptiveGridBinary(agData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	av := agView.(*AGView)
-	if av.Epsilon() != a.Epsilon() || av.Domain() != a.Domain() || av.M1() != a.M1() || av.Alpha() != a.Alpha() {
-		t.Errorf("AG view metadata: eps %g dom %v m1 %d alpha %g", av.Epsilon(), av.Domain(), av.M1(), av.Alpha())
+	if av.Epsilon() != a.Epsilon() || av.Domain() != a.Domain() || av.M1() != a.M1() || av.Alpha() != a.Alpha() ||
+		av.LeafCells() != a.LeafCells() || av.MaxM2() != a.MaxM2() {
+		t.Errorf("AG decode metadata: eps %g dom %v m1 %d alpha %g leaves %d maxM2 %d",
+			av.Epsilon(), av.Domain(), av.M1(), av.Alpha(), av.LeafCells(), av.MaxM2())
 	}
-	agDec, err := ParseAdaptiveGridBinary(agData)
+	// The built AG's level-1 total is the constrained-inference v'
+	// total, which the file does not carry; the rebuild path is the
+	// reference.
+	stripped, err := ParseAdaptiveGridBinary(stripSAT(t, agData))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := av.TotalEstimate(), agDec.TotalEstimate(); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("AG view TotalEstimate %v, want decoded %v", got, want)
+	if got, want := av.TotalEstimate(), stripped.TotalEstimate(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("AG decode TotalEstimate %v, want rebuilt %v", got, want)
 	}
 }
 
@@ -379,11 +380,11 @@ func mustNoErr(t *testing.T, err error) {
 	}
 }
 
-// TestSATViewBatch: a pool.Map batch through the views matches per-rect Query
-// bitwise in input order.
+// TestSATViewBatch: a pool.Map batch through a decode that aliases its
+// container matches per-rect Query bitwise in input order.
 func TestSATViewBatch(t *testing.T) {
 	dom, exact, _, _ := ugVariants(t, 7)
-	view := exact[len(exact)-1].syn.(*UGView)
+	view := exact[1].syn
 	rects := satRects(dom)
 	got := pool.Map(rects, 0, view.Query)
 	for i, r := range rects {

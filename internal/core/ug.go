@@ -188,7 +188,3 @@ func (u *UniformGrid) Domain() geom.Domain { return u.dom }
 // TotalEstimate returns the noisy estimate of the dataset size (the sum of
 // all noisy cell counts).
 func (u *UniformGrid) TotalEstimate() float64 { return u.prefix.Total() }
-
-// Counts exposes the noisy cell counts (the released synopsis). The
-// returned grid is the synopsis itself, not a copy; treat it as read-only.
-func (u *UniformGrid) Counts() *grid.Counts { return u.noisy }

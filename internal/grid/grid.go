@@ -35,13 +35,33 @@ const MaxCells = 1 << 28
 
 // New returns a zeroed mx x my grid over dom.
 func New(dom geom.Domain, mx, my int) (*Counts, error) {
-	if mx <= 0 || my <= 0 {
-		return nil, fmt.Errorf("grid: dimensions must be positive, got %dx%d", mx, my)
-	}
-	if int64(mx)*int64(my) > MaxCells {
-		return nil, fmt.Errorf("grid: %dx%d grid too large", mx, my)
+	if err := checkDims(mx, my); err != nil {
+		return nil, err
 	}
 	return &Counts{dom: dom, mx: mx, my: my, vals: make([]float64, mx*my)}, nil
+}
+
+func checkDims(mx, my int) error {
+	if mx <= 0 || my <= 0 {
+		return fmt.Errorf("grid: dimensions must be positive, got %dx%d", mx, my)
+	}
+	if int64(mx)*int64(my) > MaxCells {
+		return fmt.Errorf("grid: %dx%d grid too large", mx, my)
+	}
+	return nil
+}
+
+// FromValues wraps vals, mx*my row-major cell counts, as a grid over
+// dom without copying them; the grid takes ownership of vals. Decoders
+// use it to adopt a counts section in place.
+func FromValues(dom geom.Domain, mx, my int, vals []float64) (*Counts, error) {
+	if err := checkDims(mx, my); err != nil {
+		return nil, err
+	}
+	if len(vals) != mx*my {
+		return nil, fmt.Errorf("grid: %d values for a %dx%d grid", len(vals), mx, my)
+	}
+	return &Counts{dom: dom, mx: mx, my: my, vals: vals}, nil
 }
 
 // FromPoints builds the exact histogram of points on an mx x my grid over

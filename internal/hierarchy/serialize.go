@@ -160,14 +160,13 @@ func decodeHierarchyBinary(data []byte) (hierBinary, error) {
 	if err != nil {
 		return f, err
 	}
-	raw := d.RawF64s((f.m + 1) * (f.m + 1))
+	f.sums = d.F64s((f.m + 1) * (f.m + 1))
 	if err := d.Finish(); err != nil {
 		return f, fmt.Errorf("hierarchy: parse synopsis: %w", err)
 	}
-	if err := codec.CheckPrefixSumsRaw(raw, f.m, f.m); err != nil {
+	if err := codec.CheckPrefixSums(f.sums, f.m, f.m); err != nil {
 		return f, fmt.Errorf("hierarchy: %w", err)
 	}
-	f.sums = codec.DecodeF64s(raw)
 	return f, nil
 }
 

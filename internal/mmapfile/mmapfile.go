@@ -1,8 +1,9 @@
 // Package mmapfile memory-maps files read-only, with a transparent
 // read fallback for platforms (or builds) without mmap support.
 //
-// The package exists for the zero-copy serving path: a mapped synopsis
-// file backs grid.RawPrefix tables directly, so loading a multi-gigabyte
+// The package exists for the serving path: a decoded synopsis's float
+// tables alias its container's bytes (see internal/codec), so a mapped
+// file backs grid.Prefix tables directly, and loading a multi-gigabyte
 // shard file costs address space instead of heap, and the page cache —
 // shared across processes, evictable under pressure — holds the float
 // payload. Callers treat the two modes identically: Data returns the
@@ -40,8 +41,8 @@ func Open(path string) (*File, error) {
 
 // Data returns the file image. The slice is only valid until Close;
 // after Close it is nil. Callers that hand the bytes to long-lived
-// structures (codec views, RawPrefix tables) must keep the File alive
-// and unclosed for as long as those structures serve.
+// structures (decoded synopses, whose tables alias them) must keep the
+// File alive and unclosed for as long as those structures serve.
 func (f *File) Data() []byte {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -11,18 +11,25 @@ import (
 //
 //	domain (4 f64) | epsilon (f64) | kx, ky (u32) | shard kind (u16) |
 //	shard count (u64) | offset table: count x (offset u64, length u64) |
-//	blob length (u64) | blob (concatenated per-shard containers)
+//	zero padding to 8 bytes | blob length (u64) |
+//	blob (concatenated per-shard containers)
 //
 // Each blob entry is a complete dpgridv2 container of any embeddable
 // registered kind (see codec.Registration.Embeddable), so — exactly
 // like the JSON manifest — a shard can be cut out of a release and
 // served standalone. The offset table is what the JSON format cannot
 // offer: a reader locates any shard's bytes in O(1) without decoding
-// the others, so every tile can be a zero-copy view over its own slice
-// of the file (see ParseShardedBinaryView).
+// the others, and every tile decodes over its own slice of the file.
 //
-// Encodings are canonical: offsets are required to be contiguous from
-// zero, so re-encoding a decoded release reproduces the bytes exactly.
+// In version 2 the blob starts 8-byte aligned and so does every tile
+// (each offset is the previous tile's end rounded up to 8, the gap
+// zero-filled), so a tile's own aligned f64 sections are aligned in the
+// manifest too and decode in place. Version-1 manifests have neither
+// padding.
+//
+// Encodings are canonical: offsets are required to be exactly those
+// rules (contiguous from zero in version 1) and padding to be zero, so
+// re-encoding a decoded release reproduces the bytes exactly.
 
 // binaryAppender is implemented by every synopsis with a dpgridv2
 // encoding.
@@ -66,6 +73,9 @@ func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("shard: cannot binary-encode tile %d of type %T", i, tile)
 		}
+		for len(blob) != padTo8(len(blob)) {
+			blob = append(blob, 0)
+		}
 		start := len(blob)
 		var err error
 		blob, err = ba.AppendBinary(blob)
@@ -86,34 +96,23 @@ func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
 		e.U64(off[0])
 		e.U64(off[1])
 	}
+	e.Align()
 	e.U64(uint64(len(blob)))
 	e.Raw(blob)
 	return e.Bytes(), nil
 }
 
-// ParseShardedBinary deserializes a dpgridv2 sharded manifest, copying
-// every tile through its kind's DecodeBinary — the binary counterpart
-// of ParseSharded.
+// padTo8 rounds n up to a multiple of 8: where a version-2 tile that
+// follows a tile ending at n starts.
+func padTo8(n int) int { return (n + 7) &^ 7 }
+
+// ParseShardedBinary deserializes a dpgridv2 sharded manifest — the
+// binary counterpart of ParseSharded. It validates the manifest
+// framing, slices the per-shard payloads out of the blob and decodes
+// every one through its kind's DecodeBinary, cross-checking each tile's
+// domain and epsilon against the manifest. The tiles may alias data;
+// the caller keeps it immutable and alive for the result's lifetime.
 func ParseShardedBinary(data []byte) (*Sharded, error) {
-	return parseShardedBinary(data, false)
-}
-
-// ParseShardedBinaryView is ParseShardedBinary for serving: every tile
-// decodes through its kind's zero-copy view decoder (kinds without one
-// copy through DecodeBinary), so UG and AG tiles answer straight from
-// data's payload bytes. Validation is identical, and so are the
-// answers. The result retains data; the caller must keep it immutable
-// and alive (e.g. hold the mapping open) for its lifetime.
-func ParseShardedBinaryView(data []byte) (*Sharded, error) {
-	return parseShardedBinary(data, true)
-}
-
-// parseShardedBinary validates the manifest framing, slices the
-// per-shard payloads out of the blob and decodes every one — through
-// the shard kind's view decoder when view is set and the kind has one,
-// through its copying decoder otherwise — cross-checking each tile's
-// domain and epsilon against the manifest.
-func parseShardedBinary(data []byte, view bool) (*Sharded, error) {
 	d, kind, err := codec.NewDec(data)
 	if err != nil {
 		return nil, fmt.Errorf("shard: parse manifest: %w", err)
@@ -151,9 +150,9 @@ func parseShardedBinary(data []byte, view bool) (*Sharded, error) {
 	}
 	offsets := make([][2]uint64, n)
 	// maxBlob bounds every offset and length by the bytes actually left
-	// in the file; keeping end <= maxBlob inductively means off+length
-	// can never overflow uint64, so a crafted table cannot wrap past
-	// the blob-length cross-check below.
+	// in the file; keeping off+length <= maxBlob means it can never
+	// overflow uint64, so a crafted table cannot wrap past the
+	// blob-length cross-check below.
 	maxBlob := uint64(d.Remaining())
 	var end uint64
 	for i := range offsets {
@@ -161,18 +160,23 @@ func parseShardedBinary(data []byte, view bool) (*Sharded, error) {
 		if d.Err() != nil {
 			break
 		}
-		if off != end {
-			return nil, fmt.Errorf("shard: tile %d payload offset %d is not contiguous (want %d)", i, off, end)
+		want := end
+		if d.Version() >= 2 {
+			want = uint64(padTo8(int(end)))
+		}
+		if off != want {
+			return nil, fmt.Errorf("shard: tile %d payload offset %d is not packed after the previous tile (want %d)", i, off, want)
 		}
 		if length == 0 {
 			return nil, fmt.Errorf("shard: tile %d payload is empty", i)
 		}
-		if length > maxBlob-end {
-			return nil, fmt.Errorf("shard: tile %d payload length %d exceeds the %d bytes left", i, length, maxBlob-end)
+		if left := maxBlob - min(off, maxBlob); length > left {
+			return nil, fmt.Errorf("shard: tile %d payload length %d exceeds the %d bytes left", i, length, left)
 		}
 		offsets[i] = [2]uint64{off, length}
 		end = off + length
 	}
+	d.Align()
 	blobLen := d.Len(1)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("shard: parse manifest: %w", err)
@@ -185,13 +189,16 @@ func parseShardedBinary(data []byte, view bool) (*Sharded, error) {
 		return nil, fmt.Errorf("shard: parse manifest: %w", err)
 	}
 
-	decode := shardReg.DecodeBinary
-	if view && shardReg.DecodeBinaryView != nil {
-		decode = shardReg.DecodeBinaryView
-	}
 	s := &Sharded{plan: plan, eps: eps, format: shardReg.JSONFormat, tiles: make([]Synopsis, n)}
+	var gapStart uint64
 	for i, off := range offsets {
-		syn, err := decode(blob[off[0] : off[0]+off[1]])
+		for _, b := range blob[gapStart:off[0]] {
+			if b != 0 {
+				return nil, fmt.Errorf("shard: nonzero padding before tile %d", i)
+			}
+		}
+		gapStart = off[0] + off[1]
+		syn, err := shardReg.DecodeBinary(blob[off[0]:gapStart])
 		if err != nil {
 			return nil, fmt.Errorf("shard: tile %d: %w", i, err)
 		}

@@ -33,6 +33,15 @@ func buildTestSharded(t *testing.T, seed int64, kx, ky int, ag bool) *Sharded {
 	return s
 }
 
+// misaligned returns a copy of data starting one byte past an 8-byte
+// boundary: no f64 section in it can be aliased, so every tile decodes
+// through codec's copying branch.
+func misaligned(data []byte) []byte {
+	buf := make([]byte, len(data)+1)
+	copy(buf[1:], data)
+	return buf[1:]
+}
+
 var binaryTestRects = []geom.Rect{
 	geom.NewRect(0, 0, 100, 80),      // everything: every shard via TotalEstimate
 	geom.NewRect(3, 3, 22, 17),       // inside the first tile
@@ -72,28 +81,28 @@ func TestShardedBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLazyMatchesEager: the serving parse (zero-copy view tiles)
-// answers every query exactly like the copying parse of the same bytes,
-// with the same metadata.
+// TestLazyMatchesEager: the parse of aligned bytes (tiles aliasing the
+// container) answers every query exactly like the parse of the same
+// bytes misaligned (every section copied), with the same metadata.
 func TestLazyMatchesEager(t *testing.T) {
 	orig := buildTestSharded(t, 72, 4, 4, true)
 	data, err := orig.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := ParseShardedBinary(data)
+	eager, err := ParseShardedBinary(misaligned(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := ParseShardedBinaryView(data)
+	view, err := ParseShardedBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if view.NumShards() != 16 || view.Epsilon() != 1 || view.Domain() != orig.Domain() || view.ShardFormat() != core.FormatAG {
 		t.Fatalf("metadata: %d shards, eps %g", view.NumShards(), view.Epsilon())
 	}
-	if _, ok := view.Shard(0).(*core.AGView); !ok {
-		t.Fatalf("view tile is %T, want *core.AGView", view.Shard(0))
+	if _, ok := view.Shard(0).(*core.AdaptiveGrid); !ok {
+		t.Fatalf("tile is %T, want *core.AdaptiveGrid", view.Shard(0))
 	}
 	if !view.SATBacked() || !eager.SATBacked() {
 		t.Errorf("SATBacked: view %v, eager %v; want both true", view.SATBacked(), eager.SATBacked())
@@ -112,16 +121,16 @@ func TestLazyMatchesEager(t *testing.T) {
 	}
 }
 
-// TestLazyAppendBinaryIsVerbatim: re-encoding a view-backed release
-// reproduces the container bytes, and its JSON is the JSON of the
-// copying parse, byte for byte.
+// TestLazyAppendBinaryIsVerbatim: re-encoding a release whose tiles
+// alias the container reproduces the container bytes, and its JSON is
+// the JSON of the copying parse, byte for byte.
 func TestLazyAppendBinaryIsVerbatim(t *testing.T) {
 	orig := buildTestSharded(t, 74, 2, 2, true)
 	data, err := orig.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := ParseShardedBinaryView(data)
+	view, err := ParseShardedBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +141,7 @@ func TestLazyAppendBinaryIsVerbatim(t *testing.T) {
 	if !bytes.Equal(data, again) {
 		t.Fatal("view re-encode changed bytes")
 	}
-	eager, err := ParseShardedBinary(data)
+	eager, err := ParseShardedBinary(misaligned(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,19 +165,20 @@ func TestLazyAppendBinaryIsVerbatim(t *testing.T) {
 	}
 }
 
-// TestLazyConcurrentQueries: racing queries over one view-backed release
-// agree with the copying parse. Run under -race in CI.
+// TestLazyConcurrentQueries: racing queries over one release whose
+// tiles alias the container agree with the copying parse. Run under
+// -race in CI.
 func TestLazyConcurrentQueries(t *testing.T) {
 	orig := buildTestSharded(t, 75, 4, 2, false)
 	data, err := orig.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := ParseShardedBinary(data)
+	eager, err := ParseShardedBinary(misaligned(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := ParseShardedBinaryView(data)
+	view, err := ParseShardedBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +203,8 @@ func TestLazyConcurrentQueries(t *testing.T) {
 }
 
 // TestShardedBinaryRejectsCorrupt: corruption in the framing or in any
-// payload fails at load, for both the copying and the serving parser —
-// so no query can ever meet a damaged tile.
+// payload fails at load, over aligned and misaligned bytes alike — so
+// no query can ever meet a damaged tile.
 func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 	orig := buildTestSharded(t, 76, 2, 2, true)
 	data, err := orig.AppendBinary(nil)
@@ -203,10 +213,11 @@ func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 	}
 	// Field offsets in the manifest body: 12-byte header, 32-byte
 	// domain, 8-byte eps, 8 bytes kx+ky, 2 bytes shard kind, 8 bytes
-	// shard count, then the offset table. The first payload follows
-	// the 4-entry table and the blob length.
+	// shard count, then the offset table. The 4-entry table ends at
+	// byte 134; 2 bytes of padding align the blob length, and the first
+	// payload follows it.
 	const tableOff = 12 + 32 + 8 + 8 + 2 + 8
-	const payloadOff = tableOff + 4*16 + 8
+	const payloadOff = tableOff + 4*16 + 2 + 8
 	mut := func(f func(b []byte)) []byte {
 		b := bytes.Clone(data)
 		f(b)
@@ -236,11 +247,22 @@ func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 		{"shard payload bad magic", mut(func(b []byte) {
 			b[payloadOff] ^= 0xFF
 		})},
+		{"misaligned offsets", mut(func(b []byte) {
+			// Second table entry's offset += 8, with the length shrunk so
+			// the table still covers the blob.
+			off := binary.LittleEndian.Uint64(b[tableOff+16:])
+			binary.LittleEndian.PutUint64(b[tableOff+16:], off+8)
+			n := binary.LittleEndian.Uint64(b[tableOff+24:])
+			binary.LittleEndian.PutUint64(b[tableOff+24:], n-8)
+		})},
+		{"nonzero manifest padding", mut(func(b []byte) {
+			b[tableOff+4*16] = 1
+		})},
 		// The first AG cell's sums table starts after the payload's
-		// 12-byte header, 32-byte domain, eps, alpha, m1, the cell's m2
-		// and the section length.
+		// 12-byte header, 32-byte domain, eps, alpha, m1 and the
+		// section length.
 		{"nan payload value", mut(func(b []byte) {
-			binary.LittleEndian.PutUint64(b[payloadOff+12+32+8+8+4+4+8:], 0x7FF8000000000001)
+			binary.LittleEndian.PutUint64(b[payloadOff+12+32+8+8+4+8:], 0x7FF8000000000001)
 		})},
 		// The manifest's final 8 bytes are the last tile's SAT total: a
 		// finite value that disagrees with the cell totals.
@@ -252,10 +274,10 @@ func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ParseShardedBinary(tc.data); err == nil {
-				t.Error("copying parse accepted it")
+				t.Error("parse accepted it")
 			}
-			if _, err := ParseShardedBinaryView(tc.data); err == nil {
-				t.Error("view parse accepted it")
+			if _, err := ParseShardedBinary(misaligned(tc.data)); err == nil {
+				t.Error("parse of the misaligned bytes accepted it")
 			}
 		})
 	}
@@ -269,18 +291,16 @@ func TestShardedBinaryMismatchedShardMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first shard payload starts right after the blob length; its
-	// epsilon sits after its own 12-byte header + 32-byte domain.
+	// The first shard payload starts right after the blob length (the
+	// 2-entry table ends at byte 102, padded to 104); its epsilon sits
+	// after its own 12-byte header + 32-byte domain.
 	const tableOff = 12 + 32 + 8 + 8 + 2 + 8
-	payloadOff := tableOff + 2*16 + 8
+	payloadOff := tableOff + 2*16 + 2 + 8
 	bad := bytes.Clone(data)
 	epsOff := payloadOff + 12 + 32
 	binary.LittleEndian.PutUint64(bad[epsOff:], binary.LittleEndian.Uint64(bad[epsOff:])+1)
-	if _, err := ParseShardedBinaryView(bad); err == nil {
-		t.Fatal("view parse accepted an epsilon-mismatched shard")
-	}
 	if _, err := ParseShardedBinary(bad); err == nil {
-		t.Fatal("eager parse accepted an epsilon-mismatched shard")
+		t.Fatal("parse accepted an epsilon-mismatched shard")
 	}
 }
 
@@ -295,7 +315,7 @@ func TestShardedBinaryRejectsOverflowingOffsetTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tableOff = 12 + 32 + 8 + 8 + 2 + 8
-	blobLen := binary.LittleEndian.Uint64(data[tableOff+2*16:])
+	blobLen := binary.LittleEndian.Uint64(data[tableOff+2*16+2:])
 	bad := bytes.Clone(data)
 	// entry 0: off 0, length 2^64-8; entry 1: off 2^64-8, length
 	// blobLen+8 -> end wraps back to blobLen.
@@ -303,9 +323,6 @@ func TestShardedBinaryRejectsOverflowingOffsetTable(t *testing.T) {
 	binary.LittleEndian.PutUint64(bad[tableOff+16:], ^uint64(0)-7)
 	binary.LittleEndian.PutUint64(bad[tableOff+24:], blobLen+8)
 	if _, err := ParseShardedBinary(bad); err == nil {
-		t.Fatal("eager parse accepted an overflowing offset table")
-	}
-	if _, err := ParseShardedBinaryView(bad); err == nil {
-		t.Fatal("view parse accepted an overflowing offset table")
+		t.Fatal("parse accepted an overflowing offset table")
 	}
 }

@@ -35,9 +35,6 @@ func init() {
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseShardedBinary(data)
 		},
-		DecodeBinaryView: func(data []byte) (codec.Synopsis, error) {
-			return ParseShardedBinaryView(data)
-		},
 		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
 			return ParseSharded(data)
 		},

@@ -518,7 +518,7 @@ func TestOverlappingTiles(t *testing.T) {
 
 // TestQueryStatsCtx: an un-cancelled context answers bit-identically
 // to Query; a cancelled one abandons the fan-out with the context's
-// error on both the built and the view-loaded release.
+// error on both the built and the decoded release.
 func TestQueryStatsCtx(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 100, 100)
 	plan, err := NewPlan(dom, 3, 3)
@@ -534,7 +534,7 @@ func TestQueryStatsCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := ParseShardedBinaryView(bin)
+	view, err := ParseShardedBinary(bin)
 	if err != nil {
 		t.Fatal(err)
 	}

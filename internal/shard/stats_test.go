@@ -10,7 +10,8 @@ import (
 )
 
 // buildStatsFixture builds a 4x2 UG mosaic over [0,80]x[0,40] (tiles
-// 20x20) and its twin loaded for serving (zero-copy view tiles).
+// 20x20) and its twin decoded from its container (tiles aliasing the
+// container bytes).
 func buildStatsFixture(t *testing.T) (*Sharded, *Sharded) {
 	t.Helper()
 	dom := geom.MustDomain(0, 0, 80, 40)
@@ -27,7 +28,7 @@ func buildStatsFixture(t *testing.T) (*Sharded, *Sharded) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := ParseShardedBinaryView(data)
+	view, err := ParseShardedBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}

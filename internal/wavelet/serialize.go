@@ -133,14 +133,13 @@ func decodePrivletBinary(data []byte) (privletBinary, error) {
 	if err := checkGridSize(f.m); err != nil {
 		return f, err
 	}
-	raw := d.RawF64s((f.m + 1) * (f.m + 1))
+	f.sums = d.F64s((f.m + 1) * (f.m + 1))
 	if err := d.Finish(); err != nil {
 		return f, fmt.Errorf("wavelet: parse synopsis: %w", err)
 	}
-	if err := codec.CheckPrefixSumsRaw(raw, f.m, f.m); err != nil {
+	if err := codec.CheckPrefixSums(f.sums, f.m, f.m); err != nil {
 		return f, fmt.Errorf("wavelet: %w", err)
 	}
-	f.sums = codec.DecodeF64s(raw)
 	return f, nil
 }
 

@@ -16,10 +16,10 @@ import (
 var ErrSynopsisClosed = errors.New("dpgrid: synopsis closed")
 
 // MappedSynopsis is a synopsis served off a memory-mapped file: the
-// inner synopsis is a zero-copy view whose query tables resolve into
-// the mapped bytes, so loading costs address space instead of heap and
-// the kernel page cache backs the float payload. MapSynopsisFile
-// returns one.
+// inner synopsis is the ordinary decoded synopsis, whose float tables
+// alias the mapped bytes, so loading costs address space instead of
+// heap and the kernel page cache backs the float payload.
+// MapSynopsisFile returns one.
 //
 // Lifecycle: the mapping stays open until Close. Close is the caller's
 // explicit, deliberate act — nothing closes implicitly, because an
@@ -43,19 +43,17 @@ type MappedSynopsis struct {
 	closed atomic.Bool
 }
 
-// Unwrap returns the underlying synopsis — the decoded view (or
-// materialized synopsis, for encodings without a zero-copy structure).
-// Serving layers that drain their own request paths (dpserve never
-// closes a mapping) query it directly, which also exposes its real
-// type: metadata (Epsilon, Domain, ContainerKind, NumShards) and, for
-// sharded releases, ShardRouter and ShardContextObserver.
+// Unwrap returns the underlying decoded synopsis. Serving layers that
+// drain their own request paths (dpserve never closes a mapping) query
+// it directly, which also exposes its real type: metadata (Epsilon,
+// Domain, ContainerKind, NumShards) and, for sharded releases,
+// ShardRouter and ShardContextObserver.
 func (m *MappedSynopsis) Unwrap() Synopsis { return m.inner }
 
 // MappedBytes returns the size of the memory-mapped file image backing
 // the synopsis, or 0 when the load did not map (JSON files, platforms
-// or builds without mmap, or encodings whose decoder copies rather than
-// retains). It is the per-synopsis term of dpserve's mapped-bytes
-// gauge.
+// or builds without mmap). It is the per-synopsis term of dpserve's
+// mapped-bytes gauge.
 func (m *MappedSynopsis) MappedBytes() int64 {
 	if m.file == nil || !m.file.Mapped() {
 		return 0
@@ -101,16 +99,25 @@ func (m *MappedSynopsis) QueryStatsCtx(ctx context.Context, r Rect) (float64, Sh
 	return QueryStatsCtx(ctx, m.inner, r)
 }
 
-// LoadSynopsis decodes a synopsis for serving from bytes the caller
-// already holds (a file read, an upload). It is ReadSynopsis except
-// that UG and AG releases with a stored SAT section — monolithic or as
-// the tiles of a sharded manifest — decode as zero-copy views that
-// answer straight from data, so loading costs descriptors instead of a
-// heap copy of every grid. Answers are bit-identical to ReadSynopsis's.
-// The result may retain data: the caller must not modify it afterwards.
+// LoadSynopsis decodes a synopsis from bytes the caller already holds
+// (a file read, an upload), sniffing the encoding like ReadSynopsis. A
+// binary container decodes in place: on little-endian hosts its float
+// sections become the synopsis's tables without a copy (see
+// internal/codec), so loading costs descriptors instead of a heap copy
+// of every grid. The result may retain data: the caller must not
+// modify it afterwards.
 func LoadSynopsis(data []byte) (Synopsis, error) {
-	syn, _, err := readSynopsisView(data)
-	return syn, err
+	if !codec.Detect(data) {
+		return readSynopsisJSON(data)
+	}
+	_, kind, err := codec.NewDec(data)
+	if err != nil {
+		return nil, fmt.Errorf("dpgrid: %w", err)
+	}
+	// NewDec already rejected unregistered kinds (with the corrupt-vs-
+	// newer-writer distinction), so the lookup cannot miss here.
+	reg, _ := codec.Lookup(kind)
+	return reg.DecodeBinary(data)
 }
 
 // LoadSynopsisFile reads the file at path and decodes it with
@@ -133,12 +140,11 @@ func ReadSynopsisFileLazy(path string) (Synopsis, error) { return LoadSynopsisFi
 // MapSynopsisFile loads a synopsis file for serving with a
 // memory-mapped backing: the file image is mmap'd (read-only, private;
 // see internal/mmapfile) and decoded exactly as LoadSynopsis decodes
-// bytes, so the views answer queries straight from the mapped pages.
-// When nothing decoded borrows from the image (JSON files, kinds
-// without a zero-copy structure) the mapping is released after the
-// load. On platforms (or builds) where mmap is unavailable the file is
-// read into memory and everything else behaves identically, with
-// MappedBytes reporting 0.
+// bytes, so the decoded tables answer queries straight from the mapped
+// pages. A JSON file's decode copies everything it needs, so its
+// mapping is released after the load. On platforms (or builds) where
+// mmap is unavailable the file is read into memory and everything else
+// behaves identically, with MappedBytes reporting 0.
 //
 // The returned synopsis must be kept open for as long as queries may
 // run; see MappedSynopsis for the Close contract.
@@ -147,38 +153,16 @@ func MapSynopsisFile(path string) (*MappedSynopsis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dpgrid: %w", err)
 	}
-	syn, retains, err := readSynopsisView(f.Data())
+	syn, err := LoadSynopsis(f.Data())
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if !retains {
-		// The decoded synopsis copied what it needed; holding gigabytes
-		// of mapping (or fallback heap) behind it would be pure waste.
+	if !codec.Detect(f.Data()) {
+		// Holding the mapping (or fallback heap) of a JSON file behind a
+		// synopsis that copied what it needed would be pure waste.
 		f.Close()
 		f = nil
 	}
 	return &MappedSynopsis{inner: syn, file: f}, nil
-}
-
-// readSynopsisView is the one decoder every served release goes
-// through, wherever its bytes came from. It prefers the kind's
-// zero-copy view decoder and reports whether the result retains
-// (borrows from) data; kinds without a view decoder, and JSON files,
-// copy through the same decoders as ReadSynopsis.
-func readSynopsisView(data []byte) (Synopsis, bool, error) {
-	if !codec.Detect(data) {
-		syn, err := readSynopsisJSON(data)
-		return syn, false, err
-	}
-	reg, err := binaryKind(data)
-	if err != nil {
-		return nil, false, err
-	}
-	if reg.DecodeBinaryView == nil {
-		syn, err := reg.DecodeBinary(data)
-		return syn, false, err
-	}
-	syn, err := reg.DecodeBinaryView(data)
-	return syn, true, err
 }

@@ -60,7 +60,7 @@ func mmapAvailable(t *testing.T, path string) bool {
 
 // TestMapSynopsisFileEquivalence: for every kind in both encodings, a
 // mapped load and a serving load of the file read onto the heap answer
-// the query battery bit-identically to the copying file reader.
+// the query battery bit-identically to ReadSynopsisFile.
 func TestMapSynopsisFileEquivalence(t *testing.T) {
 	for _, format := range []string{FormatBinary, FormatJSON} {
 		for name, path := range writeMappedTestFiles(t, format) {
@@ -93,15 +93,11 @@ func TestMapSynopsisFileEquivalence(t *testing.T) {
 	}
 }
 
-// TestMappedBytesAccounting: binary loads whose decoded form borrows
-// from the file report the file size (when the build actually maps);
-// JSON loads always copy and report 0.
+// TestMappedBytesAccounting: binary loads, whose decoded tables alias
+// the file, report the file size (when the build actually maps); JSON
+// loads always copy and report 0.
 func TestMappedBytesAccounting(t *testing.T) {
-	binPaths := writeMappedTestFiles(t, FormatBinary)
-	// UG, AG and sharded (zero-copy views, monolithic or as tiles)
-	// retain the mapping; fully materializing kinds drop it.
-	for _, name := range []string{"ug", "ag", "sharded"} {
-		path := binPaths[name]
+	for name, path := range writeMappedTestFiles(t, FormatBinary) {
 		mapped, err := MapSynopsisFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +125,7 @@ func TestMappedBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestMappedSATBacked: mapped UG/AG views and all-SAT sharded mosaics
+// TestMappedSATBacked: mapped UG/AG releases and all-SAT sharded mosaics
 // report the fast path; JSON loads (rebuilt prefixes, no stored SAT) do
 // not need to — but must answer identically regardless (covered above).
 func TestMappedSATBacked(t *testing.T) {
@@ -178,7 +174,7 @@ func TestMappedSynopsisClose(t *testing.T) {
 
 // TestMappedShardedConcurrentMaterialization: concurrent queries
 // against a mapped sharded release must be clean under -race, and every
-// answer must match a fresh single-threaded copying load.
+// answer must match a fresh single-threaded heap load.
 func TestMappedShardedConcurrentMaterialization(t *testing.T) {
 	path := writeMappedTestFiles(t, FormatBinary)["sharded"]
 	mapped, err := MapSynopsisFile(path)
@@ -225,7 +221,9 @@ func TestMapSynopsisFileRejectsCorrupt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cut := range []int{len(data) - 1, len(data) / 2, 9} {
+		// One byte past half: exactly half of the 3x3 UG is its body
+		// without the optional SAT trailer, a valid container.
+		for _, cut := range []int{len(data) - 1, len(data)/2 + 1, 9} {
 			p := filepath.Join(t.TempDir(), "trunc.dpgrid")
 			if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
 				t.Fatal(err)
@@ -242,16 +240,16 @@ func TestMapSynopsisFileRejectsCorrupt(t *testing.T) {
 
 // TestServingLoadRejectsCorruptManifest: a sharded manifest damaged in
 // its offset table or inside any tile payload is rejected at load by
-// every loader — the copying reader, the serving loader over heap
-// bytes or a read file, and the mapped loader — before any query runs.
+// every loader — the reader, the serving loader over heap bytes or a
+// read file, and the mapped loader — before any query runs.
 func TestServingLoadRejectsCorruptManifest(t *testing.T) {
 	data := validBinarySynopsisFiles(t)["sharded"] // 2x1 AG mosaic
 	// Manifest body: 12-byte header, 32-byte domain, 8-byte eps, 8 bytes
 	// kx+ky, 2 bytes shard kind, 8 bytes shard count, then the offset
-	// table; the first payload follows the 2-entry table and the blob
-	// length.
+	// table; the first payload follows the 2-entry table, 2 bytes of
+	// alignment padding and the blob length.
 	const tableOff = 12 + 32 + 8 + 8 + 2 + 8
-	const payloadOff = tableOff + 2*16 + 8
+	const payloadOff = tableOff + 2*16 + 2 + 8
 	mut := func(f func(b []byte)) []byte {
 		b := bytes.Clone(data)
 		f(b)
@@ -267,15 +265,15 @@ func TestServingLoadRejectsCorruptManifest(t *testing.T) {
 		{"overflowing offsets", mut(func(b []byte) {
 			// entry 0: length 2^64-8; entry 1: offset 2^64-8, length
 			// blobLen+8 -> the end wraps back to blobLen.
-			blobLen := u64(b[tableOff+2*16:])
+			blobLen := u64(b[tableOff+2*16+2:])
 			put(b[tableOff+8:], ^uint64(0)-7)
 			put(b[tableOff+16:], ^uint64(0)-7)
 			put(b[tableOff+24:], blobLen+8)
 		})},
 		{"payload bad magic", mut(func(b []byte) { b[payloadOff] ^= 0xFF })},
 		// The first cell's sums table follows the payload's header,
-		// domain, eps, alpha, m1, the cell's m2 and the section length.
-		{"nan payload value", mut(func(b []byte) { put(b[payloadOff+12+32+8+8+4+4+8:], math.Float64bits(math.NaN())) })},
+		// domain, eps, alpha, m1 and the section length.
+		{"nan payload value", mut(func(b []byte) { put(b[payloadOff+12+32+8+8+4+8:], math.Float64bits(math.NaN())) })},
 		{"payload epsilon mismatch", mut(func(b []byte) { put(b[payloadOff+12+32:], u64(b[payloadOff+12+32:])+1) })},
 		// The final 8 bytes are the last tile's SAT total.
 		{"SAT mismatch", mut(func(b []byte) {
@@ -303,5 +301,45 @@ func TestServingLoadRejectsCorruptManifest(t *testing.T) {
 				t.Error("MapSynopsisFile accepted it")
 			}
 		})
+	}
+}
+
+// TestLoadSynopsisAliasesSections: on a little-endian host, loading an
+// aligned version-2 container costs descriptors, not a copy of its
+// float sections. A 512x512 UG carries 4 MiB of counts and summed-area
+// table; its load must allocate under 64 KiB, which fails the moment
+// the codec copies a section instead of aliasing it.
+func TestLoadSynopsisAliasesSections(t *testing.T) {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		t.Skip("big-endian host: sections decode by copying")
+	}
+	pts, dom := batchTestData(t, 1000, 3)
+	ug, err := BuildUniformGrid(pts, dom, 1, UGOptions{GridSize: 512}, NewNoiseSource(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSynopsisBinary(&buf, ug); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The smallest of a few loads, so that a stray allocation elsewhere
+	// in the process cannot fail the test.
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		syn, err := LoadSynopsis(data)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if got, want := syn.Query(dom.Rect), ug.Query(dom.Rect); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("loaded answer %v, built %v", got, want)
+		}
+	}
+	if least >= 64<<10 {
+		t.Fatalf("loading a %d-byte UG allocated %d bytes; want < 64 KiB (are f64 sections copied?)", len(data), least)
 	}
 }

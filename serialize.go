@@ -3,7 +3,6 @@ package dpgrid
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/dpgrid/dpgrid/internal/atomicfile"
 	"github.com/dpgrid/dpgrid/internal/codec"
@@ -29,7 +28,7 @@ const (
 
 // WriteSynopsis serializes a released synopsis (any kind in the
 // registry, built or loaded — UniformGrid, AdaptiveGrid, Hierarchy,
-// KDTree, Privlet, Sharded, or a zero-copy view) as versioned JSON. A
+// KDTree, Privlet, Hist1D or Sharded) as versioned JSON. A
 // Sharded release serializes as a manifest embedding one per-shard
 // payload per tile.
 // For the compact binary encoding use WriteSynopsisBinary.
@@ -43,9 +42,9 @@ func WriteSynopsis(w io.Writer, s Synopsis) error {
 }
 
 // WriteSynopsisBinary serializes a released synopsis as a dpgridv2
-// binary container: a fraction of the JSON size, decoded by copying
-// rather than parsing, and served as zero-copy views of its own bytes
-// (see LoadSynopsis).
+// binary container: a fraction of the JSON size, and decoded without
+// parsing — on little-endian hosts the decoded tables are the
+// container's own aligned float sections (see LoadSynopsis).
 func WriteSynopsisBinary(w io.Writer, s Synopsis) error {
 	ba, ok := s.(interface {
 		AppendBinary(dst []byte) ([]byte, error)
@@ -95,37 +94,29 @@ func WriteSynopsisFormat(w io.Writer, s Synopsis, format string) error {
 
 // ReadSynopsis deserializes a synopsis written by WriteSynopsis or
 // WriteSynopsisBinary, sniffing the encoding from the leading bytes and
-// validating the file's structure. The result copies what it needs, so
-// it keeps no reference to the bytes read; serving paths that would
-// rather answer from the bytes in place use LoadSynopsis.
+// validating the file's structure. It is LoadSynopsis over a buffer of
+// its own: a binary synopsis may retain that buffer, which therefore
+// holds exactly the bytes read (no read-ahead slack outlives the call).
 func ReadSynopsis(r io.Reader) (Synopsis, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAllExact(r)
 	if err != nil {
 		return nil, fmt.Errorf("dpgrid: read synopsis: %w", err)
 	}
-	if !codec.Detect(data) {
-		return readSynopsisJSON(data)
-	}
-	reg, err := binaryKind(data)
+	return LoadSynopsis(data)
+}
+
+// readAllExact is io.ReadAll returning a buffer with cap == len: the
+// growth slack of io.ReadAll (up to a quarter of the data) would
+// otherwise live as long as a synopsis decoded over the buffer.
+func readAllExact(r io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return reg.DecodeBinary(data)
-}
-
-// binaryKind returns the registration of a dpgridv2 container's kind.
-func binaryKind(data []byte) (codec.Registration, error) {
-	_, kind, err := codec.NewDec(data)
-	if err != nil {
-		return codec.Registration{}, fmt.Errorf("dpgrid: %w", err)
+	if cap(data) > len(data) {
+		data = append(make([]byte, 0, len(data)), data...)
 	}
-	// NewDec already rejected unregistered kinds (with the corrupt-vs-
-	// newer-writer distinction), so the lookup cannot miss here.
-	reg, ok := codec.Lookup(kind)
-	if !ok {
-		return codec.Registration{}, fmt.Errorf("dpgrid: unknown synopsis kind %v", kind)
-	}
-	return reg, nil
+	return data, nil
 }
 
 func readSynopsisJSON(data []byte) (Synopsis, error) {
@@ -174,11 +165,5 @@ func writeFileAtomic(path string, encode func(io.Writer) error) error {
 
 // ReadSynopsisFile reads a synopsis previously written by
 // WriteSynopsisFile (or WriteSynopsis) from path, in either encoding.
-func ReadSynopsisFile(path string) (Synopsis, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dpgrid: %w", err)
-	}
-	defer f.Close()
-	return ReadSynopsis(f)
-}
+// It is LoadSynopsisFile.
+func ReadSynopsisFile(path string) (Synopsis, error) { return LoadSynopsisFile(path) }

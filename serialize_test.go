@@ -228,8 +228,8 @@ func validBinarySynopsisFiles(t interface{ Fatal(...any) }) map[string][]byte {
 
 // satlessBinarySynopsisFiles encodes the UG, AG and sharded releases of
 // validSynopses without their summed-area trailers, as files written
-// before the trailer existed: the view parsers must load them through
-// their copying fallback. The encoder always writes the trailer, so the
+// before the trailer existed: loaders must rebuild the prefix tables
+// from the cell values. The encoder always writes the trailer, so the
 // manifest is reassembled around the stripped tile payloads.
 func satlessBinarySynopsisFiles(t testing.TB) map[string][]byte {
 	valid := validBinarySynopsisFiles(t)
@@ -257,6 +257,9 @@ func satlessBinarySynopsisFiles(t testing.TB) map[string][]byte {
 	for _, v := range offsets {
 		e.U64(v)
 	}
+	// A stripped AG body ends 8-byte aligned, so the tiles need no
+	// padding between them; only the blob length does.
+	e.Align()
 	e.U64(uint64(len(blob)))
 	e.Raw(blob)
 	return map[string][]byte{"ug": strip(valid["ug"]), "ag": strip(valid["ag"]), "sharded": e.Bytes()}
@@ -304,7 +307,9 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 	validBin := validBinarySynopsisFiles(t)
 	corruptBin := map[string][]byte{"binary bare magic": []byte("dpgridv2")}
 	for name, data := range validBin {
-		corruptBin["binary "+name+" truncated"] = data[:len(data)/2]
+		// One byte past half: exactly half of the 3x3 UG container is
+		// its body without the optional SAT trailer, a valid container.
+		corruptBin["binary "+name+" truncated"] = data[:len(data)/2+1]
 		corruptBin["binary "+name+" trailing bytes"] = append(bytes.Clone(data), 0)
 	}
 	for name, data := range corruptBin {
@@ -336,14 +341,16 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzReadSynopsis: the public deserialization entry points — the
-// copying ReadSynopsis and the serving loader every served release goes
+// FuzzReadSynopsis: the public deserialization entry points —
+// ReadSynopsis and LoadSynopsis, the loader every served release goes
 // through — must never panic and must either return a queryable
 // synopsis or an error, no matter the bytes; they must agree on
 // acceptance and answer bit-identically. The seed corpus covers every
-// format in both encodings, SAT-less containers (the view parsers'
-// copying fallback), plus truncated and bit-flipped variants of the
-// dpgridv2 containers and hand-corrupted JSON.
+// format in both encodings, SAT-less containers (the prefix-rebuild
+// path), plus truncated and bit-flipped variants of the dpgridv2
+// containers and hand-corrupted JSON. The committed corpus under
+// testdata/fuzz holds version-1 containers (unaligned sections) and
+// version-2 UG, AG and sharded ones, one with nonzero padding.
 func FuzzReadSynopsis(f *testing.F) {
 	valid := validSynopsisFiles(f)
 	for _, data := range valid {
@@ -422,9 +429,9 @@ func TestWriteReadSynopsisBinary(t *testing.T) {
 
 // TestReadSynopsisLazySharded: the serving loader — and
 // ReadSynopsisFileLazy, its deprecated name — decodes a binary manifest
-// into a *Sharded of zero-copy tiles, which re-encodes to the same
-// bytes and serializes back to JSON; kinds with no view decode as
-// ReadSynopsis decodes them.
+// into a *Sharded whose tiles alias the bytes, which re-encodes to the
+// same bytes and serializes back to JSON; every other kind decodes to
+// its ordinary type too.
 func TestReadSynopsisLazySharded(t *testing.T) {
 	data := validBinarySynopsisFiles(t)["sharded"]
 	path := filepath.Join(t.TempDir(), "sharded.dpgrid")
@@ -474,8 +481,8 @@ func TestReadSynopsisLazySharded(t *testing.T) {
 }
 
 // TestLoadSynopsisSATLessFallback: containers without a summed-area
-// trailer have no zero-copy structure; the serving loader copies them,
-// reports them as not SAT-backed, and answers as ReadSynopsis does.
+// trailer load with rebuilt prefix tables, report themselves as not
+// SAT-backed, and answer as ReadSynopsis does.
 func TestLoadSynopsisSATLessFallback(t *testing.T) {
 	for name, data := range satlessBinarySynopsisFiles(t) {
 		read, err := ReadSynopsis(bytes.NewReader(data))
@@ -498,8 +505,8 @@ func TestLoadSynopsisSATLessFallback(t *testing.T) {
 }
 
 // TestServedSynopsisJSONMatchesRead: a release loaded for serving —
-// zero-copy views over heap or mapped bytes — writes the same JSON as
-// the copying reader's release of the same file, byte for byte.
+// its tables aliasing heap or mapped bytes — writes the same JSON as
+// ReadSynopsisFile's release of the same file, byte for byte.
 func TestServedSynopsisJSONMatchesRead(t *testing.T) {
 	paths := writeMappedTestFiles(t, FormatBinary)
 	for _, name := range []string{"ug", "ag", "sharded"} {
@@ -566,6 +573,16 @@ func TestBinaryManifestSmallerThanJSON(t *testing.T) {
 // change and commit the result.
 var update = flag.Bool("update", false, "rewrite golden synopsis files")
 
+// goldenKinds names the committed golden files, testdata/golden.<kind>.*.
+var goldenKinds = []string{"ug", "ag", "sharded", "hierarchy", "kdtree", "privlet", "hist1d"}
+
+// goldenRects are the queries the golden files are checked against.
+var goldenRects = []Rect{
+	NewRect(0, 0, 20, 20),
+	NewRect(1.5, 2.5, 18, 19),
+	NewRect(9, 9, 11, 11),
+}
+
 // TestGoldenFiles pins the on-disk formats: the committed files must
 // load, answer consistently across encodings, and — for the binary
 // containers — re-encode bit-identically. A format change that breaks
@@ -581,12 +598,7 @@ func TestGoldenFiles(t *testing.T) {
 			}
 		}
 	}
-	queries := []Rect{
-		NewRect(0, 0, 20, 20),
-		NewRect(1.5, 2.5, 18, 19),
-		NewRect(9, 9, 11, 11),
-	}
-	for _, name := range []string{"ug", "ag", "sharded", "hierarchy", "kdtree", "privlet", "hist1d"} {
+	for _, name := range goldenKinds {
 		binPath := filepath.Join("testdata", "golden."+name+".dpgrid")
 		fromJSON, err := ReadSynopsisFile(filepath.Join("testdata", "golden."+name+".json"))
 		if err != nil {
@@ -596,7 +608,7 @@ func TestGoldenFiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, r := range queries {
+		for _, r := range goldenRects {
 			a, b := fromJSON.Query(r), fromBin.Query(r)
 			if diff := a - b; diff > 1e-9 || diff < -1e-9 {
 				t.Errorf("%s: Query(%v): JSON %g, binary %g", name, r, a, b)
@@ -612,6 +624,59 @@ func TestGoldenFiles(t *testing.T) {
 		}
 		if !bytes.Equal(golden, again.Bytes()) {
 			t.Errorf("%s: re-encoding the golden binary file changed bytes", name)
+		}
+	}
+}
+
+// TestGoldenFilesVersion1: the version-1 containers committed before
+// f64 sections were aligned (testdata/v1, the same releases as the
+// current goldens) still decode, answer bit-identically to the
+// version-2 goldens, and re-encode to the version-2 goldens' bytes.
+func TestGoldenFilesVersion1(t *testing.T) {
+	for _, name := range goldenKinds {
+		old, err := ReadSynopsisFile(filepath.Join("testdata", "v1", "golden."+name+".dpgrid"))
+		if err != nil {
+			t.Fatalf("%s: version-1 file: %v", name, err)
+		}
+		binPath := filepath.Join("testdata", "golden."+name+".dpgrid")
+		cur, err := ReadSynopsisFile(binPath)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range goldenRects {
+			if a, b := old.Query(r), cur.Query(r); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%s: Query(%v): version 1 %v, version 2 %v", name, r, a, b)
+			}
+		}
+		golden, err := os.ReadFile(binPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := WriteSynopsisBinary(&again, old); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(golden, again.Bytes()) {
+			t.Errorf("%s: the version-1 file did not re-encode to the version-2 golden", name)
+		}
+	}
+}
+
+// TestReadSynopsisBufferHasNoSlack: ReadSynopsis decodes from a buffer
+// with cap == len, since a binary synopsis retains the buffer and
+// io.ReadAll's growth slack would live as long as the synopsis.
+func TestReadSynopsisBufferHasNoSlack(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 6000, 100_000} {
+		body := bytes.Repeat([]byte{7}, n)
+		data, err := readAllExact(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, body) {
+			t.Fatalf("%d bytes: read changed them", n)
+		}
+		if cap(data) != len(data) {
+			t.Errorf("%d bytes: buffer cap %d != len %d", n, cap(data), len(data))
 		}
 	}
 }
@@ -810,7 +875,8 @@ func TestAssembleShardedRejectsBadTiles(t *testing.T) {
 
 // goldenSATTrailerLen reads a golden UG/AG container's dimension fields
 // off the wire and returns its summed-area trailer's byte length:
-// tag (2) + length prefix (8) + (mx+1)*(my+1) float64 entries.
+// tag (2) + alignment padding (6: UG and AG bodies end 8-byte aligned)
+// + length prefix (8) + (mx+1)*(my+1) float64 entries.
 func goldenSATTrailerLen(t testing.TB, data []byte) int {
 	t.Helper()
 	d, kind, err := codec.NewDec(data)
@@ -836,7 +902,7 @@ func goldenSATTrailerLen(t testing.TB, data []byte) int {
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return 2 + 8 + 8*(mx+1)*(my+1)
+	return 2 + 6 + 8 + 8*(mx+1)*(my+1)
 }
 
 // TestGoldenSATSectionIgnorable locks the forward-compatibility promise
