@@ -60,7 +60,7 @@ func run(args []string, w io.Writer) error {
 	eps := fs.Float64("eps", 1, "privacy budget epsilon")
 	gridSize := fs.Int("m", 0, "grid size override (ug/privlet); 0 = Guideline 1")
 	seed := fs.Int64("seed", 0, "noise seed (0 = non-deterministic)")
-	workers := fs.Int("workers", 0, "goroutines for the parallel build engine (0 = one per CPU); the released synopsis is bit-identical for every value")
+	workers := fs.Int("workers", 0, "goroutines for the parallel build engine (0 = one per CPU); the released synopsis is bit-identical for every value. CSV parsing always uses GOMAXPROCS goroutines")
 	queryFlag := fs.String("query", "", "single query rectangle x0,y0,x1,y1")
 	queriesFile := fs.String("queries", "", "file of query rectangles, one x0,y0,x1,y1 per line")
 	saveFile := fs.String("save", "", "write the built synopsis (any method) to this file for later -load")
@@ -125,6 +125,7 @@ func run(args []string, w io.Writer) error {
 		// materializing the dataset; the baseline methods still need the
 		// point slice in memory.
 		seq := dpgrid.CSVFilePoints(*in)
+		var points []dpgrid.Point
 		readPoints := func() ([]dpgrid.Point, error) {
 			f, err := os.Open(*in)
 			if err != nil {
@@ -137,16 +138,18 @@ func run(args []string, w io.Writer) error {
 		// Resolve aliases and -method auto to a concrete method before
 		// dispatching. auto reads the dataset once to learn N, folds in
 		// the workload shape, and reports its (auditable) choice on
-		// stderr so pipelines capturing stdout stay clean.
+		// stderr so pipelines capturing stdout stay clean. The build
+		// then reuses the points auto read instead of parsing the CSV
+		// again.
 		chosen := *method
 		if chosen == "kdhybrid" {
 			chosen = "kdtree"
 		}
 		if chosen == "auto" {
-			points, perr := readPoints()
-			if perr != nil {
-				return perr
+			if points, err = readPoints(); err != nil {
+				return err
 			}
+			seq = dpgrid.SlicePoints(points)
 			rects := make([]dpgrid.Rect, len(queries))
 			for i, q := range queries {
 				rects[i] = q.rect
@@ -184,9 +187,10 @@ func run(args []string, w io.Writer) error {
 			case "ag":
 				syn, err = dpgrid.BuildAdaptiveGridSeq(seq, dom, *eps, dpgrid.AGOptions{Workers: *workers}, src)
 			case "hierarchy", "kdtree", "kdstandard", "privlet":
-				points, perr := readPoints()
-				if perr != nil {
-					return perr
+				if points == nil {
+					if points, err = readPoints(); err != nil {
+						return err
+					}
 				}
 				switch chosen {
 				case "hierarchy":

@@ -347,3 +347,44 @@ func TestRunWorkersBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAutoMatchesExplicitMethod checks that -method auto, which
+// builds from the points it read to choose, releases exactly the bytes
+// of naming its choice outright with the same seed.
+func TestRunAutoMatchesExplicitMethod(t *testing.T) {
+	csv := writeTestCSV(t, 20000)
+	dir := t.TempDir()
+	cases := []struct {
+		method string // what auto resolves to
+		extra  []string
+	}{
+		{"ag", []string{"-query", "10,10,20,20"}},
+		{"ug", []string{"-query", "0,0,90,90"}},
+		{"ag", []string{"-query", "10,10,20,20", "-shards", "2x2"}},
+	}
+	for ci, tc := range cases {
+		var files []string
+		for _, method := range []string{"auto", tc.method} {
+			out := filepath.Join(dir, fmt.Sprintf("c%d-%s.dpgrid", ci, method))
+			args := append([]string{
+				"-in", csv, "-domain", "0,0,100,100", "-eps", "1", "-seed", "7",
+				"-method", method, "-format", "binary", "-save", out,
+			}, tc.extra...)
+			if err := run(args, io.Discard); err != nil {
+				t.Fatalf("%s %v: %v", method, tc.extra, err)
+			}
+			files = append(files, out)
+		}
+		auto, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		explicit, err := os.ReadFile(files[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(auto, explicit) {
+			t.Errorf("%v: -method auto released different bytes than -method %s", tc.extra, tc.method)
+		}
+	}
+}

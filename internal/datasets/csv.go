@@ -6,7 +6,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strconv"
+	"sync"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
 )
@@ -56,61 +59,178 @@ func streamCSV(r io.Reader, fn func(geom.Point)) error {
 	})
 }
 
-// csvReadBuffer is the bufio read-ahead of the block reader: large
-// enough that a spinning disk or network filesystem sees sequential
-// reads, small enough to be irrelevant next to the parse buffers.
-const csvReadBuffer = 256 << 10
+// csvBlockSize is the size of one read block of the CSV parser. A
+// block holds tens of thousands of lines, so the per-block handoff
+// between goroutines is noise next to parsing it, and the blocks in
+// flight (at most 2·GOMAXPROCS) stay a few MiB per CPU.
+const csvBlockSize = 1 << 20
 
-// streamCSVChunks is the buffered block CSV reader behind every CSV
-// ingestion path: it parses "x,y" records into blocks of up to
-// geom.DefaultChunkSize points and hands each block to fn. The chunk
-// slice is reused between calls (the geom.ChunkSeq contract).
+// csvBlock is one unit of the CSV pipeline: whole lines read from the
+// input, and what a parse goroutine made of them.
+type csvBlock struct {
+	buf     []byte        // whole lines; only the input's last line may lack its '\n'
+	readErr error         // the read error that ended the input after buf
+	pts     []geom.Point  // the points of buf's lines, up to any bad line
+	lines   int           // physical lines in buf, up to and including any bad line
+	bad     []byte        // the first line that failed to parse, or nil
+	parsed  chan struct{} // receives one value when parse is done
+}
+
+// parse turns the block's lines into points. It stops at the first
+// bad line, which the in-order consumer parses again with its absolute
+// line number to build the error.
+func (b *csvBlock) parse() {
+	b.pts, b.lines, b.bad = b.pts[:0], 0, nil
+	for data := b.buf; len(data) > 0; {
+		n := bytes.IndexByte(data, '\n') + 1
+		if n == 0 {
+			n = len(data)
+		}
+		line := data[:n]
+		data = data[n:]
+		b.lines++
+		p, ok, err := parsePointLine(line, b.lines)
+		if err != nil {
+			b.bad = line
+			return
+		}
+		if ok {
+			b.pts = append(b.pts, p)
+		}
+	}
+}
+
+// streamCSVChunks is the CSV block parser behind every CSV ingestion
+// path: it parses "x,y" records and hands them to fn in file order, in
+// chunks of at most geom.DefaultChunkSize points that are only valid
+// until fn returns (the geom.ChunkSeq contract).
+//
+// It is a three-stage pipeline. One goroutine reads r sequentially into
+// recycled blocks of about csvBlockSize bytes, each cut after its last
+// newline, the partial line carrying into the next block.
+// runtime.GOMAXPROCS(0) goroutines parse whole blocks concurrently.
+// The calling goroutine takes the blocks back in file order and calls
+// fn. At most 2·GOMAXPROCS blocks are in flight. When fn returns an
+// error, or a line fails to parse, reading stops and the goroutines
+// are drained before streamCSVChunks returns.
 //
 // The hot path splits each line on its comma and parses the two fields
 // directly — no per-record allocations, several times faster than
 // encoding/csv. Lines containing a quote character fall back to an
 // encoding/csv parse of that line, so quoted records a csv.Writer
 // could emit keep working. Blank lines are skipped, matching
-// encoding/csv; errors identify the 1-based physical line.
+// encoding/csv. Errors identify the 1-based physical line; the first
+// error in file order wins, and a read error is reported only after
+// every complete line before it has been delivered.
 func streamCSVChunks(r io.Reader, fn func(chunk []geom.Point) error) error {
-	br := bufio.NewReaderSize(r, csvReadBuffer)
-	chunk := make([]geom.Point, 0, geom.DefaultChunkSize)
-	var long []byte // spill for lines longer than the read buffer
-	line := 0
+	parsers := runtime.GOMAXPROCS(0)
+	// Every channel holds up to every block there is, so no send on one
+	// ever blocks.
+	inFlight := 2 * parsers
+	free := make(chan *csvBlock, inFlight)
+	for i := 0; i < inFlight; i++ {
+		free <- &csvBlock{parsed: make(chan struct{}, 1)}
+	}
+	order := make(chan *csvBlock, inFlight)
+	work := make(chan *csvBlock, inFlight)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(parsers + 1)
+	go func() {
+		defer wg.Done()
+		readCSVBlocks(r, free, stop, order, work)
+	}()
+	for i := 0; i < parsers; i++ {
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				b.parse()
+				b.parsed <- struct{}{}
+			}
+		}()
+	}
+	// Stop the reader and wait out every goroutine, also when fn panics.
+	defer func() {
+		close(stop)
+		for b := range order {
+			<-b.parsed
+		}
+		wg.Wait()
+	}()
+
+	line := 0 // physical lines before the current block
+	for b := range order {
+		<-b.parsed
+		for pts := b.pts; len(pts) > 0; {
+			n := min(len(pts), geom.DefaultChunkSize)
+			if err := fn(pts[:n:n]); err != nil {
+				return err
+			}
+			pts = pts[n:]
+		}
+		if b.bad != nil {
+			_, _, err := parsePointLine(b.bad, line+b.lines)
+			return err
+		}
+		line += b.lines
+		if b.readErr != nil {
+			return fmt.Errorf("datasets: read csv line %d: %w", line+1, b.readErr)
+		}
+		free <- b
+	}
+	return nil
+}
+
+// readCSVBlocks fills blocks taken from free with whole lines of r and
+// sends each to order and to work, in file order, until r ends, fails,
+// or stop is closed. It then closes order and work.
+func readCSVBlocks(r io.Reader, free <-chan *csvBlock, stop <-chan struct{}, order, work chan<- *csvBlock) {
+	defer close(work)
+	defer close(order)
+	var carry []byte // the partial last line of the previous block
 	for {
-		data, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			long = append(long[:0], data...)
-			for err == bufio.ErrBufferFull {
-				data, err = br.ReadSlice('\n')
-				long = append(long, data...)
-			}
-			data = long
+		var b *csvBlock
+		select {
+		case b = <-free:
+		case <-stop:
+			return
 		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("datasets: read csv line %d: %w", line+1, err)
+		buf := append(b.buf[:0], carry...)
+		if cap(buf) < csvBlockSize {
+			buf = slices.Grow(buf, csvBlockSize-len(buf))
 		}
-		if len(data) > 0 {
-			line++
-			p, ok, perr := parsePointLine(data, line)
-			if perr != nil {
-				return perr
-			}
-			if ok {
-				chunk = append(chunk, p)
-				if len(chunk) == cap(chunk) {
-					if ferr := fn(chunk); ferr != nil {
-						return ferr
-					}
-					chunk = chunk[:0]
+		var err error
+		for empty := 0; err == nil; {
+			if len(buf) == cap(buf) {
+				if bytes.LastIndexByte(buf, '\n') >= 0 {
+					break
 				}
+				buf = slices.Grow(buf, csvBlockSize) // a line longer than the block
+			}
+			var n int
+			n, err = r.Read(buf[len(buf):cap(buf)])
+			buf = buf[:len(buf)+n]
+			if n > 0 || err != nil {
+				empty = 0
+			} else if empty++; empty == 100 {
+				err = io.ErrNoProgress // what bufio reports for a stuck reader
 			}
 		}
 		if err == io.EOF {
-			if len(chunk) > 0 {
-				return fn(chunk)
+			if len(buf) > 0 {
+				b.buf, b.readErr = buf, nil
+				order <- b
+				work <- b
 			}
-			return nil
+			return
+		}
+		cut := bytes.LastIndexByte(buf, '\n') + 1
+		b.buf, b.readErr = buf[:cut], err
+		carry = append(carry[:0], buf[cut:]...)
+		order <- b
+		work <- b
+		if err != nil {
+			return
 		}
 	}
 }

@@ -1,0 +1,119 @@
+package datasets
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+)
+
+// errContractBlock is the CSV reader's block size. The boundary cases
+// below place a bad line around the first block boundary, the one
+// offset every block layout shares.
+const errContractBlock = 1 << 20
+
+// padCSV returns exactly n bytes (n >= 4) of valid "x,y" lines: "1,2"
+// lines, the last one widened with leading zeros in y to fill n.
+func padCSV(n int) string {
+	var sb strings.Builder
+	for n-4 >= 4 {
+		sb.WriteString("1,2\n")
+		n -= 4
+	}
+	sb.WriteString("1," + strings.Repeat("0", n-4) + "2\n")
+	return sb.String()
+}
+
+// failingReader returns data, then err instead of io.EOF.
+func failingReader(data string, err error) io.Reader {
+	return io.MultiReader(strings.NewReader(data), errReader{err})
+}
+
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// stuckReader never returns data or an error.
+type stuckReader struct{}
+
+func (stuckReader) Read([]byte) (int, error) { return 0, nil }
+
+// TestReadCSVErrorContract pins the exact error text, line number
+// included, of every way a CSV read can fail.
+func TestReadCSVErrorContract(t *testing.T) {
+	lineAfter := func(prefix string) int { return strings.Count(prefix, "\n") + 1 }
+	const bad = "abc,2\n"
+	before := padCSV(errContractBlock - len(bad))           // bad line ends on the boundary
+	straddle := padCSV(errContractBlock - 3)                // bad line crosses the boundary
+	after := padCSV(errContractBlock)                       // bad line starts on the boundary
+	longX := strings.Repeat("0", errContractBlock+10) + "1" // one line longer than a block
+	longBad := "1" + strings.Repeat("z", errContractBlock+10)
+	boom := errors.New("boom")
+
+	cases := []struct {
+		name string
+		r    io.Reader
+		want string // "" means no error
+		n    int    // points on success
+	}{
+		{"bad x", strings.NewReader("1,2\nabc,2\n"), `datasets: read csv line 2: bad x "abc"`, 0},
+		{"bad y", strings.NewReader("1,2\n3,4\n1,xyz\n"), `datasets: read csv line 3: bad y "xyz"`, 0},
+		{"empty y", strings.NewReader("1,\n"), `datasets: read csv line 1: bad y ""`, 0},
+		{"one field", strings.NewReader("1,2\n1\n"), "datasets: read csv line 2: want 2 fields", 0},
+		{"three fields", strings.NewReader("1,2,3\n"), "datasets: read csv line 1: want 2 fields", 0},
+		{"quoted ok", strings.NewReader("\"1\",\"2\"\n3,4\n"), "", 2},
+		{"quoted open", strings.NewReader("1,2\n\"1,2\n"), "datasets: read csv line 2: parse error on line 1, column 5: extraneous or missing \" in quoted-field", 0},
+		{"quoted bare", strings.NewReader("1,2\n1,2\"3\n"), "datasets: read csv line 2: parse error on line 1, column 4: bare \" in non-quoted-field", 0},
+		{"quoted three fields", strings.NewReader("\"1\",2,3\n"), "datasets: read csv line 1: record on line 1: wrong number of fields", 0},
+		{"quoted bad x", strings.NewReader("\"a\",2\n"), `datasets: read csv line 1: bad x "a"`, 0},
+		{"bad before boundary", strings.NewReader(before + bad + "1,2\n"), fmt.Sprintf(`datasets: read csv line %d: bad x "abc"`, lineAfter(before)), 0},
+		{"bad on boundary", strings.NewReader(straddle + bad + "1,2\n"), fmt.Sprintf(`datasets: read csv line %d: bad x "abc"`, lineAfter(straddle)), 0},
+		{"bad after boundary", strings.NewReader(after + bad + "1,2\n"), fmt.Sprintf(`datasets: read csv line %d: bad x "abc"`, lineAfter(after)), 0},
+		{"bad second line after boundary", strings.NewReader(after + "1,2\n" + bad), fmt.Sprintf(`datasets: read csv line %d: bad x "abc"`, lineAfter(after)+1), 0},
+		{"bad late in second block", strings.NewReader(after + padCSV(errContractBlock/2) + bad), fmt.Sprintf(`datasets: read csv line %d: bad x "abc"`, lineAfter(after+padCSV(errContractBlock/2))), 0},
+		{"boundary ok", strings.NewReader(before + "1,2\n" + after), "", strings.Count(before+after, "\n") + 1},
+		{"crlf and blank lines", strings.NewReader("1,2\r\n\r\n\n3,4\r\n5,x\r\n"), `datasets: read csv line 5: bad y "x"`, 0},
+		{"crlf ok", strings.NewReader("1,2\r\n\r\n3,4\r\n\n"), "", 2},
+		{"no trailing newline", strings.NewReader("1,2\n3,4\nabc,5"), `datasets: read csv line 3: bad x "abc"`, 0},
+		{"no trailing newline ok", strings.NewReader("1,2\n3,4"), "", 2},
+		{"long line ok", strings.NewReader("1,2\n" + longX + ",2\n3,4"), "", 3},
+		{"bad after long line", strings.NewReader(longX + ",2\nabc,1\n"), `datasets: read csv line 2: bad x "abc"`, 0},
+		{"long bad line", strings.NewReader("1,2\n" + longBad + ",2\n"), fmt.Sprintf("datasets: read csv line 2: bad x %q", longBad), 0},
+		{"empty file", strings.NewReader(""), "", 0},
+		{"only blank lines", strings.NewReader("\n\r\n\n"), "", 0},
+		{"read error mid line", failingReader("1,2\n3,4\n5,", boom), "datasets: read csv line 3: boom", 0},
+		{"read error after newline", failingReader("1,2\n", boom), "datasets: read csv line 2: boom", 0},
+		{"read error at start", failingReader("", boom), "datasets: read csv line 1: boom", 0},
+		{"bad line before read error", failingReader("1,2\nx,1\n3,4\n", boom), `datasets: read csv line 2: bad x "x"`, 0},
+		{"stuck reader", stuckReader{}, "datasets: read csv line 1: multiple Read calls return no data or error", 0},
+		{"stuck after a line", io.MultiReader(strings.NewReader("1,2\n3,"), stuckReader{}), "datasets: read csv line 2: multiple Read calls return no data or error", 0},
+		{"read error after boundary", failingReader(after+"1,2\n", boom), fmt.Sprintf("datasets: read csv line %d: boom", lineAfter(after)+1), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pts, err := ReadCSV(tc.r)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %.200v", err)
+				}
+				if len(pts) != tc.n {
+					t.Fatalf("%d points, want %d", len(pts), tc.n)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("no error, want %q", tc.want)
+			}
+			if got := err.Error(); got != tc.want {
+				if len(got) > 200 || len(tc.want) > 200 {
+					t.Fatalf("error text differs (len %d, want len %d)", len(got), len(tc.want))
+				}
+				t.Fatalf("error %q, want %q", got, tc.want)
+			}
+			if tc.name == "read error mid line" && !errors.Is(err, boom) {
+				t.Errorf("read error does not wrap the reader's error")
+			}
+		})
+	}
+}

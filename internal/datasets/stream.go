@@ -13,7 +13,8 @@ import (
 // can ingest datasets larger than RAM — the paper's section IV-C
 // efficiency argument — and the parallel ingestion engine can hand
 // whole parsed blocks to histogram workers instead of a per-point
-// callback.
+// callback. Every pass parses the file on GOMAXPROCS goroutines (see
+// streamCSVChunks) and delivers the points in file order.
 type CSVFileSeq struct {
 	Path string
 }
@@ -29,9 +30,9 @@ func (s CSVFileSeq) ForEach(fn func(geom.Point)) error {
 	return streamCSV(f, fn)
 }
 
-// ForEachChunk implements geom.ChunkSeq via the buffered block reader:
-// each block is parsed into a reused buffer of up to
-// geom.DefaultChunkSize points and handed to fn.
+// ForEachChunk implements geom.ChunkSeq via the parallel block parser:
+// fn receives the file's points in order, in chunks of up to
+// geom.DefaultChunkSize points that are reused after fn returns.
 func (s CSVFileSeq) ForEachChunk(fn func(chunk []geom.Point) error) error {
 	f, err := os.Open(s.Path)
 	if err != nil {

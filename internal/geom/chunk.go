@@ -35,8 +35,8 @@ type ChunkSeq interface {
 type chunkAbort struct{ err error }
 
 // ForEachChunk streams seq in blocks: natively when seq implements
-// ChunkSeq (slices yield zero-copy subslices, the block CSV reader
-// yields its parse buffer), otherwise by packing the per-point ForEach
+// ChunkSeq (slices yield zero-copy subslices, the CSV source yields its
+// parse buffers), otherwise by packing the per-point ForEach
 // stream into an internal buffer of DefaultChunkSize points. Every
 // PointSeq therefore has a chunked view, which is what lets the
 // parallel builders accept arbitrary sources.
@@ -99,8 +99,10 @@ func (s SlicePoints) ForEachChunk(fn func(chunk []Point) error) error {
 // workers goroutines: each chunk is handed to exactly one worker, and
 // handle(w, chunk) runs concurrently for distinct workers w in
 // [0, workers). The chunk is only valid during the call. workers < 1
-// means one worker per CPU; with one worker the scan runs entirely on
-// the calling goroutine, with no copies, channels, or goroutines.
+// means one worker per CPU; with one worker, handle runs on the calling
+// goroutine and ForEachChunkParallel itself adds no copies, channels,
+// or goroutines (the source may still use its own: the CSV source
+// parses on GOMAXPROCS goroutines behind its ordered chunk stream).
 //
 // Which worker receives which chunk is scheduling-dependent, so handle
 // must accumulate into per-worker state whose merged result is

@@ -20,7 +20,8 @@ type PointSeq = geom.PointSeq
 type SlicePoints = geom.SlicePoints
 
 // CSVFilePoints returns a PointSeq streaming "x,y" records from the file
-// at path, re-opening it on each pass and parsing in buffered blocks.
+// at path, re-opening it on each pass and parsing 1 MiB blocks in
+// parallel, with the points delivered in file order.
 // Building UG over it performs one scan (plus one counting scan when the
 // grid size is chosen from the data); AG's fused build performs at most
 // one scan when the dataset fits AGOptions.IndexLimit and two to three
