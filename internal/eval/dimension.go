@@ -9,7 +9,6 @@ import (
 	"math/rand"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
-	"github.com/dpgrid/dpgrid/internal/grid3d"
 	"github.com/dpgrid/dpgrid/internal/gridnd"
 	"github.com/dpgrid/dpgrid/internal/hist1d"
 	"github.com/dpgrid/dpgrid/internal/noise"
@@ -236,17 +235,20 @@ func gain2D(eps float64, n, trials, queries int, o ExpOptions) (HierarchyGainRow
 // gain3D: 64^3 leaves, 4x4x4 grouping (fanout 64), depth 4.
 func gain3D(eps float64, n, trials, queries int, seed int64) (HierarchyGainRow, error) {
 	rng := rand.New(rand.NewSource(seed + 301))
-	dom := grid3d.NewBox(0, 0, 0, 100, 100, 100)
-	pts := make([]grid3d.Point3, 0, n)
+	dom, err := gridnd.NewDomain([]float64{0, 0, 0}, []float64{100, 100, 100})
+	if err != nil {
+		return HierarchyGainRow{}, err
+	}
+	pts := make([][]float64, 0, n)
 	for len(pts) < n {
-		var p grid3d.Point3
+		var p []float64
 		if rng.Intn(4) == 0 {
-			p = grid3d.Point3{X: rng.Float64() * 100, Y: rng.Float64() * 100, Z: rng.Float64() * 100}
+			p = []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
 		} else {
-			p = grid3d.Point3{
-				X: 30 + rng.NormFloat64()*8,
-				Y: 60 + rng.NormFloat64()*10,
-				Z: 40 + rng.NormFloat64()*12,
+			p = []float64{
+				30 + rng.NormFloat64()*8,
+				60 + rng.NormFloat64()*10,
+				40 + rng.NormFloat64()*12,
 			}
 		}
 		if dom.Contains(p) {
@@ -254,18 +256,18 @@ func gain3D(eps float64, n, trials, queries int, seed int64) (HierarchyGainRow, 
 		}
 	}
 	// Exact truth grid at leaf granularity (zero-noise build).
-	truth, err := grid3d.BuildFlat3(pts, dom, 64, 1, noise.Zero)
+	truth, err := gridnd.BuildFlat(pts, dom, 64, 1, noise.Zero)
 	if err != nil {
 		return HierarchyGainRow{}, err
 	}
 	var flatErr, hierErr float64
 	count := 0
 	for trial := 0; trial < trials; trial++ {
-		flat, err := grid3d.BuildFlat3(pts, dom, 64, eps, noise.NewSource(seed+4000+int64(trial)))
+		flat, err := gridnd.BuildFlat(pts, dom, 64, eps, noise.NewSource(seed+4000+int64(trial)))
 		if err != nil {
 			return HierarchyGainRow{}, err
 		}
-		hier, err := grid3d.BuildHierarchical3(pts, dom, 64, 4, 4, eps, noise.NewSource(seed+5000+int64(trial)))
+		hier, err := gridnd.BuildHierarchical(pts, dom, 64, 4, 4, eps, noise.NewSource(seed+5000+int64(trial)))
 		if err != nil {
 			return HierarchyGainRow{}, err
 		}
@@ -276,7 +278,7 @@ func gain3D(eps float64, n, trials, queries int, seed int64) (HierarchyGainRow, 
 			x0 := qrng.Float64() * (100 - wx)
 			y0 := qrng.Float64() * (100 - wy)
 			z0 := qrng.Float64() * (100 - wz)
-			qb := grid3d.NewBox(x0, y0, z0, x0+wx, y0+wy, z0+wz)
+			qb := gridnd.Box{Lo: []float64{x0, y0, z0}, Hi: []float64{x0 + wx, y0 + wy, z0 + wz}}
 			want := truth.Query(qb)
 			flatErr += math.Abs(flat.Query(qb) - want)
 			hierErr += math.Abs(hier.Query(qb) - want)

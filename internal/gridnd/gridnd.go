@@ -3,12 +3,14 @@
 // uniformity-estimate box queries, and flat or hierarchical (constrained
 // inference) noising.
 //
-// It generalizes internal/grid (d = 2) and internal/grid3d (d = 3); the
-// specialized packages remain for their richer APIs, and gridnd's tests
-// cross-validate against both. Its role in the reproduction is the
-// d = 4 row of eval.HierarchyGainByDimension, extending the paper's
-// section IV-C prediction ("hierarchies would perform even worse with
-// higher dimensions") one dimension past the paper's own discussion.
+// Its Hierarchical is the one constrained-inference hierarchy builder:
+// package hierarchy (d = 2) and package hist1d (d = 1) run it on their
+// own leaf histograms. Grid generalizes internal/grid's prefix queries
+// to any d, and gridnd's tests cross-validate the two at d = 2. In the
+// reproduction it supplies the d = 3 and d = 4 rows of
+// eval.HierarchyGainByDimension, carrying the paper's section IV-C
+// prediction ("hierarchies would perform even worse with higher
+// dimensions") past the paper's own discussion.
 package gridnd
 
 import (
@@ -101,40 +103,42 @@ func newGrid(dom Domain, m int, vals []float64) *Grid {
 	}
 	prefix := make([]float64, s)
 
-	// Scatter cell values into the prefix array at index+1 per axis.
-	cellStrides := make([]int, d)
-	cs := 1
-	for k := 0; k < d; k++ {
-		cellStrides[k] = cs
-		cs *= m
-	}
-	idx := make([]int, d)
-	for ci := range vals {
-		// Decompose ci into per-axis indices.
-		rem := ci
-		for k := d - 1; k >= 0; k-- {
-			idx[k] = rem / cellStrides[k]
-			rem %= cellStrides[k]
+	// Scatter each axis-0 row of cells into the prefix array at index+1
+	// per axis; rest counts the row's position on axes 1..d-1.
+	rest := make([]int, d-1)
+	for ci := 0; ci < len(vals); ci += m {
+		pi := 1
+		for k, i := range rest {
+			pi += (i + 1) * strides[k+1]
 		}
-		pi := 0
-		for k := 0; k < d; k++ {
-			pi += (idx[k] + 1) * strides[k]
-		}
-		prefix[pi] = vals[ci]
+		copy(prefix[pi:pi+m], vals[ci:ci+m])
+		advance(rest, m)
 	}
 
-	// Integrate along each axis in turn (standard summed-area table).
-	for k := 0; k < d; k++ {
-		stride := strides[k]
-		for i := range prefix {
-			// Position along axis k.
-			if (i/stride)%side == 0 {
-				continue
+	// Integrate along each axis in turn (standard summed-area table),
+	// one block of side positions along the axis at a time; a block's
+	// first stride entries sit at position 0 and stay as they are.
+	for _, stride := range strides {
+		block := stride * side
+		for base := 0; base < s; base += block {
+			for i := base + stride; i < base+block; i++ {
+				prefix[i] += prefix[i-stride]
 			}
-			prefix[i] += prefix[i-stride]
 		}
 	}
 	return &Grid{dom: dom, d: d, m: m, strides: strides, prefix: prefix}
+}
+
+// advance steps the odometer idx, axis 0 fastest, each digit counting
+// 0..n-1, and reports false once it wraps back to all zeros.
+func advance(idx []int, n int) bool {
+	for k := range idx {
+		if idx[k]++; idx[k] < n {
+			return true
+		}
+		idx[k] = 0
+	}
+	return false
 }
 
 // M returns the per-axis grid size.
@@ -321,10 +325,29 @@ func BuildFlat(points [][]float64, dom Domain, m int, eps float64, src noise.Sou
 
 // BuildHierarchical releases an eps-DP m^d grid through a hierarchy that
 // groups b^d cells per level (depth levels, eps/depth per level) with
-// constrained inference.
+// constrained inference; see Hierarchical.
 func BuildHierarchical(points [][]float64, dom Domain, m, b, depth int, eps float64, src noise.Source) (*Grid, error) {
 	if err := validate(dom, m, eps, src); err != nil {
 		return nil, err
+	}
+	leaves, err := histogram(points, dom, m)
+	if err != nil {
+		return nil, err
+	}
+	est, err := Hierarchical(leaves, dom.Dims(), m, b, depth, eps, src)
+	if err != nil {
+		return nil, err
+	}
+	return newGrid(dom, m, est), nil
+}
+
+// LevelSizes returns the per-axis size of each of the depth levels of a
+// hierarchy over an m-cell axis, leaf first: m, m/b, m/b^2, ... Every
+// level must divide evenly by the branching factor b, which must be at
+// least 2 when there is more than one level.
+func LevelSizes(m, b, depth int) ([]int, error) {
+	if m < 1 {
+		return nil, fmt.Errorf("gridnd: grid size must be positive, got %d", m)
 	}
 	if depth < 1 {
 		return nil, fmt.Errorf("gridnd: depth must be >= 1, got %d", depth)
@@ -332,136 +355,134 @@ func BuildHierarchical(points [][]float64, dom Domain, m, b, depth int, eps floa
 	if depth > 1 && b < 2 {
 		return nil, fmt.Errorf("gridnd: branching must be >= 2, got %d", b)
 	}
-	d := dom.Dims()
 	sizes := make([]int, depth)
 	sizes[0] = m
 	for l := 1; l < depth; l++ {
 		if sizes[l-1]%b != 0 {
-			return nil, fmt.Errorf("gridnd: level size %d not divisible by %d", sizes[l-1], b)
+			return nil, fmt.Errorf("gridnd: level size %d not divisible by branching %d", sizes[l-1], b)
 		}
 		sizes[l] = sizes[l-1] / b
 	}
+	return sizes, nil
+}
 
-	// Exact counts per level, aggregating up axis-wise.
-	exact := make([][]float64, depth)
-	var err error
-	exact[0], err = histogram(points, dom, m)
+// Hierarchical is the Hay et al. hierarchy behind every hierarchical
+// release in the repository. leaves is an exact m^d histogram, axis 0
+// fastest; each coarser level (shaped by LevelSizes) sums b^d cells of
+// the level below. Every level's sums get Laplace noise at eps/depth,
+// so the release spends eps in total, and constrained inference
+// (package infer) reconciles the levels. It returns the m^d leaf
+// estimates in the layout of leaves and does not modify leaves.
+func Hierarchical(leaves []float64, d, m, b, depth int, eps float64, src noise.Source) ([]float64, error) {
+	if d < 1 {
+		return nil, fmt.Errorf("gridnd: dimension must be >= 1, got %d", d)
+	}
+	sizes, err := LevelSizes(m, b, depth)
 	if err != nil {
 		return nil, err
 	}
-	cellCount := make([]int, depth)
-	cellCount[0] = len(exact[0])
-	for l := 1; l < depth; l++ {
-		n, err := cellsFor(sizes[l], d)
+	mech, err := noise.NewMechanism(eps/float64(depth), 1, src)
+	if err != nil {
+		return nil, fmt.Errorf("gridnd: %w", err)
+	}
+
+	// One node per cell of every level, leaves first: level l occupies
+	// counts[offsets[l]:offsets[l+1]].
+	offsets := make([]int, depth+1)
+	for l, sm := range sizes {
+		n, err := cellsFor(sm, d)
 		if err != nil {
 			return nil, err
 		}
-		cellCount[l] = n
-		exact[l] = make([]float64, n)
-		fm, sm := sizes[l-1], sizes[l]
-		idx := make([]int, d)
-		fineStrides := make([]int, d)
-		coarseStrides := make([]int, d)
-		fs, cs := 1, 1
-		for k := 0; k < d; k++ {
-			fineStrides[k] = fs
-			coarseStrides[k] = cs
-			fs *= fm
-			cs *= sm
-		}
-		for ci, v := range exact[l-1] {
-			rem := ci
-			for k := d - 1; k >= 0; k-- {
-				idx[k] = rem / fineStrides[k]
-				rem %= fineStrides[k]
-			}
-			pi := 0
-			for k := 0; k < d; k++ {
-				pi += (idx[k] / b) * coarseStrides[k]
-			}
-			exact[l][pi] += v
-		}
+		offsets[l+1] = offsets[l] + n
+	}
+	if len(leaves) != offsets[1] {
+		return nil, fmt.Errorf("gridnd: %d leaves for a %d^%d grid", len(leaves), m, d)
+	}
+	counts := make([]float64, offsets[depth])
+	copy(counts, leaves)
+	level := func(l int) []float64 { return counts[offsets[l]:offsets[l+1]] }
+	for l := 1; l < depth; l++ {
+		sumLevel(level(l), level(l-1), d, sizes[l-1], b)
+	}
+	for l := 0; l < depth; l++ {
+		mech.PerturbAll(level(l))
 	}
 
-	perLevel := eps / float64(depth)
-	variance := make([]float64, depth)
-	for l := 0; l < depth; l++ {
-		mech, err := noise.NewMechanism(perLevel, 1, src)
-		if err != nil {
-			return nil, fmt.Errorf("gridnd: %w", err)
-		}
-		mech.PerturbAll(exact[l])
-		variance[l] = mech.Variance()
+	forest := &infer.Forest{
+		Nodes: make([]infer.Node, len(counts)),
+		Roots: make([]int, 0, offsets[depth]-offsets[depth-1]),
 	}
-
-	// Constrained inference forest.
-	offsets := make([]int, depth)
-	total := 0
-	for l := 0; l < depth; l++ {
-		offsets[l] = total
-		total += cellCount[l]
+	variance := mech.Variance()
+	for i, c := range counts {
+		forest.Nodes[i] = infer.Node{Count: c, Variance: variance}
 	}
-	forest := &infer.Forest{Nodes: make([]infer.Node, total)}
-	fanout := 1
-	for k := 0; k < d; k++ {
-		fanout *= b
+	for l := 1; l < depth; l++ {
+		linkChildren(forest.Nodes[offsets[l]:offsets[l+1]], offsets[l-1], d, sizes[l-1], b)
 	}
-	for l := 0; l < depth; l++ {
-		sm := sizes[l]
-		smStrides := make([]int, d)
-		s := 1
-		for k := 0; k < d; k++ {
-			smStrides[k] = s
-			s *= sm
-		}
-		idx := make([]int, d)
-		for ci := 0; ci < cellCount[l]; ci++ {
-			node := offsets[l] + ci
-			forest.Nodes[node].Count = exact[l][ci]
-			forest.Nodes[node].Variance = variance[l]
-			if l > 0 {
-				rem := ci
-				for k := d - 1; k >= 0; k-- {
-					idx[k] = rem / smStrides[k]
-					rem %= smStrides[k]
-				}
-				fm := sizes[l-1]
-				fmStrides := make([]int, d)
-				fs := 1
-				for k := 0; k < d; k++ {
-					fmStrides[k] = fs
-					fs *= fm
-				}
-				children := make([]int, 0, fanout)
-				sub := make([]int, d)
-				for {
-					pi := 0
-					for k := 0; k < d; k++ {
-						pi += (idx[k]*b + sub[k]) * fmStrides[k]
-					}
-					children = append(children, offsets[l-1]+pi)
-					k := 0
-					for ; k < d; k++ {
-						sub[k]++
-						if sub[k] < b {
-							break
-						}
-						sub[k] = 0
-					}
-					if k == d {
-						break
-					}
-				}
-				forest.Nodes[node].Children = children
-			}
-		}
-	}
-	for i := 0; i < cellCount[depth-1]; i++ {
-		forest.Roots = append(forest.Roots, offsets[depth-1]+i)
+	for i := offsets[depth-1]; i < offsets[depth]; i++ {
+		forest.Roots = append(forest.Roots, i)
 	}
 	est, err := forest.Infer()
 	if err != nil {
 		return nil, fmt.Errorf("gridnd: %w", err)
 	}
-	return newGrid(dom, m, est[:cellCount[0]]), nil
+	return est[:offsets[1]:offsets[1]], nil
+}
+
+// sumLevel adds every cell of fine, an fm^d level, into the cell of
+// coarse that groups it with its b^d siblings, in fine's cell order.
+func sumLevel(coarse, fine []float64, d, fm, b int) {
+	sm := fm / b
+	rest := make([]int, d-1) // the fine row's position on axes 1..d-1
+	for f := 0; f < len(fine); {
+		row, stride := 0, sm
+		for _, i := range rest {
+			row += i / b * stride
+			stride *= sm
+		}
+		for c := row; c < row+sm; c++ {
+			for j := 0; j < b; j++ {
+				coarse[c] += fine[f]
+				f++
+			}
+		}
+		advance(rest, fm)
+	}
+}
+
+// linkChildren points each node of a coarse level at its b^d children
+// in the fm^d level whose first node is fineOff, axis 0 fastest. The
+// child lists share one backing slice.
+func linkChildren(nodes []infer.Node, fineOff, d, fm, b int) {
+	// sub[j] is the j-th child's offset from its parent's first child.
+	var sub []int
+	digit := make([]int, d)
+	for {
+		off, stride := 0, 1
+		for _, i := range digit {
+			off += i * stride
+			stride *= fm
+		}
+		sub = append(sub, off)
+		if !advance(digit, b) {
+			break
+		}
+	}
+	fanout := len(sub)
+	children := make([]int, len(nodes)*fanout)
+	idx := make([]int, d)
+	for n := range nodes {
+		first, stride := fineOff, 1
+		for _, i := range idx {
+			first += i * b * stride
+			stride *= fm
+		}
+		ch := children[n*fanout : (n+1)*fanout : (n+1)*fanout]
+		for j, off := range sub {
+			ch[j] = first + off
+		}
+		nodes[n].Children = ch
+		advance(idx, fm/b)
+	}
 }

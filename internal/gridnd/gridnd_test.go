@@ -1,13 +1,13 @@
 package gridnd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
-	"github.com/dpgrid/dpgrid/internal/grid3d"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
@@ -66,6 +66,22 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := BuildHierarchical(nil, dom, 6, 4, 2, 1, src); err == nil {
 		t.Error("indivisible branching accepted")
 	}
+	dom3 := mustDomain(t, []float64{0, 0, 0}, []float64{1, 1, 1})
+	if _, err := BuildHierarchical(nil, dom3, 4, 3, 2, 1, src); err == nil {
+		t.Error("d=3 indivisible branching accepted")
+	}
+	if _, err := BuildHierarchical(nil, dom3, 4, 2, 0, 1, src); err == nil {
+		t.Error("d=3 zero depth accepted")
+	}
+	if _, err := BuildHierarchical(nil, dom3, 4, 1, 2, 1, src); err == nil {
+		t.Error("d=3 branching 1 accepted")
+	}
+	if _, err := Hierarchical(make([]float64, 63), 3, 4, 2, 2, 1, src); err == nil {
+		t.Error("63 leaves accepted for a 4^3 grid")
+	}
+	if _, err := Hierarchical(make([]float64, 16), 0, 4, 2, 2, 1, src); err == nil {
+		t.Error("zero dimension accepted")
+	}
 }
 
 func TestOneDimensionalBasics(t *testing.T) {
@@ -81,11 +97,14 @@ func TestOneDimensionalBasics(t *testing.T) {
 	if got := g.Query(Box{Lo: []float64{0}, Hi: []float64{2}}); math.Abs(got-2) > 1e-9 {
 		t.Errorf("Query [0,2] = %g, want 2", got)
 	}
-	if got := g.Query(Box{Lo: []float64{0.5}, Hi: []float64{1.0}}); math.Abs(got-0.5) > 1e-9 {
-		// Half of bin [1,2)'s single point... point 1 is in bin 1; [0.5,1.0]
-		// covers half of bin 0 (empty) -> 0. Recheck: bins are [0,1),[1,2)...
-		// [0.5,1.0] covers half of bin 0 only. Expect 0.
-		t.Logf("fractional semantics: got %g", got)
+	// Bins are [0,1), [1,2), ...: bin 0 is empty and bin 1 holds two
+	// points, so [0.5,1.0] covers half of an empty bin and [0.5,1.5] adds
+	// half of bin 1.
+	if got := g.Query(Box{Lo: []float64{0.5}, Hi: []float64{1.0}}); got != 0 {
+		t.Errorf("Query [0.5,1.0] = %g, want 0", got)
+	}
+	if got := g.Query(Box{Lo: []float64{0.5}, Hi: []float64{1.5}}); math.Abs(got-1) > 1e-9 {
+		t.Errorf("Query [0.5,1.5] = %g, want 1", got)
 	}
 }
 
@@ -125,49 +144,6 @@ func TestMatchesGrid2D(t *testing.T) {
 	}
 }
 
-// TestMatchesGrid3D cross-validates gridnd at d=3 against internal/grid3d.
-func TestMatchesGrid3D(t *testing.T) {
-	const m = 6
-	dom3 := grid3d.NewBox(0, 0, 0, 10, 10, 10)
-	domN := mustDomain(t, []float64{0, 0, 0}, []float64{10, 10, 10})
-	rng := rand.New(rand.NewSource(3))
-
-	// Build both from the same points with zero noise.
-	n := 5000
-	pts3 := make([]grid3d.Point3, n)
-	ptsN := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		x, y, z := rng.Float64()*10, rng.Float64()*10, rng.Float64()*10
-		pts3[i] = grid3d.Point3{X: x, Y: y, Z: z}
-		ptsN[i] = []float64{x, y, z}
-	}
-	g3, err := grid3d.BuildFlat3(pts3, dom3, m, 1, noise.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gn, err := BuildFlat(ptsN, domN, m, 1, noise.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 300; trial++ {
-		c := func() (float64, float64) {
-			a, b := rng.Float64()*10, rng.Float64()*10
-			if a > b {
-				a, b = b, a
-			}
-			return a, b
-		}
-		x0, x1 := c()
-		y0, y1 := c()
-		z0, z1 := c()
-		want := g3.Query(grid3d.NewBox(x0, y0, z0, x1, y1, z1))
-		got := gn.Query(Box{Lo: []float64{x0, y0, z0}, Hi: []float64{x1, y1, z1}})
-		if math.Abs(got-want) > 1e-7*(1+math.Abs(want)) {
-			t.Fatalf("trial %d: gridnd %g != grid3d %g", trial, got, want)
-		}
-	}
-}
-
 func Test4DFlatZeroNoise(t *testing.T) {
 	dom := mustDomain(t, []float64{0, 0, 0, 0}, []float64{10, 10, 10, 10})
 	pts := randomPointsND(4, 5000, 4, 10)
@@ -185,18 +161,185 @@ func Test4DFlatZeroNoise(t *testing.T) {
 	}
 }
 
-func Test4DHierarchicalConsistency(t *testing.T) {
-	dom := mustDomain(t, []float64{0, 0, 0, 0}, []float64{10, 10, 10, 10})
-	pts := randomPointsND(5, 3000, 4, 10)
-	g, err := BuildHierarchical(pts, dom, 8, 2, 3, 1, noise.NewSource(5))
+// cube returns the domain [0, extent]^d.
+func cube(t *testing.T, d int, extent float64) Domain {
+	t.Helper()
+	lo, hi := make([]float64, d), make([]float64, d)
+	for k := range hi {
+		hi[k] = extent
+	}
+	return mustDomain(t, lo, hi)
+}
+
+func TestHierarchicalConsistency(t *testing.T) {
+	for _, tc := range []struct{ d, m, b, depth int }{
+		{2, 8, 2, 3},
+		{3, 4, 2, 2},
+		{4, 8, 2, 3},
+	} {
+		t.Run(fmt.Sprintf("d=%d", tc.d), func(t *testing.T) {
+			pts := randomPointsND(5, 3000, tc.d, 10)
+			g, err := BuildHierarchical(pts, cube(t, tc.d, 10), tc.m, tc.b, tc.depth, 1, noise.NewSource(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tol := 1e-6 * (1 + math.Abs(g.Total()))
+			// The 2^d orthants, and the two halves along each axis,
+			// partition the domain, so each set must sum to the total.
+			var orthants float64
+			for mask := 0; mask < 1<<tc.d; mask++ {
+				box := Box{Lo: make([]float64, tc.d), Hi: make([]float64, tc.d)}
+				for k := 0; k < tc.d; k++ {
+					box.Lo[k], box.Hi[k] = 0, 5
+					if mask&(1<<k) != 0 {
+						box.Lo[k], box.Hi[k] = 5, 10
+					}
+				}
+				orthants += g.Query(box)
+			}
+			if math.Abs(orthants-g.Total()) > tol {
+				t.Errorf("orthants sum %g != total %g", orthants, g.Total())
+			}
+			for k := 0; k < tc.d; k++ {
+				lo, hi := cube(t, tc.d, 10), cube(t, tc.d, 10)
+				lo.Hi[k], hi.Lo[k] = 5, 5
+				left, right := g.Query(Box(lo)), g.Query(Box(hi))
+				if math.Abs(left+right-g.Total()) > tol {
+					t.Errorf("axis %d halves %g + %g != total %g", k, left, right, g.Total())
+				}
+			}
+		})
+	}
+}
+
+// naiveQuery is the brute-force uniformity estimate over [0, extent]^d:
+// every cell's value weighted by the fraction of the cell box covers.
+func naiveQuery(vals []float64, d, m int, extent float64, box Box) float64 {
+	w := extent / float64(m)
+	idx := make([]int, d)
+	var total float64
+	for _, v := range vals {
+		frac := 1.0
+		for k, i := range idx {
+			lo, hi := float64(i)*w, float64(i+1)*w
+			frac *= math.Max(0, math.Min(hi, box.Hi[k])-math.Max(lo, box.Lo[k])) / w
+		}
+		total += frac * v
+		advance(idx, m)
+	}
+	return total
+}
+
+func TestQueryMatchesNaive(t *testing.T) {
+	const m = 6
+	for d := 1; d <= 4; d++ {
+		rng := rand.New(rand.NewSource(3))
+		n, err := cellsFor(m, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = rng.Float64() * 10
+		}
+		g := newGrid(cube(t, d, 10), m, vals)
+		for trial := 0; trial < 500; trial++ {
+			box := Box{Lo: make([]float64, d), Hi: make([]float64, d)}
+			for k := 0; k < d; k++ {
+				a, b := rng.Float64()*10, rng.Float64()*10
+				box.Lo[k], box.Hi[k] = math.Min(a, b), math.Max(a, b)
+			}
+			got, want := g.Query(box), naiveQuery(vals, d, m, 10, box)
+			if math.Abs(got-want) > 1e-7*(1+math.Abs(want)) {
+				t.Fatalf("d=%d trial %d: Query(%v) = %g, naive %g", d, trial, box, got, want)
+			}
+		}
+	}
+}
+
+func TestQueryEdgeCases(t *testing.T) {
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = 1
+	}
+	g := newGrid(cube(t, 3, 4), 4, vals)
+	for _, tc := range []struct {
+		name   string
+		lo, hi []float64
+		want   float64
+	}{
+		{"full", []float64{0, 0, 0}, []float64{4, 4, 4}, 64},
+		{"outside", []float64{9, 9, 9}, []float64{10, 10, 10}, 0},
+		{"degenerate", []float64{1, 1, 1}, []float64{1, 2, 2}, 0},
+		{"half cell", []float64{0, 0, 0}, []float64{0.5, 1, 1}, 0.5},
+	} {
+		if got := g.Query(Box{Lo: tc.lo, Hi: tc.hi}); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%s query = %g, want %g", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFlatZeroNoiseExactAligned checks a cell-aligned box against a
+// direct count of clustered points in 3D.
+func TestFlatZeroNoiseExactAligned(t *testing.T) {
+	dom := cube(t, 3, 8)
+	rng := rand.New(rand.NewSource(2))
+	centers, sigmas := []float64{2.4, 4.8, 3.2}, []float64{0.8, 0.64, 0.96}
+	var pts [][]float64
+	for len(pts) < 20000 {
+		p := make([]float64, 3)
+		uniform := rng.Intn(4) == 0
+		for k := range p {
+			if uniform {
+				p[k] = rng.Float64() * 8
+			} else {
+				p[k] = centers[k] + rng.NormFloat64()*sigmas[k]
+			}
+		}
+		if dom.Contains(p) {
+			pts = append(pts, p)
+		}
+	}
+	g, err := BuildFlat(pts, dom, 8, 1, noise.Zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Halves along axis 0 must sum to the total (CI consistency).
-	left := g.Query(Box{Lo: []float64{0, 0, 0, 0}, Hi: []float64{5, 10, 10, 10}})
-	right := g.Query(Box{Lo: []float64{5, 0, 0, 0}, Hi: []float64{10, 10, 10, 10}})
-	if math.Abs(left+right-g.Total()) > 1e-6*(1+math.Abs(g.Total())) {
-		t.Errorf("halves %g + %g != total %g", left, right, g.Total())
+	if got := g.Total(); math.Abs(got-20000) > 1e-6 {
+		t.Errorf("Total = %g, want 20000", got)
+	}
+	q := Domain{Lo: []float64{1, 2, 3}, Hi: []float64{5, 6, 7}}
+	var want float64
+	for _, p := range pts {
+		if q.Contains(p) {
+			want++
+		}
+	}
+	// Points exactly on a face count in the direct tally but may be
+	// binned into the neighbouring cell; allow 1% slack.
+	if got := g.Query(Box(q)); math.Abs(got-want) > want*0.01+5 {
+		t.Errorf("Query = %g, want ~%g", got, want)
+	}
+}
+
+func TestDeterministic(t *testing.T) {
+	dom := cube(t, 3, 10)
+	pts := randomPointsND(6, 2000, 3, 10)
+	q := Box{Lo: []float64{1, 2, 3}, Hi: []float64{7, 8, 9}}
+	build := func() (float64, float64) {
+		flat, err := BuildFlat(pts, dom, 8, 0.5, noise.NewSource(66))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hier, err := BuildHierarchical(pts, dom, 8, 2, 3, 0.5, noise.NewSource(66))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return flat.Query(q), hier.Query(q)
+	}
+	f1, h1 := build()
+	f2, h2 := build()
+	if f1 != f2 || h1 != h2 {
+		t.Errorf("same seed, different results: flat %g vs %g, hierarchical %g vs %g", f1, f2, h1, h2)
 	}
 }
 
@@ -212,13 +355,14 @@ func TestQueryDimensionMismatch(t *testing.T) {
 }
 
 func TestHierarchicalZeroNoiseExact(t *testing.T) {
-	dom := mustDomain(t, []float64{0, 0}, []float64{10, 10})
-	pts := randomPointsND(6, 2000, 2, 10)
-	g, err := BuildHierarchical(pts, dom, 8, 2, 4, 1, noise.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Total(); math.Abs(got-2000) > 1e-6 {
-		t.Errorf("Total = %g, want 2000", got)
+	for _, d := range []int{2, 3} {
+		pts := randomPointsND(6, 2000, d, 10)
+		g, err := BuildHierarchical(pts, cube(t, d, 10), 8, 2, 3, 1, noise.Zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Total(); math.Abs(got-2000) > 1e-6 {
+			t.Errorf("d=%d: Total = %g, want 2000", d, got)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
+	"github.com/dpgrid/dpgrid/internal/gridnd"
 )
 
 // Serialization of hierarchy synopses. The released synopsis is the
@@ -96,31 +97,17 @@ func (h *Hierarchy) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// checkShape validates the level structure: positive leaf size within
-// the cell cap, positive depth, and — when the hierarchy has coarser
-// levels — a branching factor that divides every level size evenly
-// (the same constraint BuildHierarchy enforces). It returns the derived
+// checkShape validates the level structure: a leaf size within the
+// cell cap, then gridnd.LevelSizes' depth, branching and divisibility
+// checks, the ones BuildHierarchy runs. It returns the derived
 // per-level sizes, leaf first.
 func checkShape(m, b, d int) ([]int, error) {
 	if m < 1 || uint64(m)*uint64(m) > grid.MaxCells {
 		return nil, fmt.Errorf("hierarchy: invalid grid size %d", m)
 	}
-	if d < 1 {
-		return nil, fmt.Errorf("hierarchy: invalid depth %d", d)
-	}
-	if d > 1 && b < 2 {
-		return nil, fmt.Errorf("hierarchy: invalid branching %d for depth %d", b, d)
-	}
-	levels := make([]int, d)
-	levels[0] = m
-	for l := 1; l < d; l++ {
-		if levels[l-1]%b != 0 {
-			return nil, fmt.Errorf("hierarchy: level size %d not divisible by branching %d", levels[l-1], b)
-		}
-		levels[l] = levels[l-1] / b
-		if levels[l] < 1 {
-			return nil, fmt.Errorf("hierarchy: depth %d too deep for grid size %d with branching %d", d, m, b)
-		}
+	levels, err := gridnd.LevelSizes(m, b, d)
+	if err != nil {
+		return nil, fmt.Errorf("hierarchy: %w", err)
 	}
 	return levels, nil
 }

@@ -3,7 +3,9 @@
 // inference (Hay et al., VLDB 2010). It exists to measure the paper's
 // section IV-C claim empirically: binary hierarchies give large gains for
 // 1D range queries, gains that mostly vanish in 2D and keep shrinking
-// with dimension (see internal/grid3d and eval.HierarchyGainByDimension).
+// with dimension (see eval.HierarchyGainByDimension). Hist keeps its own
+// binning and prefix arithmetic; the hierarchy itself is
+// gridnd.Hierarchical at dimension 1.
 package hist1d
 
 import (
@@ -12,7 +14,7 @@ import (
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
-	"github.com/dpgrid/dpgrid/internal/infer"
+	"github.com/dpgrid/dpgrid/internal/gridnd"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
@@ -75,8 +77,12 @@ func (h *Hist) Epsilon() float64 { return h.eps }
 // surface (the codec registry, dpserve) alongside the 2D kinds.
 func (h *Hist) Query(r geom.Rect) float64 { return h.Range(r.MinX, r.MaxX) }
 
-// Range estimates the count in [a, b] with fractional bin coverage.
+// Range estimates the count in [a, b] with fractional bin coverage. A
+// NaN bound yields NaN, as every other synopsis kind answers a NaN rect.
 func (h *Hist) Range(a, b float64) float64 {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.NaN()
+	}
 	if b < a {
 		a, b = b, a
 	}
@@ -167,78 +173,11 @@ func BuildHierarchical(xs []float64, lo, hi float64, bins, branching, depth int,
 	if err := validate(lo, hi, bins, eps, src); err != nil {
 		return nil, err
 	}
-	if depth < 1 {
-		return nil, fmt.Errorf("hist1d: depth must be >= 1, got %d", depth)
-	}
-	if depth > 1 && branching < 2 {
-		return nil, fmt.Errorf("hist1d: branching must be >= 2, got %d", branching)
-	}
-
-	// Level sizes, leaves first.
-	sizes := make([]int, depth)
-	sizes[0] = bins
-	for l := 1; l < depth; l++ {
-		if sizes[l-1]%branching != 0 {
-			return nil, fmt.Errorf("hist1d: level size %d not divisible by branching %d", sizes[l-1], branching)
-		}
-		sizes[l] = sizes[l-1] / branching
-		if sizes[l] < 1 {
-			return nil, fmt.Errorf("hist1d: depth %d too deep for %d bins", depth, bins)
-		}
-	}
-
-	// Exact counts per level.
-	exact := make([][]float64, depth)
-	exact[0] = histogram(xs, lo, hi, bins)
-	for l := 1; l < depth; l++ {
-		exact[l] = make([]float64, sizes[l])
-		for i, v := range exact[l-1] {
-			exact[l][i/branching] += v
-		}
-	}
-
-	// Noise each level with eps/depth.
-	perLevel := eps / float64(depth)
-	variance := make([]float64, depth)
-	for l := 0; l < depth; l++ {
-		mech, err := noise.NewMechanism(perLevel, 1, src)
-		if err != nil {
-			return nil, fmt.Errorf("hist1d: %w", err)
-		}
-		mech.PerturbAll(exact[l])
-		variance[l] = mech.Variance()
-	}
-
-	// Constrained inference over the forest (one tree per top-level bin).
-	offsets := make([]int, depth)
-	total := 0
-	for l := 0; l < depth; l++ {
-		offsets[l] = total
-		total += sizes[l]
-	}
-	forest := &infer.Forest{Nodes: make([]infer.Node, total)}
-	for l := 0; l < depth; l++ {
-		for i := 0; i < sizes[l]; i++ {
-			idx := offsets[l] + i
-			forest.Nodes[idx].Count = exact[l][i]
-			forest.Nodes[idx].Variance = variance[l]
-			if l > 0 {
-				children := make([]int, 0, branching)
-				for c := 0; c < branching; c++ {
-					children = append(children, offsets[l-1]+i*branching+c)
-				}
-				forest.Nodes[idx].Children = children
-			}
-		}
-	}
-	for i := 0; i < sizes[depth-1]; i++ {
-		forest.Roots = append(forest.Roots, offsets[depth-1]+i)
-	}
-	est, err := forest.Infer()
+	est, err := gridnd.Hierarchical(histogram(xs, lo, hi, bins), 1, bins, branching, depth, eps, src)
 	if err != nil {
 		return nil, fmt.Errorf("hist1d: %w", err)
 	}
-	h := newHist(lo, hi, est[:bins])
+	h := newHist(lo, hi, est)
 	h.eps = eps
 	return h, nil
 }

@@ -662,6 +662,22 @@ func TestGoldenFilesVersion1(t *testing.T) {
 	}
 }
 
+// TestGoldenQueryNaNRect: a rect with NaN bounds answers NaN on every
+// kind, with no panic, however the caller got past its own validation.
+func TestGoldenQueryNaNRect(t *testing.T) {
+	nan := math.NaN()
+	r := Rect{MinX: nan, MinY: nan, MaxX: nan, MaxY: nan}
+	for _, name := range goldenKinds {
+		s, err := ReadSynopsisFile(filepath.Join("testdata", "golden."+name+".dpgrid"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := s.Query(r); !math.IsNaN(got) {
+			t.Errorf("%s: Query(NaN rect) = %g, want NaN", name, got)
+		}
+	}
+}
+
 // TestReadSynopsisBufferHasNoSlack: ReadSynopsis decodes from a buffer
 // with cap == len, since a binary synopsis retains the buffer and
 // io.ReadAll's growth slack would live as long as the synopsis.
