@@ -66,22 +66,36 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := BuildHierarchical(nil, dom, 6, 4, 2, 1, src); err == nil {
 		t.Error("indivisible branching accepted")
 	}
-	dom3 := mustDomain(t, []float64{0, 0, 0}, []float64{1, 1, 1})
-	if _, err := BuildHierarchical(nil, dom3, 4, 3, 2, 1, src); err == nil {
-		t.Error("d=3 indivisible branching accepted")
-	}
-	if _, err := BuildHierarchical(nil, dom3, 4, 2, 0, 1, src); err == nil {
-		t.Error("d=3 zero depth accepted")
-	}
-	if _, err := BuildHierarchical(nil, dom3, 4, 1, 2, 1, src); err == nil {
-		t.Error("d=3 branching 1 accepted")
-	}
-	if _, err := Hierarchical(make([]float64, 63), 3, 4, 2, 2, 1, src); err == nil {
-		t.Error("63 leaves accepted for a 4^3 grid")
-	}
 	if _, err := Hierarchical(make([]float64, 16), 0, 4, 2, 2, 1, src); err == nil {
 		t.Error("zero dimension accepted")
 	}
+	t.Run("d=3", func(t *testing.T) {
+		dom3 := mustDomain(t, []float64{0, 0, 0}, []float64{1, 1, 1})
+		if _, err := BuildFlat(nil, dom3, 4, 1, nil); err == nil {
+			t.Error("nil source accepted")
+		}
+		if _, err := BuildFlat(nil, Domain{}, 4, 1, src); err == nil {
+			t.Error("zero-dimensional domain accepted")
+		}
+		if _, err := BuildFlat(nil, dom3, 0, 1, src); err == nil {
+			t.Error("zero m accepted")
+		}
+		if _, err := BuildFlat(nil, dom3, 4, 0, src); err == nil {
+			t.Error("zero eps accepted")
+		}
+		if _, err := BuildHierarchical(nil, dom3, 4, 3, 2, 1, src); err == nil {
+			t.Error("indivisible branching accepted")
+		}
+		if _, err := BuildHierarchical(nil, dom3, 4, 2, 0, 1, src); err == nil {
+			t.Error("zero depth accepted")
+		}
+		if _, err := BuildHierarchical(nil, dom3, 4, 1, 2, 1, src); err == nil {
+			t.Error("branching 1 accepted")
+		}
+		if _, err := Hierarchical(make([]float64, 63), 3, 4, 2, 2, 1, src); err == nil {
+			t.Error("63 leaves accepted for a 4^3 grid")
+		}
+	})
 }
 
 func TestOneDimensionalBasics(t *testing.T) {
@@ -356,13 +370,15 @@ func TestQueryDimensionMismatch(t *testing.T) {
 
 func TestHierarchicalZeroNoiseExact(t *testing.T) {
 	for _, d := range []int{2, 3} {
-		pts := randomPointsND(6, 2000, d, 10)
-		g, err := BuildHierarchical(pts, cube(t, d, 10), 8, 2, 3, 1, noise.Zero)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := g.Total(); math.Abs(got-2000) > 1e-6 {
-			t.Errorf("d=%d: Total = %g, want 2000", d, got)
-		}
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
+			pts := randomPointsND(6, 2000, d, 10)
+			g, err := BuildHierarchical(pts, cube(t, d, 10), 8, 2, 3, 1, noise.Zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := g.Total(); math.Abs(got-2000) > 1e-6 {
+				t.Errorf("Total = %g, want 2000", got)
+			}
+		})
 	}
 }
