@@ -123,8 +123,8 @@ func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts 
 	if c2 == 0 {
 		c2 = c / 2
 	}
-	if c <= 0 || c2 <= 0 {
-		return nil, fmt.Errorf("core: constants must be positive (c=%g, c2=%g)", c, c2)
+	if !(c > 0) || math.IsInf(c, 0) || !(c2 > 0) || math.IsInf(c2, 0) {
+		return nil, fmt.Errorf("core: constants must be positive and finite (c=%g, c2=%g)", c, c2)
 	}
 	maxM2 := opts.MaxM2
 	if maxM2 == 0 {
@@ -133,7 +133,7 @@ func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts 
 	if maxM2 < 1 {
 		return nil, fmt.Errorf("core: MaxM2 must be positive, got %d", maxM2)
 	}
-	if opts.NBudgetFrac < 0 || opts.NBudgetFrac >= 1 {
+	if f := opts.NBudgetFrac; !(f >= 0 && f < 1) {
 		return nil, fmt.Errorf("core: NBudgetFrac must be in [0, 1), got %g", opts.NBudgetFrac)
 	}
 
@@ -162,30 +162,20 @@ func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts 
 	histSeq := seq
 	m1 := opts.M1
 	if m1 == 0 {
-		var nInt int64
-		if indexLimit > 0 {
-			// Fuse the counting pass with point gathering: when the
-			// dataset fits the index budget, the m1-rule scan already
-			// collected every in-domain point, and the histogram pass
-			// below runs over memory instead of a second source scan.
-			pts, n, err := collectInDomain(seq, dom, workers, indexLimit)
-			if err != nil {
-				return nil, err
-			}
-			nInt = n
-			if pts != nil {
-				histSeq = geom.SlicePoints(pts)
-			} else {
-				// The dataset already exceeded the index budget; do not
-				// let the histogram pass buffer it all over again.
-				indexLimit = -1
-			}
-		} else {
-			n, err := geom.CountInDomain(seq, dom, workers)
-			if err != nil {
-				return nil, fmt.Errorf("core: counting points: %w", err)
-			}
-			nInt = n
+		// Fuse the counting pass with point gathering: when the dataset
+		// fits the index budget, the m1-rule scan already collected
+		// every in-domain point, and the histogram pass below runs over
+		// memory instead of a second source scan.
+		pts, nInt, err := geom.CountInDomain(seq, dom, workers, indexLimit)
+		if err != nil {
+			return nil, fmt.Errorf("core: counting points: %w", err)
+		}
+		if pts != nil {
+			histSeq = geom.SlicePoints(pts)
+		} else if indexLimit > 0 {
+			// The dataset already exceeded the index budget; do not
+			// let the histogram pass buffer it all over again.
+			indexLimit = -1
 		}
 		n := float64(nInt)
 		if opts.NBudgetFrac > 0 {

@@ -38,6 +38,45 @@ func TestBuildAdaptiveGridValidation(t *testing.T) {
 	}
 }
 
+// NaN fails every ordered comparison, so a constant check written as
+// "reject c < 0" lets NaN through, and +Inf passes any "c > 0" check;
+// either one used to build a degenerate 1x1 grid (UG) or an AG capped
+// at m2 = 1, and a NaN NBudgetFrac silently skipped the N estimate.
+func TestBuildersRejectNonFiniteConstants(t *testing.T) {
+	dom := geom.MustDomain(0, 0, 10, 10)
+	pts := uniformPoints(1, 100, dom)
+	nan, inf := math.NaN(), math.Inf(1)
+	ug := func(opts UGOptions) error {
+		_, err := BuildUniformGrid(pts, dom, 1, opts, noise.NewSource(1))
+		return err
+	}
+	ag := func(opts AGOptions) error {
+		_, err := BuildAdaptiveGrid(pts, dom, 1, opts, noise.NewSource(1))
+		return err
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() error
+	}{
+		{"UG C=NaN", func() error { return ug(UGOptions{C: nan}) }},
+		{"UG C=+Inf", func() error { return ug(UGOptions{C: inf}) }},
+		{"UG C=-Inf", func() error { return ug(UGOptions{C: -inf}) }},
+		{"UG NBudgetFrac=NaN", func() error { return ug(UGOptions{NBudgetFrac: nan}) }},
+		{"AG C=NaN", func() error { return ag(AGOptions{C: nan}) }},
+		{"AG C=+Inf", func() error { return ag(AGOptions{C: inf}) }},
+		{"AG C2=NaN", func() error { return ag(AGOptions{C2: nan}) }},
+		{"AG C2=+Inf", func() error { return ag(AGOptions{C2: inf}) }},
+		{"AG C2=-Inf", func() error { return ag(AGOptions{C2: -inf}) }},
+		{"AG NBudgetFrac=NaN", func() error { return ag(AGOptions{NBudgetFrac: nan}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.build(); err == nil {
+				t.Error("accepted, want error")
+			}
+		})
+	}
+}
+
 func TestAGZeroNoiseExactOnLeafAlignedQueries(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 8, 8)
 	pts := clusteredPoints(11, 4000, dom)

@@ -35,51 +35,15 @@ type cellPoints struct {
 
 func (c *cellPoints) bin(k int) []geom.Point { return c.pts[c.starts[k]:c.starts[k+1]] }
 
-// collectInDomain counts seq's in-domain points across workers while
-// buffering them, so the m1-rule pass can double as the point-gathering
-// pass: when the count stays within limit, the returned slice holds
-// every in-domain point and the histogram pass can run over memory
-// instead of a second scan of the source. Past limit the buffers are
-// dropped (count continues exactly) and pts is nil.
-func collectInDomain(seq geom.PointSeq, dom geom.Domain, workers, limit int) (pts []geom.Point, n int64, err error) {
-	workers = pool.Workers(workers)
-	bufs := make([][]geom.Point, workers)
-	counts := make([]int64, workers)
-	var buffered atomic.Int64
-	var dead atomic.Bool
-	err = geom.ForEachChunkParallel(seq, workers, func(w int, chunk []geom.Point) {
-		buf, c := bufs[w], counts[w]
-		keep := !dead.Load()
-		kept := 0
-		for _, p := range chunk {
-			if !dom.Contains(p) {
-				continue
-			}
-			c++
-			if keep {
-				buf = append(buf, p)
-				kept++
-			}
-		}
-		bufs[w], counts[w] = buf, c
-		if keep && buffered.Add(int64(kept)) > int64(limit) {
-			dead.Store(true)
-		}
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: counting points: %w", err)
+// newCellPoints sizes an index from the exact level-1 histogram vals
+// and returns it with every bin's fill cursor at the bin's start.
+func newCellPoints(vals []float64) (*cellPoints, []int) {
+	idx := &cellPoints{starts: make([]int, len(vals)+1)}
+	for k, v := range vals {
+		idx.starts[k+1] = idx.starts[k] + int(v)
 	}
-	for _, c := range counts {
-		n += c
-	}
-	if dead.Load() {
-		return nil, n, nil
-	}
-	pts = make([]geom.Point, 0, n)
-	for _, buf := range bufs {
-		pts = append(pts, buf...)
-	}
-	return pts, n, nil
+	idx.pts = make([]geom.Point, idx.starts[len(vals)])
+	return idx, append([]int(nil), idx.starts[:len(vals)]...)
 }
 
 // histogramIndexed is the fused AG scan: one pass over seq produces the
@@ -171,13 +135,7 @@ func histogramIndexed(seq geom.PointSeq, dom geom.Domain, m1, workers, limit int
 	// bin's size, so one cursor sweep places each worker's buffered
 	// points. Bin-internal order depends on chunk scheduling, which is
 	// fine — every consumer of a bin computes order-free integer sums.
-	idx := &cellPoints{starts: make([]int, m1*m1+1)}
-	for k := 0; k < m1*m1; k++ {
-		idx.starts[k+1] = idx.starts[k] + int(vals[k])
-	}
-	idx.pts = make([]geom.Point, idx.starts[m1*m1])
-	cursor := make([]int, m1*m1)
-	copy(cursor, idx.starts[:m1*m1])
+	idx, cursor := newCellPoints(vals)
 	for _, st := range states {
 		if st == nil {
 			continue
@@ -202,21 +160,10 @@ func histogramIndexedSlice(sp geom.SlicePoints, dom geom.Domain, m1, workers, li
 	if err != nil {
 		return nil, nil, err
 	}
-	vals := level1.Values()
-	var total float64
-	for _, v := range vals {
-		total += v
-	}
-	if limit <= 0 || total > float64(limit) {
+	if limit <= 0 || level1.Total() > float64(limit) {
 		return level1, nil, nil
 	}
-	idx := &cellPoints{starts: make([]int, m1*m1+1)}
-	for k := 0; k < m1*m1; k++ {
-		idx.starts[k+1] = idx.starts[k] + int(vals[k])
-	}
-	idx.pts = make([]geom.Point, idx.starts[m1*m1])
-	cursor := make([]int, m1*m1)
-	copy(cursor, idx.starts[:m1*m1])
+	idx, cursor := newCellPoints(level1.Values())
 	w1, h1 := dom.CellSize(m1, m1)
 	for _, p := range sp {
 		if !dom.Contains(p) {
@@ -322,14 +269,13 @@ func leafRescan(seq geom.PointSeq, dom geom.Domain, m1 int, m2s, leafStarts []in
 	}
 	w1, h1 := dom.CellSize(m1, m1)
 	partials := make([][]float64, workers)
+	if workers == 1 {
+		partials[0] = leafFlat // the sequential scan histograms in place
+	}
 	err := geom.ForEachChunkParallel(seq, workers, func(w int, chunk []geom.Point) {
 		flat := partials[w]
 		if flat == nil {
-			if workers == 1 {
-				flat = leafFlat // sequential scan histograms in place
-			} else {
-				flat = make([]float64, len(leafFlat))
-			}
+			flat = make([]float64, len(leafFlat))
 			partials[w] = flat
 		}
 		for _, p := range chunk {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
+	"github.com/dpgrid/dpgrid/internal/geom/geomtest"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
@@ -81,15 +82,9 @@ func TestAGFusedBitIdentical(t *testing.T) {
 				t.Fatalf("m1=%d n=%d reference: %v", m1, n, err)
 			}
 			want := agBytes(t, ref)
-			funcSeq := geom.FuncSeq(func(fn func(geom.Point)) error {
-				for _, p := range pts {
-					fn(p)
-				}
-				return nil
-			})
 			for _, workers := range workerCounts {
 				for _, limit := range limits {
-					for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "func": funcSeq} {
+					for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
 						got, err := BuildAdaptiveGridSeq(seq, dom, 1,
 							AGOptions{M1: m1, Workers: workers, IndexLimit: limit}, noise.NewSource(42))
 						if err != nil {
@@ -140,19 +135,10 @@ func TestUGWorkersWithPlainSource(t *testing.T) {
 	}
 }
 
-// scanSeq counts complete scans of the source, whichever view (per-point
-// or chunked) the consumer uses.
+// scanSeq counts complete scans of the source.
 type scanSeq struct {
 	pts   []geom.Point
 	scans *int
-}
-
-func (s scanSeq) ForEach(fn func(geom.Point)) error {
-	*s.scans++
-	for _, p := range s.pts {
-		fn(p)
-	}
-	return nil
 }
 
 func (s scanSeq) ForEachChunk(fn func([]geom.Point) error) error {

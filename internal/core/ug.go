@@ -77,21 +77,21 @@ func BuildUniformGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts U
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if opts.NBudgetFrac < 0 || opts.NBudgetFrac >= 1 {
+	if f := opts.NBudgetFrac; !(f >= 0 && f < 1) {
 		return nil, fmt.Errorf("core: NBudgetFrac must be in [0, 1), got %g", opts.NBudgetFrac)
 	}
 	c := opts.C
 	if c == 0 {
 		c = DefaultC
 	}
-	if c < 0 {
-		return nil, fmt.Errorf("core: c must be positive, got %g", c)
+	if !(c > 0) || math.IsInf(c, 0) {
+		return nil, fmt.Errorf("core: c must be positive and finite, got %g", c)
 	}
 
 	m := opts.GridSize
 	cellEps := eps
 	if m == 0 {
-		nInt, err := geom.CountInDomain(seq, dom, opts.Workers)
+		_, nInt, err := geom.CountInDomain(seq, dom, opts.Workers, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: counting points: %w", err)
 		}

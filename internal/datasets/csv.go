@@ -47,18 +47,6 @@ func ReadCSV(r io.Reader) ([]geom.Point, error) {
 	return pts, nil
 }
 
-// streamCSV parses "x,y" records from r, invoking fn per point without
-// retaining them. It shares the block parser with the chunked path so
-// the per-point and per-chunk views of one file can never disagree.
-func streamCSV(r io.Reader, fn func(geom.Point)) error {
-	return streamCSVChunks(r, func(chunk []geom.Point) error {
-		for _, p := range chunk {
-			fn(p)
-		}
-		return nil
-	})
-}
-
 // csvBlockSize is the size of one read block of the CSV parser. A
 // block holds tens of thousands of lines, so the per-block handoff
 // between goroutines is noise next to parsing it, and the blocks in
@@ -103,7 +91,7 @@ func (b *csvBlock) parse() {
 // streamCSVChunks is the CSV block parser behind every CSV ingestion
 // path: it parses "x,y" records and hands them to fn in file order, in
 // chunks of at most geom.DefaultChunkSize points that are only valid
-// until fn returns (the geom.ChunkSeq contract).
+// until fn returns (the geom.PointSeq contract).
 //
 // It is a three-stage pipeline. One goroutine reads r sequentially into
 // recycled blocks of about csvBlockSize bytes, each cut after its last

@@ -62,7 +62,7 @@ func genCSV(rng *rand.Rand, lines, size int) (string, []geom.Point) {
 }
 
 // TestCSVPipelineDifferential checks the parallel parser's output and
-// its ChunkSeq contract over files around the block size, at one and at
+// its PointSeq contract over files around the block size, at one and at
 // several parse goroutines.
 func TestCSVPipelineDifferential(t *testing.T) {
 	if errContractBlock != csvBlockSize {

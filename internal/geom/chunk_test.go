@@ -1,4 +1,4 @@
-package geom
+package geom_test
 
 import (
 	"errors"
@@ -6,39 +6,31 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"github.com/dpgrid/dpgrid/internal/geom"
+	"github.com/dpgrid/dpgrid/internal/geom/geomtest"
 )
 
-func chunkTestPoints(n int) []Point {
-	pts := make([]Point, n)
+func chunkTestPoints(n int) []geom.Point {
+	pts := make([]geom.Point, n)
 	for i := range pts {
-		pts[i] = Point{X: float64(i % 101), Y: float64(i % 37)}
+		pts[i] = geom.Point{X: float64(i % 101), Y: float64(i % 37)}
 	}
 	return pts
-}
-
-// funcSeqOf adapts a slice to a FuncSeq, forcing the generic buffered
-// chunk adapter (FuncSeq has no native ForEachChunk).
-func funcSeqOf(pts []Point) FuncSeq {
-	return func(fn func(Point)) error {
-		for _, p := range pts {
-			fn(p)
-		}
-		return nil
-	}
 }
 
 // Chunk-boundary sizes: the empty stream, one point, and one point on
 // either side of every chunk edge.
 func chunkSizes() []int {
-	return []int{0, 1, DefaultChunkSize - 1, DefaultChunkSize, DefaultChunkSize + 1, 3 * DefaultChunkSize}
+	return []int{0, 1, geom.DefaultChunkSize - 1, geom.DefaultChunkSize, geom.DefaultChunkSize + 1, 3 * geom.DefaultChunkSize}
 }
 
 func TestForEachChunkPartitionsStream(t *testing.T) {
 	for _, n := range chunkSizes() {
 		pts := chunkTestPoints(n)
-		for name, seq := range map[string]PointSeq{"slice": SlicePoints(pts), "func": funcSeqOf(pts)} {
-			var got []Point
-			err := ForEachChunk(seq, func(chunk []Point) error {
+		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+			var got []geom.Point
+			err := seq.ForEachChunk(func(chunk []geom.Point) error {
 				if len(chunk) == 0 {
 					t.Fatalf("n=%d %s: empty chunk", n, name)
 				}
@@ -61,11 +53,11 @@ func TestForEachChunkPartitionsStream(t *testing.T) {
 }
 
 func TestForEachChunkErrorStopsIteration(t *testing.T) {
-	pts := chunkTestPoints(3 * DefaultChunkSize)
+	pts := chunkTestPoints(3 * geom.DefaultChunkSize)
 	boom := errors.New("boom")
-	for name, seq := range map[string]PointSeq{"slice": SlicePoints(pts), "func": funcSeqOf(pts)} {
+	for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
 		calls := 0
-		err := ForEachChunk(seq, func(chunk []Point) error {
+		err := seq.ForEachChunk(func(chunk []geom.Point) error {
 			calls++
 			if calls == 2 {
 				return boom
@@ -85,11 +77,11 @@ func TestForEachChunkParallelSeesEveryPointOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 0, runtime.GOMAXPROCS(0)} {
 		for _, n := range chunkSizes() {
 			pts := chunkTestPoints(n)
-			for name, seq := range map[string]PointSeq{"slice": SlicePoints(pts), "func": funcSeqOf(pts)} {
+			for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
 				var mu sync.Mutex
-				seen := make(map[Point]int, n)
+				seen := make(map[geom.Point]int, n)
 				total := 0
-				err := ForEachChunkParallel(seq, workers, func(w int, chunk []Point) {
+				err := geom.ForEachChunkParallel(seq, workers, func(w int, chunk []geom.Point) {
 					mu.Lock()
 					defer mu.Unlock()
 					total += len(chunk)
@@ -103,7 +95,7 @@ func TestForEachChunkParallelSeesEveryPointOnce(t *testing.T) {
 				if total != n {
 					t.Fatalf("workers=%d n=%d %s: saw %d points", workers, n, name, total)
 				}
-				want := make(map[Point]int, n)
+				want := make(map[geom.Point]int, n)
 				for _, p := range pts {
 					want[p]++
 				}
@@ -117,16 +109,21 @@ func TestForEachChunkParallelSeesEveryPointOnce(t *testing.T) {
 	}
 }
 
+// failingSeq streams two chunks of points and then fails, as a source
+// whose disk dies mid-stream would.
+type failingSeq struct{ err error }
+
+func (s failingSeq) ForEachChunk(fn func([]geom.Point) error) error {
+	if err := geomtest.ReusedChunks(chunkTestPoints(2 * geom.DefaultChunkSize)).ForEachChunk(fn); err != nil {
+		return err
+	}
+	return s.err
+}
+
 func TestForEachChunkParallelPropagatesSourceError(t *testing.T) {
 	boom := errors.New("disk on fire")
-	seq := FuncSeq(func(fn func(Point)) error {
-		for i := 0; i < 2*DefaultChunkSize; i++ {
-			fn(Point{X: float64(i)})
-		}
-		return boom
-	})
 	for _, workers := range []int{1, 4} {
-		err := ForEachChunkParallel(seq, workers, func(int, []Point) {})
+		err := geom.ForEachChunkParallel(failingSeq{boom}, workers, func(int, []geom.Point) {})
 		if !errors.Is(err, boom) {
 			t.Errorf("workers=%d: error = %v, want boom", workers, err)
 		}
@@ -134,54 +131,83 @@ func TestForEachChunkParallelPropagatesSourceError(t *testing.T) {
 }
 
 func TestCountInDomain(t *testing.T) {
-	dom := MustDomain(0, 0, 10, 10)
-	pts := []Point{
+	dom := geom.MustDomain(0, 0, 10, 10)
+	pts := []geom.Point{
 		{X: 5, Y: 5},
 		{X: 0, Y: 0},    // min corner: inside (boundary inclusive)
 		{X: 10, Y: 10},  // max corner: inside
 		{X: 10.1, Y: 5}, // outside
 		{X: -1, Y: 5},   // outside
 	}
-	// Pad with in-domain points across a chunk boundary.
-	for i := 0; i < DefaultChunkSize; i++ {
-		pts = append(pts, Point{X: 1, Y: 1})
+	// Pad with distinct in-domain points across a chunk boundary.
+	for i := 0; i < geom.DefaultChunkSize; i++ {
+		pts = append(pts, geom.Point{X: float64(i%97) / 10, Y: float64(i%89) / 10})
 	}
-	want := int64(3 + DefaultChunkSize)
+	var inDomain []geom.Point
+	for _, p := range pts {
+		if dom.Contains(p) {
+			inDomain = append(inDomain, p)
+		}
+	}
+	want := int64(len(inDomain))
 	for _, workers := range []int{1, 2, 7, 0} {
-		for name, seq := range map[string]PointSeq{"slice": SlicePoints(pts), "func": funcSeqOf(pts)} {
-			got, err := CountInDomain(seq, dom, workers)
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, name, err)
-			}
-			if got != want {
-				t.Errorf("workers=%d %s: count = %d, want %d", workers, name, got, want)
+		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+			// A limit <= 0 gathers nothing, and so does one the data
+			// overflows; a limit the data fits gathers every in-domain
+			// point. The count is exact in every case.
+			for _, limit := range []int{0, -1, int(want) - 1, int(want), 1 << 30} {
+				got, n, err := geom.CountInDomain(seq, dom, workers, limit)
+				if err != nil {
+					t.Fatalf("workers=%d %s limit=%d: %v", workers, name, limit, err)
+				}
+				if n != want {
+					t.Errorf("workers=%d %s limit=%d: count = %d, want %d", workers, name, limit, n, want)
+				}
+				if limit < int(want) {
+					if got != nil {
+						t.Errorf("workers=%d %s limit=%d: gathered %d points, want none", workers, name, limit, len(got))
+					}
+					continue
+				}
+				seen := make(map[geom.Point]int, len(got))
+				for _, p := range got {
+					seen[p]++
+				}
+				for _, p := range inDomain {
+					seen[p]--
+				}
+				for p, c := range seen {
+					if c != 0 {
+						t.Fatalf("workers=%d %s limit=%d: point %v gathered %+d times too often", workers, name, limit, p, c)
+					}
+				}
 			}
 		}
 	}
 }
 
 func TestSlicePointsChunksAreSubslices(t *testing.T) {
-	pts := chunkTestPoints(DefaultChunkSize + 5)
-	s := SlicePoints(pts)
-	var chunks [][]Point
-	if err := s.ForEachChunk(func(chunk []Point) error {
+	pts := chunkTestPoints(geom.DefaultChunkSize + 5)
+	s := geom.SlicePoints(pts)
+	var chunks [][]geom.Point
+	if err := s.ForEachChunk(func(chunk []geom.Point) error {
 		chunks = append(chunks, chunk) // safe: slice chunks alias stable memory
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(chunks) != 2 || len(chunks[0]) != DefaultChunkSize || len(chunks[1]) != 5 {
+	if len(chunks) != 2 || len(chunks[0]) != geom.DefaultChunkSize || len(chunks[1]) != 5 {
 		t.Fatalf("chunk shapes: %d chunks", len(chunks))
 	}
-	if &chunks[0][0] != &pts[0] || &chunks[1][0] != &pts[DefaultChunkSize] {
+	if &chunks[0][0] != &pts[0] || &chunks[1][0] != &pts[geom.DefaultChunkSize] {
 		t.Error("slice chunks are copies, want zero-copy subslices")
 	}
 }
 
-func ExampleForEachChunk() {
-	pts := SlicePoints{{X: 1, Y: 2}, {X: 3, Y: 4}, {X: 5, Y: 6}}
+func ExampleSlicePoints_ForEachChunk() {
+	pts := geom.SlicePoints{{X: 1, Y: 2}, {X: 3, Y: 4}, {X: 5, Y: 6}}
 	total := 0
-	_ = ForEachChunk(pts, func(chunk []Point) error {
+	_ = pts.ForEachChunk(func(chunk []geom.Point) error {
 		total += len(chunk)
 		return nil
 	})

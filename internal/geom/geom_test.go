@@ -290,18 +290,3 @@ func TestCellIndexConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestFuncSeq(t *testing.T) {
-	seq := FuncSeq(func(fn func(Point)) error {
-		fn(Point{X: 1, Y: 2})
-		fn(Point{X: 3, Y: 4})
-		return nil
-	})
-	n := 0
-	if err := seq.ForEach(func(Point) { n++ }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("visited %d points, want 2", n)
-	}
-}

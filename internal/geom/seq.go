@@ -1,33 +1,45 @@
 package geom
 
-// PointSeq is a re-iterable stream of points. It abstracts the data
-// source so synopsis builders can scan datasets too large to hold in
-// memory (the paper's section IV-C efficiency claim: UG needs one scan,
-// AG at most two).
+// PointSeq is a re-iterable stream of points, delivered in blocks. It
+// abstracts the data source so synopsis builders can scan datasets too
+// large to hold in memory (the paper's section IV-C efficiency claim:
+// UG needs one scan, AG at most two). Blocked iteration is also the
+// substrate of the parallel ingestion engine (ForEachChunkParallel and
+// the builders on top of it): workers consume whole chunks, so the
+// per-point cost is a slice iteration, not an indirect call.
 //
-// ForEach must be callable multiple times, each call replaying the whole
-// stream in the same order (the streaming AG build re-reads the data
-// when its point index is disabled). Sources that can also replay in
-// blocks should implement ChunkSeq; the ingestion engine consumes every
-// source through its chunked view (see ForEachChunk).
+// Contract: every chunk is non-empty, chunks partition the stream in
+// order, and the chunk slice is only valid until fn returns (sources
+// may reuse the backing array between calls — callers that need to
+// retain points must copy them). ForEachChunk must be callable multiple
+// times, each call replaying the whole stream in the same order (the
+// streaming AG build re-reads the data when its point index is
+// disabled). A non-nil error from fn stops the iteration and is
+// returned unwrapped.
+//
+// A per-point source ports by buffering its points into slices of
+// DefaultChunkSize and handing each full slice (and the final partial
+// one) to fn.
 type PointSeq interface {
-	ForEach(fn func(Point)) error
+	ForEachChunk(fn func(chunk []Point) error) error
 }
+
+// ChunkSeq is an alias of PointSeq for callers that still use the name.
+type ChunkSeq = PointSeq
 
 // SlicePoints adapts an in-memory point slice to PointSeq.
 type SlicePoints []Point
 
-// ForEach implements PointSeq.
-func (s SlicePoints) ForEach(fn func(Point)) error {
-	for _, p := range s {
-		fn(p)
+// ForEachChunk implements PointSeq: consecutive subslices of the
+// underlying slice, no copying. The chunks alias the slice itself, so
+// (unlike reused parse buffers) they happen to stay valid after fn
+// returns; callers must not rely on that — it is not part of the
+// PointSeq contract.
+func (s SlicePoints) ForEachChunk(fn func(chunk []Point) error) error {
+	for start := 0; start < len(s); start += DefaultChunkSize {
+		if err := fn(s[start:min(start+DefaultChunkSize, len(s))]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
-
-// FuncSeq adapts a function to PointSeq; the function is invoked once per
-// ForEach call and must replay the full stream each time.
-type FuncSeq func(fn func(Point)) error
-
-// ForEach implements PointSeq.
-func (f FuncSeq) ForEach(fn func(Point)) error { return f(fn) }

@@ -69,26 +69,7 @@ func FromValues(dom geom.Domain, mx, my int, vals []float64) (*Counts, error) {
 // outside dom are ignored; callers that need strict validation should
 // check bounds beforehand.
 func FromPoints(dom geom.Domain, mx, my int, points []geom.Point) (*Counts, error) {
-	return FromSeq(dom, mx, my, geom.SlicePoints(points))
-}
-
-// FromSeq is FromPoints over a streaming point source, for datasets that
-// do not fit in memory. It consumes the stream through its chunked view
-// (geom.ForEachChunk) so block sources amortize the per-point callback;
-// see FromSeqParallel for the multi-worker variant.
-func FromSeq(dom geom.Domain, mx, my int, seq geom.PointSeq) (*Counts, error) {
-	c, err := New(dom, mx, my)
-	if err != nil {
-		return nil, err
-	}
-	err = geom.ForEachChunk(seq, func(chunk []geom.Point) error {
-		histogramChunk(dom, mx, my, chunk, c.vals)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("grid: scanning points: %w", err)
-	}
-	return c, nil
+	return FromSeqParallel(dom, mx, my, geom.SlicePoints(points), 1)
 }
 
 // Domain returns the grid's domain.

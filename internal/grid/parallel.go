@@ -29,16 +29,18 @@ func histogramChunk(dom geom.Domain, mx, my int, chunk []geom.Point, vals []floa
 // 1 GiB.
 const maxPartialFloats = 1 << 27
 
-// FromSeqParallel is FromSeq fanned out across workers goroutines
-// (workers < 1 means one per CPU, 1 is exactly FromSeq): the stream is
-// consumed in blocks, each worker histograms its blocks into a private
-// partial grid, and the partials are merged in fixed worker order.
-// Workers are shed when mx*my*workers would exceed maxPartialFloats,
-// so parallelism never multiplies a near-cap grid allocation.
+// FromSeqParallel is FromPoints over a streaming point source, for
+// datasets that do not fit in memory, fanned out across workers
+// goroutines (workers < 1 means one per CPU). The stream is consumed
+// in blocks: one worker histograms them straight into the result grid;
+// more workers each histogram their blocks into a private partial grid,
+// and the partials are merged in fixed worker order. Workers are shed
+// when mx*my*workers would exceed maxPartialFloats, so parallelism
+// never multiplies a near-cap grid allocation.
 //
-// The result is bit-identical to FromSeq for every workers value and
-// every block-to-worker assignment: cell counts are sums of exact
-// small integers (each point contributes 1.0), so float64 addition is
+// The result is bit-identical for every workers value and every
+// block-to-worker assignment: cell counts are sums of exact small
+// integers (each point contributes 1.0), so float64 addition is
 // associative over them and any partition of the stream merges to the
 // same totals.
 func FromSeqParallel(dom geom.Domain, mx, my int, seq geom.PointSeq, workers int) (*Counts, error) {
@@ -48,9 +50,6 @@ func FromSeqParallel(dom geom.Domain, mx, my int, seq geom.PointSeq, workers int
 			workers = 1
 		}
 	}
-	if workers == 1 {
-		return FromSeq(dom, mx, my, seq)
-	}
 	c, err := New(dom, mx, my)
 	if err != nil {
 		return nil, err
@@ -58,6 +57,9 @@ func FromSeqParallel(dom geom.Domain, mx, my int, seq geom.PointSeq, workers int
 	// Partials are allocated on first touch so a stream with fewer
 	// chunks than workers does not pay for idle workers' grids.
 	partials := make([][]float64, workers)
+	if workers == 1 {
+		partials[0] = c.vals // the sequential scan histograms in place
+	}
 	err = geom.ForEachChunkParallel(seq, workers, func(w int, chunk []geom.Point) {
 		vals := partials[w]
 		if vals == nil {
@@ -68,6 +70,9 @@ func FromSeqParallel(dom geom.Domain, mx, my int, seq geom.PointSeq, workers int
 	})
 	if err != nil {
 		return nil, fmt.Errorf("grid: scanning points: %w", err)
+	}
+	if workers == 1 {
+		return c, nil
 	}
 	for _, vals := range partials {
 		if vals == nil {

@@ -10,6 +10,7 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/datasets"
 	"github.com/dpgrid/dpgrid/internal/geom"
+	"github.com/dpgrid/dpgrid/internal/geom/geomtest"
 )
 
 // parallelTestPoints mixes uniform points with points sitting exactly
@@ -38,7 +39,7 @@ func parallelTestPoints(n int, dom geom.Domain, mx, my int, seed int64) []geom.P
 	return pts
 }
 
-// referenceHistogram is the pre-engine FromSeq implementation: a
+// referenceHistogram is the pre-engine histogram implementation: a
 // per-point scan binning with geom.Domain.CellIndex. The chunked kernel
 // and every parallel merge must reproduce it bit for bit.
 func referenceHistogram(t *testing.T, dom geom.Domain, mx, my int, pts []geom.Point) *Counts {
@@ -74,16 +75,18 @@ func TestFromSeqMatchesCellIndexReference(t *testing.T) {
 	dom := geom.MustDomain(-30, 10, 90, 70)
 	pts := parallelTestPoints(20000, dom, 13, 7, 1)
 	want := referenceHistogram(t, dom, 13, 7, pts)
-	got, err := FromSeq(dom, 13, 7, geom.SlicePoints(pts))
+	got, err := FromPoints(dom, 13, 7, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCounts(t, "FromSeq", got, want)
+	sameCounts(t, "FromPoints", got, want)
 }
 
-// The tentpole determinism property: FromSeqParallel must equal FromSeq
-// bit for bit for every worker count, chunk-boundary stream size, and
-// source type.
+// The determinism property: FromSeqParallel must equal the per-point
+// reference bit for bit for every worker count, chunk-boundary stream
+// size, and source type — including a source that reuses and poisons
+// its chunk buffer, which catches any path that keeps a chunk past the
+// callback.
 func TestFromSeqParallelMatchesSequential(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 100, 100)
 	mx, my := 16, 16
@@ -104,14 +107,9 @@ func TestFromSeqParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		seqs := map[string]geom.PointSeq{
-			"slice": geom.SlicePoints(pts),
-			"func": geom.FuncSeq(func(fn func(geom.Point)) error {
-				for _, p := range pts {
-					fn(p)
-				}
-				return nil
-			}),
-			"csv": datasets.CSVFileSeq{Path: csvPath},
+			"slice":  geom.SlicePoints(pts),
+			"reused": geomtest.ReusedChunks(pts),
+			"csv":    datasets.CSVFileSeq{Path: csvPath},
 		}
 		for name, seq := range seqs {
 			for _, workers := range workerCounts {
@@ -125,15 +123,22 @@ func TestFromSeqParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// failingSeq streams one point and then fails, as a source whose disk
+// dies mid-stream would.
+type failingSeq struct{ err error }
+
+func (s failingSeq) ForEachChunk(fn func([]geom.Point) error) error {
+	if err := fn([]geom.Point{{X: 0.5, Y: 0.5}}); err != nil {
+		return err
+	}
+	return s.err
+}
+
 func TestFromSeqParallelPropagatesError(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 1, 1)
 	boom := errors.New("boom")
-	seq := geom.FuncSeq(func(fn func(geom.Point)) error {
-		fn(geom.Point{X: 0.5, Y: 0.5})
-		return boom
-	})
 	for _, workers := range []int{1, 4} {
-		if _, err := FromSeqParallel(dom, 4, 4, seq, workers); !errors.Is(err, boom) {
+		if _, err := FromSeqParallel(dom, 4, 4, failingSeq{boom}, workers); !errors.Is(err, boom) {
 			t.Errorf("workers=%d: error = %v, want boom", workers, err)
 		}
 	}

@@ -46,11 +46,19 @@ type filterSeq struct {
 	tile int
 }
 
-func (t filterSeq) ForEach(fn func(geom.Point)) error {
-	return t.seq.ForEach(func(p geom.Point) {
-		if t.plan.TileIndex(p) == t.tile {
-			fn(p)
+func (t filterSeq) ForEachChunk(fn func([]geom.Point) error) error {
+	var kept []geom.Point
+	return t.seq.ForEachChunk(func(chunk []geom.Point) error {
+		kept = kept[:0]
+		for _, p := range chunk {
+			if t.plan.TileIndex(p) == t.tile {
+				kept = append(kept, p)
+			}
 		}
+		if len(kept) == 0 {
+			return nil
+		}
+		return fn(kept)
 	})
 }
 

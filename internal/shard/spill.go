@@ -30,15 +30,16 @@ const spillRecordSize = 16
 // instead of kx*ky filtered re-scans; per-tile builders then replay
 // their own (compact, binary) spool as many times as they need.
 type spill struct {
-	dir    string
+	dir    string // created by the first sweep; empty while nothing spilled
 	spools []tileSpool
 	w      *bufio.Writer // reused across sweep file appends
 }
 
 // tileSpool holds one tile's points: n points spilled to the file at
-// path (absent until the first flush) followed by the in-memory tail.
-// Appends preserve stream order, so replaying file-then-tail replays
-// the tile's points exactly as a filtered scan of the source would.
+// path (empty until the tile's first flush) followed by the in-memory
+// tail. Appends preserve stream order, so replaying file-then-tail
+// replays the tile's points exactly as a filtered scan of the source
+// would.
 type tileSpool struct {
 	path string
 	n    int64 // points in the spill file
@@ -49,7 +50,9 @@ type tileSpool struct {
 // points into per-tile spools. memBudget caps the aggregate number of
 // buffered points (0 means DefaultSpillPoints); when the budget fills,
 // every non-empty buffer is swept to its tile's spill file in one pass.
-// The caller must Close the returned spill to remove the temp files.
+// The temp directory is created by the first sweep, so a stream that
+// fits the budget never touches the file system. The caller must Close
+// the returned spill to remove the temp files.
 func partitionSpill(seq geom.PointSeq, plan Plan, memBudget int) (*spill, error) {
 	if err := plan.validate(); err != nil {
 		return nil, err
@@ -57,16 +60,9 @@ func partitionSpill(seq geom.PointSeq, plan Plan, memBudget int) (*spill, error)
 	if memBudget <= 0 {
 		memBudget = DefaultSpillPoints
 	}
-	dir, err := os.MkdirTemp("", "dpgrid-spill-")
-	if err != nil {
-		return nil, fmt.Errorf("shard: spill dir: %w", err)
-	}
-	sp := &spill{dir: dir, spools: make([]tileSpool, plan.NumTiles())}
-	for i := range sp.spools {
-		sp.spools[i].path = filepath.Join(dir, fmt.Sprintf("tile%06d.pts", i))
-	}
+	sp := &spill{spools: make([]tileSpool, plan.NumTiles())}
 	buffered := 0
-	err = geom.ForEachChunk(seq, func(chunk []geom.Point) error {
+	err := seq.ForEachChunk(func(chunk []geom.Point) error {
 		for _, p := range chunk {
 			i := plan.TileIndex(p)
 			if i < 0 {
@@ -97,13 +93,21 @@ func partitionSpill(seq geom.PointSeq, plan Plan, memBudget int) (*spill, error)
 // tile.
 func (s *spill) sweep() error {
 	var rec [spillRecordSize]byte
-	if s.w == nil {
+	if s.dir == "" {
+		dir, err := os.MkdirTemp("", "dpgrid-spill-")
+		if err != nil {
+			return fmt.Errorf("spill dir: %w", err)
+		}
+		s.dir = dir
 		s.w = bufio.NewWriterSize(nil, 64<<10)
 	}
 	for i := range s.spools {
 		t := &s.spools[i]
 		if len(t.tail) == 0 {
 			continue
+		}
+		if t.path == "" {
+			t.path = filepath.Join(s.dir, fmt.Sprintf("tile%06d.pts", i))
 		}
 		f, err := os.OpenFile(t.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
 		if err != nil {
@@ -132,28 +136,24 @@ func (s *spill) sweep() error {
 	return nil
 }
 
-// Close removes the spill directory and every spill file in it.
-func (s *spill) Close() error { return os.RemoveAll(s.dir) }
+// Close removes the spill directory and every spill file in it; it is
+// a no-op when nothing was spilled.
+func (s *spill) Close() error {
+	if s.dir == "" {
+		return nil
+	}
+	return os.RemoveAll(s.dir)
+}
 
 // tileSeq returns the re-iterable point source of tile i: the spill
 // file's records (if any) followed by the in-memory tail, in original
-// stream order. It implements geom.ChunkSeq, so per-tile builders
+// stream order. It implements geom.PointSeq, so per-tile builders
 // ingest spools through the same chunked engine as any other source.
 func (s *spill) tileSeq(i int) geom.PointSeq { return spoolSeq{spool: &s.spools[i]} }
 
 type spoolSeq struct{ spool *tileSpool }
 
-// ForEach implements geom.PointSeq.
-func (q spoolSeq) ForEach(fn func(geom.Point)) error {
-	return q.ForEachChunk(func(chunk []geom.Point) error {
-		for _, p := range chunk {
-			fn(p)
-		}
-		return nil
-	})
-}
-
-// ForEachChunk implements geom.ChunkSeq.
+// ForEachChunk implements geom.PointSeq.
 func (q spoolSeq) ForEachChunk(fn func(chunk []geom.Point) error) error {
 	t := q.spool
 	if t.n > 0 {

@@ -3,10 +3,13 @@ package shard
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
+	"github.com/dpgrid/dpgrid/internal/geom/geomtest"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
@@ -34,18 +37,10 @@ func spillTestPoints(n int, plan Plan, seed int64) []geom.Point {
 	return pts
 }
 
-// scanSeq counts complete scans of the source under either view.
+// scanSeq counts complete scans of the source.
 type scanSeq struct {
 	pts   []geom.Point
 	scans *int
-}
-
-func (s scanSeq) ForEach(fn func(geom.Point)) error {
-	*s.scans++
-	for _, p := range s.pts {
-		fn(p)
-	}
-	return nil
 }
 
 func (s scanSeq) ForEachChunk(fn func([]geom.Point) error) error {
@@ -95,8 +90,9 @@ func TestStreamingBuildScansSourceOnce(t *testing.T) {
 
 // The streaming build must release the bit-identical mosaic to the
 // in-memory bucket build — including when tiny spill budgets force
-// every tile through its on-disk spool, and when the source arrives as
-// per-point callbacks instead of chunks.
+// every tile through its on-disk spool, and when the source reuses and
+// poisons its chunk buffer, so a partitioner that kept a chunk instead
+// of copying its points would route NaN.
 func TestStreamingBuildMatchesBuckets(t *testing.T) {
 	dom := geom.MustDomain(-10, -40, 110, 80)
 	plan, err := NewPlan(dom, 3, 2)
@@ -104,12 +100,6 @@ func TestStreamingBuildMatchesBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := spillTestPoints(15000, plan, 9)
-	funcSeq := geom.FuncSeq(func(fn func(geom.Point)) error {
-		for _, p := range pts {
-			fn(p)
-		}
-		return nil
-	})
 
 	refU, err := BuildUniform(pts, plan, 1, core.UGOptions{}, Options{}, noise.NewSource(21))
 	if err != nil {
@@ -123,7 +113,7 @@ func TestStreamingBuildMatchesBuckets(t *testing.T) {
 	wantA := shardedBytes(t, refA)
 
 	for _, budget := range []int{0, 64} { // default in-memory vs forced spill-to-disk
-		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "func": funcSeq} {
+		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
 			gotU, err := BuildUniformSeq(seq, plan, 1, core.UGOptions{}, Options{MaxBufferedPoints: budget}, noise.NewSource(21))
 			if err != nil {
 				t.Fatalf("budget=%d %s uniform: %v", budget, name, err)
@@ -142,8 +132,22 @@ func TestStreamingBuildMatchesBuckets(t *testing.T) {
 	}
 }
 
+// tilePoints collects one full pass over tile i's spool.
+func tilePoints(t *testing.T, sp *spill, i int) []geom.Point {
+	t.Helper()
+	var got []geom.Point
+	if err := sp.tileSeq(i).ForEachChunk(func(chunk []geom.Point) error {
+		got = append(got, chunk...)
+		return nil
+	}); err != nil {
+		t.Fatalf("tile %d: %v", i, err)
+	}
+	return got
+}
+
 // partitionSpill must route every in-domain point to exactly one tile,
-// preserving stream order within each tile, across spill sweeps.
+// preserving stream order within each tile, across spill sweeps, for a
+// slice source and for one that reuses and poisons its chunk buffer.
 func TestPartitionSpillRoutesAndOrders(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 10, 10)
 	plan, err := NewPlan(dom, 2, 2)
@@ -152,38 +156,63 @@ func TestPartitionSpillRoutesAndOrders(t *testing.T) {
 	}
 	pts := spillTestPoints(5000, plan, 3)
 	pts = append(pts, geom.Point{X: -5, Y: 5}, geom.Point{X: 5, Y: 11}) // out of domain: dropped
-	sp, err := partitionSpill(geom.SlicePoints(pts), plan, 128)         // force many sweeps
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-
 	var want [4][]geom.Point
 	for _, p := range pts {
 		if i := plan.TileIndex(p); i >= 0 {
 			want[i] = append(want[i], p)
 		}
 	}
-	for i := 0; i < plan.NumTiles(); i++ {
-		var got []geom.Point
-		if err := sp.tileSeq(i).ForEach(func(p geom.Point) { got = append(got, p) }); err != nil {
-			t.Fatalf("tile %d: %v", i, err)
+	for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+		sp, err := partitionSpill(seq, plan, 128) // force many sweeps
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if len(got) != len(want[i]) {
-			t.Fatalf("tile %d: %d points, want %d", i, len(got), len(want[i]))
-		}
-		for j := range got {
-			if got[j] != want[i][j] {
-				t.Fatalf("tile %d point %d: %v, want %v (order or routing broken)", i, j, got[j], want[i][j])
+		for i := 0; i < plan.NumTiles(); i++ {
+			got := tilePoints(t, sp, i)
+			if len(got) != len(want[i]) {
+				t.Fatalf("%s tile %d: %d points, want %d", name, i, len(got), len(want[i]))
+			}
+			for j := range got {
+				if got[j] != want[i][j] {
+					t.Fatalf("%s tile %d point %d: %v, want %v (order or routing broken)", name, i, j, got[j], want[i][j])
+				}
+			}
+			// Spools must replay identically on a second pass (AG re-reads).
+			if n := len(tilePoints(t, sp, i)); n != len(want[i]) {
+				t.Fatalf("%s tile %d: replay saw %d points, want %d", name, i, n, len(want[i]))
 			}
 		}
-		// Spools must replay identically on a second pass (AG re-reads).
-		n := 0
-		if err := sp.tileSeq(i).ForEach(func(geom.Point) { n++ }); err != nil {
-			t.Fatalf("tile %d replay: %v", i, err)
+		if err := sp.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
 		}
-		if n != len(want[i]) {
-			t.Fatalf("tile %d: replay saw %d points, want %d", i, n, len(want[i]))
-		}
+	}
+}
+
+// A streaming sharded build whose points fit the spill budget never
+// touches the file system, so it must succeed — with the in-memory
+// build's bytes — when the temp directory is unusable; one that has to
+// spill must report the directory failure.
+func TestStreamingBuildWithoutTempDir(t *testing.T) {
+	dom := geom.MustDomain(0, 0, 10, 10)
+	plan, err := NewPlan(dom, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	pts := []geom.Point{{X: 1, Y: 1}, {X: 6, Y: 2}, {X: 7, Y: 8}}
+	ref, err := BuildAdaptive(pts, plan, 1, core.AGOptions{}, Options{}, noise.NewSource(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildAdaptiveSeq(geom.SlicePoints(pts), plan, 1, core.AGOptions{}, Options{}, noise.NewSource(5))
+	if err != nil {
+		t.Fatalf("build that never spills: %v", err)
+	}
+	if !bytes.Equal(shardedBytes(t, got), shardedBytes(t, ref)) {
+		t.Error("streaming mosaic differs from the in-memory build")
+	}
+	_, err = BuildAdaptiveSeq(geom.SlicePoints(pts), plan, 1, core.AGOptions{}, Options{MaxBufferedPoints: 1}, noise.NewSource(5))
+	if err == nil || !strings.Contains(err.Error(), "spill dir") {
+		t.Errorf("build that must spill: error = %v, want a spill dir error", err)
 	}
 }

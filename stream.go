@@ -7,13 +7,16 @@ import (
 )
 
 // PointSeq is a re-iterable stream of points, the input abstraction for
-// building synopses over datasets too large to hold in memory. ForEach
-// must replay the full stream on every call (the streaming AG build
+// building synopses over datasets too large to hold in memory. Its one
+// method, ForEachChunk(fn func(chunk []Point) error) error, hands fn
+// the whole stream in order as non-empty chunks that are only valid
+// until fn returns, stops at fn's first error and returns it, and must
+// replay the full stream on every call (the streaming AG build
 // re-scans the data when its point index is disabled or overflows).
-//
-// Sources that can also replay the stream in blocks (geom.ChunkSeq)
-// feed the parallel ingestion engine without a per-point callback;
-// SlicePoints and CSVFilePoints both do.
+// SlicePoints and CSVFilePoints implement it; a per-point source
+// implements it by buffering its points into a slice of 8192 (the
+// built-in sources' chunk size) and handing each full slice, and the
+// final partial one, to fn.
 type PointSeq = geom.PointSeq
 
 // SlicePoints adapts an in-memory []Point to PointSeq.

@@ -85,9 +85,11 @@ type errSeq struct {
 	failAt int
 }
 
-func (e errSeq) ForEach(fn func(Point)) error {
+func (e errSeq) ForEachChunk(fn func([]Point) error) error {
 	*e.calls++
-	fn(Point{X: 0.5, Y: 0.5})
+	if err := fn([]Point{{X: 0.5, Y: 0.5}}); err != nil {
+		return err
+	}
 	if *e.calls >= e.failAt {
 		return errors.New("disk on fire")
 	}
@@ -118,7 +120,10 @@ func TestStreamingMidStreamError(t *testing.T) {
 func TestSlicePointsSeq(t *testing.T) {
 	pts := SlicePoints{{X: 1, Y: 2}, {X: 3, Y: 4}}
 	var seen int
-	if err := pts.ForEach(func(Point) { seen++ }); err != nil {
+	if err := pts.ForEachChunk(func(chunk []Point) error {
+		seen += len(chunk)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 2 {
