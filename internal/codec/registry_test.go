@@ -144,15 +144,7 @@ func TestSectionHelpers(t *testing.T) {
 	e2.F64s(sums)
 	d2, _, _ := NewDec(e2.Bytes())
 	vs := d2.F64s(4)
-	if err := CheckPrefixSums(vs, 1, 1); err != nil {
-		t.Fatalf("valid table rejected: %v", err)
-	}
 	if len(vs) != 4 || vs[3] != 1 {
 		t.Fatalf("F64s = %v", vs)
-	}
-	bad := append([]float64(nil), vs...)
-	bad[0] = 1 // border entry nonzero
-	if err := CheckPrefixSums(bad, 1, 1); err == nil {
-		t.Fatal("border violation accepted")
 	}
 }

@@ -44,7 +44,7 @@ import (
 // table totals (each cell table's last entry — NOT the in-memory
 // level-1 totals, which hold the constrained-inference v' values a
 // reader cannot re-derive from the file). Decoders verify the trailer
-// bit-for-bit against the body (codec.CheckSAT), so a SAT-backed decode
+// bit-for-bit against the body (grid.AdoptPrefix), so a SAT-backed decode
 // answers identically to a reader that ignores the section and
 // rebuilds, and re-encoding reproduces the container byte-for-byte.
 // Files written before the trailer existed decode unchanged.
@@ -205,16 +205,9 @@ func ParseUniformGridBinary(data []byte) (*UniformGrid, error) {
 	// the bitwise check against the counts guarantees it is the exact
 	// table NewPrefix would produce, so both paths answer (and
 	// re-encode) identically.
-	var prefix *grid.Prefix
-	if sat != nil {
-		if err := codec.CheckSAT(sat, vals, mx, my); err != nil {
-			return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
-		}
-		if prefix, err = grid.PrefixFromSums(dom, mx, my, sat); err != nil {
-			return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
-		}
-	} else {
-		prefix = grid.NewPrefix(counts)
+	prefix, err := grid.AdoptPrefix(counts, sat)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
 	}
 	return &UniformGrid{
 		dom:       dom,
@@ -292,9 +285,6 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: cell %d: %w", k, err)
 		}
-		if err := codec.CheckPrefixSums(sums, m2, m2); err != nil {
-			return nil, fmt.Errorf("core: cell %d: %w", k, err)
-		}
 		cellRect := dom.CellRect(k%m1, k/m1, m1, m1)
 		leaves, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, m2, m2, sums)
 		if err != nil {
@@ -311,21 +301,14 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 	}
 	// A stored SAT verified bit-identical to NewPrefix(totals) changes
 	// no answer when adopted — it just skips the rebuild.
-	if sat != nil {
-		if err := codec.CheckSAT(sat, totals, m1, m1); err != nil {
-			return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
-		}
-		if ag.level1, err = grid.PrefixFromSums(dom, m1, m1, sat); err != nil {
-			return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
-		}
-		ag.satBacked = true
-	} else {
-		level1, err := grid.FromValues(dom, m1, m1, totals)
-		if err != nil {
-			return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
-		}
-		ag.level1 = grid.NewPrefix(level1)
+	level1, err := grid.FromValues(dom, m1, m1, totals)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
 	}
+	if ag.level1, err = grid.AdoptPrefix(level1, sat); err != nil {
+		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
+	}
+	ag.satBacked = sat != nil
 	return ag, nil
 }
 

@@ -98,7 +98,7 @@ func TestHierarchyBuildersPinned(t *testing.T) {
 			want             string
 		}{
 			{1, 64, 2, 4, "9222e27672e0f4b5102f97cbeeb99c96d98a490de623d3a8a89ac04286b1bbc5"},
-			{2, 16, 2, 3, "ffd7d1434dd0d0b476a9d66d1c625581d514f19fa1ecc3695cd85df512bfb058"},
+			{2, 16, 2, 3, "921d287ef3c688c2252bf57869f8a59239ccea4980ba7500eb7a93fb5b111ac4"},
 			{3, 8, 2, 3, "f1688dd4070803cce2a86c4cc43a835e85f41de5a0300360ae1c9625fcc7acb5"},
 			{4, 8, 2, 2, "2a74fdfccd0f67284f0f07109b62029298953c9c9421b2ec3ed6053c528d0a5f"},
 		} {

@@ -8,7 +8,8 @@
 // Queries run in O(1) per call via a 2D prefix-sum table: a rectangle
 // decomposes into at most 3x3 = 9 axis-aligned blocks (full interior,
 // partial edge strips, partial corners), each summed with inclusion-
-// exclusion.
+// exclusion. The table is SAT, the package's summed-area table for any
+// dimension, which gridnd and hist1d share.
 package grid
 
 import (
@@ -178,8 +179,9 @@ func (c *Counts) QueryIter(r geom.Rect) float64 {
 }
 
 // Prefix is an immutable prefix-sum view of a Counts grid providing O(1)
-// uniformity-estimate range queries. Build it once after the grid's counts
-// are final (e.g. after noise and constrained inference).
+// uniformity-estimate range queries: the 2-D case of SAT. Build it once
+// after the grid's counts are final (e.g. after noise and constrained
+// inference).
 type Prefix struct {
 	dom    geom.Domain
 	mx, my int
@@ -189,16 +191,7 @@ type Prefix struct {
 
 // NewPrefix builds the prefix-sum table of c. O(mx*my) time and space.
 func NewPrefix(c *Counts) *Prefix {
-	mx, my := c.mx, c.my
-	p := &Prefix{dom: c.dom, mx: mx, my: my, sums: make([]float64, (mx+1)*(my+1))}
-	for iy := 0; iy < my; iy++ {
-		var rowAcc float64
-		for ix := 0; ix < mx; ix++ {
-			rowAcc += c.vals[iy*mx+ix]
-			p.sums[(iy+1)*(mx+1)+(ix+1)] = p.sums[iy*(mx+1)+(ix+1)] + rowAcc
-		}
-	}
-	return p
+	return &Prefix{dom: c.dom, mx: c.mx, my: c.my, sums: NewSAT([]int{c.mx, c.my}, c.vals).sums}
 }
 
 // Sums exposes the backing prefix-sum table, row-major with
@@ -209,33 +202,33 @@ func NewPrefix(c *Counts) *Prefix {
 func (p *Prefix) Sums() []float64 { return p.sums }
 
 // PrefixFromSums reconstructs a Prefix directly from a serialized sums
-// table, taking ownership of sums. It validates the table's shape (the
-// length must be (mx+1)*(my+1) and the first row and column must be
-// zero — every prefix table NewPrefix builds has that border); callers
-// are responsible for value-level checks such as finiteness.
+// table, taking ownership of sums, after SATFromSums' checks: positive
+// dimensions within MaxCells, length (mx+1)*(my+1), zero first row and
+// column, every entry finite.
 func PrefixFromSums(dom geom.Domain, mx, my int, sums []float64) (*Prefix, error) {
-	if mx <= 0 || my <= 0 {
-		return nil, fmt.Errorf("grid: dimensions must be positive, got %dx%d", mx, my)
-	}
-	// Per-axis bound first so the product cannot overflow on
-	// adversarial dimensions.
-	if mx > MaxCells || my > MaxCells || int64(mx)*int64(my) > MaxCells {
-		return nil, fmt.Errorf("grid: %dx%d grid too large", mx, my)
-	}
-	if want := (mx + 1) * (my + 1); len(sums) != want {
-		return nil, fmt.Errorf("grid: sums table holds %d entries, want (mx+1)*(my+1) = %d", len(sums), want)
-	}
-	for ix := 0; ix <= mx; ix++ {
-		if sums[ix] != 0 {
-			return nil, fmt.Errorf("grid: sums table row 0 entry %d is %g, want 0", ix, sums[ix])
-		}
-	}
-	for iy := 0; iy <= my; iy++ {
-		if sums[iy*(mx+1)] != 0 {
-			return nil, fmt.Errorf("grid: sums table column 0 entry %d is %g, want 0", iy, sums[iy*(mx+1)])
-		}
+	if _, err := SATFromSums([]int{mx, my}, sums); err != nil {
+		return nil, err
 	}
 	return &Prefix{dom: dom, mx: mx, my: my, sums: sums}, nil
+}
+
+// AdoptPrefix returns the prefix table of c. With sums nil it is
+// NewPrefix(c). Otherwise sums, a decoded summed-area section, must
+// pass SATFromSums and equal bit for bit the table NewPrefix(c) builds
+// (SAT.CheckCells); it is then adopted in place, so an adopted and a
+// rebuilt table answer and re-encode identically.
+func AdoptPrefix(c *Counts, sums []float64) (*Prefix, error) {
+	if sums == nil {
+		return NewPrefix(c), nil
+	}
+	t, err := SATFromSums([]int{c.mx, c.my}, sums)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.CheckCells(c.vals); err != nil {
+		return nil, err
+	}
+	return &Prefix{dom: c.dom, mx: c.mx, my: c.my, sums: sums}, nil
 }
 
 // Domain returns the domain of the underlying grid.
@@ -245,72 +238,13 @@ func (p *Prefix) Domain() geom.Domain { return p.dom }
 func (p *Prefix) Dims() (mx, my int) { return p.mx, p.my }
 
 // Total returns the sum of all cells.
-func (p *Prefix) Total() float64 { return p.sums[p.my*(p.mx+1)+p.mx] }
+func (p *Prefix) Total() float64 { return p.sums[len(p.sums)-1] }
 
 // BlockSum returns the exact sum of cells with ix in [ix0, ix1) and iy in
 // [iy0, iy1). Indices are clamped to the grid.
 func (p *Prefix) BlockSum(ix0, iy0, ix1, iy1 int) float64 {
-	ix0 = clampInt(ix0, 0, p.mx)
-	ix1 = clampInt(ix1, 0, p.mx)
-	iy0 = clampInt(iy0, 0, p.my)
-	iy1 = clampInt(iy1, 0, p.my)
-	if ix0 >= ix1 || iy0 >= iy1 {
-		return 0
-	}
-	w := p.mx + 1
-	return p.sums[iy1*w+ix1] - p.sums[iy0*w+ix1] - p.sums[iy1*w+ix0] + p.sums[iy0*w+ix0]
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// axisSpan is a contiguous run of cell indices [i0, i1) that a query covers
-// with uniform weight w on one axis.
-type axisSpan struct {
-	i0, i1 int
-	w      float64
-}
-
-// axisSpans decomposes the continuous interval [lo, hi] (in cell units,
-// already clamped to [0, m]) into at most three weighted index runs:
-// a left partial cell, a full-weight middle run, and a right partial cell.
-func axisSpans(lo, hi float64, m int, out []axisSpan) []axisSpan {
-	out = out[:0]
-	if hi <= lo {
-		return out
-	}
-	loCell := int(math.Floor(lo))
-	hiCell := int(math.Floor(hi))
-	if loCell >= m {
-		loCell = m - 1
-	}
-	if loCell == hiCell {
-		// Entire interval inside one cell.
-		return append(out, axisSpan{i0: loCell, i1: loCell + 1, w: hi - lo})
-	}
-	// Left partial cell, unless lo sits exactly on a cell edge.
-	fullStart := loCell
-	if float64(loCell) != lo {
-		out = append(out, axisSpan{i0: loCell, i1: loCell + 1, w: float64(loCell+1) - lo})
-		fullStart = loCell + 1
-	}
-	// Full-weight middle run.
-	if fullStart < hiCell {
-		out = append(out, axisSpan{i0: fullStart, i1: hiCell, w: 1})
-	}
-	// Right partial cell, unless hi sits exactly on a cell edge (hiCell == m
-	// can only happen when hi == m, which is an edge).
-	if float64(hiCell) != hi && hiCell < m {
-		out = append(out, axisSpan{i0: hiCell, i1: hiCell + 1, w: hi - float64(hiCell)})
-	}
-	return out
+	return blockSum2(p.sums, p.mx+1,
+		clampInt(ix0, 0, p.mx), clampInt(iy0, 0, p.my), clampInt(ix1, 0, p.mx), clampInt(iy1, 0, p.my))
 }
 
 // Query answers the range-count query r under the uniformity assumption.
@@ -332,14 +266,14 @@ func (p *Prefix) Query(r geom.Rect) float64 {
 	loY = clampFloat(loY, 0, float64(p.my))
 	hiY = clampFloat(hiY, 0, float64(p.my))
 
-	var xbuf, ybuf [3]axisSpan
-	xs := axisSpans(loX, hiX, p.mx, xbuf[:0])
-	ys := axisSpans(loY, hiY, p.my, ybuf[:0])
+	var xbuf, ybuf [3]Span
+	xs := AxisSpans(loX, hiX, p.mx, xbuf[:0])
+	ys := AxisSpans(loY, hiY, p.my, ybuf[:0])
 
 	var total float64
 	for _, sy := range ys {
 		for _, sx := range xs {
-			total += sx.w * sy.w * p.BlockSum(sx.i0, sy.i0, sx.i1, sy.i1)
+			total += sx.W * sy.W * p.BlockSum(sx.I0, sy.I0, sx.I1, sy.I1)
 		}
 	}
 	return total

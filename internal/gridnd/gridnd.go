@@ -5,9 +5,10 @@
 //
 // Its Hierarchical is the one constrained-inference hierarchy builder:
 // package hierarchy (d = 2) and package hist1d (d = 1) run it on their
-// own leaf histograms. Grid generalizes internal/grid's prefix queries
-// to any d, and gridnd's tests cross-validate the two at d = 2. In the
-// reproduction it supplies the d = 3 and d = 4 rows of
+// own leaf histograms. Grid answers box queries from grid.SAT, the
+// summed-area table grid.Prefix also uses, and keeps only its own
+// coordinate-to-cell transform; gridnd's tests cross-validate the two
+// at d = 2. In the reproduction it supplies the d = 3 and d = 4 rows of
 // eval.HierarchyGainByDimension, carrying the paper's section IV-C
 // prediction ("hierarchies would perform even worse with higher
 // dimensions") past the paper's own discussion.
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/dpgrid/dpgrid/internal/grid"
 	"github.com/dpgrid/dpgrid/internal/infer"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
@@ -48,13 +50,13 @@ func NewDomain(lo, hi []float64) (Domain, error) {
 func (d Domain) Dims() int { return len(d.Lo) }
 
 // Contains reports whether point p (length d) is inside the domain,
-// boundary inclusive.
+// boundary inclusive. A NaN coordinate is outside.
 func (d Domain) Contains(p []float64) bool {
 	if len(p) != d.Dims() {
 		return false
 	}
 	for k := range p {
-		if p[k] < d.Lo[k] || p[k] > d.Hi[k] {
+		if !(p[k] >= d.Lo[k] && p[k] <= d.Hi[k]) {
 			return false
 		}
 	}
@@ -69,11 +71,10 @@ type Box struct {
 // Grid is an m^d grid of counts over a domain with O(3^d) box queries via
 // a d-dimensional summed-area table.
 type Grid struct {
-	dom     Domain
-	d       int
-	m       int
-	strides []int     // strides of the (m+1)^d prefix array
-	prefix  []float64 // d-dimensional prefix sums
+	dom Domain
+	d   int
+	m   int
+	sat grid.SAT
 }
 
 // maxCells bounds the total cell count.
@@ -93,40 +94,11 @@ func cellsFor(m, d int) (int, error) {
 
 // newGrid wraps raw cell values (axis 0 fastest) into a queryable grid.
 func newGrid(dom Domain, m int, vals []float64) *Grid {
-	d := dom.Dims()
-	side := m + 1
-	strides := make([]int, d)
-	s := 1
-	for k := 0; k < d; k++ {
-		strides[k] = s
-		s *= side
+	dims := make([]int, dom.Dims())
+	for k := range dims {
+		dims[k] = m
 	}
-	prefix := make([]float64, s)
-
-	// Scatter each axis-0 row of cells into the prefix array at index+1
-	// per axis; rest counts the row's position on axes 1..d-1.
-	rest := make([]int, d-1)
-	for ci := 0; ci < len(vals); ci += m {
-		pi := 1
-		for k, i := range rest {
-			pi += (i + 1) * strides[k+1]
-		}
-		copy(prefix[pi:pi+m], vals[ci:ci+m])
-		advance(rest, m)
-	}
-
-	// Integrate along each axis in turn (standard summed-area table),
-	// one block of side positions along the axis at a time; a block's
-	// first stride entries sit at position 0 and stay as they are.
-	for _, stride := range strides {
-		block := stride * side
-		for base := 0; base < s; base += block {
-			for i := base + stride; i < base+block; i++ {
-				prefix[i] += prefix[i-stride]
-			}
-		}
-	}
-	return &Grid{dom: dom, d: d, m: m, strides: strides, prefix: prefix}
+	return &Grid{dom: dom, d: len(dims), m: m, sat: grid.NewSAT(dims, vals)}
 }
 
 // advance steps the odometer idx, axis 0 fastest, each digit counting
@@ -148,70 +120,22 @@ func (g *Grid) M() int { return g.m }
 func (g *Grid) Dims() int { return g.d }
 
 // Total returns the sum of all cells.
-func (g *Grid) Total() float64 { return g.prefix[len(g.prefix)-1] }
-
-// blockSum returns the exact sum over cell ranges [lo[k], hi[k]) per axis
-// via inclusion-exclusion over the 2^d corners: each corner picks lo or
-// hi per axis, with sign (-1)^(number of lo picks).
-func (g *Grid) blockSum(lo, hi []int) float64 {
-	var total float64
-	corners := 1 << g.d
-	for mask := 0; mask < corners; mask++ {
-		pi := 0
-		sign := 1
-		for k := 0; k < g.d; k++ {
-			if mask&(1<<k) != 0 {
-				pi += hi[k] * g.strides[k]
-			} else {
-				pi += lo[k] * g.strides[k]
-				sign = -sign
-			}
-		}
-		total += float64(sign) * g.prefix[pi]
-	}
-	return total
-}
-
-// span is a weighted run of cell indices on one axis.
-type span struct {
-	i0, i1 int
-	w      float64
-}
-
-func axisSpans(lo, hi float64, m int) []span {
-	var out []span
-	if hi <= lo {
-		return out
-	}
-	loCell := int(math.Floor(lo))
-	hiCell := int(math.Floor(hi))
-	if loCell >= m {
-		loCell = m - 1
-	}
-	if loCell == hiCell {
-		return append(out, span{loCell, loCell + 1, hi - lo})
-	}
-	fullStart := loCell
-	if float64(loCell) != lo {
-		out = append(out, span{loCell, loCell + 1, float64(loCell+1) - lo})
-		fullStart = loCell + 1
-	}
-	if fullStart < hiCell {
-		out = append(out, span{fullStart, hiCell, 1})
-	}
-	if float64(hiCell) != hi && hiCell < m {
-		out = append(out, span{hiCell, hiCell + 1, hi - float64(hiCell)})
-	}
-	return out
-}
+func (g *Grid) Total() float64 { return g.sat.Total() }
 
 // Query estimates the count inside box under the uniformity assumption.
-// box must have the grid's dimensionality; mismatched boxes return 0.
+// box must have the grid's dimensionality; mismatched boxes return 0. A
+// NaN bound yields NaN, as grid.Prefix and hist1d answer one.
 func (g *Grid) Query(box Box) float64 {
 	if len(box.Lo) != g.d || len(box.Hi) != g.d {
 		return 0
 	}
-	spans := make([][]span, g.d)
+	for k := range box.Lo {
+		if math.IsNaN(box.Lo[k]) || math.IsNaN(box.Hi[k]) {
+			return math.NaN()
+		}
+	}
+	spans := make([][]grid.Span, g.d)
+	buf := make([]grid.Span, 3*g.d)
 	for k := 0; k < g.d; k++ {
 		lo := math.Max(box.Lo[k], g.dom.Lo[k])
 		hi := math.Min(box.Hi[k], g.dom.Hi[k])
@@ -223,7 +147,7 @@ func (g *Grid) Query(box Box) float64 {
 		b := (hi - g.dom.Lo[k]) * scale
 		a = math.Min(math.Max(a, 0), float64(g.m))
 		b = math.Min(math.Max(b, 0), float64(g.m))
-		spans[k] = axisSpans(a, b, g.m)
+		spans[k] = grid.AxisSpans(a, b, g.m, buf[3*k:3*k+3])
 		if len(spans[k]) == 0 {
 			return 0
 		}
@@ -237,11 +161,11 @@ func (g *Grid) Query(box Box) float64 {
 		w := 1.0
 		for k := 0; k < g.d; k++ {
 			sp := spans[k][choice[k]]
-			w *= sp.w
-			lo[k] = sp.i0
-			hi[k] = sp.i1
+			w *= sp.W
+			lo[k] = sp.I0
+			hi[k] = sp.I1
 		}
-		total += w * g.blockSum(lo, hi)
+		total += w * g.sat.BlockSum(lo, hi)
 		// Advance the odometer.
 		k := 0
 		for ; k < g.d; k++ {

@@ -286,10 +286,55 @@ func TestQueryEdgeCases(t *testing.T) {
 		{"outside", []float64{9, 9, 9}, []float64{10, 10, 10}, 0},
 		{"degenerate", []float64{1, 1, 1}, []float64{1, 2, 2}, 0},
 		{"half cell", []float64{0, 0, 0}, []float64{0.5, 1, 1}, 0.5},
+		{"NaN lo", []float64{math.NaN(), 0, 0}, []float64{4, 4, 4}, math.NaN()},
+		{"NaN hi", []float64{0, 0, 0}, []float64{4, math.NaN(), 4}, math.NaN()},
 	} {
-		if got := g.Query(Box{Lo: tc.lo, Hi: tc.hi}); math.Abs(got-tc.want) > 1e-9 {
+		got := g.Query(Box{Lo: tc.lo, Hi: tc.hi})
+		if math.IsNaN(tc.want) != math.IsNaN(got) || math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("%s query = %g, want %g", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestNaNCoordinatesDropped: a point with a NaN coordinate is outside
+// every domain, so binning drops it rather than counting it into a cell.
+func TestNaNCoordinatesDropped(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		pts  [][]float64
+		want float64
+	}{
+		{"d=1", [][]float64{{1}, {nan}, {2}}, 2},
+		{"d=2 first axis", [][]float64{{1, 1}, {nan, 5}, {2, 2}}, 2},
+		{"d=2 second axis", [][]float64{{1, 1}, {5, nan}, {2, 2}}, 2},
+		{"d=3", [][]float64{{1, 1, 1}, {nan, nan, nan}, {2, 2, 2}}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dom := cube(t, len(tc.pts[0]), 10)
+			for _, p := range tc.pts {
+				want := true
+				for _, v := range p {
+					want = want && !math.IsNaN(v)
+				}
+				if got := dom.Contains(p); got != want {
+					t.Errorf("Contains(%v) = %v, want %v", p, got, want)
+				}
+			}
+			flat, err := BuildFlat(tc.pts, dom, 4, 1, noise.Zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hier, err := BuildHierarchical(tc.pts, dom, 4, 2, 2, 1, noise.Zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, g := range map[string]*Grid{"flat": flat, "hierarchical": hier} {
+				if got := g.Total(); math.Abs(got-tc.want) > 1e-9 {
+					t.Errorf("%s Total = %g, want %g", name, got, tc.want)
+				}
+			}
+		})
 	}
 }
 
@@ -381,4 +426,60 @@ func TestHierarchicalZeroNoiseExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzQueryMatchesNaive: at d = 1, 2 and 3, the summed-area answer to an
+// arbitrary box equals the per-cell reference, and a NaN bound anywhere
+// yields NaN rather than a panic.
+func FuzzQueryMatchesNaive(f *testing.F) {
+	const m, extent = 5, 10.0
+	grids := make([]*Grid, 4)
+	cells := make([][]float64, 4)
+	rng := rand.New(rand.NewSource(8))
+	for d := 1; d <= 3; d++ {
+		n, err := cellsFor(m, d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cells[d] = make([]float64, n)
+		for i := range cells[d] {
+			cells[d][i] = rng.Float64()*40 - 10
+		}
+		lo, hi := make([]float64, d), make([]float64, d)
+		for k := range hi {
+			hi[k] = extent
+		}
+		dom, err := NewDomain(lo, hi)
+		if err != nil {
+			f.Fatal(err)
+		}
+		grids[d] = newGrid(dom, m, cells[d])
+	}
+
+	f.Add(uint8(1), 0.0, 10.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint8(2), 1.5, 7.25, 2.0, 9.0, 0.0, 0.0)
+	f.Add(uint8(3), -5.0, 15.0, 3.3, 3.3, 0.1, 9.9)
+	f.Add(uint8(2), math.NaN(), 5.0, 0.0, 5.0, 0.0, 0.0)
+	f.Add(uint8(3), 0.0, 4.0, 0.0, 4.0, 1.0, math.NaN())
+
+	f.Fuzz(func(t *testing.T, dim uint8, lo0, hi0, lo1, hi1, lo2, hi2 float64) {
+		d := int(dim)%3 + 1
+		los, his := []float64{lo0, lo1, lo2}[:d], []float64{hi0, hi1, hi2}[:d]
+		box := Box{Lo: los, Hi: his}
+		hasNaN := false
+		for k := 0; k < d; k++ {
+			hasNaN = hasNaN || math.IsNaN(los[k]) || math.IsNaN(his[k])
+		}
+		got := grids[d].Query(box)
+		if hasNaN {
+			if !math.IsNaN(got) {
+				t.Fatalf("d=%d Query(%v) = %g, want NaN", d, box, got)
+			}
+			return
+		}
+		want := naiveQuery(cells[d], d, m, extent, box)
+		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+			t.Fatalf("d=%d Query(%v) = %g, naive %g", d, box, got, want)
+		}
+	})
 }

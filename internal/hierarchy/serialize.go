@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/core"
@@ -112,73 +111,48 @@ func checkShape(m, b, d int) ([]int, error) {
 	return levels, nil
 }
 
-type hierBinary struct {
-	dom     geom.Domain
-	eps     float64
-	m, b, d int
-	levels  []int
-	sums    []float64
-}
-
-// decodeHierarchyBinary reads and validates a hierarchy container,
-// including the prefix table's finiteness and zero border.
-func decodeHierarchyBinary(data []byte) (hierBinary, error) {
-	var f hierBinary
+// ParseHierarchyBinary deserializes a hierarchy dpgridv2 container,
+// validating all structural invariants, the prefix table's finiteness
+// and zero border included.
+func ParseHierarchyBinary(data []byte) (*Hierarchy, error) {
 	d, kind, err := codec.NewDec(data)
 	if err != nil {
-		return f, fmt.Errorf("hierarchy: parse synopsis: %w", err)
+		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
 	}
 	if kind != codec.KindHierarchy {
-		return f, fmt.Errorf("hierarchy: container kind %v is not %v", kind, codec.KindHierarchy)
+		return nil, fmt.Errorf("hierarchy: container kind %v is not %v", kind, codec.KindHierarchy)
 	}
-	f.dom, err = d.Domain()
+	dom, err := d.Domain()
 	if err != nil {
-		return f, fmt.Errorf("hierarchy: parse synopsis: %w", err)
+		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
 	}
-	f.eps = d.F64()
-	f.m, f.b, f.d = d.Int32(), d.Int32(), d.Int32()
+	eps := d.F64()
+	m, b, depth := d.Int32(), d.Int32(), d.Int32()
 	if err := d.Err(); err != nil {
-		return f, fmt.Errorf("hierarchy: parse synopsis: %w", err)
+		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
 	}
-	if !(f.eps > 0) {
-		return f, fmt.Errorf("hierarchy: invalid epsilon %g", f.eps)
+	if !(eps > 0) {
+		return nil, fmt.Errorf("hierarchy: invalid epsilon %g", eps)
 	}
-	f.levels, err = checkShape(f.m, f.b, f.d)
+	levels, err := checkShape(m, b, depth)
 	if err != nil {
-		return f, err
+		return nil, err
 	}
-	f.sums = d.F64s((f.m + 1) * (f.m + 1))
+	sums := d.F64s((m + 1) * (m + 1))
 	if err := d.Finish(); err != nil {
-		return f, fmt.Errorf("hierarchy: parse synopsis: %w", err)
+		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
 	}
-	if err := codec.CheckPrefixSums(f.sums, f.m, f.m); err != nil {
-		return f, fmt.Errorf("hierarchy: %w", err)
-	}
-	return f, nil
-}
-
-func (f *hierBinary) build() (*Hierarchy, error) {
-	prefix, err := grid.PrefixFromSums(f.dom, f.m, f.m, f.sums)
+	prefix, err := grid.PrefixFromSums(dom, m, m, sums)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy: %w", err)
 	}
 	return &Hierarchy{
-		dom:    f.dom,
-		eps:    f.eps,
-		opts:   Options{GridSize: f.m, Branching: f.b, Depth: f.d},
+		dom:    dom,
+		eps:    eps,
+		opts:   Options{GridSize: m, Branching: b, Depth: depth},
 		prefix: prefix,
-		levels: f.levels,
+		levels: levels,
 	}, nil
-}
-
-// ParseHierarchyBinary deserializes a hierarchy dpgridv2 container,
-// validating all structural invariants.
-func ParseHierarchyBinary(data []byte) (*Hierarchy, error) {
-	f, err := decodeHierarchyBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	return f.build()
 }
 
 // ParseHierarchy deserializes a JSON hierarchy synopsis, validating all
@@ -205,12 +179,6 @@ func ParseHierarchy(data []byte) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if want := (f.GridSize + 1) * (f.GridSize + 1); len(f.Sums) != want {
-		return nil, fmt.Errorf("hierarchy: sums length %d != (m+1)^2 = %d", len(f.Sums), want)
-	}
-	if err := checkFiniteSums(f.Sums); err != nil {
-		return nil, err
-	}
 	prefix, err := grid.PrefixFromSums(dom, f.GridSize, f.GridSize, f.Sums)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy: %w", err)
@@ -222,15 +190,4 @@ func ParseHierarchy(data []byte) (*Hierarchy, error) {
 		prefix: prefix,
 		levels: levels,
 	}, nil
-}
-
-// checkFiniteSums rejects NaN/Inf entries so a decoded synopsis can
-// never answer queries with garbage.
-func checkFiniteSums(vals []float64) error {
-	for i, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("hierarchy: non-finite prefix sum %g at index %d", v, i)
-		}
-	}
-	return nil
 }

@@ -4,7 +4,8 @@
 // section IV-C claim empirically: binary hierarchies give large gains for
 // 1D range queries, gains that mostly vanish in 2D and keep shrinking
 // with dimension (see eval.HierarchyGainByDimension). Hist keeps its own
-// binning and prefix arithmetic; the hierarchy itself is
+// binning and within-bin interpolation over grid.SAT, the repository's
+// one summed-area table, at d = 1; the hierarchy itself is
 // gridnd.Hierarchical at dimension 1.
 package hist1d
 
@@ -14,32 +15,25 @@ import (
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
+	"github.com/dpgrid/dpgrid/internal/grid"
 	"github.com/dpgrid/dpgrid/internal/gridnd"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
 // Hist is a 1D histogram over [lo, hi] with uniformity-estimate range
-// queries (the 1D analogue of grid.Prefix). eps is the privacy budget
-// the release spent; it is zero for exact histograms, which is also
-// what marks them unserializable (see serialize.go).
+// queries answered from its bins' summed-area table (grid.SAT at
+// d = 1). eps is the privacy budget the release spent; it is zero for
+// exact histograms, which is also what marks them unserializable (see
+// serialize.go).
 type Hist struct {
 	lo, hi float64
 	eps    float64
 	prefix []float64 // prefix[i] = sum of bins < i
 }
 
-// newHist wraps bin values into a queryable histogram.
-func newHist(lo, hi float64, vals []float64) *Hist {
-	prefix := make([]float64, len(vals)+1)
-	for i, v := range vals {
-		prefix[i+1] = prefix[i] + v
-	}
-	return &Hist{lo: lo, hi: hi, prefix: prefix}
-}
-
 // FromValues wraps existing bin values (e.g. exact counts used as ground
 // truth in experiments) into a queryable histogram. It adds no noise and
-// copies vals.
+// does not retain vals.
 func FromValues(lo, hi float64, vals []float64) (*Hist, error) {
 	if !(hi > lo) {
 		return nil, fmt.Errorf("hist1d: invalid range [%g, %g]", lo, hi)
@@ -47,7 +41,7 @@ func FromValues(lo, hi float64, vals []float64) (*Hist, error) {
 	if len(vals) == 0 {
 		return nil, errors.New("hist1d: no bins")
 	}
-	return newHist(lo, hi, append([]float64(nil), vals...)), nil
+	return &Hist{lo: lo, hi: hi, prefix: prefixSums(vals)}, nil
 }
 
 // Exact builds the exact (non-private) histogram of xs, for ground truth.
@@ -58,7 +52,7 @@ func Exact(xs []float64, lo, hi float64, bins int) (*Hist, error) {
 	if bins < 1 {
 		return nil, fmt.Errorf("hist1d: bins must be positive, got %d", bins)
 	}
-	return newHist(lo, hi, histogram(xs, lo, hi, bins)), nil
+	return &Hist{lo: lo, hi: hi, prefix: prefixSums(histogram(xs, lo, hi, bins))}, nil
 }
 
 // Bins returns the number of bins.
@@ -112,13 +106,18 @@ func (h *Hist) cumAt(t float64) float64 {
 	return h.prefix[i] + frac*(h.prefix[i+1]-h.prefix[i])
 }
 
-// histogram counts xs into bins over [lo, hi]; out-of-range values are
-// dropped.
+// prefixSums returns the summed-area table of bin values.
+func prefixSums(vals []float64) []float64 {
+	return grid.NewSAT([]int{len(vals)}, vals).Sums()
+}
+
+// histogram counts xs into bins over [lo, hi]; out-of-range and NaN
+// values are dropped.
 func histogram(xs []float64, lo, hi float64, bins int) []float64 {
 	vals := make([]float64, bins)
 	w := (hi - lo) / float64(bins)
 	for _, x := range xs {
-		if x < lo || x > hi {
+		if !(x >= lo && x <= hi) {
 			continue
 		}
 		i := int((x - lo) / w)
@@ -158,9 +157,7 @@ func BuildFlat(xs []float64, lo, hi float64, bins int, eps float64, src noise.So
 		return nil, fmt.Errorf("hist1d: %w", err)
 	}
 	mech.PerturbAll(vals)
-	h := newHist(lo, hi, vals)
-	h.eps = eps
-	return h, nil
+	return &Hist{lo: lo, hi: hi, eps: eps, prefix: prefixSums(vals)}, nil
 }
 
 // BuildHierarchical releases an eps-DP histogram through a b-ary
@@ -177,7 +174,5 @@ func BuildHierarchical(xs []float64, lo, hi float64, bins, branching, depth int,
 	if err != nil {
 		return nil, fmt.Errorf("hist1d: %w", err)
 	}
-	h := newHist(lo, hi, est)
-	h.eps = eps
-	return h, nil
+	return &Hist{lo: lo, hi: hi, eps: eps, prefix: prefixSums(est)}, nil
 }

@@ -87,8 +87,35 @@ func TestHierarchicalZeroNoiseExact(t *testing.T) {
 	}
 }
 
+// TestNaNValuesDropped: a NaN value is out of range, so every builder
+// drops it rather than indexing a bin with it.
+func TestNaNValuesDropped(t *testing.T) {
+	xs := []float64{1, math.NaN(), 2}
+	for _, tc := range []struct {
+		name  string
+		build func() (*Hist, error)
+	}{
+		{"exact", func() (*Hist, error) { return Exact(xs, 0, 10, 4) }},
+		{"flat", func() (*Hist, error) { return BuildFlat(xs, 0, 10, 4, 1, noise.Zero) }},
+		{"hierarchical", func() (*Hist, error) { return BuildHierarchical(xs, 0, 10, 4, 2, 3, 1, noise.Zero) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Total(); math.Abs(got-2) > 1e-9 {
+				t.Errorf("Total = %g, want 2", got)
+			}
+		})
+	}
+}
+
 func TestQuerySemantics(t *testing.T) {
-	h := newHist(0, 10, []float64{10, 20, 30, 40, 50})
+	h, err := FromValues(0, 10, []float64{10, 20, 30, 40, 50})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		a, b, want float64
 	}{
@@ -126,7 +153,10 @@ func TestHierarchyBeatsFlatIn1D(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 
 	// Truth histogram for evaluation.
-	truth := newHist(0, 100, histogram(xs, 0, 100, bins))
+	truth, err := Exact(xs, 0, 100, bins)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var flatErr, hierErr float64
 	const trials = 3

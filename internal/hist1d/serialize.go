@@ -8,14 +8,15 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/core"
+	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
 // Serialization of 1D histograms. Both encodings persist the prefix-sum
 // table — the in-memory query structure — for bit-identical round trips
 // (the same copy-only decode pattern the 2D kinds use). Prefix sums of
 // noisy bins are not monotonic (Laplace noise goes negative), so the
-// structural checks are first-element-zero and finiteness, nothing
-// stronger.
+// structural checks are grid.SATFromSums' length, first-element-zero and
+// finiteness, nothing stronger.
 //
 // Exact histograms (Exact, FromValues) carry epsilon zero and refuse to
 // serialize: a release file is a privacy artifact, and writing raw
@@ -32,11 +33,6 @@ const (
 	FormatHist1D = "dpgrid/hist1d"
 	// serializeVersion is bumped on breaking format changes.
 	serializeVersion = 1
-
-	// maxBins caps the bin count a file may demand, mirroring the grid
-	// packages' cell cap: decode allocation is bounded by the file's own
-	// size either way, but no sane release is finer than this.
-	maxBins = 1 << 28
 )
 
 func init() {
@@ -112,7 +108,9 @@ func (h *Hist) WriteTo(dst io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// checkDecoded validates the shared invariants of both encodings.
+// checkDecoded validates the shared invariants of both encodings; the
+// prefix table gets grid.SATFromSums' length, zero-start and
+// finiteness checks.
 func checkDecoded(lo, hi, eps float64, bins int, prefix []float64) error {
 	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || !(hi > lo) {
 		return fmt.Errorf("hist1d: invalid range [%g, %g]", lo, hi)
@@ -120,19 +118,11 @@ func checkDecoded(lo, hi, eps float64, bins int, prefix []float64) error {
 	if !(eps > 0) {
 		return fmt.Errorf("hist1d: invalid epsilon %g", eps)
 	}
-	if bins < 1 || bins > maxBins {
+	if bins < 1 || bins > grid.MaxCells {
 		return fmt.Errorf("hist1d: invalid bin count %d", bins)
 	}
-	if len(prefix) != bins+1 {
-		return fmt.Errorf("hist1d: prefix length %d != bins+1 = %d", len(prefix), bins+1)
-	}
-	if prefix[0] != 0 {
-		return fmt.Errorf("hist1d: prefix table must start at 0, got %g", prefix[0])
-	}
-	for i, v := range prefix {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("hist1d: non-finite prefix sum %g at index %d", v, i)
-		}
+	if _, err := grid.SATFromSums([]int{bins}, prefix); err != nil {
+		return fmt.Errorf("hist1d: %w", err)
 	}
 	return nil
 }
@@ -154,7 +144,8 @@ func ParseHistBinary(data []byte) (*Hist, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("hist1d: parse synopsis: %w", err)
 	}
-	if bins < 0 || bins > maxBins {
+	// The table's cell cap bounds the bin count a file may demand.
+	if bins < 0 || bins > grid.MaxCells {
 		return nil, fmt.Errorf("hist1d: invalid bin count %d", bins)
 	}
 	prefix := d.F64s(bins + 1)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/core"
@@ -100,71 +99,47 @@ func checkGridSize(m int) error {
 	return nil
 }
 
-type privletBinary struct {
-	dom  geom.Domain
-	eps  float64
-	m    int
-	sums []float64
-}
-
-// decodePrivletBinary reads and validates a Privlet container,
-// including the prefix table's finiteness and zero border.
-func decodePrivletBinary(data []byte) (privletBinary, error) {
-	var f privletBinary
+// ParsePrivletBinary deserializes a Privlet dpgridv2 container,
+// validating all structural invariants, the prefix table's finiteness
+// and zero border included.
+func ParsePrivletBinary(data []byte) (*Privlet, error) {
 	d, kind, err := codec.NewDec(data)
 	if err != nil {
-		return f, fmt.Errorf("wavelet: parse synopsis: %w", err)
+		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
 	}
 	if kind != codec.KindPrivlet {
-		return f, fmt.Errorf("wavelet: container kind %v is not %v", kind, codec.KindPrivlet)
+		return nil, fmt.Errorf("wavelet: container kind %v is not %v", kind, codec.KindPrivlet)
 	}
-	f.dom, err = d.Domain()
+	dom, err := d.Domain()
 	if err != nil {
-		return f, fmt.Errorf("wavelet: parse synopsis: %w", err)
+		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
 	}
-	f.eps = d.F64()
-	f.m = d.Int32()
+	eps := d.F64()
+	m := d.Int32()
 	if err := d.Err(); err != nil {
-		return f, fmt.Errorf("wavelet: parse synopsis: %w", err)
+		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
 	}
-	if !(f.eps > 0) {
-		return f, fmt.Errorf("wavelet: invalid epsilon %g", f.eps)
+	if !(eps > 0) {
+		return nil, fmt.Errorf("wavelet: invalid epsilon %g", eps)
 	}
-	if err := checkGridSize(f.m); err != nil {
-		return f, err
+	if err := checkGridSize(m); err != nil {
+		return nil, err
 	}
-	f.sums = d.F64s((f.m + 1) * (f.m + 1))
+	sums := d.F64s((m + 1) * (m + 1))
 	if err := d.Finish(); err != nil {
-		return f, fmt.Errorf("wavelet: parse synopsis: %w", err)
+		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
 	}
-	if err := codec.CheckPrefixSums(f.sums, f.m, f.m); err != nil {
-		return f, fmt.Errorf("wavelet: %w", err)
-	}
-	return f, nil
-}
-
-func (f *privletBinary) build() (*Privlet, error) {
-	prefix, err := grid.PrefixFromSums(f.dom, f.m, f.m, f.sums)
+	prefix, err := grid.PrefixFromSums(dom, m, m, sums)
 	if err != nil {
 		return nil, fmt.Errorf("wavelet: %w", err)
 	}
 	return &Privlet{
-		dom:    f.dom,
-		eps:    f.eps,
-		m:      f.m,
-		padded: nextPow2(f.m),
+		dom:    dom,
+		eps:    eps,
+		m:      m,
+		padded: nextPow2(m),
 		prefix: prefix,
 	}, nil
-}
-
-// ParsePrivletBinary deserializes a Privlet dpgridv2 container,
-// validating all structural invariants.
-func ParsePrivletBinary(data []byte) (*Privlet, error) {
-	f, err := decodePrivletBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	return f.build()
 }
 
 // ParsePrivlet deserializes a JSON Privlet synopsis, validating all
@@ -189,14 +164,6 @@ func ParsePrivlet(data []byte) (*Privlet, error) {
 	}
 	if err := checkGridSize(f.GridSize); err != nil {
 		return nil, err
-	}
-	if want := (f.GridSize + 1) * (f.GridSize + 1); len(f.Sums) != want {
-		return nil, fmt.Errorf("wavelet: sums length %d != (m+1)^2 = %d", len(f.Sums), want)
-	}
-	for i, v := range f.Sums {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("wavelet: non-finite prefix sum %g at index %d", v, i)
-		}
 	}
 	prefix, err := grid.PrefixFromSums(dom, f.GridSize, f.GridSize, f.Sums)
 	if err != nil {
