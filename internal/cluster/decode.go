@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"unicode/utf8"
+
+	"github.com/dpgrid/dpgrid/internal/atof"
 )
 
 // Query-path body decoding without reflection. Every in-repo client
@@ -21,9 +23,10 @@ import (
 //   - an object with only the message's own keys, each at most once,
 //     spelled exactly as in the struct tags, in any order;
 //   - strings without escapes or control bytes, in valid UTF-8;
-//   - numbers in JSON syntax that strconv.ParseFloat (or ParseInt, for
-//     int fields) takes without error — the same call encoding/json
-//     makes, so every value keeps the same bits;
+//   - numbers in JSON syntax that atof.ParseFloat (or strconv.ParseInt,
+//     for int fields) takes without error. atof.ParseFloat returns the
+//     bits of strconv.ParseFloat(s, 64), the call encoding/json makes,
+//     and FuzzParseFloat checks it against that call;
 //   - rects of exactly four numbers;
 //   - JSON whitespace between tokens and at either end.
 //
@@ -302,7 +305,7 @@ func (s *scanner) float(dst *float64) bool {
 	if !ok {
 		return false
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
+	v, err := atof.ParseFloat(tok)
 	if err != nil {
 		return false
 	}

@@ -1,11 +1,16 @@
 package datasets
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/dpgrid/dpgrid/internal/geom"
 )
 
 // errContractBlock is the CSV reader's block size. The boundary cases
@@ -89,6 +94,8 @@ func TestReadCSVErrorContract(t *testing.T) {
 		{"stuck reader", stuckReader{}, "datasets: read csv line 1: multiple Read calls return no data or error", 0},
 		{"stuck after a line", io.MultiReader(strings.NewReader("1,2\n3,"), stuckReader{}), "datasets: read csv line 2: multiple Read calls return no data or error", 0},
 		{"read error after boundary", failingReader(after+"1,2\n", boom), fmt.Sprintf("datasets: read csv line %d: boom", lineAfter(after)+1), 0},
+		{"fallback bad x", strings.NewReader("1e,2\n"), `datasets: read csv line 1: bad x "1e"`, 0},
+		{"fallback bad y", strings.NewReader("1,0x1p\n"), `datasets: read csv line 1: bad y "0x1p"`, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,4 +123,76 @@ func TestReadCSVErrorContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReadCSVFallbackForms reads number forms other than the plain
+// decimals WriteCSV writes: exponents, hex, underscores, Inf and NaN,
+// mantissas past 19 digits, a halfway case and a subnormal. Most of
+// them atof.ParseFloat hands to strconv; all keep strconv's values.
+func TestReadCSVFallbackForms(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []geom.Point
+	}{
+		{"1e3,0x1p-2\n", []geom.Point{{X: 1000, Y: 0.25}}},
+		{"1_000.5,NaN\n", []geom.Point{{X: 1000.5, Y: math.NaN()}}},
+		{"+Inf,-Inf\n", []geom.Point{{X: math.Inf(1), Y: math.Inf(-1)}}},
+		{"1234567890123456789012345,-0.1234567890123456789012345\n",
+			[]geom.Point{{X: 1234567890123456789012345, Y: -0.1234567890123456789012345}}},
+		{"9007199254740993,4.9e-324\n", []geom.Point{{X: 9007199254740992, Y: math.SmallestNonzeroFloat64}}},
+		{"\"0x1p-2\",\"1e3\"\n", []geom.Point{{X: 0.25, Y: 1000}}},
+	}
+	for _, tc := range cases {
+		pts, err := ReadCSV(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatalf("ReadCSV(%q): %v", tc.in, err)
+		}
+		if len(pts) != len(tc.want) {
+			t.Fatalf("ReadCSV(%q): %d points, want %d", tc.in, len(pts), len(tc.want))
+		}
+		for i, p := range tc.want {
+			if math.Float64bits(pts[i].X) != math.Float64bits(p.X) || math.Float64bits(pts[i].Y) != math.Float64bits(p.Y) {
+				t.Errorf("ReadCSV(%q) point %d = %v, want %v", tc.in, i, pts[i], p)
+			}
+		}
+	}
+}
+
+// TestParsePointLineAllocs guards the hot path: a plain "x,y" line at
+// full float64 precision, as WriteCSV writes it, parses without
+// allocating.
+func TestParsePointLineAllocs(t *testing.T) {
+	line := []byte("-122.41941550000001,37.774929012345678\n")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, err := parsePointLine(line, 1); !ok || err != nil {
+			t.Fatalf("parsePointLine(%q): ok %v, %v", line, ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("parsePointLine allocates %v times per line, want 0", allocs)
+	}
+}
+
+// BenchmarkReadCSV reads 100k random points in the form WriteCSV
+// writes them, the CSV form dpgrid ingests.
+func BenchmarkReadCSV(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]geom.Point, 100_000)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64()*360 - 180, Y: rng.Float64()*180 - 90}
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, pts); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := ReadCSV(bytes.NewReader(buf.Bytes()))
+		if err != nil || len(got) != len(pts) {
+			b.Fatalf("ReadCSV: %d points, %v", len(got), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 }
