@@ -8,8 +8,7 @@
 //	dpbench -exp fig5 -dataset road -eps 1
 //	dpbench -exp table2 -scale 0.1 -queries 100   # quick pass
 //
-// Experiments: table2, fig2, fig3, fig4, fig5, fig6, dim, ablate,
-// qperf, all.
+// Experiments: table2, fig2, fig3, fig4, fig5, fig6, dim, ablate, all.
 // Results print as text tables whose rows correspond to the paper's
 // plotted series; see EXPERIMENTS.md for the recorded outcomes.
 package main
@@ -34,7 +33,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dpbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table2|fig2|fig3|fig4|fig5|fig6|dim|ablate|qperf|all")
+	exp := fs.String("exp", "all", "experiment: table2|fig2|fig3|fig4|fig5|fig6|dim|ablate|all")
 	dataset := fs.String("dataset", "", "restrict to one dataset (road|checkin|landmark|storage)")
 	eps := fs.Float64("eps", 0, "restrict to one epsilon (0.1 or 1); 0 runs both")
 	scale := fs.Float64("scale", 1, "dataset scale factor (1 = paper's N)")
@@ -60,7 +59,7 @@ func run(args []string, w io.Writer) error {
 
 	experiments := strings.Split(*exp, ",")
 	if *exp == "all" {
-		experiments = []string{"table2", "fig2", "fig3", "fig4", "fig5", "fig6", "dim", "ablate", "qperf"}
+		experiments = []string{"table2", "fig2", "fig3", "fig4", "fig5", "fig6", "dim", "ablate"}
 	}
 	for _, e := range experiments {
 		if err := runExperiment(w, e, dsNames, epsValues, opts, *charts); err != nil {
@@ -156,21 +155,6 @@ func runExperiment(w io.Writer, exp string, dsNames []string, epsValues []float6
 				} else {
 					res.WriteAbsTable(w, "Figure 6")
 					fmt.Fprintln(w)
-				}
-			}
-		}
-
-	case "qperf":
-		// Serving-path latency: SAT fast path vs cell iteration, per
-		// rect size. One dataset is representative — the sweep measures
-		// table arithmetic, not data shape — so restrict with -dataset
-		// (default: every dataset requested).
-		for _, name := range dsNames {
-			for _, e := range epsValues {
-				if err := queryPerf(w, name, e, queryPerfOptions{
-					scale: opts.Scale, reps: opts.Queries * 25, seed: opts.Seed,
-				}); err != nil {
-					return err
 				}
 			}
 		}

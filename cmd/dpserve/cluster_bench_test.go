@@ -92,10 +92,9 @@ func benchReplicatedPlacement(b *testing.B, urls []string) string {
 // BenchmarkClusterServe measures end-to-end router query latency
 // (HTTP in, scatter over in-process httptest backends, merge, HTTP
 // out) as the same 6-tile release spreads across more nodes. Each
-// sub-benchmark reports p50-ns and p99-ns alongside the mean, which is
-// what BENCH_serve.json tracks: tail latency is the number a fan-out
-// architecture has to defend, since every query is as slow as its
-// slowest involved backend.
+// sub-benchmark reports p50-ns and p99-ns alongside the mean: tail
+// latency is the number a fan-out architecture has to defend, since
+// every query is as slow as its slowest involved backend.
 func BenchmarkClusterServe(b *testing.B) {
 	syn := testClusterSharded(b, 41)
 

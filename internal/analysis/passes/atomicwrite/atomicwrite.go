@@ -2,10 +2,10 @@
 // published through internal/atomicfile (write to a staging file, sync,
 // rename), never with os.Create or os.WriteFile directly. A direct
 // write that dies mid-way leaves a truncated synopsis, manifest, or
-// BENCH_*.json on disk that readers then parse as real data; rename is
-// the only publish primitive that is atomic on POSIX filesystems. The
-// internal/atomicfile package itself is exempt (it is the
-// implementation), as are tests.
+// generated dataset on disk that readers then parse as real data;
+// rename is the only publish primitive that is atomic on POSIX
+// filesystems. The internal/atomicfile package itself is exempt (it
+// is the implementation), as are tests.
 package atomicwrite
 
 import (

@@ -86,7 +86,6 @@ type AdaptiveGrid struct {
 type agCell struct {
 	rect   geom.Rect
 	m2     int
-	total  float64      // post-inference cell count v'
 	leaves *grid.Prefix // post-inference leaf counts over rect
 }
 
@@ -332,13 +331,12 @@ func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts 
 		for i, u := range leaves {
 			leafGrid.Values()[i] = u + diff
 		}
-		ag.cells[k] = agCell{
-			rect:   cellRect,
-			m2:     m2,
-			total:  vPrime,
-			leaves: grid.NewPrefix(leafGrid),
-		}
-		totals.Set(ix, iy, vPrime)
+		// The cell total is its leaf table's total, not vPrime: the two
+		// differ in the last bits, and the leaf total is what a saved
+		// file stores, so a built AG answers like the file it saves.
+		prefix := grid.NewPrefix(leafGrid)
+		ag.cells[k] = agCell{rect: cellRect, m2: m2, leaves: prefix}
+		totals.Set(ix, iy, prefix.Total())
 	})
 	for _, err := range cellErrs {
 		if err != nil {
@@ -389,7 +387,7 @@ func (a *AdaptiveGrid) Query(r geom.Rect) float64 {
 	cellQuery := func(bx, by int) {
 		cell := &a.cells[by*m1+bx]
 		if clipped.ContainsRect(cell.rect) {
-			total += cell.total
+			total += cell.leaves.Total()
 			return
 		}
 		total += cell.leaves.Query(clipped)
@@ -480,12 +478,14 @@ func (a *AdaptiveGrid) CellM2(ix, iy int) int {
 	return a.cells[iy*a.m1+ix].m2
 }
 
-// CellTotal returns the post-inference count of first-level cell (ix, iy).
+// CellTotal returns the post-inference count of first-level cell (ix,
+// iy): the sum of its leaf counts, the same value whether the synopsis
+// was built or decoded.
 func (a *AdaptiveGrid) CellTotal(ix, iy int) float64 {
 	if ix < 0 || ix >= a.m1 || iy < 0 || iy >= a.m1 {
 		return 0
 	}
-	return a.cells[iy*a.m1+ix].total
+	return a.cells[iy*a.m1+ix].leaves.Total()
 }
 
 // BudgetSplit returns the epsilon spent on the two levels.

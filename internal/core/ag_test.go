@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
+	"github.com/dpgrid/dpgrid/internal/grid"
 	"github.com/dpgrid/dpgrid/internal/noise"
 	"github.com/dpgrid/dpgrid/internal/pointindex"
 )
@@ -118,19 +119,38 @@ func TestAGZeroNoiseTotalEstimate(t *testing.T) {
 
 func TestAGConsistencyLeavesSumToCellTotal(t *testing.T) {
 	// After constrained inference, each cell's leaves must sum to its
-	// reconciled total v' — with real noise, not just the Zero source.
+	// reconciled total — with real noise, not just the Zero source. The
+	// cell total and the level-1 table are that leaf sum itself, and
+	// inference moves every leaf of a cell by the same amount, (v' -
+	// sum(u)) / m2^2, against the same build without it.
 	dom := geom.MustDomain(0, 0, 10, 10)
 	pts := clusteredPoints(13, 5000, dom)
 	ag, err := BuildAdaptiveGrid(pts, dom, 0.5, AGOptions{M1: 5}, noise.NewSource(13))
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, err := BuildAdaptiveGrid(pts, dom, 0.5, AGOptions{M1: 5, DisableInference: true}, noise.NewSource(13))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for iy := 0; iy < ag.M1(); iy++ {
 		for ix := 0; ix < ag.M1(); ix++ {
-			cell := &ag.cells[iy*ag.m1+ix]
+			cell, rawCell := &ag.cells[iy*ag.m1+ix], &raw.cells[iy*ag.m1+ix]
 			leafSum := cell.leaves.Total()
-			if math.Abs(leafSum-cell.total) > 1e-6*(1+math.Abs(cell.total)) {
-				t.Errorf("cell (%d,%d): leaves sum %g != total %g", ix, iy, leafSum, cell.total)
+			if got := ag.CellTotal(ix, iy); got != leafSum {
+				t.Errorf("cell (%d,%d): CellTotal %v != leaves sum %v", ix, iy, got, leafSum)
+			}
+			if got := ag.level1.BlockSum(ix, iy, ix+1, iy+1); math.Abs(got-leafSum) > 1e-9*(1+math.Abs(leafSum)) {
+				t.Errorf("cell (%d,%d): level-1 total %g != leaves sum %g", ix, iy, got, leafSum)
+			}
+			leaf := func(p *grid.Prefix, lx, ly int) float64 { return p.BlockSum(lx, ly, lx+1, ly+1) }
+			shift := leaf(cell.leaves, 0, 0) - leaf(rawCell.leaves, 0, 0)
+			for ly := 0; ly < cell.m2; ly++ {
+				for lx := 0; lx < cell.m2; lx++ {
+					if d := leaf(cell.leaves, lx, ly) - leaf(rawCell.leaves, lx, ly); math.Abs(d-shift) > 1e-6*(1+math.Abs(shift)) {
+						t.Errorf("cell (%d,%d) leaf (%d,%d): inference shift %g, want %g", ix, iy, lx, ly, d, shift)
+					}
+				}
 			}
 		}
 	}

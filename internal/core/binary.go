@@ -41,9 +41,8 @@ import (
 // The SAT trailer (codec.SATTag + a length-prefixed f64 section) is the
 // top-level summed-area table: for UG the (mx+1)*(my+1) prefix sums of
 // the counts section, for AG the (m1+1)^2 prefix sums of the per-cell
-// table totals (each cell table's last entry — NOT the in-memory
-// level-1 totals, which hold the constrained-inference v' values a
-// reader cannot re-derive from the file). Decoders verify the trailer
+// table totals (each cell table's last entry) — the in-memory level-1
+// table itself, built or decoded. Decoders verify the trailer
 // bit-for-bit against the body (grid.AdoptPrefix), so a SAT-backed decode
 // answers identically to a reader that ignores the section and
 // rebuilds, and re-encoding reproduces the container byte-for-byte.
@@ -117,33 +116,8 @@ func (a *AdaptiveGrid) AppendBinary(dst []byte) ([]byte, error) {
 	for k := range a.cells {
 		e.F64s(a.cells[k].leaves.Sums())
 	}
-	sat, err := a.encodeSAT()
-	if err != nil {
-		return nil, err
-	}
-	e.SATSection(sat)
+	e.SATSection(a.level1.Sums())
 	return e.Bytes(), nil
-}
-
-// encodeSAT computes the AG container's level-1 summed-area trailer:
-// the prefix table over each cell table's total (its sums table's last
-// entry). It is deliberately NOT a.level1 — a freshly built AG's
-// level-1 table holds the constrained-inference v' totals, which
-// diverge from the leaf-table totals by float rounding and are not
-// derivable from the file. Defining the trailer over what the file
-// actually stores is what lets the decoder verify it bit-for-bit and
-// keeps a SAT-backed decode answer-identical to a section-ignoring
-// rebuild.
-func (a *AdaptiveGrid) encodeSAT() ([]float64, error) {
-	totals, err := grid.New(a.dom, a.m1, a.m1)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode AG SAT: %w", err)
-	}
-	vals := totals.Values()
-	for k := range a.cells {
-		vals[k] = a.cells[k].leaves.Total()
-	}
-	return grid.NewPrefix(totals).Sums(), nil
 }
 
 // EncodeDomain appends a domain's four bounds as float64s — the shared
@@ -290,7 +264,7 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: cell %d: %w", k, err)
 		}
-		ag.cells[k] = agCell{rect: cellRect, m2: m2, total: leaves.Total(), leaves: leaves}
+		ag.cells[k] = agCell{rect: cellRect, m2: m2, leaves: leaves}
 		totals[k] = leaves.Total()
 		ag.leafPop += m2 * m2
 		ag.maxM2 = max(ag.maxM2, m2)

@@ -12,9 +12,8 @@ import (
 // fast path: a rectangle answer off the stored SAT costs four corner
 // lookups regardless of the rectangle's size, while the cell-iteration
 // baseline walks every covered cell. The sub-benchmark grid sweeps the
-// query from a single cell to the full domain for both kinds; the
-// committed BENCH_query.json records the trajectory (sat ns/query flat
-// across the sweep, iter superlinear).
+// query from a single cell to the full domain for both kinds: sat
+// ns/query stays flat across the sweep, iter grows superlinearly.
 func BenchmarkQueryRect(b *testing.B) {
 	dom := geom.MustDomain(0, 0, 1024, 1024)
 

@@ -176,11 +176,8 @@ func agVariants(t *testing.T, m1 int) (dom geom.Domain, exact []satVariant, iter
 	for k := range a.cells {
 		scale += math.Abs(a.cells[k].leaves.Total())
 	}
-	// The freshly built AG is NOT in the exact set: its level-1 table
-	// holds the constrained-inference v' totals, which the file cannot
-	// carry (see encodeSAT); decode-side paths agree bitwise among
-	// themselves and with the iteration baseline to tolerance.
 	return dom, []satVariant{
+		{"built", a},
 		{"sat-decode", satDec},
 		{"copied-decode", copied},
 		{"stripped-decode", stripped},

@@ -235,12 +235,7 @@ func ParseAdaptiveGrid(data []byte) (*AdaptiveGrid, error) {
 			}
 			copy(leafGrid.Values(), cf.Leaves)
 			prefix := grid.NewPrefix(leafGrid)
-			ag.cells[k] = agCell{
-				rect:   cellRect,
-				m2:     cf.M2,
-				total:  prefix.Total(),
-				leaves: prefix,
-			}
+			ag.cells[k] = agCell{rect: cellRect, m2: cf.M2, leaves: prefix}
 			totals.Set(ix, iy, prefix.Total())
 			leafPop += cf.M2 * cf.M2
 			if cf.M2 > maxM2 {

@@ -10,9 +10,9 @@
 // injected noise.Source and every schedule is keyed on the transport's
 // own request counter, not the wall clock, so a chaos test that found
 // a failover bug replays the identical fault pattern on every run —
-// under -race, in CI, and ten years from now. (Live toggling for
-// interactive tools like dploadgen -chaos goes through SetDown, which
-// is the one escape hatch from the scripted world.)
+// under -race, in CI, and ten years from now. (Live toggling of a
+// node from outside the plan goes through SetDown, which is the one
+// escape hatch from the scripted world.)
 package faultinject
 
 import (

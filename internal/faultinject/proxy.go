@@ -12,9 +12,9 @@ import (
 // Proxy is a reverse proxy that fronts one live backend through a
 // fault-injecting Transport: everything the backend serves flows
 // through the plan, so a real dpserve node can be killed, flapped,
-// slowed, or dripped without touching its process. dploadgen -chaos
-// stands one of these in front of each backend it torments, and tests
-// point placements at proxy addresses instead of backend addresses.
+// slowed, or dripped without touching its process. The chaos suite
+// stands one of these in front of each backend it torments and points
+// placements at proxy addresses instead of backend addresses.
 type Proxy struct {
 	Transport *Transport
 	handler   http.Handler

@@ -115,6 +115,8 @@ func TestRepositoryDocs(t *testing.T) {
 		filepath.Join(root, "README.md"),
 		filepath.Join(root, "docs", "ARCHITECTURE.md"),
 		filepath.Join(root, "docs", "FORMAT.md"),
+		filepath.Join(root, "docs", "ANALYZERS.md"),
+		filepath.Join(root, "perfbench", "README.md"),
 	}
 	for _, d := range docs {
 		if _, err := os.Stat(d); err != nil {
