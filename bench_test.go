@@ -2,8 +2,9 @@
 // as cmd/dpbench at reduced scale so `go test -bench=.` stays tractable),
 // plus construction and query micro-benchmarks for the released methods.
 //
-// Full-scale regeneration of the paper's numbers is cmd/dpbench's job;
-// see EXPERIMENTS.md for recorded results.
+// Full-scale regeneration of the paper's numbers is cmd/dpbench's job
+// (`go run ./cmd/dpbench -exp all`); the orderings those runs must show
+// are asserted by internal/eval/shape_test.go.
 package dpgrid
 
 import (
@@ -134,8 +135,8 @@ func BenchmarkHierarchyGainByDimension(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationC sweeps the Guideline 1 constant (design-choice
-// ablation from DESIGN.md).
+// BenchmarkAblationC sweeps the Guideline 1 constant (the design-choice
+// ablation of internal/eval/ablation.go).
 func BenchmarkAblationC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := eval.AblationC("landmark", 1, benchOpts()); err != nil {

@@ -10,7 +10,8 @@
 //
 // Experiments: table2, fig2, fig3, fig4, fig5, fig6, dim, ablate, all.
 // Results print as text tables whose rows correspond to the paper's
-// plotted series; see EXPERIMENTS.md for the recorded outcomes.
+// plotted series. The qualitative orderings every run must show are
+// asserted by internal/eval/shape_test.go.
 package main
 
 import (

@@ -82,9 +82,8 @@ type UGOptions = core.UGOptions
 // AGOptions configures BuildAdaptiveGrid; the zero value applies the
 // paper's defaults (alpha = 0.5, c = 10, c2 = 5, m1 rule). Workers
 // parallelizes the ingestion scans and the per-cell noise/inference
-// pass (Workers > 1 needs a ForkableNoiseSource); IndexLimit bounds
-// the fused single-pass build's point index. Every setting releases
-// the bit-identical synopsis per seed.
+// pass (Workers > 1 needs a ForkableNoiseSource). Every Workers value
+// releases the bit-identical synopsis per seed.
 type AGOptions = core.AGOptions
 
 // UniformGrid is the UG synopsis.

@@ -8,8 +8,8 @@
 // Steps:
 //  1. A large CSV of points exists on disk (simulated here).
 //  2. The data holder streams it — never loading it into memory — into
-//     an AG synopsis under eps-DP (one fused scan when the dataset fits
-//     AGOptions.IndexLimit, two to three bounded-memory scans past it).
+//     an AG synopsis under eps-DP (one scan when the dataset has up to
+//     8M in-domain points, three bounded-memory scans past that).
 //  3. The synopsis is saved to a small JSON file. The raw data can now
 //     be deleted or locked away; the privacy budget is spent.
 //  4. An analyst later loads the synopsis and answers arbitrary range

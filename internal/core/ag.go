@@ -31,8 +31,8 @@ type AGOptions struct {
 	// estimate of N for the m1 rule (see UGOptions.NBudgetFrac).
 	NBudgetFrac float64
 	// Workers bounds the goroutines used across the whole build: the
-	// ingestion scans (counting, the fused histogram-and-index pass,
-	// and the leaf pass) and the per-cell noise/inference pass. 0 means
+	// ingestion scans (gathering or counting, the level-1 histogram and
+	// the leaf pass) and the per-cell noise/inference pass. 0 means
 	// one worker per CPU; 1 forces the sequential path. Parallel
 	// construction requires a noise.Forkable source (noise.NewSource
 	// qualifies): each cell draws noise from the sub-stream keyed by
@@ -42,19 +42,6 @@ type AGOptions struct {
 	// value. With a non-Forkable source, Workers > 1 is an error and
 	// the zero value falls back to the single-stream sequential path.
 	Workers int
-	// IndexLimit caps how many in-domain points the fused single-pass
-	// build may buffer in its level-1-binned point index (the structure
-	// that lets the leaf pass iterate cache-local bins instead of
-	// re-scanning the source). 0 picks automatically: up to
-	// DefaultAGIndexPoints for sources whose re-scan costs real work (a
-	// CSV file re-parses, a spool re-reads disk), and no index for
-	// in-memory slices, whose re-scan is a free pass over RAM that the
-	// index could only lose to. A negative value disables the index
-	// unconditionally (pure streaming build, bounded memory); a
-	// positive value forces that cap for any source. Every setting
-	// releases the bit-identical synopsis — the knob trades memory for
-	// scan cost only.
-	IndexLimit int
 	// DisableInference skips the constrained-inference step and answers
 	// from raw second-level counts only. It exists for ablation studies
 	// (quantifying how much CI contributes to AG); it wastes the level-1
@@ -97,9 +84,18 @@ func BuildAdaptiveGrid(points []geom.Point, dom geom.Domain, eps float64, opts A
 
 // BuildAdaptiveGridSeq is BuildAdaptiveGrid over a streaming point
 // source, for datasets that do not fit in memory (the paper's two-pass
-// construction; choosing m1 from the data adds one extra counting scan
-// when M1 is 0).
+// construction). An in-memory geom.SlicePoints is scanned in place;
+// any other source is gathered into memory by one scan, after which the
+// level-1 histogram and the leaf pass run over the gathered slice. A
+// source with more than gatherCap in-domain points is not kept: both
+// later passes re-scan it, so the build holds at most gatherCap points.
 func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts AGOptions, src noise.Source) (*AdaptiveGrid, error) {
+	return buildAdaptiveGrid(seq, dom, eps, opts, src, gatherCap)
+}
+
+// buildAdaptiveGrid is BuildAdaptiveGridSeq with the gather cap as a
+// parameter, so tests can push a small source past it.
+func buildAdaptiveGrid(seq geom.PointSeq, dom geom.Domain, eps float64, opts AGOptions, src noise.Source, capPoints int) (*AdaptiveGrid, error) {
 	if src == nil {
 		return nil, errors.New("core: nil noise source")
 	}
@@ -148,34 +144,36 @@ func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts 
 		}
 		workers = 1
 	}
-	indexLimit := opts.IndexLimit
-	if indexLimit == 0 {
-		if _, inMemory := seq.(geom.SlicePoints); inMemory {
-			indexLimit = -1
-		} else {
-			indexLimit = DefaultAGIndexPoints
+	m1 := opts.M1
+	if m1 < 0 {
+		return nil, fmt.Errorf("core: m1 must be positive, got %d", m1)
+	}
+
+	// Ingest plan: an in-memory slice is scanned in place, and counted
+	// first only when m1 comes from the data. Any other source is
+	// gathered by one scan that also counts it; past capPoints nothing
+	// is kept and the later passes re-scan the source. data is what the
+	// level-1 histogram and the leaf pass scan.
+	data := seq
+	var nInt int64
+	if _, inMemory := seq.(geom.SlicePoints); !inMemory {
+		pts, count, err := geom.CountInDomain(seq, dom, workers, capPoints)
+		if err != nil {
+			return nil, fmt.Errorf("core: gathering points: %w", err)
+		}
+		if pts != nil {
+			data = geom.SlicePoints(pts)
+		}
+		nInt = count
+	} else if m1 == 0 {
+		var err error
+		if _, nInt, err = geom.CountInDomain(seq, dom, workers, 0); err != nil {
+			return nil, fmt.Errorf("core: counting points: %w", err)
 		}
 	}
 
 	remaining := eps
-	histSeq := seq
-	m1 := opts.M1
 	if m1 == 0 {
-		// Fuse the counting pass with point gathering: when the dataset
-		// fits the index budget, the m1-rule scan already collected
-		// every in-domain point, and the histogram pass below runs over
-		// memory instead of a second source scan.
-		pts, nInt, err := geom.CountInDomain(seq, dom, workers, indexLimit)
-		if err != nil {
-			return nil, fmt.Errorf("core: counting points: %w", err)
-		}
-		if pts != nil {
-			histSeq = geom.SlicePoints(pts)
-		} else if indexLimit > 0 {
-			// The dataset already exceeded the index budget; do not
-			// let the histogram pass buffer it all over again.
-			indexLimit = -1
-		}
 		n := float64(nInt)
 		if opts.NBudgetFrac > 0 {
 			nEps, err := budget.SpendFraction(opts.NBudgetFrac)
@@ -190,17 +188,12 @@ func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts 
 			remaining = budget.Remaining()
 		}
 		m1 = SuggestedM1(n, remaining, c)
-	} else if m1 < 0 {
-		return nil, fmt.Errorf("core: m1 must be positive, got %d", m1)
 	}
 
 	eps1 := alpha * remaining
 	eps2 := (1 - alpha) * remaining
 
-	// Fused first pass: one scan produces the exact first-level
-	// histogram and (within IndexLimit) the level-1-binned point index
-	// the leaf pass reads in place of a second scan of the source.
-	level1, pindex, err := histogramIndexed(histSeq, dom, m1, workers, indexLimit)
+	level1, err := grid.FromSeqParallel(dom, m1, m1, data, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -229,20 +222,16 @@ func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts 
 	}
 
 	// Leaf pass: exact leaf histograms in one flat buffer with per-cell
-	// CSR offsets (cache-local, and partial buffers merge in one sweep).
-	// With a point index the pass is cell-parallel over in-memory bins —
-	// no second scan of the source; without one (IndexLimit disabled or
-	// exceeded) the streaming re-scan runs, the paper's "two passes over
-	// the dataset". Then noise with eps2.
+	// offsets (cache-local, and partial buffers merge in one sweep) —
+	// the second of the paper's "two passes over the dataset". Then
+	// noise with eps2.
 	leafStarts := make([]int, m1*m1+1)
 	for i, m2 := range m2s {
 		leafStarts[i+1] = leafStarts[i] + m2*m2
 	}
 	leafFlat := make([]float64, leafTotal)
 	leafOf := func(k int) []float64 { return leafFlat[leafStarts[k]:leafStarts[k+1]] }
-	if pindex != nil {
-		leafFill(pindex, dom, m1, m2s, leafStarts, leafFlat, workers)
-	} else if err := leafRescan(histSeq, dom, m1, m2s, leafStarts, leafFlat, workers); err != nil {
+	if err := leafRescan(data, dom, m1, m2s, leafStarts, leafFlat, workers); err != nil {
 		return nil, err
 	}
 	if err := budget.Spend(eps2); err != nil {
@@ -277,8 +266,8 @@ func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts 
 	// Constrained inference per first-level cell (section IV-B):
 	//   v'  = (a^2 m2^2 * v + (1-a)^2 * sum(u)) / ((1-a)^2 + a^2 m2^2)
 	//   u' += (v' - sum(u)) / m2^2
-	// (the paper's u' equation omits the 1/m2^2; equal distribution over
-	// the leaves is required for sum(u') = v' — see DESIGN.md).
+	// (the paper's u' equation omits the 1/m2^2: adding (v' - sum(u))/m2^2
+	// to each of the m2^2 leaves adds exactly v' - sum(u), so sum(u') = v').
 	ag := &AdaptiveGrid{
 		dom:     dom,
 		eps:     eps,

@@ -92,7 +92,7 @@ func (a *AdaptiveGrid) ContainerKind() codec.Kind { return codec.KindAdaptive }
 // returns the extended slice.
 func (u *UniformGrid) AppendBinary(dst []byte) ([]byte, error) {
 	e := codec.NewEnc(dst, codec.KindUniform)
-	EncodeDomain(e, u.dom)
+	e.Domain(u.dom)
 	e.F64(u.eps)
 	e.U32(uint32(u.m))
 	e.U32(uint32(u.mx))
@@ -109,7 +109,7 @@ func (u *UniformGrid) AppendBinary(dst []byte) ([]byte, error) {
 // returns the extended slice.
 func (a *AdaptiveGrid) AppendBinary(dst []byte) ([]byte, error) {
 	e := codec.NewEnc(dst, codec.KindAdaptive)
-	EncodeDomain(e, a.dom)
+	e.Domain(a.dom)
 	e.F64(a.eps)
 	e.F64(a.alpha)
 	e.U32(uint32(a.m1))
@@ -119,16 +119,6 @@ func (a *AdaptiveGrid) AppendBinary(dst []byte) ([]byte, error) {
 	e.SATSection(a.level1.Sums())
 	return e.Bytes(), nil
 }
-
-// EncodeDomain appends a domain's four bounds as float64s — the shared
-// wire form every container kind (including internal/shard's manifests)
-// uses for domains. Kept as a wrapper over codec's Enc.Domain for
-// callers already importing core.
-func EncodeDomain(e *codec.Enc, dom geom.Domain) { e.Domain(dom) }
-
-// DecodeDomain reads and validates the four-bound wire form
-// EncodeDomain writes.
-func DecodeDomain(d *codec.Dec) (geom.Domain, error) { return d.Domain() }
 
 // ParseUniformGridBinary deserializes a UG dpgridv2 container,
 // validating every invariant: count finiteness, and the stored SAT's
@@ -142,7 +132,7 @@ func ParseUniformGridBinary(data []byte) (*UniformGrid, error) {
 	if kind != codec.KindUniform {
 		return nil, fmt.Errorf("core: container kind %v is not %v", kind, codec.KindUniform)
 	}
-	dom, err := DecodeDomain(d)
+	dom, err := d.Domain()
 	if err != nil {
 		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
 	}
@@ -209,7 +199,7 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 	if kind != codec.KindAdaptive {
 		return nil, fmt.Errorf("core: container kind %v is not %v", kind, codec.KindAdaptive)
 	}
-	dom, err := DecodeDomain(d)
+	dom, err := d.Domain()
 	if err != nil {
 		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
 	}

@@ -8,8 +8,9 @@
 //     with c2 = c/2 = 5, where N' is the first-level cell's noisy count.
 //   - First-level AG size m1 = max(10, sqrt(N*eps/c)/4).
 //
-// The formulas were disambiguated against Table II of the paper; see
-// DESIGN.md ("Formula derivations pinned against the paper").
+// The formulas were disambiguated against Table II of the paper and the
+// suggested sizes of its Figures 4 and 5; guidelines_test.go pins each
+// rule to those published values.
 package core
 
 import "math"

@@ -2,180 +2,21 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
-	"github.com/dpgrid/dpgrid/internal/grid"
 	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
-// DefaultAGIndexPoints is the default cap on how many in-domain points
-// the fused AG build may buffer in its level-1-binned index (see
-// AGOptions.IndexLimit): 8M points is ~128 MiB of point data — cheap on
-// any machine that wants a fast build — while datasets past the cap
-// degrade gracefully to the streaming re-scan leaf pass.
-const DefaultAGIndexPoints = 8 << 20
+// gatherCap caps how many in-domain points the AG build gathers into
+// memory from a source that is not already an in-memory slice: 8M
+// points is 128 MiB of point data. Past the cap the build keeps its
+// out-of-core bound and re-scans the source for each later pass.
+const gatherCap = 8 << 20
 
 // maxRescanFloats bounds the aggregate size of the per-worker partial
-// leaf histograms the streaming re-scan leaf pass allocates; past it,
-// the pass sheds workers rather than multiplying a huge leaf population
-// by the worker count. 2^27 float64s = 1 GiB.
+// leaf histograms the leaf pass allocates; past it, workers rather than multiplying a huge leaf population by the
+// worker count. 2^27 float64s = 1 GiB.
 const maxRescanFloats = 1 << 27
-
-// cellPoints is the compact level-1-binned point index the fused AG
-// scan produces: all in-domain points in one flat slice, grouped by
-// first-level cell (CSR layout, counting sort by cell). The leaf pass
-// iterates one cell's contiguous bin at a time — cache-local, and
-// trivially cell-parallel — instead of re-scanning (and, for file
-// sources, re-parsing) the raw stream.
-type cellPoints struct {
-	starts []int // len m1*m1+1; bin k is pts[starts[k]:starts[k+1]]
-	pts    []geom.Point
-}
-
-func (c *cellPoints) bin(k int) []geom.Point { return c.pts[c.starts[k]:c.starts[k+1]] }
-
-// newCellPoints sizes an index from the exact level-1 histogram vals
-// and returns it with every bin's fill cursor at the bin's start.
-func newCellPoints(vals []float64) (*cellPoints, []int) {
-	idx := &cellPoints{starts: make([]int, len(vals)+1)}
-	for k, v := range vals {
-		idx.starts[k+1] = idx.starts[k] + int(v)
-	}
-	idx.pts = make([]geom.Point, idx.starts[len(vals)])
-	return idx, append([]int(nil), idx.starts[:len(vals)]...)
-}
-
-// histogramIndexed is the fused AG scan: one pass over seq produces the
-// exact first-level m1 x m1 histogram and, when the in-domain point
-// count stays within limit, the level-1-binned point index the leaf
-// pass consumes in place of a second scan. limit <= 0 disables the
-// index (pure streaming build); past the limit mid-scan the index is
-// abandoned while the histogram completes exactly.
-//
-// The histogram is bit-identical to grid.FromSeqParallel's for every
-// workers value (integer counts merge exactly under any stream
-// partition), and the index holds exactly the histogrammed points,
-// keyed by the same binning.
-func histogramIndexed(seq geom.PointSeq, dom geom.Domain, m1, workers, limit int) (*grid.Counts, *cellPoints, error) {
-	workers = pool.Workers(workers)
-	if sp, ok := seq.(geom.SlicePoints); ok {
-		return histogramIndexedSlice(sp, dom, m1, workers, limit)
-	}
-	if workers > 1 && m1*m1 > maxRescanFloats/workers {
-		// Shed workers rather than multiplying a near-cap histogram
-		// allocation by the core count.
-		if workers = maxRescanFloats / (m1 * m1); workers < 1 {
-			workers = 1
-		}
-	}
-	level1, err := grid.New(dom, m1, m1)
-	if err != nil {
-		return nil, nil, err
-	}
-	w1, h1 := dom.CellSize(m1, m1)
-
-	type wstate struct {
-		vals []float64
-		pts  []geom.Point
-		keys []int32 // level-1 cell per buffered point (m1*m1 <= MaxCells < 2^31)
-	}
-	states := make([]*wstate, workers)
-	var buffered atomic.Int64
-	var dead atomic.Bool
-	if limit <= 0 {
-		dead.Store(true)
-	}
-	err = geom.ForEachChunkParallel(seq, workers, func(w int, chunk []geom.Point) {
-		st := states[w]
-		if st == nil {
-			st = &wstate{vals: make([]float64, m1*m1)}
-			states[w] = st
-		}
-		keep := !dead.Load()
-		kept := 0
-		for _, p := range chunk {
-			if !dom.Contains(p) {
-				continue
-			}
-			ix, iy := dom.CellIndexAt(p, w1, h1, m1, m1)
-			k := iy*m1 + ix
-			st.vals[k]++
-			if keep {
-				st.pts = append(st.pts, p)
-				st.keys = append(st.keys, int32(k))
-				kept++
-			}
-		}
-		if keep && buffered.Add(int64(kept)) > int64(limit) {
-			dead.Store(true)
-		}
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: scanning points: %w", err)
-	}
-
-	// Merge the partial histograms in fixed worker order (exact for
-	// integer counts under any order; the fixed order keeps the merge
-	// reproducible by inspection).
-	vals := level1.Values()
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		for i, v := range st.vals {
-			vals[i] += v
-		}
-	}
-	if dead.Load() {
-		return level1, nil, nil
-	}
-
-	// Counting sort into CSR bins: the histogram already holds every
-	// bin's size, so one cursor sweep places each worker's buffered
-	// points. Bin-internal order depends on chunk scheduling, which is
-	// fine — every consumer of a bin computes order-free integer sums.
-	idx, cursor := newCellPoints(vals)
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		for j, p := range st.pts {
-			k := st.keys[j]
-			idx.pts[cursor[k]] = p
-			cursor[k]++
-		}
-	}
-	return level1, idx, nil
-}
-
-// histogramIndexedSlice is histogramIndexed for a stable in-memory
-// source: the histogram pass runs with no point buffering at all
-// (grid.FromSeqParallel over the slice), and the CSR index — when the
-// in-domain count fits limit — scatters directly from the slice,
-// recomputing each point's key with the same arithmetic. Peak extra
-// memory is the index itself, never per-worker copies of the data.
-func histogramIndexedSlice(sp geom.SlicePoints, dom geom.Domain, m1, workers, limit int) (*grid.Counts, *cellPoints, error) {
-	level1, err := grid.FromSeqParallel(dom, m1, m1, sp, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	if limit <= 0 || level1.Total() > float64(limit) {
-		return level1, nil, nil
-	}
-	idx, cursor := newCellPoints(level1.Values())
-	w1, h1 := dom.CellSize(m1, m1)
-	for _, p := range sp {
-		if !dom.Contains(p) {
-			continue
-		}
-		ix, iy := dom.CellIndexAt(p, w1, h1, m1, m1)
-		k := iy*m1 + ix
-		idx.pts[cursor[k]] = p
-		cursor[k]++
-	}
-	return level1, idx, nil
-}
 
 // leafGeom is one first-level cell's leaf-binning geometry, computed
 // once per cell instead of once per point: the cell's min corner, the
@@ -235,25 +76,10 @@ func snapScaled(scaled, off, w float64, m int) int {
 	return i
 }
 
-// leafFill builds every cell's exact leaf histogram from the binned
-// point index: cell-parallel, each cell reading its own contiguous bin
-// and writing its own disjoint leafFlat range.
-func leafFill(idx *cellPoints, dom geom.Domain, m1 int, m2s, leafStarts []int, leafFlat []float64, workers int) {
-	pool.For(m1*m1, workers, func(k int) {
-		m2 := m2s[k]
-		g := leafGeomFor(dom, k%m1, k/m1, m1, m2)
-		leaves := leafFlat[leafStarts[k]:leafStarts[k+1]]
-		for _, p := range idx.bin(k) {
-			lx, ly := g.leaf(p)
-			leaves[ly*m2+lx]++
-		}
-	})
-}
-
-// leafRescan is the streaming fallback when no point index is
-// available (IndexLimit disabled or exceeded): one more chunked scan of
-// the source builds the leaf histograms, with per-cell geometry
-// precomputed once instead of re-derived per point. Parallel workers
+// leafRescan is the AG leaf pass: one chunked scan of seq (the gathered
+// slice, or the source itself past gatherCap) builds every cell's leaf
+// histogram, with per-cell geometry precomputed once instead of
+// re-derived per point. Parallel workers
 // accumulate into private partial buffers merged in fixed worker order
 // — exact, like every histogram merge in this package.
 func leafRescan(seq geom.PointSeq, dom geom.Domain, m1 int, m2s, leafStarts []int, leafFlat []float64, workers int) error {

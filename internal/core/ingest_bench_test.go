@@ -41,11 +41,10 @@ func benchIngestCSV(b *testing.B, pts []geom.Point) geom.PointSeq {
 }
 
 // BenchmarkAGBuildFused measures full AG build throughput at 1M points
-// in points/sec across the ingestion engine's modes: the fused
-// single-pass build (point index on) vs the streaming multi-pass build
-// (index disabled — the pre-engine scan structure), sequential vs
-// parallel, in-memory vs CSV. Every variant releases bit-identical
-// synopses per seed; only the wall clock moves.
+// in points/sec, sequential vs parallel, in-memory vs CSV. The slice is
+// scanned in place; the CSV file is gathered by one scan and the later
+// passes run over memory. Every variant releases bit-identical synopses
+// per seed; only the wall clock moves.
 func BenchmarkAGBuildFused(b *testing.B) {
 	pts, dom := benchIngestData(b)
 	sources := []struct {
@@ -55,23 +54,15 @@ func BenchmarkAGBuildFused(b *testing.B) {
 		{"mem", geom.SlicePoints(pts)},
 		{"csv", benchIngestCSV(b, pts)},
 	}
-	// IndexLimit 1<<30 forces the point index even for the in-memory
-	// source (whose auto plan skips it), so both plans are measured for
-	// both sources; -1 is the streaming multi-pass plan.
-	modes := []struct {
-		name string
-		opts AGOptions
-	}{
-		{"fused/seq", AGOptions{Workers: 1, IndexLimit: 1 << 30}},
-		{"fused/par", AGOptions{Workers: 0, IndexLimit: 1 << 30}},
-		{"streaming/seq", AGOptions{Workers: 1, IndexLimit: -1}},
-		{"streaming/par", AGOptions{Workers: 0, IndexLimit: -1}},
-	}
 	for _, src := range sources {
-		for _, mode := range modes {
-			b.Run(src.name+"/"+mode.name, func(b *testing.B) {
+		for _, workers := range []int{1, 0} {
+			name := src.name + "/seq"
+			if workers != 1 {
+				name = src.name + "/par"
+			}
+			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := BuildAdaptiveGridSeq(src.seq, dom, 1, mode.opts, noise.NewSource(int64(i))); err != nil {
+					if _, err := BuildAdaptiveGridSeq(src.seq, dom, 1, AGOptions{Workers: workers}, noise.NewSource(int64(i))); err != nil {
 						b.Fatal(err)
 					}
 				}

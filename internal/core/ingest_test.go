@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
@@ -61,38 +63,36 @@ func ugBytes(t *testing.T, ug *UniformGrid) []byte {
 	return b
 }
 
-// The tentpole acceptance property: the fused single-pass AG build must
-// release bytes bit-identical to the streaming multi-pass build, for
-// every Workers value, index mode, and source shape — including
-// chunk-boundary stream sizes and points on cell/leaf edges.
+// Every ingest path must release bytes bit-identical to the sequential
+// in-memory build, for every Workers value and source shape, with the
+// gather cap under and over the data size — including chunk-boundary
+// stream sizes and points on cell/leaf edges.
 func TestAGFusedBitIdentical(t *testing.T) {
 	dom := geom.MustDomain(-20, 5, 100, 65)
 	workerCounts := []int{1, 2, 7, runtime.GOMAXPROCS(0), 0}
-	// Auto plan, streaming re-scan, forced mid-scan fallback, and an
-	// explicit cap that forces the index even for in-memory slices.
-	limits := []int{0, -1, 100, 1 << 30}
+	// The default cap gathers every dataset here; 100 gathers only the
+	// smallest, and 0 keeps nothing, so the later passes re-scan.
+	caps := []int{gatherCap, 100, 0}
 	for _, m1 := range []int{0, 8} {
 		for _, n := range []int{0, 1, geom.DefaultChunkSize, geom.DefaultChunkSize + 1, 20000} {
 			pts := ingestTestPoints(n, dom, 8, int64(n)+3)
-			// Reference: the legacy-shaped build — sequential, no index,
-			// every pass a separate scan.
 			ref, err := BuildAdaptiveGridSeq(geom.SlicePoints(pts), dom, 1,
-				AGOptions{M1: m1, Workers: 1, IndexLimit: -1}, noise.NewSource(42))
+				AGOptions{M1: m1, Workers: 1}, noise.NewSource(42))
 			if err != nil {
 				t.Fatalf("m1=%d n=%d reference: %v", m1, n, err)
 			}
 			want := agBytes(t, ref)
 			for _, workers := range workerCounts {
-				for _, limit := range limits {
+				for _, capPoints := range caps {
 					for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
-						got, err := BuildAdaptiveGridSeq(seq, dom, 1,
-							AGOptions{M1: m1, Workers: workers, IndexLimit: limit}, noise.NewSource(42))
+						got, err := buildAdaptiveGrid(seq, dom, 1,
+							AGOptions{M1: m1, Workers: workers}, noise.NewSource(42), capPoints)
 						if err != nil {
-							t.Fatalf("m1=%d n=%d workers=%d limit=%d %s: %v", m1, n, workers, limit, name, err)
+							t.Fatalf("m1=%d n=%d workers=%d cap=%d %s: %v", m1, n, workers, capPoints, name, err)
 						}
 						if !bytes.Equal(agBytes(t, got), want) {
-							t.Fatalf("m1=%d n=%d workers=%d limit=%d %s: released bytes differ from sequential streaming build",
-								m1, n, workers, limit, name)
+							t.Fatalf("m1=%d n=%d workers=%d cap=%d %s: released bytes differ from the sequential in-memory build",
+								m1, n, workers, capPoints, name)
 						}
 					}
 				}
@@ -146,36 +146,66 @@ func (s scanSeq) ForEachChunk(fn func([]geom.Point) error) error {
 	return geom.SlicePoints(s.pts).ForEachChunk(fn)
 }
 
-// The pass-fusion acceptance table: how many times each build
-// configuration may read the raw source.
+// How many times each build configuration reads a source that is not
+// an in-memory slice: one gathering scan under the cap; past it, the
+// gathering scan plus a re-scan for the level-1 histogram and one for
+// the leaf pass.
 func TestAGScanCounts(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 100, 100)
 	pts := ingestTestPoints(10000, dom, 8, 5)
 	cases := []struct {
-		name  string
-		opts  AGOptions
-		scans int
+		name      string
+		opts      AGOptions
+		capPoints int
+		scans     int
 	}{
-		// Fixed m1, fused: the one-scan build.
-		{"m1-fixed-fused", AGOptions{M1: 8}, 1},
-		// Fixed m1, index disabled: histogram scan + leaf re-scan.
-		{"m1-fixed-streaming", AGOptions{M1: 8, IndexLimit: -1}, 2},
-		// Auto m1, fused: the counting scan doubles as the gathering
-		// scan, so the histogram and leaf passes run over memory.
-		{"m1-auto-fused", AGOptions{}, 1},
-		// Auto m1, index disabled: the legacy three scans.
-		{"m1-auto-streaming", AGOptions{IndexLimit: -1}, 3},
-		// Auto m1, dataset over the index budget: the count scan could
-		// not gather, and the histogram pass must not re-buffer.
-		{"m1-auto-over-limit", AGOptions{IndexLimit: 100}, 3},
+		{"m1-fixed-under-cap", AGOptions{M1: 8}, gatherCap, 1},
+		{"m1-fixed-over-cap", AGOptions{M1: 8}, 100, 3},
+		{"m1-auto-under-cap", AGOptions{}, gatherCap, 1},
+		{"m1-auto-over-cap", AGOptions{}, 100, 3},
 	}
 	for _, tc := range cases {
 		scans := 0
-		if _, err := BuildAdaptiveGridSeq(scanSeq{pts, &scans}, dom, 1, tc.opts, noise.NewSource(3)); err != nil {
+		if _, err := buildAdaptiveGrid(scanSeq{pts, &scans}, dom, 1, tc.opts, noise.NewSource(3), tc.capPoints); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if scans != tc.scans {
 			t.Errorf("%s: %d scans of the source, want %d", tc.name, scans, tc.scans)
+		}
+	}
+}
+
+// failSeq delivers one point per scan and fails the scan numbered
+// failAt, so a build past the gather cap can be made to fail on its
+// histogram re-scan or its leaf re-scan.
+type failSeq struct {
+	scans  *int
+	failAt int
+}
+
+func (f failSeq) ForEachChunk(fn func([]geom.Point) error) error {
+	*f.scans++
+	if err := fn([]geom.Point{{X: 0.5, Y: 0.5}}); err != nil {
+		return err
+	}
+	if *f.scans == f.failAt {
+		return errors.New("disk on fire")
+	}
+	return nil
+}
+
+// Past the gather cap the level-1 histogram and the leaf pass re-scan
+// the source, and a failure on either re-scan must reach the caller.
+func TestAGRescanErrorPropagates(t *testing.T) {
+	dom := geom.MustDomain(0, 0, 1, 1)
+	for _, failAt := range []int{2, 3} {
+		scans := 0
+		_, err := buildAdaptiveGrid(failSeq{&scans, failAt}, dom, 1, AGOptions{M1: 2}, noise.NewSource(1), 0)
+		if err == nil || !strings.Contains(err.Error(), "disk on fire") {
+			t.Errorf("failure on scan %d not propagated: %v", failAt, err)
+		}
+		if scans != failAt {
+			t.Errorf("failure on scan %d: build made %d scans, want %d", failAt, scans, failAt)
 		}
 	}
 }

@@ -5,12 +5,12 @@
 // offline environment.
 //
 // Each generator is deterministic given a seed and preserves the
-// properties the paper's experiments actually exercise (see DESIGN.md,
-// "Substitutions"): the point count N, the domain extent from Table II,
-// and the density structure — large blank areas with two dense states
-// (road), world-map-shaped multi-scale skew (checkin), population-shaped
-// density over the continental US (landmark), and a small-N version of
-// the same (storage).
+// properties the paper's experiments actually exercise: the point count
+// N, the domain extent from Table II, and the density structure — large
+// blank areas with two dense states (road), world-map-shaped
+// multi-scale skew (checkin), population-shaped density over the
+// continental US (landmark), and a small-N version of the same
+// (storage).
 package datasets
 
 import (

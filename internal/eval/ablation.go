@@ -11,7 +11,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out. These
+// Ablation experiments for the implementation's design choices. These
 // go beyond the paper's figures: they isolate individual ingredients
 // (the Guideline 1 constant, AG's constrained inference, KD-hybrid's
 // optimizations) to show each one's contribution.

@@ -8,9 +8,10 @@ import (
 )
 
 // TestPaperShapeClaims asserts the paper's qualitative results end to end
-// on one moderately sized dataset: the orderings that every full-scale
-// run in EXPERIMENTS.md exhibits must hold here too. Pooled mean relative
-// error over the paper's six size classes is the metric throughout.
+// on one moderately sized dataset: the orderings a full-scale run
+// (`go run ./cmd/dpbench -exp all`) must exhibit hold here too. Pooled
+// mean relative error over the paper's six size classes is the metric
+// throughout.
 func TestPaperShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")

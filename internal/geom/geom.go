@@ -158,8 +158,8 @@ func (d Domain) CellIndex(p Point, mx, my int) (ix, iy int) {
 // per-point loop (CellSize returns the identical w and h every call,
 // so hoisting cannot change a point's binning). This function is the
 // single source of truth for the binning arithmetic: every histogram
-// kernel and point index must go through it so their cell assignments
-// can never diverge.
+// kernel and the AG leaf pass must go through it so their cell
+// assignments can never diverge.
 func (d Domain) CellIndexAt(p Point, w, h float64, mx, my int) (ix, iy int) {
 	ix = int((p.X - d.MinX) / w)
 	iy = int((p.Y - d.MinY) / h)

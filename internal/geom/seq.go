@@ -13,9 +13,8 @@ package geom
 // may reuse the backing array between calls — callers that need to
 // retain points must copy them). ForEachChunk must be callable multiple
 // times, each call replaying the whole stream in the same order (the
-// streaming AG build re-reads the data when its point index is
-// disabled). A non-nil error from fn stops the iteration and is
-// returned unwrapped.
+// AG build re-reads a source too large to gather into memory). A
+// non-nil error from fn stops the iteration and is returned unwrapped.
 //
 // A per-point source ports by buffering its points into slices of
 // DefaultChunkSize and handing each full slice (and the final partial

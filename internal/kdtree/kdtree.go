@@ -121,7 +121,7 @@ func BuildTree(points []geom.Point, dom geom.Domain, eps float64, opts Options, 
 	if opts.QuadLevels < 0 {
 		return nil, fmt.Errorf("kdtree: QuadLevels must be >= 0, got %d", opts.QuadLevels)
 	}
-	if opts.MedianBudgetFrac >= 1 {
+	if !(opts.MedianBudgetFrac < 1) {
 		return nil, fmt.Errorf("kdtree: MedianBudgetFrac must be < 1, got %g", opts.MedianBudgetFrac)
 	}
 

@@ -39,6 +39,7 @@ func TestBuildTreeValidation(t *testing.T) {
 		{"excess depth", 1, Options{Depth: MaxDepth + 1}, src},
 		{"negative quad levels", 1, Options{Method: Hybrid, QuadLevels: -1}, src},
 		{"median frac 1", 1, Options{MedianBudgetFrac: 1}, src},
+		{"median frac NaN", 1, Options{MedianBudgetFrac: math.NaN()}, src},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

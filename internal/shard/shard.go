@@ -322,10 +322,11 @@ func BuildAdaptive(points []geom.Point, plan Plan, eps float64, grid core.AGOpti
 // BuildAdaptiveSeq is BuildAdaptive over a streaming point source: the
 // source is scanned once into per-tile spill spools (see
 // BuildUniformSeq), and each shard's AG build replays its own spool for
-// whatever passes it needs. Per-shard builds inherit the caller's
-// AGOptions, including IndexLimit; for datasets far beyond RAM set
-// AGOptions.IndexLimit < 0 so concurrent shard builds stream from
-// their spools instead of buffering point indexes.
+// whatever passes it needs. A tile that never spilled is built over its
+// in-memory buffer in place; a spilled tile's build gathers its spool
+// into memory like any streamed AG build (see
+// core.BuildAdaptiveGridSeq), so each concurrent shard build holds at
+// most that build's gather cap of points.
 func BuildAdaptiveSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.AGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerAGOptions(plan, grid, opts)
 	return buildSpill(seq, plan, opts, core.FormatAG, src,

@@ -147,25 +147,31 @@ func (s *spill) Close() error {
 
 // tileSeq returns the re-iterable point source of tile i: the spill
 // file's records (if any) followed by the in-memory tail, in original
-// stream order. It implements geom.PointSeq, so per-tile builders
-// ingest spools through the same chunked engine as any other source.
-func (s *spill) tileSeq(i int) geom.PointSeq { return spoolSeq{spool: &s.spools[i]} }
+// stream order. A tile that never spilled is its tail as a
+// geom.SlicePoints, which the per-tile builders scan in place instead
+// of gathering a copy.
+func (s *spill) tileSeq(i int) geom.PointSeq {
+	t := &s.spools[i]
+	if t.n == 0 {
+		return geom.SlicePoints(t.tail)
+	}
+	return spoolSeq{spool: t}
+}
 
+// spoolSeq replays a tile that spilled: its file, then its tail.
 type spoolSeq struct{ spool *tileSpool }
 
 // ForEachChunk implements geom.PointSeq.
 func (q spoolSeq) ForEachChunk(fn func(chunk []geom.Point) error) error {
 	t := q.spool
-	if t.n > 0 {
-		f, err := os.Open(t.path)
-		if err != nil {
-			return fmt.Errorf("shard: reading spill: %w", err)
-		}
-		err = readSpool(f, t.n, fn)
-		f.Close()
-		if err != nil {
-			return err
-		}
+	f, err := os.Open(t.path)
+	if err != nil {
+		return fmt.Errorf("shard: reading spill: %w", err)
+	}
+	err = readSpool(f, t.n, fn)
+	f.Close()
+	if err != nil {
+		return err
 	}
 	return geom.SlicePoints(t.tail).ForEachChunk(fn)
 }

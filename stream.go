@@ -11,8 +11,8 @@ import (
 // method, ForEachChunk(fn func(chunk []Point) error) error, hands fn
 // the whole stream in order as non-empty chunks that are only valid
 // until fn returns, stops at fn's first error and returns it, and must
-// replay the full stream on every call (the streaming AG build
-// re-scans the data when its point index is disabled or overflows).
+// replay the full stream on every call (the AG build re-scans a source
+// too large to gather into memory).
 // SlicePoints and CSVFilePoints implement it; a per-point source
 // implements it by buffering its points into a slice of 8192 (the
 // built-in sources' chunk size) and handing each full slice, and the
@@ -26,9 +26,10 @@ type SlicePoints = geom.SlicePoints
 // at path, re-opening it on each pass and parsing 1 MiB blocks in
 // parallel, with the points delivered in file order.
 // Building UG over it performs one scan (plus one counting scan when the
-// grid size is chosen from the data); AG's fused build performs at most
-// one scan when the dataset fits AGOptions.IndexLimit and two to three
-// otherwise, matching the paper's out-of-core construction claim.
+// grid size is chosen from the data); AG performs one scan, gathering
+// the points, when the file has up to 8M in-domain points and three
+// bounded-memory scans past that, matching the paper's out-of-core
+// construction claim.
 func CSVFilePoints(path string) PointSeq {
 	return datasets.CSVFileSeq{Path: path}
 }
