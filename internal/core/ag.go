@@ -84,11 +84,12 @@ func BuildAdaptiveGrid(points []geom.Point, dom geom.Domain, eps float64, opts A
 
 // BuildAdaptiveGridSeq is BuildAdaptiveGrid over a streaming point
 // source, for datasets that do not fit in memory (the paper's two-pass
-// construction). An in-memory geom.SlicePoints is scanned in place;
-// any other source is gathered into memory by one scan, after which the
-// level-1 histogram and the leaf pass run over the gathered slice. A
-// source with more than gatherCap in-domain points is not kept: both
-// later passes re-scan it, so the build holds at most gatherCap points.
+// construction). An in-memory source (a geom.SlicePoints or
+// geom.Blocks) is scanned in place; any other source is gathered into
+// memory by one scan, after which the level-1 histogram and the leaf
+// pass run over the gathered points. A source with more than gatherCap
+// in-domain points is not kept: both later passes re-scan it, so the
+// build holds at most gatherCap points.
 func BuildAdaptiveGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts AGOptions, src noise.Source) (*AdaptiveGrid, error) {
 	return buildAdaptiveGrid(seq, dom, eps, opts, src, gatherCap)
 }
@@ -149,27 +150,9 @@ func buildAdaptiveGrid(seq geom.PointSeq, dom geom.Domain, eps float64, opts AGO
 		return nil, fmt.Errorf("core: m1 must be positive, got %d", m1)
 	}
 
-	// Ingest plan: an in-memory slice is scanned in place, and counted
-	// first only when m1 comes from the data. Any other source is
-	// gathered by one scan that also counts it; past capPoints nothing
-	// is kept and the later passes re-scan the source. data is what the
-	// level-1 histogram and the leaf pass scan.
-	data := seq
-	var nInt int64
-	if _, inMemory := seq.(geom.SlicePoints); !inMemory {
-		pts, count, err := geom.CountInDomain(seq, dom, workers, capPoints)
-		if err != nil {
-			return nil, fmt.Errorf("core: gathering points: %w", err)
-		}
-		if pts != nil {
-			data = geom.SlicePoints(pts)
-		}
-		nInt = count
-	} else if m1 == 0 {
-		var err error
-		if _, nInt, err = geom.CountInDomain(seq, dom, workers, 0); err != nil {
-			return nil, fmt.Errorf("core: counting points: %w", err)
-		}
+	data, nInt, err := ingest(seq, dom, workers, capPoints, m1 == 0)
+	if err != nil {
+		return nil, err
 	}
 
 	remaining := eps

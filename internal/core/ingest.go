@@ -7,16 +7,41 @@ import (
 	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
-// gatherCap caps how many in-domain points the AG build gathers into
-// memory from a source that is not already an in-memory slice: 8M
-// points is 128 MiB of point data. Past the cap the build keeps its
-// out-of-core bound and re-scans the source for each later pass.
+// gatherCap caps how many in-domain points a build gathers into memory
+// from a source that is not already in memory: 8M points is 128 MiB of
+// point data. Past the cap the build keeps its out-of-core bound and
+// re-scans the source for each later pass.
 const gatherCap = 8 << 20
 
 // maxRescanFloats bounds the aggregate size of the per-worker partial
-// leaf histograms the leaf pass allocates; past it, workers rather than multiplying a huge leaf population by the
-// worker count. 2^27 float64s = 1 GiB.
+// leaf histograms the leaf pass allocates: past it, the pass runs fewer
+// workers rather than multiplying a huge leaf population by the worker
+// count. 2^27 float64s = 1 GiB.
 const maxRescanFloats = 1 << 27
+
+// ingest is the one ingest plan of the UG and AG builders: it returns
+// the data their histogram passes scan and, with needN, the number of
+// in-domain points the grid-size rules take. An in-memory source
+// (geom.InMemory) is used in place, and counted by a scan over memory
+// only when needN. Any other source is gathered by one
+// geom.CountInDomain scan that also gives N; past capPoints nothing is
+// kept and data is the source itself, so every later pass re-scans it.
+func ingest(seq geom.PointSeq, dom geom.Domain, workers, capPoints int, needN bool) (data geom.PointSeq, n int64, err error) {
+	if geom.InMemory(seq) {
+		if !needN {
+			return seq, 0, nil
+		}
+		capPoints = 0
+	}
+	pts, n, err := geom.CountInDomain(seq, dom, workers, capPoints)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: gathering points: %w", err)
+	}
+	if pts != nil {
+		return pts, n, nil
+	}
+	return seq, n, nil
+}
 
 // leafGeom is one first-level cell's leaf-binning geometry, computed
 // once per cell instead of once per point: the cell's min corner, the

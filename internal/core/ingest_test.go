@@ -101,6 +101,8 @@ func TestAGFusedBitIdentical(t *testing.T) {
 	}
 }
 
+// UG releases the same bytes for every Workers value and source shape,
+// with the gather cap under and over the data size.
 func TestUGBitIdenticalAcrossWorkers(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 360, 150)
 	pts := ingestTestPoints(30000, dom, 16, 9)
@@ -111,14 +113,18 @@ func TestUGBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := ugBytes(t, ref)
-		for _, workers := range []int{2, 7, 0, runtime.GOMAXPROCS(0)} {
-			got, err := BuildUniformGridSeq(geom.SlicePoints(pts), dom, 1,
-				UGOptions{GridSize: gridSize, Workers: workers}, noise.NewSource(7))
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if !bytes.Equal(ugBytes(t, got), want) {
-				t.Fatalf("m=%d workers=%d: released bytes differ (not bit-identical)", gridSize, workers)
+		for _, workers := range []int{1, 2, 7, 0, runtime.GOMAXPROCS(0)} {
+			for _, capPoints := range []int{gatherCap, 0} {
+				for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+					got, err := buildUniformGrid(seq, dom, 1,
+						UGOptions{GridSize: gridSize, Workers: workers}, noise.NewSource(7), capPoints)
+					if err != nil {
+						t.Fatalf("m=%d workers=%d cap=%d %s: %v", gridSize, workers, capPoints, name, err)
+					}
+					if !bytes.Equal(ugBytes(t, got), want) {
+						t.Fatalf("m=%d workers=%d cap=%d %s: released bytes differ (not bit-identical)", gridSize, workers, capPoints, name)
+					}
+				}
 			}
 		}
 	}
@@ -144,6 +150,46 @@ type scanSeq struct {
 func (s scanSeq) ForEachChunk(fn func([]geom.Point) error) error {
 	*s.scans++
 	return geom.SlicePoints(s.pts).ForEachChunk(fn)
+}
+
+// The ingest plan uses an in-memory source in place — a geom.Blocks
+// as much as a geom.SlicePoints, since a never-spilled shard tile
+// arrives as one — and gathers any other source into blocks.
+func TestIngestUsesMemoryInPlace(t *testing.T) {
+	dom := geom.MustDomain(0, 0, 100, 100)
+	pts := ingestTestPoints(3*geom.DefaultChunkSize, dom, 8, 4)
+	var blocks geom.Blocks
+	for _, p := range pts {
+		blocks.Append(p)
+	}
+	first := func(seq geom.PointSeq) (p *geom.Point) {
+		_ = seq.ForEachChunk(func(chunk []geom.Point) error {
+			p = &chunk[0]
+			return errors.New("stop")
+		})
+		return p
+	}
+	for _, needN := range []bool{false, true} {
+		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "blocks": blocks} {
+			data, n, err := ingest(seq, dom, 2, gatherCap, needN)
+			if err != nil {
+				t.Fatalf("%s needN=%v: %v", name, needN, err)
+			}
+			if first(data) != first(seq) {
+				t.Errorf("%s needN=%v: data is a copy, want the source itself", name, needN)
+			}
+			if want := int64(len(pts)); needN && n != want {
+				t.Errorf("%s: n = %d, want %d", name, n, want)
+			}
+		}
+	}
+	data, n, err := ingest(geomtest.ReusedChunks(pts), dom, 2, gatherCap, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := data.(geom.Blocks); !ok || n != int64(len(pts)) {
+		t.Errorf("streamed source: data %T with n = %d, want gathered geom.Blocks of %d", data, n, len(pts))
+	}
 }
 
 // How many times each build configuration reads a source that is not
@@ -210,19 +256,25 @@ func TestAGRescanErrorPropagates(t *testing.T) {
 	}
 }
 
+// How many times each UG configuration reads a source that is not in
+// memory: a fixed m histograms in one direct scan; a data-dependent m
+// gathers the points by the scan that counts them, and past the cap
+// re-scans the source for the histogram.
 func TestUGScanCounts(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 100, 100)
 	pts := ingestTestPoints(10000, dom, 8, 6)
 	for _, tc := range []struct {
-		name  string
-		opts  UGOptions
-		scans int
+		name      string
+		opts      UGOptions
+		capPoints int
+		scans     int
 	}{
-		{"m-fixed", UGOptions{GridSize: 32}, 1},
-		{"m-auto", UGOptions{}, 2}, // counting scan + histogram scan
+		{"m-fixed", UGOptions{GridSize: 32}, gatherCap, 1},
+		{"m-auto", UGOptions{}, gatherCap, 1},
+		{"m-auto-over-cap", UGOptions{}, 100, 2}, // counting scan + histogram scan
 	} {
 		scans := 0
-		if _, err := BuildUniformGridSeq(scanSeq{pts, &scans}, dom, 1, tc.opts, noise.NewSource(3)); err != nil {
+		if _, err := buildUniformGrid(scanSeq{pts, &scans}, dom, 1, tc.opts, noise.NewSource(3), tc.capPoints); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if scans != tc.scans {

@@ -33,12 +33,12 @@ type UGOptions struct {
 	// such as checkin's 360 x 150.
 	AspectAware bool
 	// Workers bounds the goroutines used by the ingestion scans (the
-	// optional counting pass and the histogram pass). 0 means one
-	// worker per CPU; 1 forces the sequential scan. Every value
-	// releases the bit-identical synopsis: cell counts are sums of
-	// exact integers, so partial histograms merge to the same totals
-	// regardless of how the stream was split, and the noise draw order
-	// from src never changes. Unlike AGOptions.Workers this needs no
+	// counting and gathering pass when GridSize is 0, and the histogram
+	// pass). 0 means one worker per CPU; 1 forces the sequential scan.
+	// Every value releases the bit-identical synopsis: cell counts are
+	// sums of exact integers, so partial histograms merge to the same
+	// totals regardless of how the stream was split, and the noise draw
+	// order from src never changes. Unlike AGOptions.Workers this needs no
 	// Forkable source — UG's noise is applied after the scans, on the
 	// calling goroutine.
 	Workers int
@@ -67,9 +67,18 @@ func BuildUniformGrid(points []geom.Point, dom geom.Domain, eps float64, opts UG
 
 // BuildUniformGridSeq is BuildUniformGrid over a streaming point source,
 // for datasets that do not fit in memory (the paper's single-scan
-// construction; choosing the grid size from the data adds one extra
-// counting scan when GridSize is 0).
+// construction). With GridSize fixed the histogram is one direct scan
+// of the source. When GridSize is 0 the grid size needs N first: the
+// one scan that counts a streamed source also gathers its in-domain
+// points, and the histogram runs over them; past gatherCap in-domain
+// points nothing is kept and the histogram re-scans the source.
 func BuildUniformGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts UGOptions, src noise.Source) (*UniformGrid, error) {
+	return buildUniformGrid(seq, dom, eps, opts, src, gatherCap)
+}
+
+// buildUniformGrid is BuildUniformGridSeq with the gather cap as a
+// parameter, so tests can push a small source past it.
+func buildUniformGrid(seq geom.PointSeq, dom geom.Domain, eps float64, opts UGOptions, src noise.Source, capPoints int) (*UniformGrid, error) {
 	if src == nil {
 		return nil, errors.New("core: nil noise source")
 	}
@@ -90,10 +99,11 @@ func BuildUniformGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts U
 
 	m := opts.GridSize
 	cellEps := eps
+	data := seq
 	if m == 0 {
-		_, nInt, err := geom.CountInDomain(seq, dom, opts.Workers, 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: counting points: %w", err)
+		var nInt int64
+		if data, nInt, err = ingest(seq, dom, opts.Workers, capPoints, true); err != nil {
+			return nil, err
 		}
 		n := float64(nInt)
 		if opts.NBudgetFrac > 0 {
@@ -121,7 +131,7 @@ func BuildUniformGridSeq(seq geom.PointSeq, dom geom.Domain, eps float64, opts U
 	if err := budget.Spend(cellEps); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	counts, err := grid.FromSeqParallel(dom, mx, my, seq, opts.Workers)
+	counts, err := grid.FromSeqParallel(dom, mx, my, data, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

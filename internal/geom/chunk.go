@@ -30,9 +30,9 @@ const DefaultChunkSize = 8192
 // build paths comes from.
 //
 // Chunks from a source with reused parse buffers are copied into
-// worker-owned buffers before crossing the goroutine boundary;
-// SlicePoints chunks alias immutable caller memory and are sent
-// directly.
+// worker-owned buffers before crossing the goroutine boundary; the
+// chunks of an in-memory source (see InMemory) alias immutable memory
+// and are sent directly.
 func ForEachChunkParallel(seq PointSeq, workers int, handle func(worker int, chunk []Point)) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -43,7 +43,7 @@ func ForEachChunkParallel(seq PointSeq, workers int, handle func(worker int, chu
 			return nil
 		})
 	}
-	_, stable := seq.(SlicePoints)
+	stable := InMemory(seq)
 	work := make(chan []Point, workers)
 	var free chan []Point
 	if !stable {
@@ -90,19 +90,22 @@ func ForEachChunkParallel(seq PointSeq, workers int, handle func(worker int, chu
 // counting pass doubles as the point-gathering pass: when the count
 // stays within limit, pts holds every in-domain point and the
 // histogram pass can run over memory instead of a second scan of the
-// source. Past limit the buffers are dropped (the count continues
-// exactly) and pts is nil, as it is for limit <= 0.
-func CountInDomain(seq PointSeq, dom Domain, workers, limit int) (pts []Point, n int64, err error) {
+// source. Each worker appends to its own chain of blocks, so no point
+// is copied twice and the chains join without a concatenation; the
+// order of pts is stream order only for one worker. Past limit the
+// buffers are dropped (the count continues exactly) and pts is nil, as
+// it is for limit <= 0.
+func CountInDomain(seq PointSeq, dom Domain, workers, limit int) (pts Blocks, n int64, err error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	bufs := make([][]Point, workers)
+	chains := make([]Blocks, workers)
 	counts := make([]int64, workers)
 	var buffered atomic.Int64
 	var dead atomic.Bool
 	dead.Store(limit <= 0)
 	err = ForEachChunkParallel(seq, workers, func(w int, chunk []Point) {
-		buf, c := bufs[w], counts[w]
+		chain, c := chains[w], counts[w]
 		keep := !dead.Load()
 		kept := 0
 		for _, p := range chunk {
@@ -111,11 +114,14 @@ func CountInDomain(seq PointSeq, dom Domain, workers, limit int) (pts []Point, n
 			}
 			c++
 			if keep {
-				buf = append(buf, p)
+				chain.Append(p)
 				kept++
 			}
 		}
-		bufs[w], counts[w] = buf, c
+		if !keep {
+			chain = nil
+		}
+		chains[w], counts[w] = chain, c
 		if keep && buffered.Add(int64(kept)) > int64(limit) {
 			dead.Store(true)
 		}
@@ -129,9 +135,9 @@ func CountInDomain(seq PointSeq, dom Domain, workers, limit int) (pts []Point, n
 	if dead.Load() {
 		return nil, n, nil
 	}
-	pts = make([]Point, 0, n)
-	for _, buf := range bufs {
-		pts = append(pts, buf...)
+	pts = Blocks{}
+	for _, chain := range chains {
+		pts = append(pts, chain...)
 	}
 	return pts, n, nil
 }

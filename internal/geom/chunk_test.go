@@ -19,6 +19,35 @@ func chunkTestPoints(n int) []geom.Point {
 	return pts
 }
 
+// blocksOf appends pts one by one to a block chain.
+func blocksOf(pts []geom.Point) geom.Blocks {
+	var b geom.Blocks
+	for _, p := range pts {
+		b.Append(p)
+	}
+	return b
+}
+
+// checkBlocks fails unless every block of b is non-empty and no longer
+// than DefaultChunkSize.
+func checkBlocks(t *testing.T, what string, b geom.Blocks) {
+	t.Helper()
+	for i, blk := range b {
+		if len(blk) == 0 || len(blk) > geom.DefaultChunkSize {
+			t.Fatalf("%s: block %d holds %d points, want 1..%d", what, i, len(blk), geom.DefaultChunkSize)
+		}
+	}
+}
+
+// seqsOf returns pts as every in-memory and streamed source shape.
+func seqsOf(pts []geom.Point) map[string]geom.PointSeq {
+	return map[string]geom.PointSeq{
+		"slice":  geom.SlicePoints(pts),
+		"blocks": blocksOf(pts),
+		"reused": geomtest.ReusedChunks(pts),
+	}
+}
+
 // Chunk-boundary sizes: the empty stream, one point, and one point on
 // either side of every chunk edge.
 func chunkSizes() []int {
@@ -28,7 +57,7 @@ func chunkSizes() []int {
 func TestForEachChunkPartitionsStream(t *testing.T) {
 	for _, n := range chunkSizes() {
 		pts := chunkTestPoints(n)
-		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+		for name, seq := range seqsOf(pts) {
 			var got []geom.Point
 			err := seq.ForEachChunk(func(chunk []geom.Point) error {
 				if len(chunk) == 0 {
@@ -55,7 +84,7 @@ func TestForEachChunkPartitionsStream(t *testing.T) {
 func TestForEachChunkErrorStopsIteration(t *testing.T) {
 	pts := chunkTestPoints(3 * geom.DefaultChunkSize)
 	boom := errors.New("boom")
-	for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+	for name, seq := range seqsOf(pts) {
 		calls := 0
 		err := seq.ForEachChunk(func(chunk []geom.Point) error {
 			calls++
@@ -77,7 +106,7 @@ func TestForEachChunkParallelSeesEveryPointOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 0, runtime.GOMAXPROCS(0)} {
 		for _, n := range chunkSizes() {
 			pts := chunkTestPoints(n)
-			for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+			for name, seq := range seqsOf(pts) {
 				var mu sync.Mutex
 				seen := make(map[geom.Point]int, n)
 				total := 0
@@ -151,7 +180,7 @@ func TestCountInDomain(t *testing.T) {
 	}
 	want := int64(len(inDomain))
 	for _, workers := range []int{1, 2, 7, 0} {
-		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+		for name, seq := range seqsOf(pts) {
 			// A limit <= 0 gathers nothing, and so does one the data
 			// overflows; a limit the data fits gathers every in-domain
 			// point. The count is exact in every case.
@@ -160,6 +189,7 @@ func TestCountInDomain(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d %s limit=%d: %v", workers, name, limit, err)
 				}
+				checkBlocks(t, fmt.Sprintf("workers=%d %s limit=%d", workers, name, limit), got)
 				if n != want {
 					t.Errorf("workers=%d %s limit=%d: count = %d, want %d", workers, name, limit, n, want)
 				}
@@ -169,9 +199,11 @@ func TestCountInDomain(t *testing.T) {
 					}
 					continue
 				}
-				seen := make(map[geom.Point]int, len(got))
-				for _, p := range got {
-					seen[p]++
+				seen := make(map[geom.Point]int, len(inDomain))
+				for _, blk := range got {
+					for _, p := range blk {
+						seen[p]++
+					}
 				}
 				for _, p := range inDomain {
 					seen[p]--
@@ -182,6 +214,100 @@ func TestCountInDomain(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// The gather appends into per-worker block chains and never grows and
+// copies a slice or concatenates the chains, so gathering N points
+// allocates little more than their 16N bytes: the slack is each
+// worker's part-filled last block and its short first blocks, and the
+// fixed buffers are the source's parse buffer and the parallel
+// scan's free list. Growing one slice by append and concatenating the
+// per-worker slices costs several times the points' bytes.
+func TestCountInDomainAllocations(t *testing.T) {
+	const n = 1 << 20
+	const pointSize = 16
+	dom := geom.MustDomain(0, 0, 100, 100)
+	seq := geomtest.ReusedChunks(chunkTestPoints(n))
+	for _, workers := range []int{1, 4} {
+		fixed := (1 + 2*workers) * geom.DefaultChunkSize * pointSize
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, count, err := geom.CountInDomain(seq, dom, workers, n)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if count != n || got == nil {
+			t.Fatalf("workers=%d: count %d, gathered %v, want all %d points", workers, count, got != nil, n)
+		}
+		grew := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(n*pointSize*5/4 + fixed); grew > limit {
+			t.Errorf("workers=%d: gathering %d points allocated %d bytes, want at most %d (1.25 x 16N + %d fixed)",
+				workers, n, grew, limit, fixed)
+		}
+	}
+}
+
+func TestBlocksAppendAndReset(t *testing.T) {
+	pts := chunkTestPoints(3*geom.DefaultChunkSize + 5)
+	b := blocksOf(pts)
+	checkBlocks(t, "filled", b)
+	var got []geom.Point
+	if err := b.ForEachChunk(func(chunk []geom.Point) error {
+		got = append(got, chunk...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(pts) {
+		t.Fatalf("chain holds %d points, want %d", len(got), len(pts))
+	}
+	for i := range got {
+		if got[i] != pts[i] {
+			t.Fatalf("point %d = %v, want %v (order not preserved)", i, got[i], pts[i])
+		}
+	}
+	// A reset chain refills the blocks it kept, in order, without
+	// allocating new ones.
+	first := &b[0][0]
+	blocks := len(b)
+	b.Reset()
+	if len(b) != 0 {
+		t.Fatalf("reset chain has %d blocks", len(b))
+	}
+	for _, p := range pts {
+		b.Append(p)
+	}
+	if len(b) != blocks || &b[0][0] != first {
+		t.Errorf("refilled chain has %d blocks (want %d) or a new first block", len(b), blocks)
+	}
+	// Empty blocks are never yielded.
+	calls := 0
+	if err := (geom.Blocks{nil, pts[:1], {}}).ForEachChunk(func(chunk []geom.Point) error {
+		calls++
+		if len(chunk) == 0 {
+			t.Error("empty chunk yielded")
+		}
+		return nil
+	}); err != nil || calls != 1 {
+		t.Errorf("ForEachChunk over one non-empty block: %d calls, err %v", calls, err)
+	}
+}
+
+func TestInMemory(t *testing.T) {
+	for _, tc := range []struct {
+		seq  geom.PointSeq
+		want bool
+	}{
+		{geom.SlicePoints(nil), true},
+		{geom.Blocks(nil), true},
+		{geomtest.ReusedChunks(nil), false},
+		{failingSeq{errors.New("unused")}, false},
+	} {
+		if got := geom.InMemory(tc.seq); got != tc.want {
+			t.Errorf("InMemory(%T) = %v, want %v", tc.seq, got, tc.want)
 		}
 	}
 }

@@ -42,3 +42,83 @@ func (s SlicePoints) ForEachChunk(fn func(chunk []Point) error) error {
 	}
 	return nil
 }
+
+// Blocks is an in-memory point set held as a chain of blocks of at most
+// DefaultChunkSize points each. It is what the gathering scan
+// (CountInDomain) and the sharded partitioner fill: a full block is
+// kept and a new one started, so a growing set never copies the points
+// it already holds, and the blocks are handed to consumers as chunks
+// exactly as they are.
+type Blocks [][]Point
+
+// firstBlockSize is the capacity of a chain's first block; each later
+// block doubles, up to DefaultChunkSize. Starting small keeps a sparse
+// mosaic with many tiles (one chain per tile) about as cheap as a plain
+// slice grown from nil: 128 bytes for a tile of one point.
+const firstBlockSize = 8
+
+// ForEachChunk implements PointSeq: every non-empty block, in order,
+// without copying.
+func (b Blocks) ForEachChunk(fn func(chunk []Point) error) error {
+	for _, blk := range b {
+		if len(blk) == 0 {
+			continue
+		}
+		if err := fn(blk); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Append adds p to the end of the chain, starting a new block when the
+// last one is full.
+func (b *Blocks) Append(p Point) {
+	if s := *b; len(s) > 0 && len(s[len(s)-1]) < cap(s[len(s)-1]) {
+		s[len(s)-1] = append(s[len(s)-1], p)
+		return
+	}
+	b.grow(p)
+}
+
+// grow starts the next block with p: a block Reset kept, or a new one
+// twice the size of the last, up to DefaultChunkSize.
+func (b *Blocks) grow(p Point) {
+	s := *b
+	n := len(s)
+	if n == cap(s) || cap(s[:n+1][n]) == 0 {
+		size := firstBlockSize
+		if n > 0 {
+			size = min(2*cap(s[n-1]), DefaultChunkSize)
+		}
+		s = append(s[:n], make([]Point, 0, size))
+	} else {
+		s = s[:n+1]
+	}
+	s[n] = append(s[n], p)
+	*b = s
+}
+
+// Reset empties the chain but keeps its blocks' storage: later Appends
+// refill the same blocks in order, so a chain that is filled and
+// drained repeatedly stops allocating once it has reached its peak.
+func (b *Blocks) Reset() {
+	s := *b
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	*b = s[:0]
+}
+
+// InMemory reports whether seq already holds its points in memory
+// (SlicePoints or Blocks): its chunks alias immutable storage that
+// stays valid after fn returns, so consumers may use them in place —
+// ForEachChunkParallel hands them to workers without a copy, and the
+// builders scan them instead of gathering them again.
+func InMemory(seq PointSeq) bool {
+	switch seq.(type) {
+	case SlicePoints, Blocks:
+		return true
+	}
+	return false
+}

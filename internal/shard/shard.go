@@ -51,6 +51,7 @@ const MaxTiles = 1 << 20
 type Plan struct {
 	dom    geom.Domain
 	kx, ky int
+	w, h   float64 // tile extent, dom.CellSize(kx, ky), computed once
 }
 
 // NewPlan returns the plan splitting dom into kx x ky tiles.
@@ -66,7 +67,8 @@ func NewPlan(dom geom.Domain, kx, ky int) (Plan, error) {
 	if kx > MaxTiles || ky > MaxTiles || int64(kx)*int64(ky) > MaxTiles {
 		return Plan{}, fmt.Errorf("shard: %dx%d tiles exceeds the %d-tile cap", kx, ky, MaxTiles)
 	}
-	return Plan{dom: dom, kx: kx, ky: ky}, nil
+	w, h := dom.CellSize(kx, ky)
+	return Plan{dom: dom, kx: kx, ky: ky, w: w, h: h}, nil
 }
 
 // Domain returns the plan's full domain.
@@ -107,9 +109,9 @@ func (p Plan) TileIndex(pt geom.Point) int {
 	if !p.dom.Contains(pt) {
 		return -1
 	}
-	ix, iy := p.dom.CellIndex(pt, p.kx, p.ky)
-	ix = snapIndex(pt.X, p.dom.MinX, p.dom.Width(), ix, p.kx)
-	iy = snapIndex(pt.Y, p.dom.MinY, p.dom.Height(), iy, p.ky)
+	ix, iy := p.dom.CellIndexAt(pt, p.w, p.h, p.kx, p.ky)
+	ix = snapIndex(pt.X, p.dom.MinX, p.w, ix, p.kx)
+	iy = snapIndex(pt.Y, p.dom.MinY, p.h, iy, p.ky)
 	return iy*p.kx + ix
 }
 
@@ -118,9 +120,8 @@ func (p Plan) TileIndex(pt geom.Point) int {
 // round across a tile boundary in opposite directions, assigning v to
 // a tile whose rectangle excludes it by an ulp. Edge points keep the
 // grid convention — a point on an interior edge belongs to the
-// higher-index tile.
-func snapIndex(v, min, width float64, i, k int) int {
-	w := width / float64(k)
+// higher-index tile. w is the tile extent along the axis.
+func snapIndex(v, min, w float64, i, k int) int {
 	for i > 0 && v < min+float64(i)*w {
 		i--
 	}
@@ -179,11 +180,10 @@ func (p Plan) OverlappingTiles(r geom.Rect) []int {
 // tileRange returns the inclusive tile-coordinate range overlapped by r,
 // which must already be clipped to the plan's domain.
 func (p Plan) tileRange(r geom.Rect) (bx0, by0, bx1, by1 int) {
-	w, h := p.dom.CellSize(p.kx, p.ky)
-	bx0 = clampInt(int(math.Floor((r.MinX-p.dom.MinX)/w)), 0, p.kx-1)
-	bx1 = clampInt(int(math.Floor((r.MaxX-p.dom.MinX)/w)), 0, p.kx-1)
-	by0 = clampInt(int(math.Floor((r.MinY-p.dom.MinY)/h)), 0, p.ky-1)
-	by1 = clampInt(int(math.Floor((r.MaxY-p.dom.MinY)/h)), 0, p.ky-1)
+	bx0 = clampInt(int(math.Floor((r.MinX-p.dom.MinX)/p.w)), 0, p.kx-1)
+	bx1 = clampInt(int(math.Floor((r.MaxX-p.dom.MinX)/p.w)), 0, p.kx-1)
+	by0 = clampInt(int(math.Floor((r.MinY-p.dom.MinY)/p.h)), 0, p.ky-1)
+	by1 = clampInt(int(math.Floor((r.MaxY-p.dom.MinY)/p.h)), 0, p.ky-1)
 	return bx0, by0, bx1, by1
 }
 
@@ -209,6 +209,8 @@ type Options struct {
 	// one-scan streaming partitioner (BuildUniformSeq /
 	// BuildAdaptiveSeq) holds in memory before sweeping every tile's
 	// buffer to its bounded spill file. 0 means DefaultSpillPoints.
+	// BuildUniform and BuildAdaptive ignore it: their points are
+	// already in memory, so they never spill.
 	// Smaller trades memory for more appending file I/O; the released
 	// mosaic is bit-identical for every value.
 	MaxBufferedPoints int
@@ -283,10 +285,11 @@ func Assemble(plan Plan, eps float64, tiles []Synopsis) (*Sharded, error) {
 }
 
 // BuildUniform builds one UG synopsis per tile of plan, each under the
-// full eps (parallel composition over disjoint tiles).
+// full eps (parallel composition over disjoint tiles). The points are
+// partitioned into per-tile blocks in memory; nothing spills to disk.
 func BuildUniform(points []geom.Point, plan Plan, eps float64, grid core.UGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerUGOptions(plan, grid, opts)
-	return buildBuckets(points, plan, opts, core.FormatUG, src,
+	return buildSpill(geom.SlicePoints(points), plan, noSpill, opts, core.FormatUG, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildUniformGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -300,7 +303,7 @@ func BuildUniform(points []geom.Point, plan Plan, eps float64, grid core.UGOptio
 // bit-identical to BuildUniform's for the same seed and plan.
 func BuildUniformSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.UGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerUGOptions(plan, grid, opts)
-	return buildSpill(seq, plan, opts, core.FormatUG, src,
+	return buildSpill(seq, plan, opts.MaxBufferedPoints, opts, core.FormatUG, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildUniformGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -310,10 +313,11 @@ func BuildUniformSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.UGOpti
 // full eps (parallel composition over disjoint tiles). When the shard
 // fan-out itself runs parallel, each per-shard AG build is forced
 // sequential (Workers = 1) so the two parallelism layers do not
-// multiply; the release is bit-identical either way.
+// multiply; the release is bit-identical either way. As in BuildUniform,
+// the points are partitioned in memory and nothing spills to disk.
 func BuildAdaptive(points []geom.Point, plan Plan, eps float64, grid core.AGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerAGOptions(plan, grid, opts)
-	return buildBuckets(points, plan, opts, core.FormatAG, src,
+	return buildSpill(geom.SlicePoints(points), plan, noSpill, opts, core.FormatAG, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildAdaptiveGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -323,13 +327,13 @@ func BuildAdaptive(points []geom.Point, plan Plan, eps float64, grid core.AGOpti
 // source is scanned once into per-tile spill spools (see
 // BuildUniformSeq), and each shard's AG build replays its own spool for
 // whatever passes it needs. A tile that never spilled is built over its
-// in-memory buffer in place; a spilled tile's build gathers its spool
+// in-memory blocks in place; a spilled tile's build gathers its spool
 // into memory like any streamed AG build (see
 // core.BuildAdaptiveGridSeq), so each concurrent shard build holds at
 // most that build's gather cap of points.
 func BuildAdaptiveSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.AGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerAGOptions(plan, grid, opts)
-	return buildSpill(seq, plan, opts, core.FormatAG, src,
+	return buildSpill(seq, plan, opts.MaxBufferedPoints, opts, core.FormatAG, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildAdaptiveGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -360,14 +364,13 @@ func innerUGOptions(plan Plan, grid core.UGOptions, opts Options) core.UGOptions
 	return grid
 }
 
-// buildSpill is the streaming engine: one scan of the source routes
-// every point into its tile's bounded spill spool, then the shared
-// fan-out builds per-shard synopses from the spools. Spool replay
-// preserves stream order, so the release matches the in-memory bucket
-// path bit for bit.
-func buildSpill(seq geom.PointSeq, plan Plan, opts Options, format string, src noise.Source,
+// buildSpill is the one partition behind every sharded UG/AG build:
+// one scan of the source routes every point into its tile's spool
+// (see partitionSpill, with memBudget its spill budget), then the
+// shared fan-out builds per-shard synopses from the spools.
+func buildSpill(seq geom.PointSeq, plan Plan, memBudget int, opts Options, format string, src noise.Source,
 	mk func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error), eps float64) (*Sharded, error) {
-	sp, err := partitionSpill(seq, plan, opts.MaxBufferedPoints)
+	sp, err := partitionSpill(seq, plan, memBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -375,26 +378,6 @@ func buildSpill(seq geom.PointSeq, plan Plan, opts Options, format string, src n
 	return build(plan, eps, opts, src, format,
 		func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error) {
 			return mk(tile, sp.tileSeq(i), shardSrc)
-		})
-}
-
-// buildBuckets is the in-memory fast path: one O(n) pass assigns every
-// point to its owning tile, then the shared engine builds per-shard
-// synopses from the buckets.
-func buildBuckets(points []geom.Point, plan Plan, opts Options, format string, src noise.Source,
-	mk func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error), eps float64) (*Sharded, error) {
-	if err := plan.validate(); err != nil {
-		return nil, err
-	}
-	buckets := make([][]geom.Point, plan.NumTiles())
-	for _, p := range points {
-		if i := plan.TileIndex(p); i >= 0 {
-			buckets[i] = append(buckets[i], p)
-		}
-	}
-	return build(plan, eps, opts, src, format,
-		func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error) {
-			return mk(tile, geom.SlicePoints(buckets[i]), shardSrc)
 		})
 }
 

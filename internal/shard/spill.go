@@ -18,6 +18,10 @@ import (
 // tile's buffer to its spill file.
 const DefaultSpillPoints = 1 << 22
 
+// noSpill is the spill budget of a source already in memory: its points
+// are partitioned into per-tile blocks and never swept to disk.
+const noSpill = math.MaxInt
+
 // spillRecordSize is the on-disk size of one point: two little-endian
 // IEEE-754 float64s. The encoding is exact, so a point read back from a
 // spill file is bit-identical to the one routed into it.
@@ -25,10 +29,10 @@ const spillRecordSize = 16
 
 // spill is the result of the one-scan streaming partition: every
 // in-domain point of the source, routed to its owning tile, held as an
-// in-memory buffer per tile with overflow in per-tile temp files. It
-// exists so a KxL streaming build costs one scan of the raw source
-// instead of kx*ky filtered re-scans; per-tile builders then replay
-// their own (compact, binary) spool as many times as they need.
+// in-memory chain of blocks per tile with overflow in per-tile temp
+// files. It exists so a KxL streaming build costs one scan of the raw
+// source instead of kx*ky filtered re-scans; per-tile builders then
+// replay their own (compact, binary) spool as many times as they need.
 type spill struct {
 	dir    string // created by the first sweep; empty while nothing spilled
 	spools []tileSpool
@@ -39,17 +43,19 @@ type spill struct {
 // path (empty until the tile's first flush) followed by the in-memory
 // tail. Appends preserve stream order, so replaying file-then-tail
 // replays the tile's points exactly as a filtered scan of the source
-// would.
+// would. The tail is a chain of blocks, so routing a point never copies
+// the ones already routed.
 type tileSpool struct {
 	path string
 	n    int64 // points in the spill file
-	tail []geom.Point
+	tail geom.Blocks
 }
 
 // partitionSpill scans seq exactly once and partitions its in-domain
 // points into per-tile spools. memBudget caps the aggregate number of
-// buffered points (0 means DefaultSpillPoints); when the budget fills,
-// every non-empty buffer is swept to its tile's spill file in one pass.
+// buffered points (0 means DefaultSpillPoints, noSpill means no cap);
+// when the budget fills, every non-empty buffer is swept to its tile's
+// spill file in one pass.
 // The temp directory is created by the first sweep, so a stream that
 // fits the budget never touches the file system. The caller must Close
 // the returned spill to remove the temp files.
@@ -68,7 +74,7 @@ func partitionSpill(seq geom.PointSeq, plan Plan, memBudget int) (*spill, error)
 			if i < 0 {
 				continue
 			}
-			sp.spools[i].tail = append(sp.spools[i].tail, p)
+			sp.spools[i].tail.Append(p)
 			buffered++
 		}
 		if buffered > memBudget {
@@ -87,7 +93,7 @@ func partitionSpill(seq geom.PointSeq, plan Plan, memBudget int) (*spill, error)
 }
 
 // sweep appends every non-empty in-memory buffer to its tile's spill
-// file and resets the buffers (keeping their capacity — the steady-state
+// file and resets the buffers (keeping their blocks — the steady-state
 // memory is the budget, not the dataset). Files are opened per sweep and
 // closed again so a planet-scale mosaic never holds one descriptor per
 // tile.
@@ -115,12 +121,16 @@ func (s *spill) sweep() error {
 		}
 		w := s.w
 		w.Reset(f)
-		for _, p := range t.tail {
-			binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(p.X))
-			binary.LittleEndian.PutUint64(rec[8:16], math.Float64bits(p.Y))
-			if _, err := w.Write(rec[:]); err != nil {
-				f.Close()
-				return fmt.Errorf("spill tile %d: %w", i, err)
+		n := 0
+		for _, blk := range t.tail {
+			n += len(blk)
+			for _, p := range blk {
+				binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(p.X))
+				binary.LittleEndian.PutUint64(rec[8:16], math.Float64bits(p.Y))
+				if _, err := w.Write(rec[:]); err != nil {
+					f.Close()
+					return fmt.Errorf("spill tile %d: %w", i, err)
+				}
 			}
 		}
 		if err := w.Flush(); err != nil {
@@ -130,8 +140,8 @@ func (s *spill) sweep() error {
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("spill tile %d: %w", i, err)
 		}
-		t.n += int64(len(t.tail))
-		t.tail = t.tail[:0]
+		t.n += int64(n)
+		t.tail.Reset()
 	}
 	return nil
 }
@@ -147,13 +157,12 @@ func (s *spill) Close() error {
 
 // tileSeq returns the re-iterable point source of tile i: the spill
 // file's records (if any) followed by the in-memory tail, in original
-// stream order. A tile that never spilled is its tail as a
-// geom.SlicePoints, which the per-tile builders scan in place instead
-// of gathering a copy.
+// stream order. A tile that never spilled is its tail's blocks, which
+// the per-tile builders scan in place instead of gathering a copy.
 func (s *spill) tileSeq(i int) geom.PointSeq {
 	t := &s.spools[i]
 	if t.n == 0 {
-		return geom.SlicePoints(t.tail)
+		return t.tail
 	}
 	return spoolSeq{spool: t}
 }
@@ -173,7 +182,7 @@ func (q spoolSeq) ForEachChunk(fn func(chunk []geom.Point) error) error {
 	if err != nil {
 		return err
 	}
-	return geom.SlicePoints(t.tail).ForEachChunk(fn)
+	return t.tail.ForEachChunk(fn)
 }
 
 // readSpool decodes n binary point records from r in chunks.

@@ -57,6 +57,38 @@ func shardedBytes(t *testing.T, s *Sharded) []byte {
 	return b
 }
 
+// buildBuckets is the reference partition the sharded builds are
+// checked against: a serial TileIndex loop into one slice per tile, fed
+// to the shared fan-out, so the partition under test is never compared
+// with itself.
+func buildBuckets(pts []geom.Point, plan Plan, eps float64, format string, src noise.Source,
+	mk func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error)) (*Sharded, error) {
+	buckets := make([][]geom.Point, plan.NumTiles())
+	for _, p := range pts {
+		if i := plan.TileIndex(p); i >= 0 {
+			buckets[i] = append(buckets[i], p)
+		}
+	}
+	return build(plan, eps, Options{}, src, format,
+		func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error) {
+			return mk(tile, geom.SlicePoints(buckets[i]), shardSrc)
+		})
+}
+
+func bucketsUniform(pts []geom.Point, plan Plan, eps float64, opts core.UGOptions, src noise.Source) (*Sharded, error) {
+	return buildBuckets(pts, plan, eps, core.FormatUG, src,
+		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
+			return core.BuildUniformGridSeq(seq, tile, eps, opts, shardSrc)
+		})
+}
+
+func bucketsAdaptive(pts []geom.Point, plan Plan, eps float64, opts core.AGOptions, src noise.Source) (*Sharded, error) {
+	return buildBuckets(pts, plan, eps, core.FormatAG, src,
+		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
+			return core.BuildAdaptiveGridSeq(seq, tile, eps, opts, shardSrc)
+		})
+}
+
 // The one-scan acceptance property: a streaming sharded build reads the
 // raw source exactly once, no matter how many tiles the plan has.
 func TestStreamingBuildScansSourceOnce(t *testing.T) {
@@ -88,11 +120,11 @@ func TestStreamingBuildScansSourceOnce(t *testing.T) {
 	}
 }
 
-// The streaming build must release the bit-identical mosaic to the
-// in-memory bucket build — including when tiny spill budgets force
-// every tile through its on-disk spool, and when the source reuses and
-// poisons its chunk buffer, so a partitioner that kept a chunk instead
-// of copying its points would route NaN.
+// The in-memory and streaming builds must release the bit-identical
+// mosaic to the reference bucket build — including when tiny spill
+// budgets force every tile through its on-disk spool, and when the
+// source reuses and poisons its chunk buffer, so a partitioner that
+// kept a chunk instead of copying its points would route NaN.
 func TestStreamingBuildMatchesBuckets(t *testing.T) {
 	dom := geom.MustDomain(-10, -40, 110, 80)
 	plan, err := NewPlan(dom, 3, 2)
@@ -101,16 +133,31 @@ func TestStreamingBuildMatchesBuckets(t *testing.T) {
 	}
 	pts := spillTestPoints(15000, plan, 9)
 
-	refU, err := BuildUniform(pts, plan, 1, core.UGOptions{}, Options{}, noise.NewSource(21))
+	refU, err := bucketsUniform(pts, plan, 1, core.UGOptions{}, noise.NewSource(21))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantU := shardedBytes(t, refU)
-	refA, err := BuildAdaptive(pts, plan, 1, core.AGOptions{}, Options{}, noise.NewSource(22))
+	refA, err := bucketsAdaptive(pts, plan, 1, core.AGOptions{}, noise.NewSource(22))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantA := shardedBytes(t, refA)
+
+	gotU, err := BuildUniform(pts, plan, 1, core.UGOptions{}, Options{}, noise.NewSource(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shardedBytes(t, gotU), wantU) {
+		t.Error("in-memory uniform mosaic differs from bucket build")
+	}
+	gotA, err := BuildAdaptive(pts, plan, 1, core.AGOptions{}, Options{}, noise.NewSource(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shardedBytes(t, gotA), wantA) {
+		t.Error("in-memory adaptive mosaic differs from bucket build")
+	}
 
 	for _, budget := range []int{0, 64} { // default in-memory vs forced spill-to-disk
 		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
@@ -146,8 +193,9 @@ func tilePoints(t *testing.T, sp *spill, i int) []geom.Point {
 }
 
 // partitionSpill must route every in-domain point to exactly one tile,
-// preserving stream order within each tile, across spill sweeps, for a
-// slice source and for one that reuses and poisons its chunk buffer.
+// preserving stream order within each tile, across spill sweeps and
+// without any, for a slice source and for one that reuses and poisons
+// its chunk buffer.
 func TestPartitionSpillRoutesAndOrders(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 10, 10)
 	plan, err := NewPlan(dom, 2, 2)
@@ -162,36 +210,44 @@ func TestPartitionSpillRoutesAndOrders(t *testing.T) {
 			want[i] = append(want[i], p)
 		}
 	}
-	for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
-		sp, err := partitionSpill(seq, plan, 128) // force many sweeps
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := 0; i < plan.NumTiles(); i++ {
-			got := tilePoints(t, sp, i)
-			if len(got) != len(want[i]) {
-				t.Fatalf("%s tile %d: %d points, want %d", name, i, len(got), len(want[i]))
+	for _, budget := range []int{128, noSpill} { // many sweeps, and none
+		for name, seq := range map[string]geom.PointSeq{"slice": geom.SlicePoints(pts), "reused": geomtest.ReusedChunks(pts)} {
+			sp, err := partitionSpill(seq, plan, budget)
+			if err != nil {
+				t.Fatalf("budget=%d %s: %v", budget, name, err)
 			}
-			for j := range got {
-				if got[j] != want[i][j] {
-					t.Fatalf("%s tile %d point %d: %v, want %v (order or routing broken)", name, i, j, got[j], want[i][j])
+			for i := 0; i < plan.NumTiles(); i++ {
+				got := tilePoints(t, sp, i)
+				if len(got) != len(want[i]) {
+					t.Fatalf("budget=%d %s tile %d: %d points, want %d", budget, name, i, len(got), len(want[i]))
+				}
+				for j := range got {
+					if got[j] != want[i][j] {
+						t.Fatalf("budget=%d %s tile %d point %d: %v, want %v (order or routing broken)", budget, name, i, j, got[j], want[i][j])
+					}
+				}
+				// Spools must replay identically on a second pass (AG re-reads).
+				if n := len(tilePoints(t, sp, i)); n != len(want[i]) {
+					t.Fatalf("budget=%d %s tile %d: replay saw %d points, want %d", budget, name, i, n, len(want[i]))
+				}
+				// A tile that never spilled is handed on in memory, so
+				// its builder scans it in place instead of gathering it.
+				if budget == noSpill && !geom.InMemory(sp.tileSeq(i)) {
+					t.Errorf("budget=%d %s tile %d: never spilled but not in memory", budget, name, i)
 				}
 			}
-			// Spools must replay identically on a second pass (AG re-reads).
-			if n := len(tilePoints(t, sp, i)); n != len(want[i]) {
-				t.Fatalf("%s tile %d: replay saw %d points, want %d", name, i, n, len(want[i]))
+			if err := sp.Close(); err != nil {
+				t.Fatalf("budget=%d %s: close: %v", budget, name, err)
 			}
-		}
-		if err := sp.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
 		}
 	}
 }
 
 // A streaming sharded build whose points fit the spill budget never
-// touches the file system, so it must succeed — with the in-memory
+// touches the file system, so it must succeed — with the bucket
 // build's bytes — when the temp directory is unusable; one that has to
-// spill must report the directory failure.
+// spill must report the directory failure. An in-memory build has no
+// spill budget, so it never spills, whatever MaxBufferedPoints says.
 func TestStreamingBuildWithoutTempDir(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 10, 10)
 	plan, err := NewPlan(dom, 2, 2)
@@ -200,7 +256,7 @@ func TestStreamingBuildWithoutTempDir(t *testing.T) {
 	}
 	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 	pts := []geom.Point{{X: 1, Y: 1}, {X: 6, Y: 2}, {X: 7, Y: 8}}
-	ref, err := BuildAdaptive(pts, plan, 1, core.AGOptions{}, Options{}, noise.NewSource(5))
+	ref, err := bucketsAdaptive(pts, plan, 1, core.AGOptions{}, noise.NewSource(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +265,14 @@ func TestStreamingBuildWithoutTempDir(t *testing.T) {
 		t.Fatalf("build that never spills: %v", err)
 	}
 	if !bytes.Equal(shardedBytes(t, got), shardedBytes(t, ref)) {
-		t.Error("streaming mosaic differs from the in-memory build")
+		t.Error("streaming mosaic differs from the bucket build")
+	}
+	got, err = BuildAdaptive(pts, plan, 1, core.AGOptions{}, Options{MaxBufferedPoints: 1}, noise.NewSource(5))
+	if err != nil {
+		t.Fatalf("in-memory build: %v", err)
+	}
+	if !bytes.Equal(shardedBytes(t, got), shardedBytes(t, ref)) {
+		t.Error("in-memory mosaic differs from the bucket build")
 	}
 	_, err = BuildAdaptiveSeq(geom.SlicePoints(pts), plan, 1, core.AGOptions{}, Options{MaxBufferedPoints: 1}, noise.NewSource(5))
 	if err == nil || !strings.Contains(err.Error(), "spill dir") {

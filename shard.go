@@ -101,8 +101,9 @@ func BuildShardedUniformGrid(points []Point, plan ShardPlan, eps float64, grid U
 }
 
 // BuildShardedUniformGridSeq is BuildShardedUniformGrid over a
-// streaming point source; each shard filters its own passes over the
-// stream.
+// streaming point source: one scan of the stream routes every point to
+// its tile, spilling to temp files past ShardOptions.MaxBufferedPoints,
+// and each shard builds from its own tile's points.
 func BuildShardedUniformGridSeq(seq PointSeq, plan ShardPlan, eps float64, grid UGOptions, opts ShardOptions, src NoiseSource) (*Sharded, error) {
 	return shard.BuildUniformSeq(seq, plan, eps, grid, opts, src)
 }

@@ -25,11 +25,12 @@ type SlicePoints = geom.SlicePoints
 // CSVFilePoints returns a PointSeq streaming "x,y" records from the file
 // at path, re-opening it on each pass and parsing 1 MiB blocks in
 // parallel, with the points delivered in file order.
-// Building UG over it performs one scan (plus one counting scan when the
-// grid size is chosen from the data); AG performs one scan, gathering
-// the points, when the file has up to 8M in-domain points and three
-// bounded-memory scans past that, matching the paper's out-of-core
-// construction claim.
+// Building UG with a fixed grid size performs one scan. Choosing the
+// grid size from the data, UG performs one scan that counts and gathers
+// the points when the file has up to 8M in-domain points, and two
+// bounded-memory scans past that; AG performs one gathering scan up to
+// 8M in-domain points and three bounded-memory scans past that,
+// matching the paper's out-of-core construction claim.
 func CSVFilePoints(path string) PointSeq {
 	return datasets.CSVFileSeq{Path: path}
 }
