@@ -20,8 +20,13 @@ func parseBounded(d *codec.Dec) []float64 {
 	return make([]float64, n)
 }
 
-// parseField mirrors core/serialize.go's f.M1*f.M1 pattern: a product of
-// struct fields is fine once an early-exit guard has inspected it.
+// parseField: a product of struct fields passes the analyzer once an
+// early-exit branch has inspected it. That is a syntactic proof only:
+// p.m1 = 2^32 wraps p.m1*p.m1 to 0, so an empty p.cells passes this
+// very guard. Real decoders bound each factor before the product (see
+// grid.Fits); JSON decoders touch no codec.Dec and are not analyzed at
+// all, and the validator they share with the binary decoders bounds
+// them.
 func parseField(d *codec.Dec, p *payload) []int {
 	_ = d.Int32()
 	if len(p.cells) != p.m1*p.m1 {

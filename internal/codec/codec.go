@@ -10,8 +10,9 @@
 // []float64 (see Dec.F64s).
 //
 // The package deliberately knows nothing about synopses; it provides the
-// container framing (Detect, NewEnc, NewDec) and truncation-safe
-// primitive access. The per-kind body layouts live next to the types
+// container framing (Detect, NewEnc, NewDec), truncation-safe
+// primitive access, and the opening every JSON release shares (Head,
+// DecodeJSONHead). The per-kind body layouts live next to the types
 // they serialize (internal/core, internal/shard).
 package codec
 

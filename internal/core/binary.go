@@ -5,15 +5,17 @@ import (
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/geom"
-	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
 // Binary (dpgridv2) serialization of UG and AG synopses — the compact
 // companion to the JSON format in serialize.go. Both formats carry the
 // same release (cell boundaries and noisy counts), so the choice is
 // pure engineering: binary files are a fraction of the size and decode
-// in place instead of parsing decimal text.
+// in place instead of parsing decimal text. Both also decode into the
+// same ugParts/agParts and run the same header check (before any
+// section is read; sizes bounded per axis before any product) and
+// build step, so a corrupt release fails with the same error in
+// either encoding.
 //
 // Layouts (after the codec container header; all little endian; every
 // f64 section is aligned — see codec.Enc.F64s):
@@ -120,105 +122,51 @@ func (a *AdaptiveGrid) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// ParseUniformGridBinary deserializes a UG dpgridv2 container,
-// validating every invariant: count finiteness, and the stored SAT's
-// bitwise consistency with the counts. The counts and the adopted SAT
-// alias data (see the layout comment above).
+// ParseUniformGridBinary deserializes a UG dpgridv2 container through
+// the validator the JSON decoder shares (ugParts): the header is
+// checked before the counts section is read, and a stored SAT must
+// match the counts bit for bit. The counts and the adopted SAT alias
+// data (see the layout comment above).
 func ParseUniformGridBinary(data []byte) (*UniformGrid, error) {
-	d, kind, err := codec.NewDec(data)
+	d, dom, eps, err := codec.OpenHead("core", data, codec.KindUniform)
 	if err != nil {
-		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
-	}
-	if kind != codec.KindUniform {
-		return nil, fmt.Errorf("core: container kind %v is not %v", kind, codec.KindUniform)
-	}
-	dom, err := d.Domain()
-	if err != nil {
-		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
-	}
-	eps := d.F64()
-	m, mx, my := d.Int32(), d.Int32(), d.Int32()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
-	}
-	if !(eps > 0) {
-		return nil, fmt.Errorf("core: invalid epsilon %g", eps)
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("core: invalid grid size %d", m)
-	}
-	// uint64 arithmetic: both factors come from u32 fields, and an
-	// int64 product of two adversarial 4e9 values would overflow and
-	// wrap past the cap.
-	if mx < 1 || my < 1 || uint64(mx)*uint64(my) > grid.MaxCells {
-		return nil, fmt.Errorf("core: invalid grid dimensions %dx%d", mx, my)
-	}
-	vals := d.F64s(mx * my)
-	sat := d.SATSection(mx, my)
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
-	}
-	if err := checkFinite(vals); err != nil {
 		return nil, err
 	}
-	counts, err := grid.FromValues(dom, mx, my, vals)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
+	p := ugParts{dom: dom, eps: eps, m: d.Int32(), mx: d.Int32(), my: d.Int32()}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	// With a stored SAT the prefix table is adopted rather than rebuilt;
-	// the bitwise check against the counts guarantees it is the exact
-	// table NewPrefix would produce, so both paths answer (and
-	// re-encode) identically.
-	prefix, err := grid.AdoptPrefix(counts, sat)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
+	if err := p.check(); err != nil {
+		return nil, err
 	}
-	return &UniformGrid{
-		dom:       dom,
-		eps:       eps,
-		m:         m,
-		mx:        mx,
-		my:        my,
-		noisy:     counts,
-		prefix:    prefix,
-		satBacked: sat != nil,
-	}, nil
+	p.counts = d.F64s(p.mx * p.my)
+	p.sat = d.SATSection(p.mx, p.my)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	return p.build()
 }
 
-// ParseAdaptiveGridBinary deserializes an AG dpgridv2 container,
-// validating every invariant: each cell's sums table is checked for
-// finiteness and the zero border every NewPrefix-built table has, and a
-// stored level-1 SAT bit-for-bit against the cell totals it summarizes.
-// The cell tables and the adopted SAT alias data (see the layout
-// comment above).
+// ParseAdaptiveGridBinary deserializes an AG dpgridv2 container
+// through the validator the JSON decoder shares (agParts): the header
+// is checked before any cell is read, each cell's sums table for
+// finiteness and the zero border every NewPrefix-built table has, and
+// a stored level-1 SAT bit for bit against the cell totals it
+// summarizes. The cell tables and the adopted SAT alias data (see the
+// layout comment above).
 func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
-	d, kind, err := codec.NewDec(data)
+	d, dom, eps, err := codec.OpenHead("core", data, codec.KindAdaptive)
 	if err != nil {
-		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
+		return nil, err
 	}
-	if kind != codec.KindAdaptive {
-		return nil, fmt.Errorf("core: container kind %v is not %v", kind, codec.KindAdaptive)
-	}
-	dom, err := d.Domain()
-	if err != nil {
-		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
-	}
-	eps := d.F64()
-	alpha := d.F64()
-	m1 := d.Int32()
+	p := agParts{dom: dom, eps: eps, alpha: d.F64(), m1: d.Int32()}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	if !(eps > 0) {
-		return nil, fmt.Errorf("core: invalid epsilon %g", eps)
+	if err := p.check(); err != nil {
+		return nil, err
 	}
-	if !(alpha > 0 && alpha < 1) {
-		return nil, fmt.Errorf("core: invalid alpha %g", alpha)
-	}
-	if m1 < 1 || uint64(m1)*uint64(m1) > grid.MaxCells {
-		return nil, fmt.Errorf("core: invalid m1 %d", m1)
-	}
-	n := m1 * m1
+	n := p.m1 * p.m1
 	// Every encoded cell occupies at least 40 bytes (a u64 length prefix
 	// and a minimum 2x2 sums table; 44 with version 1's u32 m2), so an
 	// m1 whose cells cannot fit in the remaining payload is corrupt.
@@ -229,71 +177,42 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 		minCellBytes += 4
 	}
 	if n > d.Remaining()/minCellBytes {
-		return nil, fmt.Errorf("core: m1 %d demands %d cells but only %d bytes remain", m1, n, d.Remaining())
+		return nil, fmt.Errorf("core: m1 %d demands %d cells but only %d bytes remain", p.m1, n, d.Remaining())
 	}
-	ag := &AdaptiveGrid{
-		dom:      dom,
-		eps:      eps,
-		alpha:    alpha,
-		m1:       m1,
-		cells:    make([]agCell, n),
-		maxM2:    1,
-		epsLevel: [2]float64{alpha * eps, (1 - alpha) * eps},
-	}
-	// The cell totals (each table's last entry) are O(m1^2), a sliver of
-	// the payload the minimum-cell-size guard already bounded; the SAT
-	// sits after the cells, so its check needs all of them.
-	totals := make([]float64, n)
-	for k := range ag.cells {
-		m2, sums, err := decodeAGCell(d)
-		if err != nil {
-			return nil, fmt.Errorf("core: cell %d: %w", k, err)
+	p.cells = make([]agCellParts, n)
+	for k := range p.cells {
+		if p.cells[k], err = decodeAGCell(d, k); err != nil {
+			return nil, err
 		}
-		cellRect := dom.CellRect(k%m1, k/m1, m1, m1)
-		leaves, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, m2, m2, sums)
-		if err != nil {
-			return nil, fmt.Errorf("core: cell %d: %w", k, err)
-		}
-		ag.cells[k] = agCell{rect: cellRect, m2: m2, leaves: leaves}
-		totals[k] = leaves.Total()
-		ag.leafPop += m2 * m2
-		ag.maxM2 = max(ag.maxM2, m2)
 	}
-	sat := d.SATSection(m1, m1)
+	p.sat = d.SATSection(p.m1, p.m1)
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	// A stored SAT verified bit-identical to NewPrefix(totals) changes
-	// no answer when adopted — it just skips the rebuild.
-	level1, err := grid.FromValues(dom, m1, m1, totals)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
-	}
-	if ag.level1, err = grid.AdoptPrefix(level1, sat); err != nil {
-		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
-	}
-	ag.satBacked = sat != nil
-	return ag, nil
+	return p.build()
 }
 
-// decodeAGCell reads one AG cell: its m2 and its (m2+1)^2 sums table.
+// decodeAGCell reads AG cell k: its m2 and its (m2+1)^2 sums table.
 // Version 1 stores m2 as a u32 ahead of the table; version 2 derives it
 // from the table's length, which must be the square of a side >= 2.
-func decodeAGCell(d *codec.Dec) (int, []float64, error) {
+func decodeAGCell(d *codec.Dec, k int) (agCellParts, error) {
 	if d.Version() == 1 {
 		m2 := d.Int32()
 		if err := d.Err(); err != nil {
-			return 0, nil, err
+			return agCellParts{}, fmt.Errorf("core: cell %d: %w", k, err)
 		}
-		if m2 < 1 || uint64(m2)*uint64(m2) > grid.MaxCells {
-			return 0, nil, fmt.Errorf("invalid m2 %d", m2)
+		if err := checkM2(k, m2); err != nil {
+			return agCellParts{}, err
 		}
 		sums := d.F64s((m2 + 1) * (m2 + 1))
-		return m2, sums, d.Err()
+		if err := d.Err(); err != nil {
+			return agCellParts{}, fmt.Errorf("core: cell %d: %w", k, err)
+		}
+		return agCellParts{m2: m2, sums: sums}, nil
 	}
 	sums := d.F64Section()
 	if err := d.Err(); err != nil {
-		return 0, nil, err
+		return agCellParts{}, fmt.Errorf("core: cell %d: %w", k, err)
 	}
 	side := int(math.Sqrt(float64(len(sums))))
 	for side*side > len(sums) {
@@ -303,7 +222,7 @@ func decodeAGCell(d *codec.Dec) (int, []float64, error) {
 		side++
 	}
 	if side < 2 || side*side != len(sums) {
-		return 0, nil, fmt.Errorf("sums section of %d entries is not an (m2+1)^2 table with m2 >= 1", len(sums))
+		return agCellParts{}, fmt.Errorf("core: cell %d: sums section of %d entries is not an (m2+1)^2 table with m2 >= 1", k, len(sums))
 	}
-	return side - 1, sums, nil
+	return agCellParts{m2: side - 1, sums: sums}, nil
 }

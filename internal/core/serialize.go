@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
 )
@@ -16,10 +17,18 @@ import (
 // trip to disk: the data holder builds and saves once; analysts load and
 // query forever after without the raw data.
 //
-// The format is versioned JSON with an explicit format tag per synopsis
-// kind. Loading validates structural invariants (dimensions vs. payload
-// lengths, finite counts, valid domain) so a corrupted or hand-edited
-// file fails loudly instead of answering garbage.
+// This file holds the versioned JSON format, with an explicit format
+// tag per synopsis kind, and the one validator per kind that both
+// encodings share: the JSON decoders here and the binary ones in
+// binary.go check the domain and epsilon every release opens with
+// (codec.DecodeJSONHead, codec.OpenHead), decode the rest into ugParts
+// or agParts, run its check on the header before any section is read
+// or sized, and finish with its build, which checks the tables
+// (lengths, finite counts, valid prefix sums) and assembles the
+// synopsis. Grid sizes are bounded per axis before any product is
+// taken, so a hostile size cannot wrap past the cap. A corrupted or
+// hand-edited file fails loudly, with the same error in either
+// encoding, instead of answering garbage.
 
 const (
 	// FormatUG tags serialized UniformGrid synopses.
@@ -30,18 +39,9 @@ const (
 	serializeVersion = 1
 )
 
-// Envelope is the common header of every serialized synopsis; decode it
-// first to learn which concrete type a file holds.
-type Envelope struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-}
-
 type ugFile struct {
-	Envelope
-	Domain  [4]float64 `json:"domain"` // minX, minY, maxX, maxY
-	Epsilon float64    `json:"epsilon"`
-	M       int        `json:"m"`
+	codec.Head
+	M int `json:"m"`
 	// MX, MY are the actual grid dimensions; 0 (older files) means M x M.
 	MX     int       `json:"mx,omitempty"`
 	MY     int       `json:"my,omitempty"`
@@ -54,24 +54,151 @@ type agCellFile struct {
 }
 
 type agFile struct {
-	Envelope
-	Domain  [4]float64   `json:"domain"`
-	Epsilon float64      `json:"epsilon"`
-	Alpha   float64      `json:"alpha"`
-	M1      int          `json:"m1"`
-	Cells   []agCellFile `json:"cells"` // row-major m1*m1
+	codec.Head
+	Alpha float64      `json:"alpha"`
+	M1    int          `json:"m1"`
+	Cells []agCellFile `json:"cells"` // row-major m1*m1
+}
+
+// ugParts is a decoded, not yet validated UG release. Its domain and
+// epsilon are checked as they are read (codec.DecodeJSONHead,
+// codec.OpenHead).
+type ugParts struct {
+	dom       geom.Domain
+	eps       float64
+	m, mx, my int
+	counts    []float64 // row-major mx*my
+	sat       []float64 // the stored summed-area trailer; nil without one, and always from JSON
+}
+
+// check validates the header's sizes: the nominal size and the
+// dimensions.
+func (p *ugParts) check() error {
+	if p.m < 1 || p.m > grid.MaxCells {
+		return fmt.Errorf("core: invalid grid size %d", p.m)
+	}
+	if !grid.Fits(p.mx, p.my) {
+		return fmt.Errorf("core: invalid grid dimensions %dx%d", p.mx, p.my)
+	}
+	return nil
+}
+
+// build checks the counts' length and finiteness and a stored
+// summed-area table bit for bit against them, then returns the
+// synopsis, which keeps the counts and an adopted table in place.
+func (p *ugParts) build() (*UniformGrid, error) {
+	counts, err := grid.FromValues(p.dom, p.mx, p.my, p.counts)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	if err := checkFinite(p.counts); err != nil {
+		return nil, err
+	}
+	// A stored table verified bit-identical to the one NewPrefix would
+	// build answers and re-encodes identically; adopting it skips the
+	// rebuild.
+	prefix, err := grid.AdoptPrefix(counts, p.sat)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	return &UniformGrid{
+		dom:       p.dom,
+		eps:       p.eps,
+		m:         p.m,
+		mx:        p.mx,
+		my:        p.my,
+		noisy:     counts,
+		prefix:    prefix,
+		satBacked: p.sat != nil,
+	}, nil
+}
+
+// agParts is a decoded, not yet validated AG release. Its domain and
+// epsilon are checked as they are read, as ugParts' are.
+type agParts struct {
+	dom        geom.Domain
+	eps, alpha float64
+	m1         int
+	cells      []agCellParts // row-major m1*m1
+	sat        []float64     // the stored level-1 trailer; nil without one, and always from JSON
+}
+
+// agCellParts is one decoded AG cell: its second-level grid size and
+// its (m2+1)^2 prefix-sum table.
+type agCellParts struct {
+	m2   int
+	sums []float64
+}
+
+// check validates the header's alpha and m1.
+func (p *agParts) check() error {
+	if !(p.alpha > 0 && p.alpha < 1) {
+		return fmt.Errorf("core: invalid alpha %g", p.alpha)
+	}
+	if !grid.Fits(p.m1, p.m1) {
+		return fmt.Errorf("core: invalid m1 %d", p.m1)
+	}
+	return nil
+}
+
+// checkM2 bounds cell k's second-level grid size, before the cell's
+// table is read or sized.
+func checkM2(k, m2 int) error {
+	if !grid.Fits(m2, m2) {
+		return fmt.Errorf("core: cell %d: invalid m2 %d", k, m2)
+	}
+	return nil
+}
+
+// build checks the cell count, every cell table (grid.PrefixFromSums)
+// and a stored level-1 table bit for bit against the cell totals, then
+// returns the synopsis, which keeps the tables in place.
+func (p *agParts) build() (*AdaptiveGrid, error) {
+	n := p.m1 * p.m1
+	if len(p.cells) != n {
+		return nil, fmt.Errorf("core: cells length %d != m1^2 = %d", len(p.cells), n)
+	}
+	ag := &AdaptiveGrid{
+		dom:      p.dom,
+		eps:      p.eps,
+		alpha:    p.alpha,
+		m1:       p.m1,
+		cells:    make([]agCell, n),
+		maxM2:    1,
+		epsLevel: [2]float64{p.alpha * p.eps, (1 - p.alpha) * p.eps},
+	}
+	// The cell totals (each table's last entry) feed the level-1 table.
+	totals := make([]float64, n)
+	for k, c := range p.cells {
+		cellRect := p.dom.CellRect(k%p.m1, k/p.m1, p.m1, p.m1)
+		leaves, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, c.m2, c.m2, c.sums)
+		if err != nil {
+			return nil, fmt.Errorf("core: cell %d: %w", k, err)
+		}
+		ag.cells[k] = agCell{rect: cellRect, m2: c.m2, leaves: leaves}
+		totals[k] = leaves.Total()
+		ag.leafPop += c.m2 * c.m2
+		ag.maxM2 = max(ag.maxM2, c.m2)
+	}
+	level1, err := grid.FromValues(p.dom, p.m1, p.m1, totals)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	if ag.level1, err = grid.AdoptPrefix(level1, p.sat); err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	ag.satBacked = p.sat != nil
+	return ag, nil
 }
 
 // WriteTo serializes the synopsis as JSON.
 func (u *UniformGrid) WriteTo(w io.Writer) (int64, error) {
 	f := ugFile{
-		Envelope: Envelope{Format: FormatUG, Version: serializeVersion},
-		Domain:   [4]float64{u.dom.MinX, u.dom.MinY, u.dom.MaxX, u.dom.MaxY},
-		Epsilon:  u.eps,
-		M:        u.m,
-		MX:       u.mx,
-		MY:       u.my,
-		Counts:   u.noisy.Values(),
+		Head:   codec.NewHead(FormatUG, serializeVersion, u.dom, u.eps),
+		M:      u.m,
+		MX:     u.mx,
+		MY:     u.my,
+		Counts: u.noisy.Values(),
 	}
 	return writeJSON(w, &f)
 }
@@ -79,11 +206,9 @@ func (u *UniformGrid) WriteTo(w io.Writer) (int64, error) {
 // WriteTo serializes the synopsis as JSON.
 func (a *AdaptiveGrid) WriteTo(w io.Writer) (int64, error) {
 	f := agFile{
-		Envelope: Envelope{Format: FormatAG, Version: serializeVersion},
-		Domain:   [4]float64{a.dom.MinX, a.dom.MinY, a.dom.MaxX, a.dom.MaxY},
-		Epsilon:  a.eps,
-		Alpha:    a.alpha,
-		M1:       a.m1,
+		Head:  codec.NewHead(FormatAG, serializeVersion, a.dom, a.eps),
+		Alpha: a.alpha,
+		M1:    a.m1,
 	}
 	for k := range a.cells {
 		cell := &a.cells[k]
@@ -109,13 +234,13 @@ func writeJSON(w io.Writer, v any) (int64, error) {
 }
 
 // ReadEnvelope decodes only the format header from serialized bytes.
-func ReadEnvelope(data []byte) (Envelope, error) {
-	var env Envelope
+func ReadEnvelope(data []byte) (codec.Envelope, error) {
+	var env codec.Envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return Envelope{}, fmt.Errorf("core: not a synopsis file: %w", err)
+		return codec.Envelope{}, fmt.Errorf("core: not a synopsis file: %w", err)
 	}
 	if env.Format == "" {
-		return Envelope{}, fmt.Errorf("core: missing format tag")
+		return codec.Envelope{}, fmt.Errorf("core: missing format tag")
 	}
 	return env, nil
 }
@@ -124,130 +249,44 @@ func ReadEnvelope(data []byte) (Envelope, error) {
 // invariants.
 func ParseUniformGrid(data []byte) (*UniformGrid, error) {
 	var f ugFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
-	}
-	if f.Format != FormatUG {
-		return nil, fmt.Errorf("core: format %q is not %q", f.Format, FormatUG)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("core: unsupported UG version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
-	if err != nil {
-		return nil, fmt.Errorf("core: parse UG synopsis: %w", err)
-	}
-	if f.M < 1 {
-		return nil, fmt.Errorf("core: invalid grid size %d", f.M)
-	}
-	mx, my := f.MX, f.MY
-	if mx == 0 && my == 0 {
-		mx, my = f.M, f.M
-	}
-	if mx < 1 || my < 1 {
-		return nil, fmt.Errorf("core: invalid grid dimensions %dx%d", mx, my)
-	}
-	if len(f.Counts) != mx*my {
-		return nil, fmt.Errorf("core: counts length %d != mx*my = %d", len(f.Counts), mx*my)
-	}
-	if !(f.Epsilon > 0) {
-		return nil, fmt.Errorf("core: invalid epsilon %g", f.Epsilon)
-	}
-	if err := checkFinite(f.Counts); err != nil {
-		return nil, err
-	}
-	counts, err := grid.New(dom, mx, my)
+	dom, err := codec.DecodeJSONHead("core", data, &f, FormatUG, serializeVersion)
 	if err != nil {
 		return nil, err
 	}
-	copy(counts.Values(), f.Counts)
-	return &UniformGrid{
-		dom:    dom,
-		eps:    f.Epsilon,
-		m:      f.M,
-		mx:     mx,
-		my:     my,
-		noisy:  counts,
-		prefix: grid.NewPrefix(counts),
-	}, nil
+	p := ugParts{dom: dom, eps: f.Epsilon, m: f.M, mx: f.MX, my: f.MY, counts: f.Counts}
+	if p.mx == 0 && p.my == 0 {
+		p.mx, p.my = p.m, p.m
+	}
+	if err := p.check(); err != nil {
+		return nil, err
+	}
+	return p.build()
 }
 
 // ParseAdaptiveGrid deserializes an AG synopsis, validating all
-// structural invariants.
+// structural invariants. Each cell's leaves become its prefix-sum table
+// once m2 and the leaf count pass their bounds.
 func ParseAdaptiveGrid(data []byte) (*AdaptiveGrid, error) {
 	var f agFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
-	}
-	if f.Format != FormatAG {
-		return nil, fmt.Errorf("core: format %q is not %q", f.Format, FormatAG)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("core: unsupported AG version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
-	if err != nil {
-		return nil, fmt.Errorf("core: parse AG synopsis: %w", err)
-	}
-	if f.M1 < 1 {
-		return nil, fmt.Errorf("core: invalid m1 %d", f.M1)
-	}
-	if len(f.Cells) != f.M1*f.M1 {
-		return nil, fmt.Errorf("core: cells length %d != m1^2 = %d", len(f.Cells), f.M1*f.M1)
-	}
-	if !(f.Epsilon > 0) {
-		return nil, fmt.Errorf("core: invalid epsilon %g", f.Epsilon)
-	}
-	if !(f.Alpha > 0 && f.Alpha < 1) {
-		return nil, fmt.Errorf("core: invalid alpha %g", f.Alpha)
-	}
-
-	ag := &AdaptiveGrid{
-		dom:   dom,
-		eps:   f.Epsilon,
-		alpha: f.Alpha,
-		m1:    f.M1,
-		cells: make([]agCell, f.M1*f.M1),
-	}
-	totals, err := grid.New(dom, f.M1, f.M1)
+	dom, err := codec.DecodeJSONHead("core", data, &f, FormatAG, serializeVersion)
 	if err != nil {
 		return nil, err
 	}
-	leafPop := 0
-	maxM2 := 1
-	for iy := 0; iy < f.M1; iy++ {
-		for ix := 0; ix < f.M1; ix++ {
-			k := iy*f.M1 + ix
-			cf := f.Cells[k]
-			if cf.M2 < 1 {
-				return nil, fmt.Errorf("core: cell %d: invalid m2 %d", k, cf.M2)
-			}
-			if len(cf.Leaves) != cf.M2*cf.M2 {
-				return nil, fmt.Errorf("core: cell %d: leaves length %d != m2^2 = %d", k, len(cf.Leaves), cf.M2*cf.M2)
-			}
-			if err := checkFinite(cf.Leaves); err != nil {
-				return nil, fmt.Errorf("core: cell %d: %w", k, err)
-			}
-			cellRect := dom.CellRect(ix, iy, f.M1, f.M1)
-			leafGrid, err := grid.New(geom.Domain{Rect: cellRect}, cf.M2, cf.M2)
-			if err != nil {
-				return nil, err
-			}
-			copy(leafGrid.Values(), cf.Leaves)
-			prefix := grid.NewPrefix(leafGrid)
-			ag.cells[k] = agCell{rect: cellRect, m2: cf.M2, leaves: prefix}
-			totals.Set(ix, iy, prefix.Total())
-			leafPop += cf.M2 * cf.M2
-			if cf.M2 > maxM2 {
-				maxM2 = cf.M2
-			}
-		}
+	p := agParts{dom: dom, eps: f.Epsilon, alpha: f.Alpha, m1: f.M1}
+	if err := p.check(); err != nil {
+		return nil, err
 	}
-	ag.level1 = grid.NewPrefix(totals)
-	ag.leafPop = leafPop
-	ag.maxM2 = maxM2
-	ag.epsLevel = [2]float64{f.Alpha * f.Epsilon, (1 - f.Alpha) * f.Epsilon}
-	return ag, nil
+	p.cells = make([]agCellParts, len(f.Cells))
+	for k, cf := range f.Cells {
+		if err := checkM2(k, cf.M2); err != nil {
+			return nil, err
+		}
+		if len(cf.Leaves) != cf.M2*cf.M2 {
+			return nil, fmt.Errorf("core: cell %d: leaves length %d != m2^2 = %d", k, len(cf.Leaves), cf.M2*cf.M2)
+		}
+		p.cells[k] = agCellParts{m2: cf.M2, sums: grid.NewSAT([]int{cf.M2, cf.M2}, cf.Leaves).Sums()}
+	}
+	return p.build()
 }
 
 func checkFinite(vals []float64) error {

@@ -42,11 +42,16 @@ func New(dom geom.Domain, mx, my int) (*Counts, error) {
 	return &Counts{dom: dom, mx: mx, my: my, vals: make([]float64, mx*my)}, nil
 }
 
+// Fits reports whether an mx x my grid has positive sides and at most
+// MaxCells cells. It bounds one side before taking the product, so
+// adversarial sizes cannot overflow past the cap.
+func Fits(mx, my int) bool { return mx > 0 && my > 0 && mx <= MaxCells/my }
+
 func checkDims(mx, my int) error {
 	if mx <= 0 || my <= 0 {
 		return fmt.Errorf("grid: dimensions must be positive, got %dx%d", mx, my)
 	}
-	if int64(mx)*int64(my) > MaxCells {
+	if !Fits(mx, my) {
 		return fmt.Errorf("grid: %dx%d grid too large", mx, my)
 	}
 	return nil

@@ -27,6 +27,27 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestDimsBoundPerAxis: sizes whose product overflows int64 (2^32 x
+// 2^32 wraps to 0) or exceeds the cap by one cell are refused by every
+// constructor, without allocating.
+func TestDimsBoundPerAxis(t *testing.T) {
+	dom := geom.MustDomain(0, 0, 10, 10)
+	for _, dims := range [][2]int{{1 << 32, 1 << 32}, {1, MaxCells + 1}, {MaxCells + 1, 1}} {
+		if _, err := New(dom, dims[0], dims[1]); err == nil {
+			t.Errorf("New(%dx%d) accepted", dims[0], dims[1])
+		}
+		if _, err := FromValues(dom, dims[0], dims[1], nil); err == nil {
+			t.Errorf("FromValues(%dx%d) accepted", dims[0], dims[1])
+		}
+		if Fits(dims[0], dims[1]) {
+			t.Errorf("Fits(%dx%d) = true", dims[0], dims[1])
+		}
+	}
+	if !Fits(1, MaxCells) || !Fits(1<<14, 1<<14) {
+		t.Error("grids at the cap do not fit")
+	}
+}
+
 func TestFromPointsCounts(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 4, 4)
 	pts := []geom.Point{

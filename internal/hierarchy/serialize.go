@@ -6,8 +6,6 @@ import (
 	"io"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
-	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
 	"github.com/dpgrid/dpgrid/internal/gridnd"
 )
@@ -67,21 +65,17 @@ func (h *Hierarchy) AppendBinary(dst []byte) ([]byte, error) {
 
 // hierFile is the on-disk JSON form.
 type hierFile struct {
-	core.Envelope
-	Domain    [4]float64 `json:"domain"` // minX, minY, maxX, maxY
-	Epsilon   float64    `json:"epsilon"`
-	GridSize  int        `json:"grid_size"`
-	Branching int        `json:"branching"`
-	Depth     int        `json:"depth"`
-	Sums      []float64  `json:"sums"` // (m+1)^2 row-major prefix sums
+	codec.Head
+	GridSize  int       `json:"grid_size"`
+	Branching int       `json:"branching"`
+	Depth     int       `json:"depth"`
+	Sums      []float64 `json:"sums"` // (m+1)^2 row-major prefix sums
 }
 
 // WriteTo serializes the synopsis as JSON.
 func (h *Hierarchy) WriteTo(w io.Writer) (int64, error) {
 	f := hierFile{
-		Envelope:  core.Envelope{Format: FormatHierarchy, Version: serializeVersion},
-		Domain:    [4]float64{h.dom.MinX, h.dom.MinY, h.dom.MaxX, h.dom.MaxY},
-		Epsilon:   h.eps,
+		Head:      codec.NewHead(FormatHierarchy, serializeVersion, h.dom, h.eps),
 		GridSize:  h.opts.GridSize,
 		Branching: h.opts.Branching,
 		Depth:     h.opts.Depth,
@@ -101,7 +95,7 @@ func (h *Hierarchy) WriteTo(w io.Writer) (int64, error) {
 // checks, the ones BuildHierarchy runs. It returns the derived
 // per-level sizes, leaf first.
 func checkShape(m, b, d int) ([]int, error) {
-	if m < 1 || uint64(m)*uint64(m) > grid.MaxCells {
+	if !grid.Fits(m, m) {
 		return nil, fmt.Errorf("hierarchy: invalid grid size %d", m)
 	}
 	levels, err := gridnd.LevelSizes(m, b, d)
@@ -115,24 +109,13 @@ func checkShape(m, b, d int) ([]int, error) {
 // validating all structural invariants, the prefix table's finiteness
 // and zero border included.
 func ParseHierarchyBinary(data []byte) (*Hierarchy, error) {
-	d, kind, err := codec.NewDec(data)
+	d, dom, eps, err := codec.OpenHead("hierarchy", data, codec.KindHierarchy)
 	if err != nil {
-		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
+		return nil, err
 	}
-	if kind != codec.KindHierarchy {
-		return nil, fmt.Errorf("hierarchy: container kind %v is not %v", kind, codec.KindHierarchy)
-	}
-	dom, err := d.Domain()
-	if err != nil {
-		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
-	}
-	eps := d.F64()
 	m, b, depth := d.Int32(), d.Int32(), d.Int32()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
-	}
-	if !(eps > 0) {
-		return nil, fmt.Errorf("hierarchy: invalid epsilon %g", eps)
 	}
 	levels, err := checkShape(m, b, depth)
 	if err != nil {
@@ -159,21 +142,9 @@ func ParseHierarchyBinary(data []byte) (*Hierarchy, error) {
 // structural invariants.
 func ParseHierarchy(data []byte) (*Hierarchy, error) {
 	var f hierFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
-	}
-	if f.Format != FormatHierarchy {
-		return nil, fmt.Errorf("hierarchy: format %q is not %q", f.Format, FormatHierarchy)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("hierarchy: unsupported version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
+	dom, err := codec.DecodeJSONHead("hierarchy", data, &f, FormatHierarchy, serializeVersion)
 	if err != nil {
-		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
-	}
-	if !(f.Epsilon > 0) {
-		return nil, fmt.Errorf("hierarchy: invalid epsilon %g", f.Epsilon)
+		return nil, err
 	}
 	levels, err := checkShape(f.GridSize, f.Branching, f.Depth)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
@@ -80,7 +79,7 @@ func (h *Hist) AppendBinary(dst []byte) ([]byte, error) {
 
 // histFile is the on-disk JSON form.
 type histFile struct {
-	core.Envelope
+	codec.Envelope
 	Range   [2]float64 `json:"range"` // lo, hi
 	Epsilon float64    `json:"epsilon"`
 	Bins    int        `json:"bins"`
@@ -93,7 +92,7 @@ func (h *Hist) WriteTo(dst io.Writer) (int64, error) {
 		return 0, err
 	}
 	f := histFile{
-		Envelope: core.Envelope{Format: FormatHist1D, Version: serializeVersion},
+		Envelope: codec.Envelope{Format: FormatHist1D, Version: serializeVersion},
 		Range:    [2]float64{h.lo, h.hi},
 		Epsilon:  h.eps,
 		Bins:     h.Bins(),
@@ -130,12 +129,9 @@ func checkDecoded(lo, hi, eps float64, bins int, prefix []float64) error {
 // ParseHistBinary deserializes a hist1d dpgridv2 container, validating
 // all structural invariants.
 func ParseHistBinary(data []byte) (*Hist, error) {
-	d, kind, err := codec.NewDec(data)
+	d, err := codec.Open("hist1d", data, codec.KindHist1D)
 	if err != nil {
-		return nil, fmt.Errorf("hist1d: parse synopsis: %w", err)
-	}
-	if kind != codec.KindHist1D {
-		return nil, fmt.Errorf("hist1d: container kind %v is not %v", kind, codec.KindHist1D)
+		return nil, err
 	}
 	lo := d.F64()
 	hi := d.F64()
@@ -162,14 +158,8 @@ func ParseHistBinary(data []byte) (*Hist, error) {
 // structural invariants.
 func ParseHist(data []byte) (*Hist, error) {
 	var f histFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("hist1d: parse synopsis: %w", err)
-	}
-	if f.Format != FormatHist1D {
-		return nil, fmt.Errorf("hist1d: format %q is not %q", f.Format, FormatHist1D)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("hist1d: unsupported version %d (have %d)", f.Version, serializeVersion)
+	if err := codec.DecodeJSON("hist1d", data, &f, FormatHist1D, serializeVersion); err != nil {
+		return nil, err
 	}
 	if err := checkDecoded(f.Range[0], f.Range[1], f.Epsilon, f.Bins, f.Prefix); err != nil {
 		return nil, err

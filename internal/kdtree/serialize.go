@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 )
 
@@ -103,9 +102,7 @@ type treeNodeFile struct {
 
 // treeFile is the on-disk JSON form. Leaves is derived on parse.
 type treeFile struct {
-	core.Envelope
-	Domain    [4]float64     `json:"domain"` // minX, minY, maxX, maxY
-	Epsilon   float64        `json:"epsilon"`
+	codec.Head
 	Method    int            `json:"method"`
 	Depth     int            `json:"depth"`
 	UsedCI    bool           `json:"used_ci"`
@@ -116,9 +113,7 @@ type treeFile struct {
 // WriteTo serializes the synopsis as JSON.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	f := treeFile{
-		Envelope:  core.Envelope{Format: FormatKDTree, Version: serializeVersion},
-		Domain:    [4]float64{t.dom.MinX, t.dom.MinY, t.dom.MaxX, t.dom.MaxY},
-		Epsilon:   t.eps,
+		Head:      codec.NewHead(FormatKDTree, serializeVersion, t.dom, t.eps),
 		Method:    int(t.method),
 		Depth:     t.depth,
 		UsedCI:    t.usedCI,
@@ -142,8 +137,10 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// treeParts is a decoded-but-unvalidated tree; validate() is the single
-// gatekeeper both the binary and JSON decoders go through.
+// treeParts is a decoded-but-unvalidated tree. Its domain and epsilon
+// are checked as they are read (codec.OpenHead, codec.DecodeJSONHead);
+// validate() is the single gatekeeper of the rest, which both the
+// binary and JSON decoders go through.
 type treeParts struct {
 	dom       geom.Domain
 	eps       float64
@@ -160,9 +157,6 @@ type treeParts struct {
 // for why child-index ordering plus reference counting is sufficient to
 // reject malformed topologies.
 func (p *treeParts) validate() error {
-	if !(p.eps > 0) {
-		return fmt.Errorf("kdtree: invalid epsilon %g", p.eps)
-	}
 	if p.method != Standard && p.method != Hybrid {
 		return fmt.Errorf("kdtree: unknown method %d", int(p.method))
 	}
@@ -231,18 +225,11 @@ func (p *treeParts) build() *Tree {
 // the shared validation.
 func decodeTreeBinary(data []byte) (treeParts, error) {
 	var p treeParts
-	d, kind, err := codec.NewDec(data)
+	d, dom, eps, err := codec.OpenHead("kdtree", data, codec.KindKDTree)
 	if err != nil {
-		return p, fmt.Errorf("kdtree: parse synopsis: %w", err)
+		return p, err
 	}
-	if kind != codec.KindKDTree {
-		return p, fmt.Errorf("kdtree: container kind %v is not %v", kind, codec.KindKDTree)
-	}
-	p.dom, err = d.Domain()
-	if err != nil {
-		return p, fmt.Errorf("kdtree: parse synopsis: %w", err)
-	}
-	p.eps = d.F64()
+	p.dom, p.eps = dom, eps
 	p.method = Method(d.U16())
 	ci := d.U16()
 	p.depth = d.Int32()
@@ -302,18 +289,9 @@ func ParseTreeBinary(data []byte) (*Tree, error) {
 // structural invariants.
 func ParseTree(data []byte) (*Tree, error) {
 	var f treeFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("kdtree: parse synopsis: %w", err)
-	}
-	if f.Format != FormatKDTree {
-		return nil, fmt.Errorf("kdtree: format %q is not %q", f.Format, FormatKDTree)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("kdtree: unsupported version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
+	dom, err := codec.DecodeJSONHead("kdtree", data, &f, FormatKDTree, serializeVersion)
 	if err != nil {
-		return nil, fmt.Errorf("kdtree: parse synopsis: %w", err)
+		return nil, err
 	}
 	p := treeParts{
 		dom:       dom,

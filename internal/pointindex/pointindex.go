@@ -42,7 +42,8 @@ func NewWithBuckets(dom geom.Domain, points []geom.Point, b int) (*Index, error)
 	if b <= 0 {
 		return nil, fmt.Errorf("pointindex: buckets per axis must be positive, got %d", b)
 	}
-	if int64(b)*int64(b) > 1<<26 {
+	// Bounding b before squaring it keeps the product from overflowing.
+	if b > (1<<26)/b {
 		return nil, fmt.Errorf("pointindex: %d buckets per axis too large", b)
 	}
 	idx := &Index{dom: dom, b: b}

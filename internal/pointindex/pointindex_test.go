@@ -25,8 +25,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewWithBuckets(dom, nil, 0); err == nil {
 		t.Error("zero buckets accepted")
 	}
-	if _, err := NewWithBuckets(dom, nil, 1<<20); err == nil {
-		t.Error("huge bucket grid accepted")
+	// 1<<32 squared wraps int64 to 0.
+	for _, b := range []int{1 << 20, 1 << 32} {
+		if _, err := NewWithBuckets(dom, nil, b); err == nil {
+			t.Errorf("%d buckets per axis accepted", b)
+		}
 	}
 }
 

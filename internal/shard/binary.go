@@ -113,18 +113,10 @@ func padTo8(n int) int { return (n + 7) &^ 7 }
 // domain and epsilon against the manifest. The tiles may alias data;
 // the caller keeps it immutable and alive for the result's lifetime.
 func ParseShardedBinary(data []byte) (*Sharded, error) {
-	d, kind, err := codec.NewDec(data)
+	d, dom, eps, err := codec.OpenHead("shard", data, codec.KindSharded)
 	if err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
+		return nil, err
 	}
-	if kind != codec.KindSharded {
-		return nil, fmt.Errorf("shard: container kind %v is not %v", kind, codec.KindSharded)
-	}
-	dom, err := d.Domain()
-	if err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
-	}
-	eps := d.F64()
 	kx, ky := d.Int32(), d.Int32()
 	shardKind := codec.Kind(d.U16())
 	if err := d.Err(); err != nil {
@@ -133,9 +125,6 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 	plan, err := NewPlan(dom, kx, ky)
 	if err != nil {
 		return nil, err
-	}
-	if !(eps > 0) {
-		return nil, fmt.Errorf("shard: invalid epsilon %g", eps)
 	}
 	shardReg, err := embeddableByKind(shardKind)
 	if err != nil {

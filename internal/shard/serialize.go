@@ -8,7 +8,6 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/core"
-	"github.com/dpgrid/dpgrid/internal/geom"
 )
 
 // Serialization of sharded releases: a manifest envelope carrying the
@@ -48,9 +47,7 @@ func (s *Sharded) ContainerKind() codec.Kind { return codec.KindSharded }
 
 // manifestFile is the on-disk sharded release.
 type manifestFile struct {
-	core.Envelope
-	Domain      [4]float64        `json:"domain"` // minX, minY, maxX, maxY
-	Epsilon     float64           `json:"epsilon"`
+	codec.Head
 	KX          int               `json:"kx"`
 	KY          int               `json:"ky"`
 	ShardFormat string            `json:"shard_format"`
@@ -61,9 +58,7 @@ type manifestFile struct {
 // every per-shard payload.
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	f := manifestFile{
-		Envelope:    core.Envelope{Format: FormatSharded, Version: serializeVersion},
-		Domain:      [4]float64{s.plan.dom.MinX, s.plan.dom.MinY, s.plan.dom.MaxX, s.plan.dom.MaxY},
-		Epsilon:     s.eps,
+		Head:        codec.NewHead(FormatSharded, serializeVersion, s.plan.dom, s.eps),
 		KX:          s.plan.kx,
 		KY:          s.plan.ky,
 		ShardFormat: s.format,
@@ -97,25 +92,13 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 // but covering the wrong tile is a corrupt release, not a usable one.
 func ParseSharded(data []byte) (*Sharded, error) {
 	var f manifestFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
-	}
-	if f.Format != FormatSharded {
-		return nil, fmt.Errorf("shard: format %q is not %q", f.Format, FormatSharded)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("shard: unsupported manifest version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
+	dom, err := codec.DecodeJSONHead("shard", data, &f, FormatSharded, serializeVersion)
 	if err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
+		return nil, err
 	}
 	plan, err := NewPlan(dom, f.KX, f.KY)
 	if err != nil {
 		return nil, err
-	}
-	if !(f.Epsilon > 0) {
-		return nil, fmt.Errorf("shard: invalid epsilon %g", f.Epsilon)
 	}
 	shardReg, err := embeddableByFormat(f.ShardFormat)
 	if err != nil {

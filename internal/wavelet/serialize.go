@@ -6,8 +6,6 @@ import (
 	"io"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
-	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
@@ -61,19 +59,15 @@ func (w *Privlet) AppendBinary(dst []byte) ([]byte, error) {
 
 // privletFile is the on-disk JSON form.
 type privletFile struct {
-	core.Envelope
-	Domain   [4]float64 `json:"domain"` // minX, minY, maxX, maxY
-	Epsilon  float64    `json:"epsilon"`
-	GridSize int        `json:"grid_size"`
-	Sums     []float64  `json:"sums"` // (m+1)^2 row-major prefix sums
+	codec.Head
+	GridSize int       `json:"grid_size"`
+	Sums     []float64 `json:"sums"` // (m+1)^2 row-major prefix sums
 }
 
 // WriteTo serializes the synopsis as JSON.
 func (w *Privlet) WriteTo(dst io.Writer) (int64, error) {
 	f := privletFile{
-		Envelope: core.Envelope{Format: FormatPrivlet, Version: serializeVersion},
-		Domain:   [4]float64{w.dom.MinX, w.dom.MinY, w.dom.MaxX, w.dom.MaxY},
-		Epsilon:  w.eps,
+		Head:     codec.NewHead(FormatPrivlet, serializeVersion, w.dom, w.eps),
 		GridSize: w.m,
 		Sums:     w.prefix.Sums(),
 	}
@@ -90,7 +84,7 @@ func (w *Privlet) WriteTo(dst io.Writer) (int64, error) {
 // within the cell cap, and with a padded power-of-two transform size
 // BuildPrivlet itself would accept.
 func checkGridSize(m int) error {
-	if m < 1 || uint64(m)*uint64(m) > grid.MaxCells {
+	if !grid.Fits(m, m) {
 		return fmt.Errorf("wavelet: invalid grid size %d", m)
 	}
 	if nextPow2(m) > 1<<13 {
@@ -103,24 +97,13 @@ func checkGridSize(m int) error {
 // validating all structural invariants, the prefix table's finiteness
 // and zero border included.
 func ParsePrivletBinary(data []byte) (*Privlet, error) {
-	d, kind, err := codec.NewDec(data)
+	d, dom, eps, err := codec.OpenHead("wavelet", data, codec.KindPrivlet)
 	if err != nil {
-		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
+		return nil, err
 	}
-	if kind != codec.KindPrivlet {
-		return nil, fmt.Errorf("wavelet: container kind %v is not %v", kind, codec.KindPrivlet)
-	}
-	dom, err := d.Domain()
-	if err != nil {
-		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
-	}
-	eps := d.F64()
 	m := d.Int32()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
-	}
-	if !(eps > 0) {
-		return nil, fmt.Errorf("wavelet: invalid epsilon %g", eps)
 	}
 	if err := checkGridSize(m); err != nil {
 		return nil, err
@@ -146,21 +129,9 @@ func ParsePrivletBinary(data []byte) (*Privlet, error) {
 // structural invariants.
 func ParsePrivlet(data []byte) (*Privlet, error) {
 	var f privletFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
-	}
-	if f.Format != FormatPrivlet {
-		return nil, fmt.Errorf("wavelet: format %q is not %q", f.Format, FormatPrivlet)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("wavelet: unsupported version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
+	dom, err := codec.DecodeJSONHead("wavelet", data, &f, FormatPrivlet, serializeVersion)
 	if err != nil {
-		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
-	}
-	if !(f.Epsilon > 0) {
-		return nil, fmt.Errorf("wavelet: invalid epsilon %g", f.Epsilon)
+		return nil, err
 	}
 	if err := checkGridSize(f.GridSize); err != nil {
 		return nil, err

@@ -265,6 +265,16 @@ func satlessBinarySynopsisFiles(t testing.TB) map[string][]byte {
 	return map[string][]byte{"ug": strip(valid["ug"]), "ag": strip(valid["ag"]), "sharded": e.Bytes()}
 }
 
+// overflowReleases are JSON releases whose sizes (2^32) wrap a 64-bit
+// square to 0: an AG m1, an AG m2, and UG dimensions. Decoders must
+// bound each axis before any product, or these demand tens of
+// gigabytes or index past an empty slice.
+var overflowReleases = [][]byte{
+	[]byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":0.5,"m1":4294967296,"cells":[]}`),
+	[]byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":0.5,"m1":1,"cells":[{"m2":4294967296,"leaves":[]}]}`),
+	[]byte(`{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":1,"mx":4294967296,"my":4294967296,"counts":[]}`),
+}
+
 // TestReadSynopsisRejectsCorrupt: corrupt or truncated synopsis files
 // must return errors through ReadSynopsis — never panic, never load.
 func TestReadSynopsisRejectsCorrupt(t *testing.T) {
@@ -294,6 +304,10 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 		{"ag cells mismatch", []byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":0.5,"m1":2,"cells":[{"m2":1,"leaves":[0]}]}`)},
 		{"ag leaves mismatch", []byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":0.5,"m1":1,"cells":[{"m2":2,"leaves":[0]}]}`)},
 		{"ag bad alpha", []byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":1.5,"m1":1,"cells":[{"m2":1,"leaves":[0]}]}`)},
+		// Sizes whose squares wrap a 64-bit product to 0.
+		{"ag m1 wraps", overflowReleases[0]},
+		{"ag m2 wraps", overflowReleases[1]},
+		{"ug dims wrap", overflowReleases[2]},
 		{"sharded payload mismatch", []byte(`{"format":"dpgrid/sharded","version":1,"domain":[0,0,1,1],"epsilon":1,"kx":2,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`)},
 		{"sharded bad payload", []byte(`{"format":"dpgrid/sharded","version":1,"domain":[0,0,1,1],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"x":1}]}`)},
 		{"hist1d truncated", valid["hist1d"][:len(valid["hist1d"])/2]},
@@ -375,6 +389,9 @@ func FuzzReadSynopsis(f *testing.F) {
 	}
 	f.Add([]byte(`{"format":"dpgrid/sharded","version":1}`))
 	f.Add([]byte(`{"format":"dpgrid/sharded","version":1,"domain":[0,0,1,1],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":1,"counts":[3]}]}`))
+	for _, data := range overflowReleases {
+		f.Add(data)
+	}
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte("dpgridv2"))
 
