@@ -15,6 +15,7 @@
 package atof
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"strconv"
@@ -38,15 +39,22 @@ const (
 // outside the table, halfway, subnormal and overflowing values, and
 // every syntax error) goes to strconv.ParseFloat.
 func ParseFloat(b []byte) (float64, error) {
-	if f, ok := parseDecimal(b); ok {
+	if f, n, ok := ParsePrefix(b); ok && n == len(b) {
 		return f, nil
 	}
 	return strconv.ParseFloat(string(b), 64)
 }
 
-// parseDecimal converts b if it is a plain decimal whose conversion is
-// exact or proved by eiselLemire; ok is false otherwise.
-func parseDecimal(b []byte) (f float64, ok bool) {
+// ParsePrefix converts the plain decimal at the start of b and returns
+// it with the number of bytes it spans, n, for a caller that parses a
+// number inside a longer record. ok is false when that decimal is not
+// one ParseFloat converts itself: no mantissa digits, an 'e' with no
+// exponent digits, more than 19 significant digits, or a rounding
+// Eisel–Lemire cannot prove. When ok, the value is exactly
+// strconv.ParseFloat(string(b[:n]), 64), and ParseFloat(b) converts b
+// itself exactly when ok and n == len(b). ParsePrefix never consults
+// strconv, and neither allocates nor errs.
+func ParsePrefix(b []byte) (f float64, n int, ok bool) {
 	i := 0
 	neg := false
 	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
@@ -56,8 +64,8 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 	// The integer and the fraction digits have a loop each: one loop
 	// that also looks for the '.' parsed coordinates 15–25% slower.
 	var man uint64
-	nd := 0   // significant digits: those from the first nonzero one on
-	seen := 0 // mantissa digits, leading zeros included
+	nd := 0 // significant digits: those from the first nonzero one on
+	start := i
 	for ; i < len(b); i++ {
 		d := b[i] - '0'
 		if d > 9 {
@@ -67,26 +75,49 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 		if man != 0 {
 			nd++
 		}
-		seen++
 	}
+	seen := i - start // mantissa digits, leading zeros included
 	exp := 0
 	if i < len(b) && b[i] == '.' {
 		i++
+		start = i
+		// Leading zeros one at a time, up to the first significant digit.
+		for ; nd == 0 && i < len(b); i++ {
+			d := b[i] - '0'
+			if d > 9 {
+				break
+			}
+			if d != 0 {
+				man, nd = uint64(d), 1
+			}
+		}
+		// A mantissa of 1 to 11 significant digits has room for eight
+		// more: take them a word at a time while all eight are digits.
+		for nd != 0 && nd <= 11 && len(b)-i >= 8 {
+			w := binary.LittleEndian.Uint64(b[i:])
+			if !eightDigits(w) {
+				break
+			}
+			man = man*1e8 + eightDigitsValue(w)
+			nd += 8
+			i += 8
+		}
+		// The rest one at a time. Every digit left is significant: the
+		// zeros loop stopped at a nonzero digit or at the digits' end.
+		tail := i
 		for ; i < len(b); i++ {
 			d := b[i] - '0'
 			if d > 9 {
 				break
 			}
 			man = man*10 + uint64(d)
-			if man != 0 {
-				nd++
-			}
-			seen++
-			exp--
 		}
+		nd += i - tail
+		seen += i - start
+		exp = start - i
 	}
 	if seen == 0 || nd > 19 {
-		return 0, false
+		return 0, 0, false
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
@@ -107,15 +138,12 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 			}
 		}
 		if i == start {
-			return 0, false
+			return 0, 0, false
 		}
 		if eneg {
 			e = -e
 		}
 		exp += e
-	}
-	if i != len(b) {
-		return 0, false
 	}
 	// Clinger's fast path, which strconv also takes first: man and
 	// 10^|exp| are exact float64s, so one IEEE multiply or divide
@@ -131,9 +159,27 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 		if neg {
 			f = -f
 		}
-		return f, true
+		return f, i, true
 	}
-	return eiselLemire(man, exp, neg)
+	f, ok = eiselLemire(man, exp, neg)
+	return f, i, ok
+}
+
+// eightDigits reports whether all eight bytes of the little-endian
+// word w are ASCII digits: each byte's high nibble is 3, and adding 6
+// to it does not carry into that nibble.
+func eightDigits(w uint64) bool {
+	return (w&0xF0F0F0F0F0F0F0F0)|((w+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4 == 0x3333333333333333
+}
+
+// eightDigitsValue returns the number the eight ASCII digits in w
+// spell, the first digit in the lowest byte, in three multiplies: the
+// digits are combined pairwise into 2-digit, then 4-digit, then the
+// 8-digit value, each step halving the lanes.
+func eightDigitsValue(w uint64) uint64 {
+	w -= 0x3030303030303030
+	w = w*10 + w>>8 // byte 2k: the pair's value
+	return ((w&0x000000FF000000FF)*(100+1000000<<32) + (w>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
 }
 
 // exactPow10 holds the powers of ten that float64 represents exactly.

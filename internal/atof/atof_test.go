@@ -9,6 +9,12 @@ import (
 	"testing"
 )
 
+// fastPath reports whether ParseFloat converts b without strconv.
+func fastPath(b []byte) bool {
+	_, n, ok := ParsePrefix(b)
+	return ok && n == len(b)
+}
+
 // checkSame fails t unless ParseFloat(s) and strconv.ParseFloat(s, 64)
 // return the same bits and the same error text.
 func checkSame(t testing.TB, s string) {
@@ -29,7 +35,7 @@ func checkSame(t testing.TB, s string) {
 func TestParseFloat(t *testing.T) {
 	cases := []struct {
 		in   string
-		fast bool // parseDecimal converts it without strconv
+		fast bool // ParsePrefix converts it without strconv
 	}{
 		{"0", true},
 		{"-0", true},
@@ -95,7 +101,7 @@ func TestParseFloat(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.in, func(t *testing.T) {
 			checkSame(t, tc.in)
-			if _, ok := parseDecimal([]byte(tc.in)); ok != tc.fast {
+			if ok := fastPath([]byte(tc.in)); ok != tc.fast {
 				t.Errorf("fast path ok = %v, want %v", ok, tc.fast)
 			}
 		})
@@ -178,7 +184,7 @@ func TestRoundTrip(t *testing.T) {
 			if prec < 0 && got != v {
 				t.Fatalf("ParseFloat(%q) = %v, want %v", buf, got, v)
 			}
-			if _, ok := parseDecimal(buf); ok {
+			if fastPath(buf) {
 				fast++
 			}
 		}
@@ -190,19 +196,145 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParsePrefix checks where ParsePrefix stops inside longer input,
+// and that what it converts is what strconv gives for those bytes.
+func TestParsePrefix(t *testing.T) {
+	cases := []struct {
+		in string
+		n  int // bytes consumed; -1 where ok is false
+	}{
+		{"1,2", 1},
+		{"-122.41941550000001,37.774929012345678\n", 19},
+		{"37.774929012345678\r\n", 18},
+		{"37.774929012345678", 18},
+		{"1.25e-3,0", 7},
+		{"1e5x", 3},
+		{"1.2.3", 3},
+		{"5.,1", 2},
+		{".5,1", 2},
+		{"+1,1", 2},
+		{"0x1p-2", 1},
+		{"1_000", 1},
+		{"0.00000000123456789012,", 22}, // leading zeros, then a word
+		{"1.2345678/9", 9},              // '/' sits just below '0'
+		{"1.2345:7890", 6},              // ':' just above '9'
+		{"1.23\xb04567890", 4},          // a byte past ASCII
+		{"12345678901.23456789,", 20},   // 11 digits, then a word: 19
+		{"123456789012.3456789,", 20},   // 12 digits: the byte loop
+		{"1.234567890123456789,", 20},   // 19 significant digits
+		{"1.2345678901234567890,", -1},  // 20
+		{"12345678901234567890,", -1},   // 20
+		{"1e,2", -1},
+		{"1e+", -1},
+		{"Inf,1", -1},
+		{"NaN", -1},
+		{",1", -1},
+		{"-,1", -1},
+		{".,1", -1},
+		{"", -1},
+		{"9007199254740993,1", -1}, // halfway: strconv decides
+		{"1e400,1", -1},
+	}
+	for _, tc := range cases {
+		f, n, ok := ParsePrefix([]byte(tc.in))
+		if !ok {
+			if tc.n >= 0 {
+				t.Errorf("ParsePrefix(%q) declined, want %d bytes", tc.in, tc.n)
+			}
+			continue
+		}
+		if n != tc.n {
+			t.Errorf("ParsePrefix(%q) consumed %d bytes, want %d", tc.in, n, tc.n)
+			continue
+		}
+		want, err := strconv.ParseFloat(tc.in[:n], 64)
+		if err != nil || math.Float64bits(f) != math.Float64bits(want) {
+			t.Errorf("ParsePrefix(%q) = %v, strconv.ParseFloat(%q) = %v, %v", tc.in, f, tc.in[:n], want, err)
+		}
+	}
+}
+
+// TestParsePrefixDigitRuns runs ParsePrefix over random mantissas of
+// every integer and fraction length up to 24 digits, some with leading
+// zeros, each followed by a byte that ends the number, so the word
+// reads start and stop at every offset. The value must be strconv's,
+// the consumed length the number's, and ParseFloat must take the bare
+// number itself exactly when ParsePrefix converts it.
+func TestParsePrefixDigitRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	digits := func(n int, zeros bool) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+			if zeros && i < n/2 {
+				b[i] = '0'
+			}
+		}
+		return string(b)
+	}
+	ends := []string{"", ",", "\n", "/", ":", "\x80", "e", "e+7", ".", "0000000,"}
+	for ni := 0; ni <= 24; ni++ {
+		for nf := -1; nf <= 24; nf++ { // -1: no '.'
+			for _, zeros := range []bool{false, true} {
+				num := digits(ni, zeros)
+				if nf >= 0 {
+					num += "." + digits(nf, zeros && ni == 0)
+				}
+				for _, end := range ends {
+					in := num + end
+					f, n, ok := ParsePrefix([]byte(in))
+					want, err := strconv.ParseFloat(in[:n], 64)
+					if ok && (err != nil || math.Float64bits(f) != math.Float64bits(want)) {
+						t.Fatalf("ParsePrefix(%q) = %v after %d bytes, strconv gives %v, %v", in, f, n, want, err)
+					}
+					if fastPath([]byte(in)) != (ok && n == len(in)) {
+						t.Fatalf("ParsePrefix(%q) = %d bytes, %v; ParseFloat's fast path disagrees", in, n, ok)
+					}
+					if end == "," || end == "\n" || end == "/" {
+						if wantOK := fastPath([]byte(num)); ok != wantOK || ok && n != len(num) {
+							t.Fatalf("ParsePrefix(%q) = %d bytes, %v; want %d bytes, %v", in, n, ok, len(num), wantOK)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzParseFloat checks ParseFloat against strconv.ParseFloat on
 // arbitrary bytes: the same bits, the same error-ness, the same text.
+// It also checks ParsePrefix on s followed by a comma and a tail, as a
+// CSV field is: it converts s exactly when ParseFloat converts s
+// itself, stopping at the comma, and whatever prefix it converts has
+// strconv's value.
 func FuzzParseFloat(f *testing.F) {
 	for _, s := range []string{
 		"0", "-0", "1.", ".5", "1e10", "-1.5E-7", "9007199254740993",
 		"2.2250738585072011e-308", "4.9e-324", "1e309", "1e-400",
 		"1234567890123456789", "12345678901234567890", "Inf", "NaN",
 		"0x1p-2", "1_0", "", "+", ".", "1e", "-122.41941550000001",
+		"0.00000000123456789012", "1.2345678/9", "12345678901.23456789",
 		fmt.Sprint(math.MaxFloat64), fmt.Sprint(math.SmallestNonzeroFloat64),
 	} {
-		f.Add(s)
+		f.Add(s, "2\n")
 	}
-	f.Fuzz(func(t *testing.T, s string) {
+	f.Add("37.774929", "12345678")
+	f.Fuzz(func(t *testing.T, s, tail string) {
 		checkSame(t, s)
+		in := []byte(s + "," + tail)
+		v, n, ok := ParsePrefix(in)
+		if fastPath([]byte(s)) != (ok && n == len(s)) {
+			t.Fatalf("ParsePrefix(%q) = %d bytes, %v; ParseFloat(%q) fast path %v", in, n, ok, s, fastPath([]byte(s)))
+		}
+		if !ok {
+			return
+		}
+		if n > len(s) {
+			t.Fatalf("ParsePrefix(%q) consumed %d bytes, past the comma", in, n)
+		}
+		want, err := strconv.ParseFloat(string(in[:n]), 64)
+		if err != nil || math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("ParsePrefix(%q) = %v after %d bytes, strconv gives %v, %v", in, v, n, want, err)
+		}
 	})
 }

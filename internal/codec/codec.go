@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Magic is the 8-byte prefix of every binary synopsis container. JSON
@@ -122,12 +123,16 @@ func (e *Enc) Align() {
 
 // F64s appends an aligned, length-prefixed float64 section: zero
 // padding to an 8-byte boundary, a uint64 element count, then the raw
-// bits of every element.
+// bits of every element, stored into the buffer grown once for all.
 func (e *Enc) F64s(vs []float64) {
 	e.Align()
 	e.U64(uint64(len(vs)))
+	n := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(vs))[:n+8*len(vs)]
+	dst := e.buf[n:]
 	for _, v := range vs {
-		e.F64(v)
+		binary.LittleEndian.PutUint64(dst, math.Float64bits(v))
+		dst = dst[8:]
 	}
 }
 

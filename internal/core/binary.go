@@ -149,9 +149,9 @@ func ParseUniformGridBinary(data []byte) (*UniformGrid, error) {
 
 // ParseAdaptiveGridBinary deserializes an AG dpgridv2 container
 // through the validator the JSON decoder shares (agParts): the header
-// is checked before any cell is read, each cell's sums table for
-// finiteness and the zero border every NewPrefix-built table has, and
-// a stored level-1 SAT bit for bit against the cell totals it
+// is checked before any cell is read, each cell's sums table as it is
+// read, for finiteness and the zero border every NewPrefix-built table
+// has, and a stored level-1 SAT bit for bit against the cell totals it
 // summarizes. The cell tables and the adopted SAT alias data (see the
 // layout comment above).
 func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
@@ -179,9 +179,13 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 	if n > d.Remaining()/minCellBytes {
 		return nil, fmt.Errorf("core: m1 %d demands %d cells but only %d bytes remain", p.m1, n, d.Remaining())
 	}
-	p.cells = make([]agCellParts, n)
-	for k := range p.cells {
-		if p.cells[k], err = decodeAGCell(d, k); err != nil {
+	p.begin()
+	for k := 0; k < n; k++ {
+		m2, sums, err := decodeAGCell(d, k)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.addCell(m2, sums); err != nil {
 			return nil, err
 		}
 	}
@@ -195,24 +199,24 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 // decodeAGCell reads AG cell k: its m2 and its (m2+1)^2 sums table.
 // Version 1 stores m2 as a u32 ahead of the table; version 2 derives it
 // from the table's length, which must be the square of a side >= 2.
-func decodeAGCell(d *codec.Dec, k int) (agCellParts, error) {
+func decodeAGCell(d *codec.Dec, k int) (m2 int, sums []float64, err error) {
 	if d.Version() == 1 {
-		m2 := d.Int32()
+		m2 = d.Int32()
 		if err := d.Err(); err != nil {
-			return agCellParts{}, fmt.Errorf("core: cell %d: %w", k, err)
+			return 0, nil, fmt.Errorf("core: cell %d: %w", k, err)
 		}
 		if err := checkM2(k, m2); err != nil {
-			return agCellParts{}, err
+			return 0, nil, err
 		}
-		sums := d.F64s((m2 + 1) * (m2 + 1))
+		sums = d.F64s((m2 + 1) * (m2 + 1))
 		if err := d.Err(); err != nil {
-			return agCellParts{}, fmt.Errorf("core: cell %d: %w", k, err)
+			return 0, nil, fmt.Errorf("core: cell %d: %w", k, err)
 		}
-		return agCellParts{m2: m2, sums: sums}, nil
+		return m2, sums, nil
 	}
-	sums := d.F64Section()
+	sums = d.F64Section()
 	if err := d.Err(); err != nil {
-		return agCellParts{}, fmt.Errorf("core: cell %d: %w", k, err)
+		return 0, nil, fmt.Errorf("core: cell %d: %w", k, err)
 	}
 	side := int(math.Sqrt(float64(len(sums))))
 	for side*side > len(sums) {
@@ -222,7 +226,7 @@ func decodeAGCell(d *codec.Dec, k int) (agCellParts, error) {
 		side++
 	}
 	if side < 2 || side*side != len(sums) {
-		return agCellParts{}, fmt.Errorf("core: cell %d: sums section of %d entries is not an (m2+1)^2 table with m2 >= 1", k, len(sums))
+		return 0, nil, fmt.Errorf("core: cell %d: sums section of %d entries is not an (m2+1)^2 table with m2 >= 1", k, len(sums))
 	}
-	return agCellParts{m2: side - 1, sums: sums}, nil
+	return side - 1, sums, nil
 }

@@ -25,8 +25,10 @@ import (
 // or agParts, run its check on the header before any section is read
 // or sized, and finish with its build, which checks the tables
 // (lengths, finite counts, valid prefix sums) and assembles the
-// synopsis. Grid sizes are bounded per axis before any product is
-// taken, so a hostile size cannot wrap past the cap. A corrupted or
+// synopsis; an AG's cell tables are checked and added one at a time as
+// they are decoded (agParts.addCell) before its build. Grid sizes are
+// bounded per axis before any product is taken, so a hostile size
+// cannot wrap past the cap. A corrupted or
 // hand-edited file fails loudly, with the same error in either
 // encoding, instead of answering garbage.
 
@@ -114,20 +116,14 @@ func (p *ugParts) build() (*UniformGrid, error) {
 }
 
 // agParts is a decoded, not yet validated AG release. Its domain and
-// epsilon are checked as they are read, as ugParts' are.
+// epsilon are checked as they are read, as ugParts' are; its cells are
+// checked and added to the synopsis one at a time, as they are read.
 type agParts struct {
 	dom        geom.Domain
 	eps, alpha float64
 	m1         int
-	cells      []agCellParts // row-major m1*m1
 	sat        []float64     // the stored level-1 trailer; nil without one, and always from JSON
-}
-
-// agCellParts is one decoded AG cell: its second-level grid size and
-// its (m2+1)^2 prefix-sum table.
-type agCellParts struct {
-	m2   int
-	sums []float64
+	ag         *AdaptiveGrid // the synopsis being assembled, from begin on
 }
 
 // check validates the header's alpha and m1.
@@ -150,45 +146,52 @@ func checkM2(k, m2 int) error {
 	return nil
 }
 
-// build checks the cell count, every cell table (grid.PrefixFromSums)
-// and a stored level-1 table bit for bit against the cell totals, then
-// returns the synopsis, which keeps the tables in place.
-func (p *agParts) build() (*AdaptiveGrid, error) {
-	n := p.m1 * p.m1
-	if len(p.cells) != n {
-		return nil, fmt.Errorf("core: cells length %d != m1^2 = %d", len(p.cells), n)
-	}
-	ag := &AdaptiveGrid{
+// begin sizes the synopsis for its m1*m1 cells. The decoders call it
+// once the input is known to hold that many.
+func (p *agParts) begin() {
+	p.ag = &AdaptiveGrid{
 		dom:      p.dom,
 		eps:      p.eps,
 		alpha:    p.alpha,
 		m1:       p.m1,
-		cells:    make([]agCell, n),
+		cells:    make([]agCell, 0, p.m1*p.m1),
 		maxM2:    1,
 		epsLevel: [2]float64{p.alpha * p.eps, (1 - p.alpha) * p.eps},
 	}
-	// The cell totals (each table's last entry) feed the level-1 table.
-	totals := make([]float64, n)
-	for k, c := range p.cells {
-		cellRect := p.dom.CellRect(k%p.m1, k/p.m1, p.m1, p.m1)
-		leaves, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, c.m2, c.m2, c.sums)
-		if err != nil {
-			return nil, fmt.Errorf("core: cell %d: %w", k, err)
-		}
-		ag.cells[k] = agCell{rect: cellRect, m2: c.m2, leaves: leaves}
-		totals[k] = leaves.Total()
-		ag.leafPop += c.m2 * c.m2
-		ag.maxM2 = max(ag.maxM2, c.m2)
+}
+
+// addCell checks the next cell's (m2+1)^2 sums table
+// (grid.PrefixFromSums) and adds the cell, which keeps the table in
+// place.
+func (p *agParts) addCell(m2 int, sums []float64) error {
+	k := len(p.ag.cells)
+	cellRect := p.dom.CellRect(k%p.m1, k/p.m1, p.m1, p.m1)
+	leaves, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, m2, m2, sums)
+	if err != nil {
+		return fmt.Errorf("core: cell %d: %w", k, err)
+	}
+	p.ag.cells = append(p.ag.cells, agCell{rect: cellRect, m2: m2, leaves: leaves})
+	p.ag.leafPop += m2 * m2
+	p.ag.maxM2 = max(p.ag.maxM2, m2)
+	return nil
+}
+
+// build checks a stored level-1 table bit for bit against the cell
+// totals (each table's last entry), and returns the synopsis.
+func (p *agParts) build() (*AdaptiveGrid, error) {
+	totals := make([]float64, len(p.ag.cells))
+	for k := range p.ag.cells {
+		totals[k] = p.ag.cells[k].leaves.Total()
 	}
 	level1, err := grid.FromValues(p.dom, p.m1, p.m1, totals)
 	if err != nil {
 		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	if ag.level1, err = grid.AdoptPrefix(level1, p.sat); err != nil {
+	if p.ag.level1, err = grid.AdoptPrefix(level1, p.sat); err != nil {
 		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	ag.satBacked = p.sat != nil
-	return ag, nil
+	p.ag.satBacked = p.sat != nil
+	return p.ag, nil
 }
 
 // WriteTo serializes the synopsis as JSON.
@@ -276,7 +279,6 @@ func ParseAdaptiveGrid(data []byte) (*AdaptiveGrid, error) {
 	if err := p.check(); err != nil {
 		return nil, err
 	}
-	p.cells = make([]agCellParts, len(f.Cells))
 	for k, cf := range f.Cells {
 		if err := checkM2(k, cf.M2); err != nil {
 			return nil, err
@@ -284,7 +286,15 @@ func ParseAdaptiveGrid(data []byte) (*AdaptiveGrid, error) {
 		if len(cf.Leaves) != cf.M2*cf.M2 {
 			return nil, fmt.Errorf("core: cell %d: leaves length %d != m2^2 = %d", k, len(cf.Leaves), cf.M2*cf.M2)
 		}
-		p.cells[k] = agCellParts{m2: cf.M2, sums: grid.NewSAT([]int{cf.M2, cf.M2}, cf.Leaves).Sums()}
+	}
+	if n := p.m1 * p.m1; len(f.Cells) != n {
+		return nil, fmt.Errorf("core: cells length %d != m1^2 = %d", len(f.Cells), n)
+	}
+	p.begin()
+	for _, cf := range f.Cells {
+		if err := p.addCell(cf.M2, grid.NewSAT([]int{cf.M2, cf.M2}, cf.Leaves).Sums()); err != nil {
+			return nil, err
+		}
 	}
 	return p.build()
 }

@@ -62,31 +62,38 @@ type csvBlock struct {
 	pts     []geom.Point  // the points of buf's lines, up to any bad line
 	lines   int           // physical lines in buf, up to and including any bad line
 	bad     []byte        // the first line that failed to parse, or nil
-	parsed  chan struct{} // receives one value when parse is done
+	parsed  chan struct{} // receives one value when the parse is done
 }
 
-// parse turns the block's lines into points. It stops at the first
-// bad line, which the in-order consumer parses again with its absolute
-// line number to build the error.
-func (b *csvBlock) parse() {
-	b.pts, b.lines, b.bad = b.pts[:0], 0, nil
-	for data := b.buf; len(data) > 0; {
+// parseLines appends the points of data's lines to pts, up to the first
+// bad line, and returns them with the number of physical lines read,
+// that bad line included, and the bad line or nil. A plain "x,y" line
+// takes one forward scan (scanPoint); every line scanPoint declines is
+// cut at its newline and parsed by parsePointLine, the only source of
+// errors.
+func parseLines(data []byte, pts []geom.Point) (_ []geom.Point, lines int, bad []byte) {
+	for len(data) > 0 {
+		lines++
+		if p, n, ok := scanPoint(data); ok {
+			pts = append(pts, p)
+			data = data[n:]
+			continue
+		}
 		n := bytes.IndexByte(data, '\n') + 1
 		if n == 0 {
 			n = len(data)
 		}
 		line := data[:n]
 		data = data[n:]
-		b.lines++
-		p, ok, err := parsePointLine(line, b.lines)
+		p, ok, err := parsePointLine(line, lines)
 		if err != nil {
-			b.bad = line
-			return
+			return pts, lines, line
 		}
 		if ok {
-			b.pts = append(b.pts, p)
+			pts = append(pts, p)
 		}
 	}
+	return pts, lines, nil
 }
 
 // streamCSVChunks is the CSV block parser behind every CSV ingestion
@@ -103,14 +110,17 @@ func (b *csvBlock) parse() {
 // error, or a line fails to parse, reading stops and the goroutines
 // are drained before streamCSVChunks returns.
 //
-// The hot path splits each line on its comma and parses the two fields
-// in place with atof.ParseFloat — no per-record allocations, several
-// times faster than encoding/csv. Lines containing a quote character
-// fall back to an encoding/csv parse of that line, so quoted records a
-// csv.Writer could emit keep working. Blank lines are skipped, matching
-// encoding/csv. Errors identify the 1-based physical line; the first
-// error in file order wins, and a read error is reported only after
-// every complete line before it has been delivered.
+// The hot path reads a plain "x,y" line in one forward scan, parsing
+// both numbers in place with atof.ParsePrefix — no per-record
+// allocations and no search for the line's end, several times faster
+// than encoding/csv. Every other line is split on its comma and its
+// fields parsed with atof.ParseFloat; lines containing a quote
+// character fall back to an encoding/csv parse of that line, so quoted
+// records a csv.Writer could emit keep working. Blank lines are
+// skipped, matching encoding/csv. Errors identify the 1-based physical
+// line; the first error in file order wins, and a read error is
+// reported only after every complete line before it has been
+// delivered.
 func streamCSVChunks(r io.Reader, fn func(chunk []geom.Point) error) error {
 	parsers := runtime.GOMAXPROCS(0)
 	// Every channel holds up to every block there is, so no send on one
@@ -133,7 +143,9 @@ func streamCSVChunks(r io.Reader, fn func(chunk []geom.Point) error) error {
 		go func() {
 			defer wg.Done()
 			for b := range work {
-				b.parse()
+				// A bad line stops the block; the in-order consumer parses
+				// it again with its absolute line number for the error.
+				b.pts, b.lines, b.bad = parseLines(b.buf, b.pts[:0])
 				b.parsed <- struct{}{}
 			}
 		}()
@@ -222,6 +234,37 @@ func readCSVBlocks(r io.Reader, free <-chan *csvBlock, stop <-chan struct{}, ord
 			return
 		}
 	}
+}
+
+// scanPoint parses the line at the start of data in one forward scan
+// when it is two plain decimals that atof.ParsePrefix converts, split by
+// a comma and ended by '\n', "\r\n" or the end of data. It returns the
+// point and the bytes of the line it spans, newline included. ok is
+// false for every other line, which parsePointLine then handles: the
+// point scanPoint returns is the one parsePointLine would, since such a
+// line has one comma and no quote, and atof.ParseFloat converts each
+// field just as atof.ParsePrefix does.
+func scanPoint(data []byte) (p geom.Point, n int, ok bool) {
+	x, i, ok := atof.ParsePrefix(data)
+	if !ok || i == len(data) || data[i] != ',' {
+		return geom.Point{}, 0, false
+	}
+	i++
+	y, j, ok := atof.ParsePrefix(data[i:])
+	if !ok {
+		return geom.Point{}, 0, false
+	}
+	i += j
+	switch {
+	case i == len(data):
+	case data[i] == '\n':
+		i++
+	case data[i] == '\r' && i+1 < len(data) && data[i+1] == '\n':
+		i += 2
+	default:
+		return geom.Point{}, 0, false
+	}
+	return geom.Point{X: x, Y: y}, i, true
 }
 
 // parsePointLine parses one physical line (including any trailing

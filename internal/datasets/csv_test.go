@@ -173,6 +173,21 @@ func TestParsePointLineAllocs(t *testing.T) {
 	}
 }
 
+// TestScanPointAllocs guards the forward scan as
+// TestParsePointLineAllocs guards the split path: a WriteCSV line is
+// taken whole, without allocating.
+func TestScanPointAllocs(t *testing.T) {
+	line := []byte("-122.41941550000001,37.774929012345678\n1,2\n")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, n, ok := scanPoint(line); !ok || n != 39 {
+			t.Fatalf("scanPoint(%q) = %d bytes, %v; want the 39-byte first line", line, n, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("scanPoint allocates %v times per line, want 0", allocs)
+	}
+}
+
 // BenchmarkReadCSV reads 100k random points in the form WriteCSV
 // writes them, the CSV form dpgrid ingests.
 func BenchmarkReadCSV(b *testing.B) {
@@ -195,4 +210,129 @@ func BenchmarkReadCSV(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
+}
+
+// splitLines is parseLines without the forward scan: every line is cut
+// at its newline and parsed by parsePointLine.
+func splitLines(data []byte, pts []geom.Point) (_ []geom.Point, lines int, bad []byte) {
+	for len(data) > 0 {
+		n := bytes.IndexByte(data, '\n') + 1
+		if n == 0 {
+			n = len(data)
+		}
+		line := data[:n]
+		data = data[n:]
+		lines++
+		p, ok, err := parsePointLine(line, lines)
+		if err != nil {
+			return pts, lines, line
+		}
+		if ok {
+			pts = append(pts, p)
+		}
+	}
+	return pts, lines, nil
+}
+
+// FuzzParseLines parses arbitrary blocks with parseLines, whose plain
+// lines take the forward scan, and with the split-only splitLines: the
+// points (bit for bit), the line counts and the bad line must agree,
+// and ReadCSV's error text must be the one splitLines' bad line gives.
+func FuzzParseLines(f *testing.F) {
+	for _, s := range []string{
+		"1,2\n3,4\n",
+		"-122.41941550000001,37.774929012345678\n",
+		"1,2\r\n\r\n3,4\r\n",
+		"1,2\r",
+		"1,2\r\r\n",
+		"\n\n1,2\n\n",
+		"\"1\",\"2\"\n3,4\n",
+		"1,2\"3\n",
+		"+1,-2\n",
+		".5,5.\n",
+		"1e,2\n",
+		"1,2e\n",
+		"1e5,2E-3\n",
+		"12345678901234567890,1\n",
+		"1,0.12345678901234567890\n",
+		"1,2,3\n",
+		"1\n",
+		",\n",
+		"1,\n",
+		"1,2\n3,4",
+		"Inf,NaN\n",
+		"0x1p-2,1_0\n",
+		" 1,2\n",
+		"1 ,2\n",
+		"1,2 \n",
+		"1.2.3,4\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotLines, gotBad := parseLines(data, nil)
+		want, wantLines, wantBad := splitLines(data, nil)
+		if gotLines != wantLines || !bytes.Equal(gotBad, wantBad) || (gotBad == nil) != (wantBad == nil) {
+			t.Fatalf("parseLines(%q): %d lines, bad line %q; splitLines: %d lines, bad line %q", data, gotLines, gotBad, wantLines, wantBad)
+		}
+		if !samePoints(got, want) {
+			t.Fatalf("parseLines(%q) = %v, splitLines gives %v", data, got, want)
+		}
+		pts, err := ReadCSV(bytes.NewReader(data))
+		if wantBad != nil {
+			_, _, wantErr := parsePointLine(wantBad, wantLines)
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("ReadCSV(%q) error %v, want %q", data, err, wantErr)
+			}
+		} else if err != nil || !samePoints(pts, want) {
+			t.Fatalf("ReadCSV(%q) = %v, %v; want %v", data, pts, err, want)
+		}
+	})
+}
+
+// samePoints reports whether a and b hold the same coordinates bit for
+// bit, so NaNs compare equal and -0 differs from 0.
+func samePoints(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) || math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkParseLines parses one block of road points, written by
+// WriteCSV, on one goroutine: the per-line cost of the CSV parse
+// without the read and hand-off pipeline around it. The split
+// sub-benchmark is the split-only loop, for comparison.
+func BenchmarkParseLines(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, Road(0.02, 1).Points); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	data = data[:bytes.LastIndexByte(data[:min(len(data), csvBlockSize)], '\n')+1]
+	lines := bytes.Count(data, []byte{'\n'})
+	for _, bc := range []struct {
+		name  string
+		parse func([]byte, []geom.Point) ([]geom.Point, int, []byte)
+	}{{"scan", parseLines}, {"split", splitLines}} {
+		b.Run(bc.name, func(b *testing.B) {
+			pts := make([]geom.Point, 0, lines)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var n int
+				var bad []byte
+				if pts, n, bad = bc.parse(data, pts[:0]); n != lines || bad != nil {
+					b.Fatalf("%d lines, bad line %q; want %d lines", n, bad, lines)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+		})
+	}
 }

@@ -120,7 +120,7 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 	kx, ky := d.Int32(), d.Int32()
 	shardKind := codec.Kind(d.U16())
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
+		return nil, fmt.Errorf("shard: parse synopsis: %w", err)
 	}
 	plan, err := NewPlan(dom, kx, ky)
 	if err != nil {
@@ -132,7 +132,7 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 	}
 	n := d.Len(16)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
+		return nil, fmt.Errorf("shard: parse synopsis: %w", err)
 	}
 	if n != plan.NumTiles() {
 		return nil, fmt.Errorf("shard: %d shard payloads != kx*ky = %d", n, plan.NumTiles())
@@ -168,14 +168,14 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 	d.Align()
 	blobLen := d.Len(1)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
+		return nil, fmt.Errorf("shard: parse synopsis: %w", err)
 	}
 	if uint64(blobLen) != end {
 		return nil, fmt.Errorf("shard: blob holds %d bytes but the offset table covers %d", blobLen, end)
 	}
 	blob := d.Raw(blobLen)
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
+		return nil, fmt.Errorf("shard: parse synopsis: %w", err)
 	}
 
 	s := &Sharded{plan: plan, eps: eps, format: shardReg.JSONFormat, tiles: make([]Synopsis, n)}

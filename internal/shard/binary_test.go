@@ -326,3 +326,52 @@ func TestShardedBinaryRejectsOverflowingOffsetTable(t *testing.T) {
 		t.Fatal("parse accepted an overflowing offset table")
 	}
 }
+
+// TestShardedManifestFramingErrors: a manifest cut short or followed by
+// stray bytes is named `shard: parse synopsis: …` in either encoding,
+// as the opening both decoders share (codec.OpenHead,
+// codec.DecodeJSONHead) names it. Only the cause after the prefix is
+// the encoding's own.
+func TestShardedManifestFramingErrors(t *testing.T) {
+	s := buildTestSharded(t, 80, 2, 2, false)
+	bin, err := s.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js bytes.Buffer
+	if _, err := s.WriteTo(&js); err != nil {
+		t.Fatal(err)
+	}
+	// The manifest body as in TestShardedBinaryRejectsCorrupt: the tile
+	// counts at byte 52, the shard kind at 60, the shard count at 62
+	// and the offset table at 70.
+	const tableOff = 12 + 32 + 8 + 8 + 2 + 8
+	cases := []struct {
+		name, encoding string
+		data           []byte
+		want           string
+	}{
+		{"truncated manifest", "json", js.Bytes()[:js.Len()/2],
+			"shard: parse synopsis: unexpected end of JSON input"},
+		{"truncated manifest", "binary", bin[:len(bin)-8],
+			"shard: parse synopsis: codec: section length 4992 exceeds the 4984 bytes left (offset 144)"},
+		{"cut in the tile counts", "binary", bin[:tableOff-12],
+			"shard: parse synopsis: codec: truncated: need 4 bytes, have 2 (offset 56)"},
+		{"cut in the shard count", "binary", bin[:tableOff-3],
+			"shard: parse synopsis: codec: truncated: need 8 bytes, have 5 (offset 62)"},
+		{"offset table cut short", "binary", bin[:tableOff+16+3],
+			"shard: parse synopsis: codec: section length 4 exceeds the 19 bytes left (offset 70)"},
+		{"trailing byte", "binary", append(bytes.Clone(bin), 0),
+			"shard: parse synopsis: codec: 1 trailing bytes after container body"},
+	}
+	for _, tc := range cases {
+		parse := ParseShardedBinary
+		if tc.encoding == "json" {
+			parse = ParseSharded
+		}
+		_, err := parse(tc.data)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s (%s): error %v, want %q", tc.name, tc.encoding, err, tc.want)
+		}
+	}
+}
