@@ -434,9 +434,10 @@ func BenchmarkSerializeSharded(b *testing.B) {
 
 // ---- synopsis codec benchmarks ----
 //
-// JSON vs dpgridv2 binary for a sharded manifest at matched cell
-// counts (the same release encoded both ways). The decode family is
-// the serving daemon's cold-start path. `binary-eager` is ReadSynopsis
+// The JSON dump vs the dpgridv2 container for a sharded manifest at
+// matched cell counts (the same release encoded both ways); only the
+// container decodes. The decode family is the serving daemon's
+// cold-start path. `binary-eager` is ReadSynopsis
 // (read the bytes into a buffer of its own, then decode); `view` is
 // what dpserve pays at startup, LoadSynopsis over bytes it already
 // holds (validate everything; every tile's tables alias the bytes);
@@ -460,10 +461,10 @@ func benchShardedRelease(b *testing.B) *Sharded {
 func benchShardedFiles(b *testing.B, syn *Sharded) (jsonData, binData []byte) {
 	b.Helper()
 	var jsonBuf, binBuf bytes.Buffer
-	if err := WriteSynopsis(&jsonBuf, syn); err != nil {
+	if err := WriteSynopsisFormat(&jsonBuf, syn, FormatJSON); err != nil {
 		b.Fatal(err)
 	}
-	if err := WriteSynopsisBinary(&binBuf, syn); err != nil {
+	if err := WriteSynopsis(&binBuf, syn); err != nil {
 		b.Fatal(err)
 	}
 	return jsonBuf.Bytes(), binBuf.Bytes()
@@ -475,7 +476,7 @@ func BenchmarkEncodeSharded(b *testing.B) {
 	b.Run("json", func(b *testing.B) {
 		b.ReportMetric(float64(len(jsonData)), "file-bytes")
 		for i := 0; i < b.N; i++ {
-			if err := WriteSynopsis(io.Discard, syn); err != nil {
+			if err := WriteSynopsisFormat(io.Discard, syn, FormatJSON); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -483,7 +484,7 @@ func BenchmarkEncodeSharded(b *testing.B) {
 	b.Run("binary", func(b *testing.B) {
 		b.ReportMetric(float64(len(binData)), "file-bytes")
 		for i := 0; i < b.N; i++ {
-			if err := WriteSynopsisBinary(io.Discard, syn); err != nil {
+			if err := WriteSynopsis(io.Discard, syn); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -491,16 +492,8 @@ func BenchmarkEncodeSharded(b *testing.B) {
 }
 
 func BenchmarkDecodeSharded(b *testing.B) {
-	jsonData, binData := benchShardedFiles(b, benchShardedRelease(b))
+	_, binData := benchShardedFiles(b, benchShardedRelease(b))
 	firstTile := NewRect(1, 1, 20, 20)
-	b.Run("json", func(b *testing.B) {
-		b.ReportMetric(float64(len(jsonData)), "file-bytes")
-		for i := 0; i < b.N; i++ {
-			if _, err := ReadSynopsis(bytes.NewReader(jsonData)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("binary-eager", func(b *testing.B) {
 		b.ReportMetric(float64(len(binData)), "file-bytes")
 		for i := 0; i < b.N; i++ {

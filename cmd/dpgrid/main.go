@@ -12,11 +12,11 @@
 //	       -queries queries.csv
 //
 //	# Build and save a geo-sharded 4x4 release (each tile spends the
-//	# full epsilon via parallel composition over disjoint tiles).
-//	# -format binary writes the compact dpgridv2 container, whose
-//	# tiles dpserve serves straight from the file bytes:
+//	# full epsilon via parallel composition over disjoint tiles). The
+//	# file is the dpgridv2 container, whose tiles dpserve serves
+//	# straight from the file bytes:
 //	dpgrid -in points.csv -domain="0,0,100,100" -method ag -eps 1 \
-//	       -shards 4x4 -format binary -save mosaic.dpgrid
+//	       -shards 4x4 -save mosaic.dpgrid
 //
 // ug/ag builds stream the CSV through the parallel ingestion engine
 // (-workers bounds the goroutines, default one per CPU); for a fixed
@@ -58,14 +58,14 @@ func run(args []string, w io.Writer) error {
 	method := fs.String("method", "ag", "synopsis method: ug|ag|hierarchy|kdtree|kdstandard|privlet|auto (kdhybrid = kdtree; auto picks per the paper's guidelines and the query workload, explaining its choice on stderr)")
 	shards := fs.String("shards", "", "build a geo-sharded KxL release, e.g. 4x4 (ug/ag only; each tile spends the full epsilon via parallel composition)")
 	eps := fs.Float64("eps", 1, "privacy budget epsilon")
-	gridSize := fs.Int("m", 0, "grid size override (ug/privlet); 0 = Guideline 1")
+	gridSize := fs.Int("m", 0, "grid size override (ug/hierarchy/privlet); 0 = Guideline 1")
 	seed := fs.Int64("seed", 0, "noise seed (0 = non-deterministic)")
 	workers := fs.Int("workers", 0, "goroutines for the parallel build engine (0 = one per CPU); the released synopsis is bit-identical for every value. CSV parsing always uses GOMAXPROCS goroutines")
 	queryFlag := fs.String("query", "", "single query rectangle x0,y0,x1,y1")
 	queriesFile := fs.String("queries", "", "file of query rectangles, one x0,y0,x1,y1 per line")
 	saveFile := fs.String("save", "", "write the built synopsis (any method) to this file for later -load")
-	saveFormat := fs.String("format", dpgrid.FormatJSON, "-save encoding: json (readable) or binary (compact dpgridv2; loads in place, its tables aliasing the file bytes)")
-	loadFile := fs.String("load", "", "load a previously saved synopsis instead of building one (either encoding, sniffed)")
+	saveFormat := fs.String("format", dpgrid.FormatBinary, "-save encoding: binary (the dpgridv2 release; loads in place, its tables aliasing the file bytes) or json (a readable dump that does not load)")
+	loadFile := fs.String("load", "", "load a previously saved binary synopsis instead of building one")
 	synthesize := fs.Int("synthesize", 0, "sample this many synthetic points from the synopsis as CSV on stdout (-1 = synopsis's own size estimate)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -96,13 +96,7 @@ func run(args []string, w io.Writer) error {
 
 	var syn dpgrid.Synopsis
 	if *loadFile != "" {
-		f, err := os.Open(*loadFile)
-		if err != nil {
-			return err
-		}
-		syn, err = dpgrid.ReadSynopsis(f)
-		f.Close()
-		if err != nil {
+		if syn, err = dpgrid.LoadSynopsisFile(*loadFile); err != nil {
 			return err
 		}
 	} else {

@@ -103,7 +103,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunSaveAndLoad(t *testing.T) {
 	csv := writeTestCSV(t, 10000)
-	synFile := filepath.Join(t.TempDir(), "synopsis.json")
+	synFile := filepath.Join(t.TempDir(), "synopsis.dpgrid")
 
 	// Build once, save, and answer a query in the same invocation.
 	var sb strings.Builder
@@ -130,7 +130,7 @@ func TestRunSaveAndLoad(t *testing.T) {
 
 func TestRunSaveOnly(t *testing.T) {
 	csv := writeTestCSV(t, 1000)
-	synFile := filepath.Join(t.TempDir(), "syn.json")
+	synFile := filepath.Join(t.TempDir(), "syn.dpgrid")
 	var sb strings.Builder
 	err := run([]string{
 		"-in", csv, "-domain", "0,0,100,100", "-method", "ug",
@@ -209,7 +209,7 @@ func TestParseFloats(t *testing.T) {
 // saves, reloads, and answers queries like any other synopsis.
 func TestRunShardedSaveLoadQuery(t *testing.T) {
 	csv := writeTestCSV(t, 20000)
-	saved := filepath.Join(t.TempDir(), "mosaic.json")
+	saved := filepath.Join(t.TempDir(), "mosaic.dpgrid")
 	var sb strings.Builder
 	err := run([]string{
 		"-in", csv, "-domain", "0,0,100,100", "-method", "ag",
@@ -244,7 +244,7 @@ func TestRunShardsValidation(t *testing.T) {
 }
 
 // TestRunSaveBinaryAndLoad: -format binary writes a dpgridv2 file that
-// -load reads back (sniffed) with identical answers.
+// -load reads back with identical answers.
 func TestRunSaveBinaryAndLoad(t *testing.T) {
 	csv := writeTestCSV(t, 10000)
 	for _, shards := range []string{"", "2x2"} {
@@ -277,6 +277,36 @@ func TestRunSaveBinaryAndLoad(t *testing.T) {
 		}
 		if sb.String() != first {
 			t.Errorf("shards=%q: binary round trip answered %q, built %q", shards, sb.String(), first)
+		}
+	}
+}
+
+// TestRunLoadRejectsJSONDumps: -load rejects every JSON dump — the
+// committed goldens, a hand-written sharded manifest and a dump that
+// -format json has just written — with the error that says what it is.
+func TestRunLoadRejectsJSONDumps(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := filepath.Join(t.TempDir(), "synopsis.json")
+	err = run([]string{
+		"-in", writeTestCSV(t, 1000), "-domain", "0,0,100,100", "-method", "ug",
+		"-eps", "1", "-seed", "3", "-format", "json", "-save", dump,
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(dump); err != nil || !strings.HasPrefix(string(data), `{"format":"dpgrid/uniform-grid"`) {
+		t.Fatalf("-format json wrote %.40q, %v", data, err)
+	}
+	if len(paths) != 8 {
+		t.Fatalf("found %d JSON dumps under testdata, want 8: %v", len(paths), paths)
+	}
+	for _, path := range append(paths, dump) {
+		err := run([]string{"-load", path, "-query", "0,0,1,1"}, io.Discard)
+		if err == nil || err.Error() != "dpgrid: JSON synopsis files are a write-only dump; load the binary release (-format binary)" {
+			t.Errorf("-load %s: err = %v", path, err)
 		}
 	}
 }

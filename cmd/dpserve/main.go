@@ -41,11 +41,11 @@
 // same registry: a sharded manifest loads as one named synopsis whose
 // queries fan out to only the overlapping shards, so a single daemon
 // can serve domains far beyond the monolithic cell cap. Synopsis files
-// may be JSON or binary (dpgridv2) — the format is sniffed. Every file
-// and upload is validated and decoded at load by the same loader: binary
-// releases, and the tiles of sharded manifests, decode to grids whose
-// tables alias the bytes and answer straight from them, which -mmap
-// keeps in a memory mapping instead of on the heap.
+// and uploads are dpgridv2 containers (a JSON dump is rejected), each
+// validated and decoded at load by the same loader: releases, and the
+// tiles of sharded manifests, decode to grids whose tables alias the
+// bytes and answer straight from them, which -mmap keeps in a memory
+// mapping instead of on the heap.
 //
 // A query request names a synopsis and carries rectangles as
 // [minX, minY, maxX, maxY] quadruples; the response returns one estimate

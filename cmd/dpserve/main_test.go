@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -243,9 +244,49 @@ func TestPutSynopsisRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutRejectsJSONDumps: a JSON dump — each committed golden and a
+// hand-written sharded manifest — is refused by PUT with HTTP 400 and
+// by -synopsis loading, heap or mapped, with the error that says what
+// it is, and registers nothing.
+func TestPutRejectsJSONDumps(t *testing.T) {
+	const want = "dpgrid: JSON synopsis files are a write-only dump; load the binary release (-format binary)"
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 8 {
+		t.Fatalf("found %d JSON dumps under testdata, want 8: %v", len(paths), paths)
+	}
+	reg := newRegistry()
+	h := newTestDPServer(reg, serverOptions{}).handler()
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/synopses/dump", bytes.NewReader(data)))
+		var body struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusBadRequest || body.Error != want {
+			t.Errorf("PUT %s: %d %q, want 400 %q", path, rec.Code, body.Error, want)
+		}
+		for _, mmap := range []bool{false, true} {
+			if err := reg.loadFile("dump", path, mmap); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("-synopsis %s (mmap %v): err = %v", path, mmap, err)
+			}
+		}
+	}
+	if _, _, ok := reg.get("dump"); ok {
+		t.Error("a JSON dump was registered")
+	}
+}
+
 func TestRegistryLoadFile(t *testing.T) {
 	syn := testSynopsis(t, 6)
-	path := filepath.Join(t.TempDir(), "syn.json")
+	path := filepath.Join(t.TempDir(), "syn.dpgrid")
 	if err := dpgrid.WriteSynopsisFile(path, syn); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +297,7 @@ func TestRegistryLoadFile(t *testing.T) {
 	if _, _, ok := reg.get("disk"); !ok {
 		t.Fatal("loadFile did not register the synopsis")
 	}
-	if err := reg.loadFile("missing", filepath.Join(t.TempDir(), "absent.json"), false); err == nil {
+	if err := reg.loadFile("missing", filepath.Join(t.TempDir(), "absent.dpgrid"), false); err == nil {
 		t.Fatal("loading a missing file should error")
 	}
 }
@@ -341,7 +382,7 @@ func testShardedSynopsis(t testing.TB, seed int64) *dpgrid.Sharded {
 // queries identically to the in-memory release.
 func TestShardedServingEndToEnd(t *testing.T) {
 	syn := testShardedSynopsis(t, 21)
-	path := filepath.Join(t.TempDir(), "mosaic.json")
+	path := filepath.Join(t.TempDir(), "mosaic.dpgrid")
 	if err := dpgrid.WriteSynopsisFile(path, syn); err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +642,7 @@ func TestLoadSynopsesLoadsAll(t *testing.T) {
 	reg := newRegistry()
 	var specs []string
 	for i, name := range []string{"a", "b"} {
-		path := filepath.Join(dir, name+".json")
+		path := filepath.Join(dir, name+".dpgrid")
 		if err := dpgrid.WriteSynopsisFile(path, testSynopsis(t, int64(50+i))); err != nil {
 			t.Fatal(err)
 		}
@@ -659,11 +700,11 @@ func TestRegistryLoadsShardedManifestLazily(t *testing.T) {
 }
 
 // TestPutBinarySynopsis: the PUT endpoint accepts the binary encoding
-// through the same format sniff as files.
+// through the same loader as files.
 func TestPutBinarySynopsis(t *testing.T) {
 	syn := testSynopsis(t, 43)
 	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsisBinary(&buf, syn); err != nil {
+	if err := dpgrid.WriteSynopsis(&buf, syn); err != nil {
 		t.Fatal(err)
 	}
 	reg := newRegistry()
@@ -739,7 +780,7 @@ func TestServeNewKindsEndToEnd(t *testing.T) {
 	for kind, syn := range synopses {
 		name := "syn-" + kind
 		var buf bytes.Buffer
-		if err := dpgrid.WriteSynopsisBinary(&buf, syn); err != nil {
+		if err := dpgrid.WriteSynopsis(&buf, syn); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		put, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/synopses/"+name, &buf)

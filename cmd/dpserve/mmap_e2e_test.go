@@ -77,7 +77,7 @@ func postQueryBody(t *testing.T, url string, req queryRequest) []byte {
 // answer levers.
 func TestMmapSATServingEquivalence(t *testing.T) {
 	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsisBinary(&buf, testSynopsis(t, 17)); err != nil {
+	if err := dpgrid.WriteSynopsis(&buf, testSynopsis(t, 17)); err != nil {
 		t.Fatal(err)
 	}
 	satBytes := buf.Bytes()
@@ -131,7 +131,7 @@ func TestMmapSATServingEquivalence(t *testing.T) {
 // mapped-bytes gauge.
 func TestMmapSATMetrics(t *testing.T) {
 	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsisBinary(&buf, testSynopsis(t, 23)); err != nil {
+	if err := dpgrid.WriteSynopsis(&buf, testSynopsis(t, 23)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "syn.dpgrid")

@@ -87,7 +87,7 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 func TestMetricsEndpoint(t *testing.T) {
 	syn := testShardedSynopsis(t, 71) // 2x2 mosaic over [0,100]^2
 	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsisBinary(&buf, syn); err != nil {
+	if err := dpgrid.WriteSynopsis(&buf, syn); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := dpgrid.LoadSynopsis(buf.Bytes())
@@ -241,7 +241,7 @@ func TestCacheInvalidatedOnPut(t *testing.T) {
 	postQuery(t, srv.URL, "main", rect) // warm the cache
 
 	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsisBinary(&buf, repl); err != nil {
+	if err := dpgrid.WriteSynopsis(&buf, repl); err != nil {
 		t.Fatal(err)
 	}
 	put, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/synopses/main", &buf)

@@ -488,12 +488,12 @@ func badRectIndex(rects [][4]float64) int {
 	return -1
 }
 
-// readSynopsisBody decodes an uploaded synopsis of at most
-// maxBodyBytes in either encoding (sniffed) with dpgrid.ReadSynopsis,
-// which decodes the way dpgrid.LoadSynopsis decodes -synopsis files, so
-// an upload is validated and served exactly like a file. ReadSynopsis
-// reads into a buffer with no spare capacity, which matters because a
-// binary synopsis retains the buffer for its lifetime.
+// readSynopsisBody decodes an uploaded dpgridv2 synopsis of at most
+// maxBodyBytes with dpgrid.ReadSynopsis, which decodes the way
+// dpgrid.LoadSynopsis decodes -synopsis files (a JSON dump is
+// rejected), so an upload is validated and served exactly like a file.
+// ReadSynopsis reads into a buffer with no spare capacity, which
+// matters because the synopsis retains the buffer for its lifetime.
 func readSynopsisBody(r *http.Request) (dpgrid.Synopsis, error) {
 	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
 	defer io.Copy(io.Discard, body)

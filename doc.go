@@ -54,14 +54,14 @@
 //
 // # Serialization
 //
-// Releases serialize in two interchangeable encodings carrying the same
-// artifact: versioned JSON and the compact dpgridv2 binary container
-// (see WriteSynopsisFormat and docs/FORMAT.md). ReadSynopsis sniffs the
-// encoding from the leading bytes; file writes are atomic. Every binary
-// load (ReadSynopsis, LoadSynopsis, LoadSynopsisFile, MapSynopsisFile)
-// decodes to the ordinary synopsis types, whose float tables alias the
-// container's 8-byte-aligned sections on little-endian hosts, so
-// queries answer straight from the file bytes.
+// A release serializes as the dpgridv2 binary container (WriteSynopsis,
+// WriteSynopsisFile; see docs/FORMAT.md), the one format that loads.
+// WriteSynopsisFormat can also write a versioned JSON dump of the same
+// artifact for reading by eye; nothing loads it back. File writes are
+// atomic. Every load (ReadSynopsis, LoadSynopsis, LoadSynopsisFile,
+// MapSynopsisFile) decodes to the ordinary synopsis types, whose float
+// tables alias the container's 8-byte-aligned sections on little-endian
+// hosts, so queries answer straight from the file bytes.
 //
 // # Scaling out
 //

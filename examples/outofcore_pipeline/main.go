@@ -10,8 +10,9 @@
 //  2. The data holder streams it — never loading it into memory — into
 //     an AG synopsis under eps-DP (one scan when the dataset has up to
 //     8M in-domain points, three bounded-memory scans past that).
-//  3. The synopsis is saved to a small JSON file. The raw data can now
-//     be deleted or locked away; the privacy budget is spent.
+//  3. The synopsis is saved to a small binary release file. The raw
+//     data can now be deleted or locked away; the privacy budget is
+//     spent.
 //  4. An analyst later loads the synopsis and answers arbitrary range
 //     queries with no access to the raw data and no further privacy cost.
 package main
@@ -65,11 +66,8 @@ func main() {
 		syn.M1(), syn.LeafCells(), eps)
 
 	// Step 3: persist the release.
-	synPath := filepath.Join(workDir, "synopsis.json")
-	err = atomicfile.Write(synPath, func(w io.Writer) error {
-		return dpgrid.WriteSynopsis(w, syn)
-	})
-	if err != nil {
+	synPath := filepath.Join(workDir, "synopsis.dpgrid")
+	if err := dpgrid.WriteSynopsisFile(synPath, syn); err != nil {
 		log.Fatal(err)
 	}
 	sInfo, _ := os.Stat(synPath)
@@ -77,12 +75,7 @@ func main() {
 		float64(sInfo.Size())/1e6, float64(info.Size())/float64(sInfo.Size()))
 
 	// Step 4: the analyst's side — no raw data in sight.
-	lf, err := os.Open(synPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	loaded, err := dpgrid.ReadSynopsis(lf)
-	lf.Close()
+	loaded, err := dpgrid.LoadSynopsisFile(synPath)
 	if err != nil {
 		log.Fatal(err)
 	}

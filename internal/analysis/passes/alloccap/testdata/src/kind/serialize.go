@@ -24,9 +24,7 @@ func parseBounded(d *codec.Dec) []float64 {
 // early-exit branch has inspected it. That is a syntactic proof only:
 // p.m1 = 2^32 wraps p.m1*p.m1 to 0, so an empty p.cells passes this
 // very guard. Real decoders bound each factor before the product (see
-// grid.Fits); JSON decoders touch no codec.Dec and are not analyzed at
-// all, and the validator they share with the binary decoders bounds
-// them.
+// grid.Fits).
 func parseField(d *codec.Dec, p *payload) []int {
 	_ = d.Int32()
 	if len(p.cells) != p.m1*p.m1 {

@@ -2,18 +2,17 @@
 // by every release kind: the "dpgridv2" format. A container is the magic
 // string, a little-endian uint16 version and kind, and a kind-specific
 // body built from fixed-width little-endian fields and length-prefixed
-// float64 sections. Compared to the JSON release files, the binary form
-// is a fraction of the size (8 bytes per count instead of a decimal
-// rendering) and decodes without parsing: version 2 places every
-// float64 section at an 8-byte-aligned offset, so on little-endian
-// hosts a decoded section is the container's own bytes viewed as a
-// []float64 (see Dec.F64s).
+// float64 sections. It is the one release format that loads (the JSON
+// each kind can also write is a dump nothing reads back), and it
+// decodes without parsing: version 2 places every float64 section at an
+// 8-byte-aligned offset, so on little-endian hosts a decoded section is
+// the container's own bytes viewed as a []float64 (see Dec.F64s).
 //
 // The package deliberately knows nothing about synopses; it provides the
 // container framing (Detect, NewEnc, NewDec), truncation-safe
-// primitive access, and the opening every JSON release shares (Head,
-// DecodeJSONHead). The per-kind body layouts live next to the types
-// they serialize (internal/core, internal/shard).
+// primitive access, and the opening every JSON dump shares (Head). The
+// per-kind body layouts live next to the types they serialize
+// (internal/core, internal/shard).
 package codec
 
 import (
@@ -23,9 +22,8 @@ import (
 	"slices"
 )
 
-// Magic is the 8-byte prefix of every binary synopsis container. JSON
-// release files start with '{', so the first byte alone separates the
-// two formats; the full string keeps accidental collisions implausible.
+// Magic is the 8-byte prefix of every binary synopsis container; the
+// full string keeps accidental collisions implausible.
 const Magic = "dpgridv2"
 
 // Version is the container layout version writers emit. Version 2
@@ -76,9 +74,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint16(k))
 }
 
-// Detect reports whether data begins with the dpgridv2 magic — the
-// format sniff that keeps ReadSynopsis backward compatible with the
-// JSON files already on disk.
+// Detect reports whether data begins with the dpgridv2 magic, which
+// every loadable release does.
 func Detect(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }

@@ -11,10 +11,10 @@ import (
 // The kind registry is the dispatch table every serialization layer
 // shares. Each synopsis package registers its kind once (in an init
 // function, next to the codecs themselves); the container layer
-// (NewDec's known-kind check), the root package's JSON/binary sniffing,
-// sharded-manifest embedding, and dpserve loading all consult the same
-// table. Adding an estimator is one Registration plus a body codec —
-// no switch statement anywhere else grows a case.
+// (NewDec's known-kind check), the root package's loader, sharded-
+// manifest embedding, and dpserve loading all consult the same table.
+// Adding an estimator is one Registration plus a body codec — no switch
+// statement anywhere else grows a case.
 
 // Synopsis is the minimal query interface every registered decoder
 // returns. It mirrors the root package's Synopsis interface, so decoded
@@ -32,49 +32,38 @@ type Kinder interface {
 }
 
 // Registration describes one synopsis kind: its identity (container
-// kind, short name, JSON format tag) and its codecs. Decode functions
-// receive the complete serialized bytes (container header included for
-// binary) and must validate every structural invariant.
+// kind, short name, JSON format tag) and its decoder. DecodeBinary
+// receives the complete container, header included, and must validate
+// every structural invariant.
 type Registration struct {
 	// Kind is the container kind tag. Required, nonzero, unique.
 	Kind Kind
 	// Name is the short stable kind name (e.g. "uniform-grid"), unique;
 	// Kind.String and operator-facing surfaces render it.
 	Name string
-	// JSONFormat is the envelope format tag of the kind's JSON encoding
-	// (e.g. "dpgrid/uniform-grid"), unique when set.
+	// JSONFormat is the envelope format tag of the kind's write-only
+	// JSON dump (e.g. "dpgrid/uniform-grid"); a sharded manifest's dump
+	// names its tile kind by it.
 	JSONFormat string
 	// DecodeBinary deserializes a dpgridv2 container of this kind.
 	// Float sections decode through Dec.F64s, so the result may alias
 	// data: callers keep data immutable and alive for the synopsis's
 	// lifetime. Required.
 	DecodeBinary func(data []byte) (Synopsis, error)
-	// DecodeJSON deserializes the kind's JSON encoding. Required when
-	// JSONFormat is set.
-	DecodeJSON func(data []byte) (Synopsis, error)
 	// Tile marks kinds that may be embedded as the tiles of a sharded
 	// manifest. The manifest kind itself leaves it false, which is what
 	// rules out nested sharding.
 	Tile bool
 }
 
-// Embeddable reports whether payloads of this kind may be embedded as
-// tiles of a sharded manifest: the kind must be marked Tile and carry
-// both per-tile codecs.
-func (r Registration) Embeddable() bool {
-	return r.Tile && r.DecodeBinary != nil &&
-		r.DecodeJSON != nil && r.JSONFormat != ""
-}
-
 // registry holds the registered kinds. Registration happens in package
 // init functions; lookups happen on every decode, so reads take the
 // shared lock.
 var registry struct {
-	mu       sync.RWMutex
-	byKind   map[Kind]Registration
-	byName   map[string]Kind
-	byFormat map[string]Kind
-	maxKind  Kind
+	mu      sync.RWMutex
+	byKind  map[Kind]Registration
+	byName  map[string]Kind
+	maxKind Kind
 }
 
 // Register adds a kind to the registry, panicking on any identity
@@ -90,27 +79,17 @@ func Register(r Registration) {
 	if r.DecodeBinary == nil {
 		panic(fmt.Sprintf("codec: Register(%s): DecodeBinary must be set", r.Name))
 	}
-	if r.JSONFormat != "" && r.DecodeJSON == nil {
-		panic(fmt.Sprintf("codec: Register(%s): JSONFormat %q without DecodeJSON", r.Name, r.JSONFormat))
-	}
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	if registry.byKind == nil {
 		registry.byKind = make(map[Kind]Registration)
 		registry.byName = make(map[string]Kind)
-		registry.byFormat = make(map[string]Kind)
 	}
 	if prev, dup := registry.byKind[r.Kind]; dup {
 		panic(fmt.Sprintf("codec: Register(%s): kind %d already registered as %q", r.Name, uint16(r.Kind), prev.Name))
 	}
 	if _, dup := registry.byName[r.Name]; dup {
 		panic(fmt.Sprintf("codec: Register: duplicate kind name %q", r.Name))
-	}
-	if r.JSONFormat != "" {
-		if _, dup := registry.byFormat[r.JSONFormat]; dup {
-			panic(fmt.Sprintf("codec: Register(%s): duplicate JSON format %q", r.Name, r.JSONFormat))
-		}
-		registry.byFormat[r.JSONFormat] = r.Kind
 	}
 	registry.byKind[r.Kind] = r
 	registry.byName[r.Name] = r.Kind
@@ -132,18 +111,6 @@ func LookupName(name string) (Registration, bool) {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
 	k, ok := registry.byName[name]
-	if !ok {
-		return Registration{}, false
-	}
-	return registry.byKind[k], true
-}
-
-// LookupJSONFormat returns the registration whose JSON encoding carries
-// the given envelope format tag.
-func LookupJSONFormat(format string) (Registration, bool) {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	k, ok := registry.byFormat[format]
 	if !ok {
 		return Registration{}, false
 	}

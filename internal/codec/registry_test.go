@@ -35,9 +35,6 @@ func TestRegisterRejectsBadRegistrations(t *testing.T) {
 		"nil decoder":    {Kind: Kind(200), Name: "x"},
 		"duplicate kind": {Kind: KindUniform, Name: "x", DecodeBinary: stub},
 		"duplicate name": {Kind: Kind(200), Name: "sharded", DecodeBinary: stub},
-		"format, no decodeJSON": {
-			Kind: Kind(200), Name: "x", DecodeBinary: stub, JSONFormat: "dpgrid/x",
-		},
 	}
 	for name, reg := range cases {
 		func() {
@@ -57,17 +54,13 @@ func TestLookupByKindNameAndFormat(t *testing.T) {
 		Name:         "lookup-test",
 		JSONFormat:   "dpgrid/lookup-test",
 		DecodeBinary: func(data []byte) (Synopsis, error) { return nil, nil },
-		DecodeJSON:   func(data []byte) (Synopsis, error) { return nil, nil },
 	}
 	Register(reg)
-	if got, ok := Lookup(Kind(210)); !ok || got.Name != "lookup-test" {
+	if got, ok := Lookup(Kind(210)); !ok || got.Name != "lookup-test" || got.JSONFormat != "dpgrid/lookup-test" {
 		t.Fatalf("Lookup = %+v, %v", got, ok)
 	}
 	if got, ok := LookupName("lookup-test"); !ok || got.Kind != Kind(210) {
 		t.Fatalf("LookupName = %+v, %v", got, ok)
-	}
-	if got, ok := LookupJSONFormat("dpgrid/lookup-test"); !ok || got.Kind != Kind(210) {
-		t.Fatalf("LookupJSONFormat = %+v, %v", got, ok)
 	}
 	if _, ok := Lookup(Kind(211)); ok {
 		t.Fatal("Lookup found an unregistered kind")
@@ -83,22 +76,6 @@ func TestLookupByKindNameAndFormat(t *testing.T) {
 		if kinds[i] <= kinds[i-1] {
 			t.Fatalf("Kinds not ascending: %v", kinds)
 		}
-	}
-}
-
-func TestEmbeddable(t *testing.T) {
-	stub := func(data []byte) (Synopsis, error) { return nil, nil }
-	full := Registration{
-		Name: "x", DecodeBinary: stub, DecodeJSON: stub,
-		JSONFormat: "dpgrid/x", Tile: true,
-	}
-	if !full.Embeddable() {
-		t.Error("fully equipped registration not embeddable")
-	}
-	noTile := full
-	noTile.Tile = false
-	if noTile.Embeddable() {
-		t.Error("registration without Tile reported embeddable")
 	}
 }
 

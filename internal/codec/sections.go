@@ -1,33 +1,29 @@
 package codec
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"github.com/dpgrid/dpgrid/internal/geom"
 )
 
 // Shared body-section helpers. Every kind's body starts with the same
-// envelope fields (domain bounds, epsilon), in both encodings, and the
-// grid-backed kinds persist their prefix-sum tables verbatim;
-// centralizing the wire form here keeps the per-kind codecs down to
-// their genuinely kind-specific fields. The tables' value checks live
+// envelope fields (domain bounds, epsilon), in the container and in the
+// JSON dump, and the grid-backed kinds persist their prefix-sum tables
+// verbatim; centralizing the wire form here keeps the per-kind codecs
+// down to their genuinely kind-specific fields. The tables' value checks live
 // with the table, in internal/grid.
 
-// Envelope opens every JSON release: the kind's format tag and the
-// version of its JSON layout. Decode it alone to learn which kind a
-// file holds.
+// Envelope opens every JSON dump: the kind's format tag and the
+// version of its JSON layout.
 type Envelope struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
 }
 
-func (e *Envelope) envelope() *Envelope { return e }
-
-// Head is the opening of every JSON release over a 2-D domain: the
+// Head is the opening of every JSON dump over a 2-D domain: the
 // envelope, the domain bounds and the release epsilon, in that order.
 // A kind's file struct embeds it first. hist1d, whose releases cover a
-// range instead, embeds Envelope and checks its range itself.
+// range instead, embeds Envelope.
 type Head struct {
 	Envelope
 	Domain  [4]float64 `json:"domain"` // minX, minY, maxX, maxY
@@ -42,46 +38,6 @@ func NewHead(format string, version int, dom geom.Domain, eps float64) Head {
 		Domain:   [4]float64{dom.MinX, dom.MinY, dom.MaxX, dom.MaxY},
 		Epsilon:  eps,
 	}
-}
-
-func (h *Head) head() *Head { return h }
-
-// DecodeJSON unmarshals data, a JSON release, into f, the kind's file
-// struct, and checks the Envelope f embeds: the format tag must be
-// format and the version must be version. Errors start with pkg.
-func DecodeJSON(pkg string, data []byte, f interface{ envelope() *Envelope }, format string, version int) error {
-	if err := json.Unmarshal(data, f); err != nil {
-		return fmt.Errorf("%s: parse synopsis: %w", pkg, err)
-	}
-	env := f.envelope()
-	if env.Format != format {
-		return fmt.Errorf("%s: format %q is not %q", pkg, env.Format, format)
-	}
-	if env.Version != version {
-		return fmt.Errorf("%s: unsupported version %d (have %d)", pkg, env.Version, version)
-	}
-	return nil
-}
-
-// DecodeJSONHead is DecodeJSON for a file struct that embeds Head. It
-// also checks the domain, as Dec.Domain does, and that epsilon is
-// positive, and returns the domain.
-func DecodeJSONHead(pkg string, data []byte, f interface {
-	envelope() *Envelope
-	head() *Head
-}, format string, version int) (geom.Domain, error) {
-	if err := DecodeJSON(pkg, data, f, format, version); err != nil {
-		return geom.Domain{}, err
-	}
-	h := f.head()
-	dom, err := geom.NewDomain(h.Domain[0], h.Domain[1], h.Domain[2], h.Domain[3])
-	if err != nil {
-		return geom.Domain{}, fmt.Errorf("%s: parse synopsis: %w", pkg, err)
-	}
-	if !(h.Epsilon > 0) {
-		return geom.Domain{}, fmt.Errorf("%s: invalid epsilon %g", pkg, h.Epsilon)
-	}
-	return dom, nil
 }
 
 // Domain appends a domain's four bounds as float64s — the shared wire
@@ -107,9 +63,9 @@ func Open(pkg string, data []byte, want Kind) (*Dec, error) {
 }
 
 // OpenHead is Open for a kind whose body opens with its domain and
-// release epsilon, the binary twin of DecodeJSONHead: it reads and
-// checks both, with DecodeJSONHead's errors, and returns them with the
-// decoder positioned after them.
+// release epsilon: it reads and checks both (the domain as Dec.Domain
+// does, and that epsilon is positive) and returns them with the decoder
+// positioned after them.
 func OpenHead(pkg string, data []byte, want Kind) (*Dec, geom.Domain, float64, error) {
 	d, err := Open(pkg, data, want)
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -59,11 +58,11 @@ func TestAspectAwareSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
+	data, err := orig.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ParseUniformGrid(buf.Bytes())
+	loaded, err := ParseUniformGridBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,17 +5,17 @@ import (
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
+	"github.com/dpgrid/dpgrid/internal/geom"
+	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
-// Binary (dpgridv2) serialization of UG and AG synopses — the compact
-// companion to the JSON format in serialize.go. Both formats carry the
-// same release (cell boundaries and noisy counts), so the choice is
-// pure engineering: binary files are a fraction of the size and decode
-// in place instead of parsing decimal text. Both also decode into the
-// same ugParts/agParts and run the same header check (before any
-// section is read; sizes bounded per axis before any product) and
-// build step, so a corrupt release fails with the same error in
-// either encoding.
+// Binary (dpgridv2) serialization of UG and AG synopses: the one
+// encoding that loads (the JSON in serialize.go is a write-only dump).
+// Each decoder checks its header before any section is read or sized,
+// bounding sizes per axis before any product is taken so a hostile size
+// cannot wrap past the cap, and then checks the tables (lengths, finite
+// counts, valid prefix sums) as it assembles the synopsis. A corrupted
+// or hand-edited file fails loudly instead of answering garbage.
 //
 // Layouts (after the codec container header; all little endian; every
 // f64 section is aligned — see codec.Enc.F64s):
@@ -37,8 +37,7 @@ import (
 // encode/decode never recompute sums — round trips are bit-identical,
 // and decoding adopts each table where it lies in the container bytes,
 // with no O(cells) prefix rebuild. (Deriving leaves from sums and
-// re-summing on load, as the JSON format does, loses bit-identity to
-// float rounding.)
+// re-summing on load would lose bit-identity to float rounding.)
 //
 // The SAT trailer (codec.SATTag + a length-prefixed f64 section) is the
 // top-level summed-area table: for UG the (mx+1)*(my+1) prefix sums of
@@ -55,7 +54,7 @@ import (
 // parsers must stay immutable and alive for the synopsis's lifetime.
 
 // init announces the UG and AG codecs to the kind registry; every
-// serialization layer (container sniffing, sharded-manifest embedding,
+// serialization layer (container loading, sharded-manifest embedding,
 // dpserve loading) dispatches through it.
 func init() {
 	codec.Register(codec.Registration{
@@ -65,9 +64,6 @@ func init() {
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseUniformGridBinary(data)
 		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseUniformGrid(data)
-		},
 		Tile: true,
 	})
 	codec.Register(codec.Registration{
@@ -76,9 +72,6 @@ func init() {
 		JSONFormat: FormatAG,
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseAdaptiveGridBinary(data)
-		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseAdaptiveGrid(data)
 		},
 		Tile: true,
 	})
@@ -122,51 +115,80 @@ func (a *AdaptiveGrid) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// ParseUniformGridBinary deserializes a UG dpgridv2 container through
-// the validator the JSON decoder shares (ugParts): the header is
-// checked before the counts section is read, and a stored SAT must
-// match the counts bit for bit. The counts and the adopted SAT alias
-// data (see the layout comment above).
+// ParseUniformGridBinary deserializes a UG dpgridv2 container: the
+// header is checked before the counts section is read, and a stored SAT
+// must match the counts bit for bit. The counts and the adopted SAT
+// alias data (see the layout comment above).
 func ParseUniformGridBinary(data []byte) (*UniformGrid, error) {
 	d, dom, eps, err := codec.OpenHead("core", data, codec.KindUniform)
 	if err != nil {
 		return nil, err
 	}
-	p := ugParts{dom: dom, eps: eps, m: d.Int32(), mx: d.Int32(), my: d.Int32()}
+	m, mx, my := d.Int32(), d.Int32(), d.Int32()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	if err := p.check(); err != nil {
-		return nil, err
+	if m < 1 || m > grid.MaxCells {
+		return nil, fmt.Errorf("core: invalid grid size %d", m)
 	}
-	p.counts = d.F64s(p.mx * p.my)
-	p.sat = d.SATSection(p.mx, p.my)
+	if !grid.Fits(mx, my) {
+		return nil, fmt.Errorf("core: invalid grid dimensions %dx%d", mx, my)
+	}
+	vals := d.F64s(mx * my)
+	sat := d.SATSection(mx, my)
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	return p.build()
+	counts, err := grid.FromValues(dom, mx, my, vals)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("core: non-finite count %g at index %d", v, i)
+		}
+	}
+	// A stored table verified bit-identical to the one NewPrefix would
+	// build answers and re-encodes identically; adopting it skips the
+	// rebuild.
+	prefix, err := grid.AdoptPrefix(counts, sat)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	return &UniformGrid{
+		dom:       dom,
+		eps:       eps,
+		m:         m,
+		mx:        mx,
+		my:        my,
+		noisy:     counts,
+		prefix:    prefix,
+		satBacked: sat != nil,
+	}, nil
 }
 
-// ParseAdaptiveGridBinary deserializes an AG dpgridv2 container
-// through the validator the JSON decoder shares (agParts): the header
-// is checked before any cell is read, each cell's sums table as it is
-// read, for finiteness and the zero border every NewPrefix-built table
-// has, and a stored level-1 SAT bit for bit against the cell totals it
-// summarizes. The cell tables and the adopted SAT alias data (see the
-// layout comment above).
+// ParseAdaptiveGridBinary deserializes an AG dpgridv2 container: the
+// header is checked before any cell is read, each cell's sums table as
+// it is read, for finiteness and the zero border every NewPrefix-built
+// table has, and a stored level-1 SAT bit for bit against the cell
+// totals it summarizes. The cell tables and the adopted SAT alias data
+// (see the layout comment above).
 func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 	d, dom, eps, err := codec.OpenHead("core", data, codec.KindAdaptive)
 	if err != nil {
 		return nil, err
 	}
-	p := agParts{dom: dom, eps: eps, alpha: d.F64(), m1: d.Int32()}
+	alpha, m1 := d.F64(), d.Int32()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	if err := p.check(); err != nil {
-		return nil, err
+	if !(alpha > 0 && alpha < 1) {
+		return nil, fmt.Errorf("core: invalid alpha %g", alpha)
 	}
-	n := p.m1 * p.m1
+	if !grid.Fits(m1, m1) {
+		return nil, fmt.Errorf("core: invalid m1 %d", m1)
+	}
+	n := m1 * m1
 	// Every encoded cell occupies at least 40 bytes (a u64 length prefix
 	// and a minimum 2x2 sums table; 44 with version 1's u32 m2), so an
 	// m1 whose cells cannot fit in the remaining payload is corrupt.
@@ -177,23 +199,50 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 		minCellBytes += 4
 	}
 	if n > d.Remaining()/minCellBytes {
-		return nil, fmt.Errorf("core: m1 %d demands %d cells but only %d bytes remain", p.m1, n, d.Remaining())
+		return nil, fmt.Errorf("core: m1 %d demands %d cells but only %d bytes remain", m1, n, d.Remaining())
 	}
-	p.begin()
+	a := &AdaptiveGrid{
+		dom:      dom,
+		eps:      eps,
+		alpha:    alpha,
+		m1:       m1,
+		cells:    make([]agCell, 0, n),
+		maxM2:    1,
+		epsLevel: [2]float64{alpha * eps, (1 - alpha) * eps},
+	}
 	for k := 0; k < n; k++ {
 		m2, sums, err := decodeAGCell(d, k)
 		if err != nil {
 			return nil, err
 		}
-		if err := p.addCell(m2, sums); err != nil {
-			return nil, err
+		// Each cell keeps its checked table in place.
+		cellRect := dom.CellRect(k%m1, k/m1, m1, m1)
+		leaves, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, m2, m2, sums)
+		if err != nil {
+			return nil, fmt.Errorf("core: cell %d: %w", k, err)
 		}
+		a.cells = append(a.cells, agCell{rect: cellRect, m2: m2, leaves: leaves})
+		a.leafPop += m2 * m2
+		a.maxM2 = max(a.maxM2, m2)
 	}
-	p.sat = d.SATSection(p.m1, p.m1)
+	sat := d.SATSection(m1, m1)
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("core: parse synopsis: %w", err)
 	}
-	return p.build()
+	// The level-1 table sums the cell totals (each table's last entry).
+	totals := make([]float64, n)
+	for k := range a.cells {
+		totals[k] = a.cells[k].leaves.Total()
+	}
+	level1, err := grid.FromValues(dom, m1, m1, totals)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	if a.level1, err = grid.AdoptPrefix(level1, sat); err != nil {
+		return nil, fmt.Errorf("core: parse synopsis: %w", err)
+	}
+	a.satBacked = sat != nil
+	return a, nil
 }
 
 // decodeAGCell reads AG cell k: its m2 and its (m2+1)^2 sums table.
@@ -205,8 +254,8 @@ func decodeAGCell(d *codec.Dec, k int) (m2 int, sums []float64, err error) {
 		if err := d.Err(); err != nil {
 			return 0, nil, fmt.Errorf("core: cell %d: %w", k, err)
 		}
-		if err := checkM2(k, m2); err != nil {
-			return 0, nil, err
+		if !grid.Fits(m2, m2) {
+			return 0, nil, fmt.Errorf("core: cell %d: invalid m2 %d", k, m2)
 		}
 		sums = d.F64s((m2 + 1) * (m2 + 1))
 		if err := d.Err(); err != nil {

@@ -1,36 +1,36 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
+	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
-// FuzzParseUniformGrid: the synopsis parser must never panic and must
-// either return a valid, queryable synopsis or an error, no matter the
-// input bytes. Run with `go test -fuzz=FuzzParseUniformGrid ./internal/core`.
+// FuzzParseUniformGrid: the UG container parser must never panic and
+// must either return a valid, queryable synopsis or an error, no matter
+// the input bytes. Run with `go test -fuzz=FuzzParseUniformGrid ./internal/core`.
 func FuzzParseUniformGrid(f *testing.F) {
-	// Seed corpus: a valid file, a truncation of it, and garbage.
+	// Seed corpus: a valid container, a truncation of it, a bare
+	// header, garbage, and a count at the edge of float64.
 	dom := geom.MustDomain(0, 0, 4, 4)
 	ug, err := BuildUniformGrid(nil, dom, 1, UGOptions{GridSize: 2}, noise.Zero)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ug.WriteTo(&buf); err != nil {
+	valid, err := ug.AppendBinary(nil)
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{"format":"dpgrid/uniform-grid","version":1}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":1,"counts":[1e308]}`))
+	f.Add(codec.NewEnc(nil, codec.KindUniform).Bytes())
+	f.Add([]byte(`not a container at all`))
+	f.Add(buildRawUG([4]float64{0, 0, 1, 1}, 1, 1, 1, 1, []float64{1e308}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		syn, err := ParseUniformGrid(data)
+		syn, err := ParseUniformGridBinary(data)
 		if err != nil {
 			return
 		}
@@ -43,24 +43,23 @@ func FuzzParseUniformGrid(f *testing.F) {
 	})
 }
 
-// FuzzParseAdaptiveGrid mirrors FuzzParseUniformGrid for AG files.
+// FuzzParseAdaptiveGrid mirrors FuzzParseUniformGrid for AG containers.
 func FuzzParseAdaptiveGrid(f *testing.F) {
 	dom := geom.MustDomain(0, 0, 4, 4)
 	ag, err := BuildAdaptiveGrid(nil, dom, 1, AGOptions{M1: 2}, noise.Zero)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ag.WriteTo(&buf); err != nil {
+	valid, err := ag.AppendBinary(nil)
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)*2/3])
-	f.Add([]byte(`{"format":"dpgrid/adaptive-grid","version":1}`))
+	f.Add(codec.NewEnc(nil, codec.KindAdaptive).Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		syn, err := ParseAdaptiveGrid(data)
+		syn, err := ParseAdaptiveGridBinary(data)
 		if err != nil {
 			return
 		}

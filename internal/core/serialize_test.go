@@ -2,15 +2,19 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
+	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
+// TestUGSerializeRoundTrip: the JSON dump, read back with encoding/json,
+// carries the release — its header and every noisy count bit for bit.
 func TestUGSerializeRoundTrip(t *testing.T) {
 	dom := geom.MustDomain(-10, 5, 30, 45)
 	pts := clusteredPoints(41, 5000, dom)
@@ -22,25 +26,27 @@ func TestUGSerializeRoundTrip(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ParseUniformGrid(buf.Bytes())
-	if err != nil {
+	var f ugFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.GridSize() != 17 || loaded.Epsilon() != 0.7 {
-		t.Errorf("metadata lost: m=%d eps=%g", loaded.GridSize(), loaded.Epsilon())
+	if f.Head != codec.NewHead(FormatUG, serializeVersion, dom, 0.7) || f.M != 17 || f.MX != 17 || f.MY != 17 {
+		t.Errorf("dump header %+v m=%d %dx%d, want %v eps 0.7 m=17 17x17", f.Head, f.M, f.MX, f.MY, dom)
 	}
-	// Every query must answer identically.
-	for _, r := range []geom.Rect{
-		geom.NewRect(-10, 5, 30, 45),
-		geom.NewRect(0, 10, 15, 30),
-		geom.NewRect(-9.5, 5.5, -2.25, 12.125),
-	} {
-		if a, b := orig.Query(r), loaded.Query(r); a != b {
-			t.Errorf("Query(%v): %g before, %g after round trip", r, a, b)
+	want := orig.noisy.Values()
+	if len(f.Counts) != len(want) {
+		t.Fatalf("dump holds %d counts, want %d", len(f.Counts), len(want))
+	}
+	for i, v := range want {
+		if math.Float64bits(f.Counts[i]) != math.Float64bits(v) {
+			t.Fatalf("count %d: dump %v, synopsis %v", i, f.Counts[i], v)
 		}
 	}
 }
 
+// TestAGSerializeRoundTrip: the JSON dump, read back with encoding/json,
+// carries the release — its header, every cell's m2 and leaf counts,
+// which sum to the cell totals and the release total.
 func TestAGSerializeRoundTrip(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 20, 20)
 	pts := clusteredPoints(42, 8000, dom)
@@ -52,136 +58,95 @@ func TestAGSerializeRoundTrip(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ParseAdaptiveGrid(buf.Bytes())
-	if err != nil {
+	var f agFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.M1() != 6 || loaded.Alpha() != 0.4 || loaded.Epsilon() != 1.2 {
-		t.Errorf("metadata lost: m1=%d alpha=%g eps=%g", loaded.M1(), loaded.Alpha(), loaded.Epsilon())
+	if f.Head != codec.NewHead(FormatAG, serializeVersion, dom, 1.2) || f.M1 != 6 || f.Alpha != 0.4 {
+		t.Errorf("dump header %+v m1=%d alpha=%g", f.Head, f.M1, f.Alpha)
 	}
-	if loaded.LeafCells() != orig.LeafCells() {
-		t.Errorf("leaf cells %d != %d", loaded.LeafCells(), orig.LeafCells())
+	if len(f.Cells) != 36 {
+		t.Fatalf("dump holds %d cells, want 36", len(f.Cells))
 	}
-	for _, r := range []geom.Rect{
-		geom.NewRect(0, 0, 20, 20),
-		geom.NewRect(3.3, 4.4, 15.5, 16.6),
-		geom.NewRect(9.99, 9.99, 10.01, 10.01),
-	} {
-		a, b := orig.Query(r), loaded.Query(r)
-		if math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
-			t.Errorf("Query(%v): %g before, %g after round trip", r, a, b)
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+	leaves, total := 0, 0.0
+	for k, c := range f.Cells {
+		if c.M2 != orig.cells[k].m2 || len(c.Leaves) != c.M2*c.M2 {
+			t.Fatalf("cell %d: m2 %d with %d leaves, synopsis m2 %d", k, c.M2, len(c.Leaves), orig.cells[k].m2)
 		}
+		sum := 0.0
+		for _, v := range c.Leaves {
+			sum += v
+		}
+		if want := orig.cells[k].leaves.Total(); !near(sum, want) {
+			t.Errorf("cell %d: leaves sum to %g, cell total %g", k, sum, want)
+		}
+		leaves += len(c.Leaves)
+		total += sum
 	}
-	// TotalEstimate survives.
-	if math.Abs(loaded.TotalEstimate()-orig.TotalEstimate()) > 1e-9*(1+math.Abs(orig.TotalEstimate())) {
-		t.Errorf("TotalEstimate %g != %g", loaded.TotalEstimate(), orig.TotalEstimate())
+	if leaves != orig.LeafCells() {
+		t.Errorf("dump holds %d leaves, synopsis %d", leaves, orig.LeafCells())
 	}
-}
-
-func TestReadEnvelope(t *testing.T) {
-	dom := geom.MustDomain(0, 0, 1, 1)
-	ug, err := BuildUniformGrid(nil, dom, 1, UGOptions{GridSize: 2}, noise.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ug.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	env, err := ReadEnvelope(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Format != FormatUG || env.Version != serializeVersion {
-		t.Errorf("envelope = %+v", env)
-	}
-	if _, err := ReadEnvelope([]byte("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadEnvelope([]byte(`{"version":1}`)); err == nil {
-		t.Error("missing format tag accepted")
+	if !near(total, orig.TotalEstimate()) {
+		t.Errorf("dump total %g, TotalEstimate %g", total, orig.TotalEstimate())
 	}
 }
 
-// corruptUG returns a valid serialized UG that f may mutate before
-// re-serialization.
-func corruptUG(t *testing.T, f func(m map[string]any)) []byte {
-	t.Helper()
-	dom := geom.MustDomain(0, 0, 4, 4)
-	ug, err := BuildUniformGrid(nil, dom, 1, UGOptions{GridSize: 2}, noise.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ug.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	f(m)
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
+// TestParseUniformGridRejectsCorruption: each corruption of a valid
+// 2x2 UG container is rejected.
 func TestParseUniformGridRejectsCorruption(t *testing.T) {
+	dom := [4]float64{0, 0, 4, 4}
+	counts := []float64{1, 2, 3, 4}
+	if _, err := ParseUniformGridBinary(buildRawUG(dom, 1, 2, 2, 2, counts)); err != nil {
+		t.Fatalf("valid container rejected: %v", err)
+	}
+	agBin, err := testAG(t).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := buildRawUG(dom, 1, 2, 2, 2, counts)
+	binary.LittleEndian.PutUint16(future[len(codec.Magic):], 99)
 	cases := []struct {
 		name string
-		mut  func(m map[string]any)
+		data []byte
 	}{
-		{"wrong format", func(m map[string]any) { m["format"] = "bogus" }},
-		{"future version", func(m map[string]any) { m["version"] = 99 }},
-		{"zero m", func(m map[string]any) { m["m"] = 0 }},
-		{"counts length mismatch", func(m map[string]any) { m["counts"] = []float64{1, 2, 3} }},
-		{"bad epsilon", func(m map[string]any) { m["epsilon"] = -1 }},
-		{"bad domain", func(m map[string]any) { m["domain"] = []float64{5, 5, 1, 1} }},
-		{"nan count", func(m map[string]any) { m["counts"] = []any{1.0, "NaN", 3.0, 4.0} }},
+		{"wrong format", agBin},
+		{"future version", future},
+		{"zero m", buildRawUG(dom, 1, 0, 2, 2, counts)},
+		{"counts length mismatch", buildRawUG(dom, 1, 2, 2, 2, []float64{1, 2, 3})},
+		{"bad epsilon", buildRawUG(dom, -1, 2, 2, 2, counts)},
+		{"bad domain", buildRawUG([4]float64{5, 5, 1, 1}, 1, 2, 2, 2, counts)},
+		{"nan count", buildRawUG(dom, 1, 2, 2, 2, []float64{1, math.NaN(), 3, 4})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := corruptUG(t, tc.mut)
-			if _, err := ParseUniformGrid(data); err == nil {
+			if _, err := ParseUniformGridBinary(tc.data); err == nil {
 				t.Error("corrupted synopsis accepted")
 			}
 		})
 	}
 }
 
+// TestParseAdaptiveGridRejectsCorruption: each corruption of a valid
+// one-cell AG container is rejected.
 func TestParseAdaptiveGridRejectsCorruption(t *testing.T) {
-	dom := geom.MustDomain(0, 0, 4, 4)
-	ag, err := BuildAdaptiveGrid(nil, dom, 1, AGOptions{M1: 2}, noise.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ag.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	mutate := func(f func(m map[string]any)) []byte {
-		var m map[string]any
-		if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-			t.Fatal(err)
-		}
-		f(m)
-		out, _ := json.Marshal(m)
-		return out
+	dom := [4]float64{0, 0, 4, 4}
+	cell := rawAGCell{sums: []float64{0, 0, 0, 1}}
+	if _, err := ParseAdaptiveGridBinary(buildRawAG(2, dom, 1, 0.5, 1, cell)); err != nil {
+		t.Fatalf("valid container rejected: %v", err)
 	}
 	cases := []struct {
 		name string
 		data []byte
 	}{
-		{"wrong format", mutate(func(m map[string]any) { m["format"] = FormatUG })},
-		{"bad alpha", mutate(func(m map[string]any) { m["alpha"] = 2.0 })},
-		{"cells mismatch", mutate(func(m map[string]any) { m["m1"] = 5 })},
+		{"wrong format", buildRawUG(dom, 1, 1, 1, 1, []float64{1})},
+		{"bad alpha", buildRawAG(2, dom, 1, 2, 1, cell)},
+		{"cells mismatch", buildRawAG(2, dom, 1, 0.5, 5, cell)},
 		{"not json", []byte("{{{{")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseAdaptiveGrid(tc.data); err == nil {
+			if _, err := ParseAdaptiveGridBinary(tc.data); err == nil {
 				t.Error("corrupted synopsis accepted")
 			}
 		})
@@ -194,11 +159,11 @@ func TestParseUGWrongKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ag.WriteTo(&buf); err != nil {
+	bin, err := ag.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseUniformGrid(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "format") {
-		t.Errorf("AG file parsed as UG: %v", err)
+	if _, err := ParseUniformGridBinary(bin); err == nil || !strings.Contains(err.Error(), "container kind") {
+		t.Errorf("AG container parsed as UG: %v", err)
 	}
 }

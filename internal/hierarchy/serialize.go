@@ -11,8 +11,8 @@ import (
 )
 
 // Serialization of hierarchy synopses. The released synopsis is the
-// reconciled leaf grid, so — exactly like AG cells — both encodings
-// persist the prefix-sum table, the synopsis's in-memory query
+// reconciled leaf grid, so — exactly like AG cells — the container and
+// the JSON dump persist the prefix-sum table, the synopsis's in-memory query
 // structure: encode/decode never recompute sums, round trips are
 // bit-identical, and decoding is an allocation plus a copy. The level
 // structure (branching, depth) rides along so accessors and re-encodes
@@ -40,9 +40,6 @@ func init() {
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseHierarchyBinary(data)
 		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseHierarchy(data)
-		},
 		Tile: true,
 	})
 }
@@ -63,7 +60,7 @@ func (h *Hierarchy) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// hierFile is the on-disk JSON form.
+// hierFile is the JSON dump's form.
 type hierFile struct {
 	codec.Head
 	GridSize  int       `json:"grid_size"`
@@ -133,31 +130,6 @@ func ParseHierarchyBinary(data []byte) (*Hierarchy, error) {
 		dom:    dom,
 		eps:    eps,
 		opts:   Options{GridSize: m, Branching: b, Depth: depth},
-		prefix: prefix,
-		levels: levels,
-	}, nil
-}
-
-// ParseHierarchy deserializes a JSON hierarchy synopsis, validating all
-// structural invariants.
-func ParseHierarchy(data []byte) (*Hierarchy, error) {
-	var f hierFile
-	dom, err := codec.DecodeJSONHead("hierarchy", data, &f, FormatHierarchy, serializeVersion)
-	if err != nil {
-		return nil, err
-	}
-	levels, err := checkShape(f.GridSize, f.Branching, f.Depth)
-	if err != nil {
-		return nil, err
-	}
-	prefix, err := grid.PrefixFromSums(dom, f.GridSize, f.GridSize, f.Sums)
-	if err != nil {
-		return nil, fmt.Errorf("hierarchy: %w", err)
-	}
-	return &Hierarchy{
-		dom:    dom,
-		eps:    f.Epsilon,
-		opts:   Options{GridSize: f.GridSize, Branching: f.Branching, Depth: f.Depth},
 		prefix: prefix,
 		levels: levels,
 	}, nil

@@ -2,6 +2,9 @@ package hierarchy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -57,22 +60,31 @@ func TestHierarchyBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHierarchyJSONRoundTrip: the JSON dump, read back with
+// encoding/json, carries the release — its header, level structure and
+// prefix sums bit for bit.
 func TestHierarchyJSONRoundTrip(t *testing.T) {
 	h := buildTestHierarchy(t)
 	var buf bytes.Buffer
 	if _, err := h.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseHierarchy(buf.Bytes())
-	if err != nil {
+	var f hierFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	var re bytes.Buffer
-	if _, err := got.WriteTo(&re); err != nil {
-		t.Fatal(err)
+	if f.Head != codec.NewHead(FormatHierarchy, serializeVersion, h.Domain(), h.Epsilon()) ||
+		f.GridSize != 8 || f.Branching != 2 || f.Depth != 3 {
+		t.Errorf("dump header %+v grid %d branching %d depth %d", f.Head, f.GridSize, f.Branching, f.Depth)
 	}
-	if !bytes.Equal(buf.Bytes(), re.Bytes()) {
-		t.Fatal("JSON round trip not byte-identical")
+	want := h.prefix.Sums()
+	if len(f.Sums) != len(want) {
+		t.Fatalf("dump holds %d sums, want %d", len(f.Sums), len(want))
+	}
+	for i, v := range want {
+		if math.Float64bits(f.Sums[i]) != math.Float64bits(v) {
+			t.Fatalf("sum %d: dump %v, synopsis %v", i, f.Sums[i], v)
+		}
 	}
 }
 
@@ -121,24 +133,26 @@ func TestHierarchyBinaryRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestHierarchyJSONRejectsBadShape: a release whose header or level
+// structure is bad is rejected. Only the container loads, so the cases
+// are planted in its fields.
 func TestHierarchyJSONRejectsBadShape(t *testing.T) {
-	h := buildTestHierarchy(t)
-	var buf bytes.Buffer
-	if _, err := h.WriteTo(&buf); err != nil {
+	data, err := buildTestHierarchy(t).AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mangle := range map[string]func(string) string{
-		"wrong format":  func(s string) string { return strings.Replace(s, FormatHierarchy, "dpgrid/nope", 1) },
-		"bad branching": func(s string) string { return strings.Replace(s, `"branching":2`, `"branching":3`, 1) },
-		"zero depth":    func(s string) string { return strings.Replace(s, `"depth":3`, `"depth":0`, 1) },
-		"bad epsilon":   func(s string) string { return strings.Replace(s, `"epsilon":1`, `"epsilon":-1`, 1) },
+	// After magic+version+kind (12): domain (32), epsilon (8), then the
+	// grid size, branching and depth u32s at 52, 56 and 60.
+	for name, mangle := range map[string]func(b []byte){
+		"wrong format":  func(b []byte) { binary.LittleEndian.PutUint16(b[10:], uint16(codec.KindUniform)) },
+		"bad branching": func(b []byte) { binary.LittleEndian.PutUint32(b[56:], 3) },
+		"zero depth":    func(b []byte) { binary.LittleEndian.PutUint32(b[60:], 0) },
+		"bad epsilon":   func(b []byte) { binary.LittleEndian.PutUint64(b[44:], math.Float64bits(-1)) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			mangled := mangle(buf.String())
-			if mangled == buf.String() {
-				t.Fatal("mangle had no effect; field spelling changed?")
-			}
-			if _, err := ParseHierarchy([]byte(mangled)); err == nil {
+			bad := bytes.Clone(data)
+			mangle(bad)
+			if _, err := ParseHierarchyBinary(bad); err == nil {
 				t.Error("accepted, want error")
 			}
 		})

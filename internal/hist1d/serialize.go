@@ -10,8 +10,8 @@ import (
 	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
-// Serialization of 1D histograms. Both encodings persist the prefix-sum
-// table — the in-memory query structure — for bit-identical round trips
+// Serialization of 1D histograms. The container and the JSON dump
+// persist the prefix-sum table — the in-memory query structure — for bit-identical round trips
 // (the same copy-only decode pattern the 2D kinds use). Prefix sums of
 // noisy bins are not monotonic (Laplace noise goes negative), so the
 // structural checks are grid.SATFromSums' length, first-element-zero and
@@ -45,9 +45,6 @@ func init() {
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseHistBinary(data)
 		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseHist(data)
-		},
 	})
 }
 
@@ -77,7 +74,7 @@ func (h *Hist) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// histFile is the on-disk JSON form.
+// histFile is the JSON dump's form.
 type histFile struct {
 	codec.Envelope
 	Range   [2]float64 `json:"range"` // lo, hi
@@ -107,25 +104,6 @@ func (h *Hist) WriteTo(dst io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// checkDecoded validates the shared invariants of both encodings; the
-// prefix table gets grid.SATFromSums' length, zero-start and
-// finiteness checks.
-func checkDecoded(lo, hi, eps float64, bins int, prefix []float64) error {
-	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || !(hi > lo) {
-		return fmt.Errorf("hist1d: invalid range [%g, %g]", lo, hi)
-	}
-	if !(eps > 0) {
-		return fmt.Errorf("hist1d: invalid epsilon %g", eps)
-	}
-	if bins < 1 || bins > grid.MaxCells {
-		return fmt.Errorf("hist1d: invalid bin count %d", bins)
-	}
-	if _, err := grid.SATFromSums([]int{bins}, prefix); err != nil {
-		return fmt.Errorf("hist1d: %w", err)
-	}
-	return nil
-}
-
 // ParseHistBinary deserializes a hist1d dpgridv2 container, validating
 // all structural invariants.
 func ParseHistBinary(data []byte) (*Hist, error) {
@@ -148,21 +126,19 @@ func ParseHistBinary(data []byte) (*Hist, error) {
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("hist1d: parse synopsis: %w", err)
 	}
-	if err := checkDecoded(lo, hi, eps, bins, prefix); err != nil {
-		return nil, err
+	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || !(hi > lo) {
+		return nil, fmt.Errorf("hist1d: invalid range [%g, %g]", lo, hi)
+	}
+	if !(eps > 0) {
+		return nil, fmt.Errorf("hist1d: invalid epsilon %g", eps)
+	}
+	if bins < 1 {
+		return nil, fmt.Errorf("hist1d: invalid bin count %d", bins)
+	}
+	// The prefix table gets grid.SATFromSums' length, zero-start and
+	// finiteness checks.
+	if _, err := grid.SATFromSums([]int{bins}, prefix); err != nil {
+		return nil, fmt.Errorf("hist1d: %w", err)
 	}
 	return &Hist{lo: lo, hi: hi, eps: eps, prefix: prefix}, nil
-}
-
-// ParseHist deserializes a JSON hist1d synopsis, validating all
-// structural invariants.
-func ParseHist(data []byte) (*Hist, error) {
-	var f histFile
-	if err := codec.DecodeJSON("hist1d", data, &f, FormatHist1D, serializeVersion); err != nil {
-		return nil, err
-	}
-	if err := checkDecoded(f.Range[0], f.Range[1], f.Epsilon, f.Bins, f.Prefix); err != nil {
-		return nil, err
-	}
-	return &Hist{lo: f.Range[0], hi: f.Range[1], eps: f.Epsilon, prefix: f.Prefix}, nil
 }

@@ -2,6 +2,7 @@ package hist1d
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -52,18 +53,29 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTrip: the JSON dump, read back with encoding/json,
+// carries the release — its range, epsilon and prefix sums bit for bit.
 func TestJSONRoundTrip(t *testing.T) {
 	h := testHist(t)
 	var buf bytes.Buffer
 	if _, err := h.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ParseHist(buf.Bytes())
-	if err != nil {
+	var f histFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if x, y := h.Range(3, 77), loaded.Range(3, 77); x != y {
-		t.Errorf("Range changed across JSON round trip: %g vs %g", x, y)
+	if f.Format != FormatHist1D || f.Version != serializeVersion || f.Range != [2]float64{h.lo, h.hi} ||
+		f.Epsilon != h.eps || f.Bins != h.Bins() {
+		t.Errorf("dump header %+v range %v eps %g bins %d", f.Envelope, f.Range, f.Epsilon, f.Bins)
+	}
+	if len(f.Prefix) != len(h.prefix) {
+		t.Fatalf("dump holds %d prefix sums, want %d", len(f.Prefix), len(h.prefix))
+	}
+	for i, v := range h.prefix {
+		if math.Float64bits(f.Prefix[i]) != math.Float64bits(v) {
+			t.Fatalf("prefix %d: dump %v, synopsis %v", i, f.Prefix[i], v)
+		}
 	}
 }
 
@@ -182,7 +194,7 @@ func TestRegistryDecodesHist1D(t *testing.T) {
 	if reg.Name != "hist1d" || reg.JSONFormat != FormatHist1D {
 		t.Fatalf("registration = %+v", reg)
 	}
-	if reg.Embeddable() {
+	if reg.Tile {
 		t.Error("hist1d must not be embeddable in 2D mosaics")
 	}
 	h := testHist(t)

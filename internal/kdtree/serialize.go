@@ -11,15 +11,15 @@ import (
 )
 
 // Serialization of kd-tree synopses. Unlike the grid-backed kinds, a
-// tree's query structure is its node table, so that is what both
-// encodings persist: per-node rect, noisy count, variance, and child
-// indices, plus the post-CI estimate vector. Decoding copies the table
-// verbatim — no rebuilding, no re-noising — so round trips are
-// bit-identical.
+// tree's query structure is its node table, so that is what the
+// container and the JSON dump persist: per-node rect, noisy count,
+// variance, and child indices, plus the post-CI estimate vector.
+// Decoding copies the table verbatim — no rebuilding, no re-noising —
+// so round trips are bit-identical.
 //
 // Structural safety rests on the builder's append-order invariant:
 // children are appended after their parent, so every child index is
-// strictly greater than its parent's. Decoders enforce that, plus
+// strictly greater than its parent's. The decoder enforces that, plus
 // every-node-referenced-exactly-once, which together rule out cycles,
 // sharing, and orphans in untrusted input.
 //
@@ -50,9 +50,6 @@ func init() {
 		JSONFormat: FormatKDTree,
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseTreeBinary(data)
-		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseTree(data)
 		},
 		Tile: true,
 	})
@@ -92,7 +89,7 @@ func (t *Tree) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// treeNodeFile is a node's on-disk JSON form.
+// treeNodeFile is a node's form in the JSON dump.
 type treeNodeFile struct {
 	Rect     [4]float64 `json:"rect"` // minX, minY, maxX, maxY
 	Count    float64    `json:"count"`
@@ -100,7 +97,7 @@ type treeNodeFile struct {
 	Children []int      `json:"children,omitempty"`
 }
 
-// treeFile is the on-disk JSON form. Leaves is derived on parse.
+// treeFile is the JSON dump's form.
 type treeFile struct {
 	codec.Head
 	Method    int            `json:"method"`
@@ -138,9 +135,8 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 }
 
 // treeParts is a decoded-but-unvalidated tree. Its domain and epsilon
-// are checked as they are read (codec.OpenHead, codec.DecodeJSONHead);
-// validate() is the single gatekeeper of the rest, which both the
-// binary and JSON decoders go through.
+// are checked as they are read (codec.OpenHead); validate() is the
+// single gatekeeper of the rest.
 type treeParts struct {
 	dom       geom.Domain
 	eps       float64
@@ -280,37 +276,6 @@ func decodeTreeBinary(data []byte) (treeParts, error) {
 func ParseTreeBinary(data []byte) (*Tree, error) {
 	p, err := decodeTreeBinary(data)
 	if err != nil {
-		return nil, err
-	}
-	return p.build(), nil
-}
-
-// ParseTree deserializes a JSON kd-tree synopsis, validating all
-// structural invariants.
-func ParseTree(data []byte) (*Tree, error) {
-	var f treeFile
-	dom, err := codec.DecodeJSONHead("kdtree", data, &f, FormatKDTree, serializeVersion)
-	if err != nil {
-		return nil, err
-	}
-	p := treeParts{
-		dom:       dom,
-		eps:       f.Epsilon,
-		method:    Method(f.Method),
-		depth:     f.Depth,
-		usedCI:    f.UsedCI,
-		nodes:     make([]treeNode, len(f.Nodes)),
-		estimates: f.Estimates,
-	}
-	for i, n := range f.Nodes {
-		p.nodes[i] = treeNode{
-			rect:     geom.Rect{MinX: n.Rect[0], MinY: n.Rect[1], MaxX: n.Rect[2], MaxY: n.Rect[3]},
-			count:    n.Count,
-			variance: n.Variance,
-			children: n.Children,
-		}
-	}
-	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return p.build(), nil

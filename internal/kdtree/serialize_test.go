@@ -2,7 +2,11 @@ package kdtree
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,25 +63,36 @@ func TestTreeBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTreeJSONRoundTrip: the JSON dump, read back with encoding/json,
+// carries the release — its header and every node and estimate bit for
+// bit.
 func TestTreeJSONRoundTrip(t *testing.T) {
 	tree := buildTestTree(t, Hybrid)
 	var buf bytes.Buffer
 	if _, err := tree.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseTree(buf.Bytes())
-	if err != nil {
+	var f treeFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	var re bytes.Buffer
-	if _, err := got.WriteTo(&re); err != nil {
-		t.Fatal(err)
+	if f.Head != codec.NewHead(FormatKDTree, serializeVersion, tree.Domain(), tree.Epsilon()) ||
+		Method(f.Method) != tree.Method() || f.Depth != tree.Depth() || f.UsedCI != tree.UsedConstrainedInference() {
+		t.Errorf("dump header %+v method %d depth %d used CI %v", f.Head, f.Method, f.Depth, f.UsedCI)
 	}
-	if !bytes.Equal(buf.Bytes(), re.Bytes()) {
-		t.Fatal("JSON round trip not byte-identical")
+	if len(f.Nodes) != len(tree.nodes) || len(f.Estimates) != len(tree.estimates) {
+		t.Fatalf("dump holds %d nodes and %d estimates, want %d", len(f.Nodes), len(f.Estimates), len(tree.nodes))
 	}
-	if got.Leaves() != tree.Leaves() {
-		t.Fatalf("derived leaves = %d, want %d", got.Leaves(), tree.Leaves())
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i, n := range tree.nodes {
+		d := f.Nodes[i]
+		r := [4]float64{n.rect.MinX, n.rect.MinY, n.rect.MaxX, n.rect.MaxY}
+		if d.Rect != r || !same(d.Count, n.count) || !same(d.Variance, n.variance) || !slices.Equal(d.Children, n.children) {
+			t.Fatalf("node %d: dump %+v, synopsis %+v", i, d, n)
+		}
+		if !same(f.Estimates[i], tree.estimates[i]) {
+			t.Fatalf("estimate %d: dump %v, synopsis %v", i, f.Estimates[i], tree.estimates[i])
+		}
 	}
 }
 
@@ -135,23 +150,27 @@ func TestTreeBinaryRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestTreeJSONRejectsBadTopology: a release whose header or topology
+// is bad is rejected. Only the container loads, so the cases are planted
+// in its fields.
 func TestTreeJSONRejectsBadTopology(t *testing.T) {
-	tree := buildTestTree(t, Standard)
-	var buf bytes.Buffer
-	if _, err := tree.WriteTo(&buf); err != nil {
+	data, err := buildTestTree(t, Standard).AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mangle := range map[string]func(string) string{
-		"wrong format": func(s string) string { return strings.Replace(s, FormatKDTree, "dpgrid/nope", 1) },
-		"bad depth":    func(s string) string { return strings.Replace(s, `"depth":5`, `"depth":99`, 1) },
-		"shared child": func(s string) string { return strings.Replace(s, `"children":[1,`, `"children":[2,`, 1) },
+	// After magic+version+kind (12), domain (32), epsilon (8), method
+	// and CI (2 each): depth u32 at 56. The root node starts at 72,
+	// after the leaf count and the node count; its first child index
+	// follows its 48-byte payload and child count, at 124.
+	for name, mangle := range map[string]func(b []byte){
+		"wrong format": func(b []byte) { binary.LittleEndian.PutUint16(b[10:], uint16(codec.KindUniform)) },
+		"bad depth":    func(b []byte) { binary.LittleEndian.PutUint32(b[56:], 99) },
+		"shared child": func(b []byte) { binary.LittleEndian.PutUint32(b[124:], 2) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			mangled := mangle(buf.String())
-			if mangled == buf.String() {
-				t.Fatal("mangle had no effect; field spelling changed?")
-			}
-			if _, err := ParseTree([]byte(mangled)); err == nil {
+			bad := bytes.Clone(data)
+			mangle(bad)
+			if _, err := ParseTreeBinary(bad); err == nil {
 				t.Error("accepted, want error")
 			}
 		})

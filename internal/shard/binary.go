@@ -14,12 +14,11 @@ import (
 //	zero padding to 8 bytes | blob length (u64) |
 //	blob (concatenated per-shard containers)
 //
-// Each blob entry is a complete dpgridv2 container of any embeddable
-// registered kind (see codec.Registration.Embeddable), so — exactly
-// like the JSON manifest — a shard can be cut out of a release and
-// served standalone. The offset table is what the JSON format cannot
-// offer: a reader locates any shard's bytes in O(1) without decoding
-// the others, and every tile decodes over its own slice of the file.
+// Each blob entry is a complete dpgridv2 container of any registered
+// kind marked codec.Registration.Tile, so a shard can be cut out of a
+// release and served standalone. The offset table lets a reader locate
+// any shard's bytes in O(1) without decoding the others, and every tile
+// decodes over its own slice of the file.
 //
 // In version 2 the blob starts 8-byte aligned and so does every tile
 // (each offset is the previous tile's end rounded up to 8, the gap
@@ -37,21 +36,12 @@ type binaryAppender interface {
 	AppendBinary(dst []byte) ([]byte, error)
 }
 
-// embeddableByFormat resolves a per-shard JSON format tag to its kind
-// registration, requiring the kind to be embeddable as a manifest tile
-// (which the manifest kind itself is not — no nested sharding).
-func embeddableByFormat(format string) (codec.Registration, error) {
-	reg, ok := codec.LookupJSONFormat(format)
-	if !ok || !reg.Embeddable() {
-		return codec.Registration{}, fmt.Errorf("shard: shard format %q is not an embeddable synopsis kind", format)
-	}
-	return reg, nil
-}
-
-// embeddableByKind is embeddableByFormat keyed by container kind.
+// embeddableByKind resolves a tile kind to its registration, requiring
+// the kind to be embeddable as a manifest tile (which the manifest kind
+// itself is not — no nested sharding).
 func embeddableByKind(kind codec.Kind) (codec.Registration, error) {
 	reg, ok := codec.Lookup(kind)
-	if !ok || !reg.Embeddable() {
+	if !ok || !reg.Tile {
 		return codec.Registration{}, fmt.Errorf("shard: shard kind %v is not an embeddable synopsis kind", kind)
 	}
 	return reg, nil
@@ -60,10 +50,6 @@ func embeddableByKind(kind codec.Kind) (codec.Registration, error) {
 // AppendBinary appends the release's dpgridv2 manifest to dst and
 // returns the extended slice.
 func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
-	reg, err := embeddableByFormat(s.format)
-	if err != nil {
-		return nil, err
-	}
 	// Encode every shard first so the offset table can be written
 	// before the blob.
 	var blob []byte
@@ -90,7 +76,7 @@ func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
 	e.F64(s.eps)
 	e.U32(uint32(s.plan.kx))
 	e.U32(uint32(s.plan.ky))
-	e.U16(uint16(reg.Kind))
+	e.U16(uint16(s.tileKind))
 	e.U64(uint64(len(s.tiles)))
 	for _, off := range offsets {
 		e.U64(off[0])
@@ -106,11 +92,10 @@ func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
 // follows a tile ending at n starts.
 func padTo8(n int) int { return (n + 7) &^ 7 }
 
-// ParseShardedBinary deserializes a dpgridv2 sharded manifest — the
-// binary counterpart of ParseSharded. It validates the manifest
-// framing, slices the per-shard payloads out of the blob and decodes
-// every one through its kind's DecodeBinary, cross-checking each tile's
-// domain and epsilon against the manifest. The tiles may alias data;
+// ParseShardedBinary deserializes a dpgridv2 sharded manifest. It
+// validates the manifest framing, slices the per-shard payloads out of
+// the blob and decodes every one through its kind's DecodeBinary,
+// cross-checking each tile's domain and epsilon against the manifest. The tiles may alias data;
 // the caller keeps it immutable and alive for the result's lifetime.
 func ParseShardedBinary(data []byte) (*Sharded, error) {
 	d, dom, eps, err := codec.OpenHead("shard", data, codec.KindSharded)
@@ -178,7 +163,7 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 		return nil, fmt.Errorf("shard: parse synopsis: %w", err)
 	}
 
-	s := &Sharded{plan: plan, eps: eps, format: shardReg.JSONFormat, tiles: make([]Synopsis, n)}
+	s := &Sharded{plan: plan, eps: eps, tileKind: shardKind, tiles: make([]Synopsis, n)}
 	var gapStart uint64
 	for i, off := range offsets {
 		for _, b := range blob[gapStart:off[0]] {

@@ -63,8 +63,8 @@ func TestShardedBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if loaded.NumShards() != 6 || loaded.ShardFormat() != orig.ShardFormat() || loaded.Epsilon() != orig.Epsilon() {
-			t.Fatalf("ag=%v: metadata lost: %d shards, format %q", ag, loaded.NumShards(), loaded.ShardFormat())
+		if loaded.NumShards() != 6 || loaded.TileKind() != orig.TileKind() || loaded.Epsilon() != orig.Epsilon() {
+			t.Fatalf("ag=%v: metadata lost: %d shards, tile kind %v", ag, loaded.NumShards(), loaded.TileKind())
 		}
 		for _, r := range binaryTestRects {
 			if a, b := orig.Query(r), loaded.Query(r); a != b {
@@ -98,7 +98,7 @@ func TestLazyMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.NumShards() != 16 || view.Epsilon() != 1 || view.Domain() != orig.Domain() || view.ShardFormat() != core.FormatAG {
+	if view.NumShards() != 16 || view.Epsilon() != 1 || view.Domain() != orig.Domain() || view.TileKind() != codec.KindAdaptive {
 		t.Fatalf("metadata: %d shards, eps %g", view.NumShards(), view.Epsilon())
 	}
 	if _, ok := view.Shard(0).(*core.AdaptiveGrid); !ok {
@@ -154,14 +154,6 @@ func TestLazyAppendBinaryIsVerbatim(t *testing.T) {
 	}
 	if !bytes.Equal(viewJSON.Bytes(), eagerJSON.Bytes()) {
 		t.Fatal("view JSON differs from the copying parse's JSON")
-	}
-	fromJSON, err := ParseSharded(viewJSON.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := geom.NewRect(10, 10, 90, 70)
-	if a, b := view.Query(r), fromJSON.Query(r); a != b {
-		t.Errorf("JSON round trip of view release: %g vs %g", a, b)
 	}
 }
 
@@ -328,18 +320,12 @@ func TestShardedBinaryRejectsOverflowingOffsetTable(t *testing.T) {
 }
 
 // TestShardedManifestFramingErrors: a manifest cut short or followed by
-// stray bytes is named `shard: parse synopsis: …` in either encoding,
-// as the opening both decoders share (codec.OpenHead,
-// codec.DecodeJSONHead) names it. Only the cause after the prefix is
-// the encoding's own.
+// stray bytes is named `shard: parse synopsis: …`, as its opening
+// (codec.OpenHead) names it.
 func TestShardedManifestFramingErrors(t *testing.T) {
 	s := buildTestSharded(t, 80, 2, 2, false)
 	bin, err := s.AppendBinary(nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var js bytes.Buffer
-	if _, err := s.WriteTo(&js); err != nil {
 		t.Fatal(err)
 	}
 	// The manifest body as in TestShardedBinaryRejectsCorrupt: the tile
@@ -347,31 +333,25 @@ func TestShardedManifestFramingErrors(t *testing.T) {
 	// and the offset table at 70.
 	const tableOff = 12 + 32 + 8 + 8 + 2 + 8
 	cases := []struct {
-		name, encoding string
-		data           []byte
-		want           string
+		name string
+		data []byte
+		want string
 	}{
-		{"truncated manifest", "json", js.Bytes()[:js.Len()/2],
-			"shard: parse synopsis: unexpected end of JSON input"},
-		{"truncated manifest", "binary", bin[:len(bin)-8],
+		{"truncated manifest", bin[:len(bin)-8],
 			"shard: parse synopsis: codec: section length 4992 exceeds the 4984 bytes left (offset 144)"},
-		{"cut in the tile counts", "binary", bin[:tableOff-12],
+		{"cut in the tile counts", bin[:tableOff-12],
 			"shard: parse synopsis: codec: truncated: need 4 bytes, have 2 (offset 56)"},
-		{"cut in the shard count", "binary", bin[:tableOff-3],
+		{"cut in the shard count", bin[:tableOff-3],
 			"shard: parse synopsis: codec: truncated: need 8 bytes, have 5 (offset 62)"},
-		{"offset table cut short", "binary", bin[:tableOff+16+3],
+		{"offset table cut short", bin[:tableOff+16+3],
 			"shard: parse synopsis: codec: section length 4 exceeds the 19 bytes left (offset 70)"},
-		{"trailing byte", "binary", append(bytes.Clone(bin), 0),
+		{"trailing byte", append(bytes.Clone(bin), 0),
 			"shard: parse synopsis: codec: 1 trailing bytes after container body"},
 	}
 	for _, tc := range cases {
-		parse := ParseShardedBinary
-		if tc.encoding == "json" {
-			parse = ParseSharded
-		}
-		_, err := parse(tc.data)
+		_, err := ParseShardedBinary(tc.data)
 		if err == nil || err.Error() != tc.want {
-			t.Errorf("%s (%s): error %v, want %q", tc.name, tc.encoding, err, tc.want)
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -233,10 +233,10 @@ type Synopsis interface {
 // It is immutable once built, so queries may run from any number of
 // goroutines concurrently.
 type Sharded struct {
-	plan   Plan
-	eps    float64
-	format string // per-shard payload format tag (an embeddable kind's JSONFormat)
-	tiles  []Synopsis
+	plan     Plan
+	eps      float64
+	tileKind codec.Kind // the kind of every per-shard payload (an embeddable kind)
+	tiles    []Synopsis
 }
 
 // Assemble constructs a sharded release from pre-built per-tile
@@ -281,7 +281,7 @@ func Assemble(plan Plan, eps float64, tiles []Synopsis) (*Sharded, error) {
 			return nil, fmt.Errorf("shard: tile %d: epsilon %g != release epsilon %g", i, tile.Epsilon(), eps)
 		}
 	}
-	return &Sharded{plan: plan, eps: eps, format: reg.JSONFormat, tiles: append([]Synopsis(nil), tiles...)}, nil
+	return &Sharded{plan: plan, eps: eps, tileKind: reg.Kind, tiles: append([]Synopsis(nil), tiles...)}, nil
 }
 
 // BuildUniform builds one UG synopsis per tile of plan, each under the
@@ -289,7 +289,7 @@ func Assemble(plan Plan, eps float64, tiles []Synopsis) (*Sharded, error) {
 // partitioned into per-tile blocks in memory; nothing spills to disk.
 func BuildUniform(points []geom.Point, plan Plan, eps float64, grid core.UGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerUGOptions(plan, grid, opts)
-	return buildSpill(geom.SlicePoints(points), plan, noSpill, opts, core.FormatUG, src,
+	return buildSpill(geom.SlicePoints(points), plan, noSpill, opts, codec.KindUniform, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildUniformGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -303,7 +303,7 @@ func BuildUniform(points []geom.Point, plan Plan, eps float64, grid core.UGOptio
 // bit-identical to BuildUniform's for the same seed and plan.
 func BuildUniformSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.UGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerUGOptions(plan, grid, opts)
-	return buildSpill(seq, plan, opts.MaxBufferedPoints, opts, core.FormatUG, src,
+	return buildSpill(seq, plan, opts.MaxBufferedPoints, opts, codec.KindUniform, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildUniformGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -317,7 +317,7 @@ func BuildUniformSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.UGOpti
 // the points are partitioned in memory and nothing spills to disk.
 func BuildAdaptive(points []geom.Point, plan Plan, eps float64, grid core.AGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerAGOptions(plan, grid, opts)
-	return buildSpill(geom.SlicePoints(points), plan, noSpill, opts, core.FormatAG, src,
+	return buildSpill(geom.SlicePoints(points), plan, noSpill, opts, codec.KindAdaptive, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildAdaptiveGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -333,7 +333,7 @@ func BuildAdaptive(points []geom.Point, plan Plan, eps float64, grid core.AGOpti
 // most that build's gather cap of points.
 func BuildAdaptiveSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.AGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerAGOptions(plan, grid, opts)
-	return buildSpill(seq, plan, opts.MaxBufferedPoints, opts, core.FormatAG, src,
+	return buildSpill(seq, plan, opts.MaxBufferedPoints, opts, codec.KindAdaptive, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildAdaptiveGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -368,14 +368,14 @@ func innerUGOptions(plan Plan, grid core.UGOptions, opts Options) core.UGOptions
 // one scan of the source routes every point into its tile's spool
 // (see partitionSpill, with memBudget its spill budget), then the
 // shared fan-out builds per-shard synopses from the spools.
-func buildSpill(seq geom.PointSeq, plan Plan, memBudget int, opts Options, format string, src noise.Source,
+func buildSpill(seq geom.PointSeq, plan Plan, memBudget int, opts Options, tileKind codec.Kind, src noise.Source,
 	mk func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error), eps float64) (*Sharded, error) {
 	sp, err := partitionSpill(seq, plan, memBudget)
 	if err != nil {
 		return nil, err
 	}
 	defer sp.Close()
-	return build(plan, eps, opts, src, format,
+	return build(plan, eps, opts, src, tileKind,
 		func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error) {
 			return mk(tile, sp.tileSeq(i), shardSrc)
 		})
@@ -385,7 +385,7 @@ func buildSpill(seq geom.PointSeq, plan Plan, memBudget int, opts Options, forma
 // noise sub-stream per shard and runs mk for every tile across the
 // worker pool. mk must build tile i's synopsis from shardSrc alone so
 // the result is independent of scheduling.
-func build(plan Plan, eps float64, opts Options, src noise.Source, format string,
+func build(plan Plan, eps float64, opts Options, src noise.Source, tileKind codec.Kind,
 	mk func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error)) (*Sharded, error) {
 	if err := plan.validate(); err != nil {
 		return nil, err
@@ -433,7 +433,7 @@ func build(plan Plan, eps float64, opts Options, src noise.Source, format string
 			return nil, fmt.Errorf("shard: tile %d: %w", i, err)
 		}
 	}
-	return &Sharded{plan: plan, eps: eps, format: format, tiles: tiles}, nil
+	return &Sharded{plan: plan, eps: eps, tileKind: tileKind, tiles: tiles}, nil
 }
 
 // QueryStats reports the routing observations of a single query — the
@@ -533,9 +533,9 @@ func (s *Sharded) NumShards() int { return len(s.tiles) }
 // out-of-range index, mirroring slice semantics.
 func (s *Sharded) Shard(i int) Synopsis { return s.tiles[i] }
 
-// ShardFormat returns the serialization format tag of the per-shard
-// payloads (the embedded kind's JSON format, e.g. core.FormatUG).
-func (s *Sharded) ShardFormat() string { return s.format }
+// TileKind returns the container kind of the per-shard payloads (e.g.
+// codec.KindAdaptive).
+func (s *Sharded) TileKind() codec.Kind { return s.tileKind }
 
 // Epsilon returns the privacy budget of the release. By parallel
 // composition over disjoint tiles this is both the per-shard and the

@@ -3,11 +3,12 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
@@ -318,16 +319,16 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if _, err := orig.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := ParseSharded(buf.Bytes())
+			data, err := orig.AppendBinary(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !loaded.Plan().Equal(orig.Plan()) {
-				t.Fatal("round trip changed the plan")
+			loaded, err := ParseShardedBinary(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !loaded.Plan().Equal(orig.Plan()) || loaded.TileKind() != orig.TileKind() {
+				t.Fatal("round trip changed the plan or the tile kind")
 			}
 			if loaded.Epsilon() != orig.Epsilon() {
 				t.Fatalf("round trip changed epsilon: %g vs %g", loaded.Epsilon(), orig.Epsilon())
@@ -381,6 +382,37 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// rawManifest hand-assembles a version-2 sharded manifest around the
+// given tile containers, so tests can plant values AppendBinary would
+// never emit.
+func rawManifest(dom [4]float64, eps float64, kx, ky uint32, kind codec.Kind, tiles ...[]byte) []byte {
+	var blob []byte
+	var offsets []uint64
+	for _, tile := range tiles {
+		for len(blob)%8 != 0 {
+			blob = append(blob, 0)
+		}
+		offsets = append(offsets, uint64(len(blob)), uint64(len(tile)))
+		blob = append(blob, tile...)
+	}
+	e := codec.NewEnc(nil, codec.KindSharded)
+	for _, v := range dom {
+		e.F64(v)
+	}
+	e.F64(eps)
+	e.U32(kx)
+	e.U32(ky)
+	e.U16(uint16(kind))
+	e.U64(uint64(len(tiles)))
+	for _, v := range offsets {
+		e.U64(v)
+	}
+	e.Align()
+	e.U64(uint64(len(blob)))
+	e.Raw(blob)
+	return e.Bytes()
+}
+
 // TestParseShardedRejectsCorrupt exercises the manifest validation
 // paths one by one.
 func TestParseShardedRejectsCorrupt(t *testing.T) {
@@ -393,59 +425,52 @@ func TestParseShardedRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
+	var tiles [][]byte
+	for i := 0; i < s.NumShards(); i++ {
+		tile, err := s.Shard(i).(binaryAppender).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiles = append(tiles, tile)
+	}
+	agTile, err := core.BuildAdaptiveGrid(nil, plan.Tile(0), 1, core.AGOptions{M1: 1}, noise.Zero)
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.String()
+	agBin, err := agTile.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := [4]float64{0, 0, 20, 20}
+	valid := rawManifest(box, 1, 2, 1, codec.KindUniform, tiles...)
+	if _, err := ParseShardedBinary(valid); err != nil {
+		t.Fatalf("valid manifest rejected: %v", err)
+	}
+	future := bytes.Clone(valid)
+	binary.LittleEndian.PutUint16(future[len(codec.Magic):], 99)
 
-	cases := map[string]string{
+	cases := map[string][]byte{
 		"truncated":          valid[:len(valid)/2],
-		"not json":           "junk",
-		"wrong format":       `{"format":"dpgrid/uniform-grid","version":1}`,
-		"bad version":        `{"format":"dpgrid/sharded","version":99,"domain":[0,0,20,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"bad domain":         `{"format":"dpgrid/sharded","version":1,"domain":[5,0,0,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"bad epsilon":        `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":-1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"bad plan":           `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":0,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"bad shard format":   `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/what","shards":[]}`,
-		"shard count":        `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":2,"ky":2,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"shard not a syn":    `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"nope":true}]}`,
-		"huge tile counts":   `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":99999,"ky":99999,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"shard fmt mismatch": `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"format":"dpgrid/adaptive-grid","version":1}]}`,
+		"not json":           []byte("junk"),
+		"wrong format":       tiles[0],
+		"bad version":        future,
+		"bad domain":         rawManifest([4]float64{5, 0, 0, 20}, 1, 2, 1, codec.KindUniform, tiles...),
+		"bad epsilon":        rawManifest(box, -1, 2, 1, codec.KindUniform, tiles...),
+		"bad plan":           rawManifest(box, 1, 0, 1, codec.KindUniform),
+		"bad shard format":   rawManifest(box, 1, 2, 1, codec.KindSharded, valid, valid),
+		"shard count":        rawManifest(box, 1, 2, 2, codec.KindUniform, tiles...),
+		"shard not a syn":    rawManifest(box, 1, 2, 1, codec.KindUniform, []byte("nope"), tiles[1]),
+		"huge tile counts":   rawManifest(box, 1, 99999, 99999, codec.KindUniform, tiles...),
+		"shard fmt mismatch": rawManifest(box, 1, 2, 1, codec.KindUniform, agBin, tiles[1]),
+		// A shard payload that parses but covers the wrong tile.
+		"swapped tiles": rawManifest(box, 1, 2, 1, codec.KindUniform, tiles[1], tiles[0]),
+		// Epsilon mismatch between manifest and shard payload.
+		"epsilon mismatch": rawManifest(box, 2, 2, 1, codec.KindUniform, tiles...),
 	}
 	for name, data := range cases {
-		if _, err := ParseSharded([]byte(data)); err == nil {
+		if _, err := ParseShardedBinary(data); err == nil {
 			t.Errorf("%s: corrupt manifest accepted", name)
 		}
-	}
-
-	// A shard payload that parses but covers the wrong tile must be
-	// rejected: swap the two tiles' payloads.
-	var f map[string]any
-	if err := json.Unmarshal([]byte(valid), &f); err != nil {
-		t.Fatal(err)
-	}
-	shards := f["shards"].([]any)
-	shards[0], shards[1] = shards[1], shards[0]
-	swapped, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseSharded(swapped); err == nil {
-		t.Error("manifest with swapped tile payloads accepted")
-	}
-
-	// Epsilon mismatch between manifest and shard payload.
-	if err := json.Unmarshal([]byte(valid), &f); err != nil {
-		t.Fatal(err)
-	}
-	f["epsilon"] = 2.0
-	mismatched, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseSharded(mismatched); err == nil {
-		t.Error("manifest/shard epsilon mismatch accepted")
 	}
 }
 

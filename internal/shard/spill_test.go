@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/geom/geomtest"
@@ -61,7 +62,7 @@ func shardedBytes(t *testing.T, s *Sharded) []byte {
 // checked against: a serial TileIndex loop into one slice per tile, fed
 // to the shared fan-out, so the partition under test is never compared
 // with itself.
-func buildBuckets(pts []geom.Point, plan Plan, eps float64, format string, src noise.Source,
+func buildBuckets(pts []geom.Point, plan Plan, eps float64, tileKind codec.Kind, src noise.Source,
 	mk func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error)) (*Sharded, error) {
 	buckets := make([][]geom.Point, plan.NumTiles())
 	for _, p := range pts {
@@ -69,21 +70,21 @@ func buildBuckets(pts []geom.Point, plan Plan, eps float64, format string, src n
 			buckets[i] = append(buckets[i], p)
 		}
 	}
-	return build(plan, eps, Options{}, src, format,
+	return build(plan, eps, Options{}, src, tileKind,
 		func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error) {
 			return mk(tile, geom.SlicePoints(buckets[i]), shardSrc)
 		})
 }
 
 func bucketsUniform(pts []geom.Point, plan Plan, eps float64, opts core.UGOptions, src noise.Source) (*Sharded, error) {
-	return buildBuckets(pts, plan, eps, core.FormatUG, src,
+	return buildBuckets(pts, plan, eps, codec.KindUniform, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildUniformGridSeq(seq, tile, eps, opts, shardSrc)
 		})
 }
 
 func bucketsAdaptive(pts []geom.Point, plan Plan, eps float64, opts core.AGOptions, src noise.Source) (*Sharded, error) {
-	return buildBuckets(pts, plan, eps, core.FormatAG, src,
+	return buildBuckets(pts, plan, eps, codec.KindAdaptive, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildAdaptiveGridSeq(seq, tile, eps, opts, shardSrc)
 		})

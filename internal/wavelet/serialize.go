@@ -11,9 +11,9 @@ import (
 
 // Serialization of Privlet synopses. The wavelet transform is a build-
 // time device: the released synopsis is just the reconstructed noisy
-// m x m grid, so both encodings persist its prefix-sum table — the
-// in-memory query structure — for bit-identical round trips (the AG
-// copy-only decode pattern). The padded transform size is derived from
+// m x m grid, so the container and the JSON dump persist its prefix-sum
+// table — the in-memory query structure — for bit-identical round trips
+// (the AG copy-only decode pattern). The padded transform size is derived from
 // m on load, not stored.
 //
 // Binary layout (after the codec container header; little endian):
@@ -36,9 +36,6 @@ func init() {
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParsePrivletBinary(data)
 		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParsePrivlet(data)
-		},
 		Tile: true,
 	})
 }
@@ -57,7 +54,7 @@ func (w *Privlet) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// privletFile is the on-disk JSON form.
+// privletFile is the JSON dump's form.
 type privletFile struct {
 	codec.Head
 	GridSize int       `json:"grid_size"`
@@ -121,30 +118,6 @@ func ParsePrivletBinary(data []byte) (*Privlet, error) {
 		eps:    eps,
 		m:      m,
 		padded: nextPow2(m),
-		prefix: prefix,
-	}, nil
-}
-
-// ParsePrivlet deserializes a JSON Privlet synopsis, validating all
-// structural invariants.
-func ParsePrivlet(data []byte) (*Privlet, error) {
-	var f privletFile
-	dom, err := codec.DecodeJSONHead("wavelet", data, &f, FormatPrivlet, serializeVersion)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkGridSize(f.GridSize); err != nil {
-		return nil, err
-	}
-	prefix, err := grid.PrefixFromSums(dom, f.GridSize, f.GridSize, f.Sums)
-	if err != nil {
-		return nil, fmt.Errorf("wavelet: %w", err)
-	}
-	return &Privlet{
-		dom:    dom,
-		eps:    f.Epsilon,
-		m:      f.GridSize,
-		padded: nextPow2(f.GridSize),
 		prefix: prefix,
 	}, nil
 }

@@ -2,6 +2,8 @@ package wavelet
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -58,22 +60,30 @@ func TestPrivletBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrivletJSONRoundTrip: the JSON dump, read back with
+// encoding/json, carries the release — its header and prefix sums bit
+// for bit.
 func TestPrivletJSONRoundTrip(t *testing.T) {
 	w := buildTestPrivlet(t)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParsePrivlet(buf.Bytes())
-	if err != nil {
+	var f privletFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	var re bytes.Buffer
-	if _, err := got.WriteTo(&re); err != nil {
-		t.Fatal(err)
+	if f.Head != codec.NewHead(FormatPrivlet, serializeVersion, w.Domain(), w.Epsilon()) || f.GridSize != w.m {
+		t.Errorf("dump header %+v grid %d, want grid %d", f.Head, f.GridSize, w.m)
 	}
-	if !bytes.Equal(buf.Bytes(), re.Bytes()) {
-		t.Fatal("JSON round trip not byte-identical")
+	want := w.prefix.Sums()
+	if len(f.Sums) != len(want) {
+		t.Fatalf("dump holds %d sums, want %d", len(f.Sums), len(want))
+	}
+	for i, v := range want {
+		if math.Float64bits(f.Sums[i]) != math.Float64bits(v) {
+			t.Fatalf("sum %d: dump %v, synopsis %v", i, f.Sums[i], v)
+		}
 	}
 }
 

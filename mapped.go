@@ -1,6 +1,7 @@
 package dpgrid
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -39,7 +40,7 @@ var ErrSynopsisClosed = errors.New("dpgrid: synopsis closed")
 // with any close-during-use).
 type MappedSynopsis struct {
 	inner  Synopsis
-	file   *mmapfile.File // nil when the reader did not retain the file image
+	file   *mmapfile.File
 	closed atomic.Bool
 }
 
@@ -51,11 +52,11 @@ type MappedSynopsis struct {
 func (m *MappedSynopsis) Unwrap() Synopsis { return m.inner }
 
 // MappedBytes returns the size of the memory-mapped file image backing
-// the synopsis, or 0 when the load did not map (JSON files, platforms
-// or builds without mmap). It is the per-synopsis term of dpserve's
+// the synopsis, or 0 when the load did not map (platforms or builds
+// without mmap, or after Close). It is the per-synopsis term of dpserve's
 // mapped-bytes gauge.
 func (m *MappedSynopsis) MappedBytes() int64 {
-	if m.file == nil || !m.file.Mapped() {
+	if !m.file.Mapped() {
 		return 0
 	}
 	return int64(m.file.Len())
@@ -73,9 +74,6 @@ func (m *MappedSynopsis) SATBacked() bool {
 // contract; Close is idempotent.
 func (m *MappedSynopsis) Close() error {
 	m.closed.Store(true)
-	if m.file == nil {
-		return nil
-	}
 	return m.file.Close()
 }
 
@@ -99,19 +97,22 @@ func (m *MappedSynopsis) QueryStatsCtx(ctx context.Context, r Rect) (float64, Sh
 	return QueryStatsCtx(ctx, m.inner, r)
 }
 
+// errJSONDump is what every loader returns for a JSON synopsis file.
+var errJSONDump = errors.New("dpgrid: JSON synopsis files are a write-only dump; load the binary release (-format binary)")
+
 // LoadSynopsis decodes a synopsis from bytes the caller already holds
-// (a file read, an upload), sniffing the encoding like ReadSynopsis. A
-// binary container decodes in place: on little-endian hosts its float
-// sections become the synopsis's tables without a copy (see
-// internal/codec), so loading costs descriptors instead of a heap copy
-// of every grid. The result may retain data: the caller must not
-// modify it afterwards.
+// (a file read, an upload). Only a dpgridv2 container loads; a JSON
+// dump gets an error that says what it is. The container decodes in
+// place: on little-endian hosts its float sections become the
+// synopsis's tables without a copy (see internal/codec), so loading
+// costs descriptors instead of a heap copy of every grid. The result
+// may retain data: the caller must not modify it afterwards.
 func LoadSynopsis(data []byte) (Synopsis, error) {
-	if !codec.Detect(data) {
-		return readSynopsisJSON(data)
-	}
 	_, kind, err := codec.NewDec(data)
 	if err != nil {
+		if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
+			return nil, errJSONDump
+		}
 		return nil, fmt.Errorf("dpgrid: %w", err)
 	}
 	// NewDec already rejected unregistered kinds (with the corrupt-vs-
@@ -141,10 +142,9 @@ func ReadSynopsisFileLazy(path string) (Synopsis, error) { return LoadSynopsisFi
 // memory-mapped backing: the file image is mmap'd (read-only, private;
 // see internal/mmapfile) and decoded exactly as LoadSynopsis decodes
 // bytes, so the decoded tables answer queries straight from the mapped
-// pages. A JSON file's decode copies everything it needs, so its
-// mapping is released after the load. On platforms (or builds) where
-// mmap is unavailable the file is read into memory and everything else
-// behaves identically, with MappedBytes reporting 0.
+// pages. On platforms (or builds) where mmap is unavailable the file is
+// read into memory and everything else behaves identically, with
+// MappedBytes reporting 0.
 //
 // The returned synopsis must be kept open for as long as queries may
 // run; see MappedSynopsis for the Close contract.
@@ -157,12 +157,6 @@ func MapSynopsisFile(path string) (*MappedSynopsis, error) {
 	if err != nil {
 		f.Close()
 		return nil, err
-	}
-	if !codec.Detect(f.Data()) {
-		// Holding the mapping (or fallback heap) of a JSON file behind a
-		// synopsis that copied what it needed would be pure waste.
-		f.Close()
-		f = nil
 	}
 	return &MappedSynopsis{inner: syn, file: f}, nil
 }

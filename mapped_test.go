@@ -25,19 +25,15 @@ var mappedTestRects = []Rect{
 	NewRect(0.1, 17.3, 4.4, 19.9),
 }
 
-// writeMappedTestFiles writes every valid synopsis in both encodings
-// under a temp dir, returning name -> path for the given format.
-func writeMappedTestFiles(t *testing.T, format string) map[string]string {
+// writeMappedTestFiles writes every valid synopsis under a temp dir,
+// returning name -> path.
+func writeMappedTestFiles(t *testing.T) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
-	ext := ".json"
-	if format == FormatBinary {
-		ext = ".dpgrid"
-	}
 	paths := make(map[string]string)
 	for name, s := range validSynopses(t) {
-		p := filepath.Join(dir, name+ext)
-		if err := WriteSynopsisFileFormat(p, s, format); err != nil {
+		p := filepath.Join(dir, name+".dpgrid")
+		if err := WriteSynopsisFile(p, s); err != nil {
 			t.Fatal(err)
 		}
 		paths[name] = p
@@ -58,46 +54,44 @@ func mmapAvailable(t *testing.T, path string) bool {
 	return f.Mapped()
 }
 
-// TestMapSynopsisFileEquivalence: for every kind in both encodings, a
-// mapped load and a serving load of the file read onto the heap answer
-// the query battery bit-identically to ReadSynopsisFile.
+// TestMapSynopsisFileEquivalence: for every kind, a mapped load and a
+// serving load of the file read onto the heap answer the query battery
+// bit-identically to ReadSynopsisFile.
 func TestMapSynopsisFileEquivalence(t *testing.T) {
-	for _, format := range []string{FormatBinary, FormatJSON} {
-		for name, path := range writeMappedTestFiles(t, format) {
-			mapped, err := MapSynopsisFile(path)
-			if err != nil {
-				t.Fatalf("%s (%s): MapSynopsisFile: %v", name, format, err)
+	for name, path := range writeMappedTestFiles(t) {
+		mapped, err := MapSynopsisFile(path)
+		if err != nil {
+			t.Fatalf("%s: MapSynopsisFile: %v", name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap, err := LoadSynopsis(data)
+		if err != nil {
+			t.Fatalf("%s: LoadSynopsis: %v", name, err)
+		}
+		plain, err := ReadSynopsisFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range mappedTestRects {
+			a, h, b := mapped.Query(r), heap.Query(r), plain.Query(r)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%s: Query(%v): mapped %v, read %v", name, r, a, b)
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			heap, err := LoadSynopsis(data)
-			if err != nil {
-				t.Fatalf("%s (%s): LoadSynopsis: %v", name, format, err)
-			}
-			plain, err := ReadSynopsisFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range mappedTestRects {
-				a, h, b := mapped.Query(r), heap.Query(r), plain.Query(r)
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Errorf("%s (%s): Query(%v): mapped %v, read %v", name, format, r, a, b)
-				}
-				if math.Float64bits(h) != math.Float64bits(b) {
-					t.Errorf("%s (%s): Query(%v): heap bytes %v, read %v", name, format, r, h, b)
-				}
+			if math.Float64bits(h) != math.Float64bits(b) {
+				t.Errorf("%s: Query(%v): heap bytes %v, read %v", name, r, h, b)
 			}
 		}
 	}
 }
 
-// TestMappedBytesAccounting: binary loads, whose decoded tables alias
-// the file, report the file size (when the build actually maps); JSON
-// loads always copy and report 0.
+// TestMappedBytesAccounting: mapped loads, whose decoded tables alias
+// the file, report the file size (when the build actually maps), and 0
+// once closed.
 func TestMappedBytesAccounting(t *testing.T) {
-	for name, path := range writeMappedTestFiles(t, FormatBinary) {
+	for name, path := range writeMappedTestFiles(t) {
 		mapped, err := MapSynopsisFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -113,23 +107,17 @@ func TestMappedBytesAccounting(t *testing.T) {
 		if got := mapped.MappedBytes(); got != want {
 			t.Errorf("%s: MappedBytes = %d, want %d", name, got, want)
 		}
-	}
-	for name, path := range writeMappedTestFiles(t, FormatJSON) {
-		mapped, err := MapSynopsisFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mapped.Close()
 		if got := mapped.MappedBytes(); got != 0 {
-			t.Errorf("%s (json): MappedBytes = %d, want 0", name, got)
+			t.Errorf("%s: MappedBytes after Close = %d, want 0", name, got)
 		}
 	}
 }
 
 // TestMappedSATBacked: mapped UG/AG releases and all-SAT sharded mosaics
-// report the fast path; JSON loads (rebuilt prefixes, no stored SAT) do
-// not need to — but must answer identically regardless (covered above).
+// report the fast path.
 func TestMappedSATBacked(t *testing.T) {
-	binPaths := writeMappedTestFiles(t, FormatBinary)
+	binPaths := writeMappedTestFiles(t)
 	for _, name := range []string{"ug", "ag", "sharded"} {
 		mapped, err := MapSynopsisFile(binPaths[name])
 		if err != nil {
@@ -146,7 +134,7 @@ func TestMappedSATBacked(t *testing.T) {
 // explanatory message instead of faulting on unmapped memory. Close is
 // idempotent.
 func TestMappedSynopsisClose(t *testing.T) {
-	path := writeMappedTestFiles(t, FormatBinary)["ug"]
+	path := writeMappedTestFiles(t)["ug"]
 	mapped, err := MapSynopsisFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +164,7 @@ func TestMappedSynopsisClose(t *testing.T) {
 // against a mapped sharded release must be clean under -race, and every
 // answer must match a fresh single-threaded heap load.
 func TestMappedShardedConcurrentMaterialization(t *testing.T) {
-	path := writeMappedTestFiles(t, FormatBinary)["sharded"]
+	path := writeMappedTestFiles(t)["sharded"]
 	mapped, err := MapSynopsisFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +204,7 @@ func TestMappedShardedConcurrentMaterialization(t *testing.T) {
 // load — before any query can touch a partially mapped structure — and
 // a missing file surfaces the open error.
 func TestMapSynopsisFileRejectsCorrupt(t *testing.T) {
-	for name, path := range writeMappedTestFiles(t, FormatBinary) {
+	for name, path := range writeMappedTestFiles(t) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -319,7 +307,7 @@ func TestLoadSynopsisAliasesSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSynopsisBinary(&buf, ug); err != nil {
+	if err := WriteSynopsis(&buf, ug); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

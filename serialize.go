@@ -6,21 +6,20 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/atomicfile"
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
 )
 
-// Synopsis files come in two on-disk encodings carrying the same
-// release (cell boundaries and noisy counts, the paper's definition —
-// so either file costs no privacy beyond the epsilon already spent):
+// A synopsis file holds one release (cell boundaries and noisy counts,
+// the paper's definition — so a file costs no privacy beyond the
+// epsilon already spent), in one of two encodings:
 //
-//   - FormatJSON: the original human-readable versioned JSON.
-//   - FormatBinary: the compact "dpgridv2" container — little-endian,
+//   - FormatBinary: the "dpgridv2" container — little-endian,
 //     length-prefixed float64 sections, and for sharded manifests a
-//     per-shard offset table that lets every tile be read in place.
-//
-// ReadSynopsis sniffs the encoding from the leading bytes (binary files
-// start with the "dpgridv2" magic, JSON files with '{'), so readers
-// never need to be told which they were given.
+//     per-shard offset table that lets every tile be read in place. It
+//     is the release format: the default that is written, and the only
+//     one that loads.
+//   - FormatJSON: a human-readable, versioned JSON dump of the same
+//     release. Nothing reads it back; the loaders reject it with an
+//     error that says so.
 const (
 	FormatJSON   = "json"
 	FormatBinary = "binary"
@@ -28,24 +27,13 @@ const (
 
 // WriteSynopsis serializes a released synopsis (any kind in the
 // registry, built or loaded — UniformGrid, AdaptiveGrid, Hierarchy,
-// KDTree, Privlet, Hist1D or Sharded) as versioned JSON. A
-// Sharded release serializes as a manifest embedding one per-shard
-// payload per tile.
-// For the compact binary encoding use WriteSynopsisBinary.
+// KDTree, Privlet, Hist1D or Sharded) as a dpgridv2 binary container,
+// which ReadSynopsis and LoadSynopsis load. A Sharded release
+// serializes as a manifest embedding one per-shard container per tile.
+// The container is decoded without parsing — on little-endian hosts
+// the decoded tables are its own aligned float sections (see
+// LoadSynopsis).
 func WriteSynopsis(w io.Writer, s Synopsis) error {
-	wt, ok := s.(io.WriterTo)
-	if !ok {
-		return fmt.Errorf("dpgrid: cannot serialize %T (no JSON encoding; every released synopsis type has one)", s)
-	}
-	_, err := wt.WriteTo(w)
-	return err
-}
-
-// WriteSynopsisBinary serializes a released synopsis as a dpgridv2
-// binary container: a fraction of the JSON size, and decoded without
-// parsing — on little-endian hosts the decoded tables are the
-// container's own aligned float sections (see LoadSynopsis).
-func WriteSynopsisBinary(w io.Writer, s Synopsis) error {
 	ba, ok := s.(interface {
 		AppendBinary(dst []byte) ([]byte, error)
 	})
@@ -60,6 +48,11 @@ func WriteSynopsisBinary(w io.Writer, s Synopsis) error {
 	return err
 }
 
+// WriteSynopsisBinary is WriteSynopsis.
+//
+// Deprecated: WriteSynopsis writes the binary container; use it.
+func WriteSynopsisBinary(w io.Writer, s Synopsis) error { return WriteSynopsis(w, s) }
+
 // SynopsisKind reports the short registered kind name of a released or
 // loaded synopsis (e.g. "adaptive-grid"); sharded releases append the
 // embedded tile kind, as in "sharded(adaptive-grid)". It returns "" for
@@ -71,32 +64,36 @@ func SynopsisKind(s Synopsis) string {
 		return ""
 	}
 	name := k.ContainerKind().String()
-	if sf, ok := s.(interface{ ShardFormat() string }); ok {
-		if reg, ok := codec.LookupJSONFormat(sf.ShardFormat()); ok {
-			name += "(" + reg.Name + ")"
-		}
+	if tk, ok := s.(interface{ TileKind() codec.Kind }); ok {
+		name += "(" + tk.TileKind().String() + ")"
 	}
 	return name
 }
 
-// WriteSynopsisFormat serializes s in the named format (FormatJSON or
-// FormatBinary) — the programmatic face of the CLI -format flag.
+// WriteSynopsisFormat serializes s in the named format (FormatBinary,
+// or FormatJSON for the write-only dump) — the programmatic face of the
+// CLI -format flag.
 func WriteSynopsisFormat(w io.Writer, s Synopsis, format string) error {
 	switch format {
 	case FormatJSON:
-		return WriteSynopsis(w, s)
+		wt, ok := s.(io.WriterTo)
+		if !ok {
+			return fmt.Errorf("dpgrid: cannot serialize %T (no JSON encoding; every released synopsis type has one)", s)
+		}
+		_, err := wt.WriteTo(w)
+		return err
 	case FormatBinary:
-		return WriteSynopsisBinary(w, s)
+		return WriteSynopsis(w, s)
 	default:
 		return fmt.Errorf("dpgrid: unknown synopsis file format %q (want %q or %q)", format, FormatJSON, FormatBinary)
 	}
 }
 
-// ReadSynopsis deserializes a synopsis written by WriteSynopsis or
-// WriteSynopsisBinary, sniffing the encoding from the leading bytes and
-// validating the file's structure. It is LoadSynopsis over a buffer of
-// its own: a binary synopsis may retain that buffer, which therefore
-// holds exactly the bytes read (no read-ahead slack outlives the call).
+// ReadSynopsis deserializes a synopsis written by WriteSynopsis,
+// validating the container's structure; a JSON dump is rejected. It is
+// LoadSynopsis over a buffer of its own: the synopsis may retain that
+// buffer, which therefore holds exactly the bytes read (no read-ahead
+// slack outlives the call).
 func ReadSynopsis(r io.Reader) (Synopsis, error) {
 	data, err := readAllExact(r)
 	if err != nil {
@@ -119,31 +116,19 @@ func readAllExact(r io.Reader) ([]byte, error) {
 	return data, nil
 }
 
-func readSynopsisJSON(data []byte) (Synopsis, error) {
-	env, err := core.ReadEnvelope(data)
-	if err != nil {
-		return nil, fmt.Errorf("dpgrid: %w", err)
-	}
-	reg, ok := codec.LookupJSONFormat(env.Format)
-	if !ok {
-		return nil, fmt.Errorf("dpgrid: unknown synopsis format %q", env.Format)
-	}
-	return reg.DecodeJSON(data)
-}
-
-// WriteSynopsisFile writes s to path with WriteSynopsis (JSON). The
+// WriteSynopsisFile writes s to path with WriteSynopsis (binary). The
 // write is atomic — it goes to a temporary file in the same directory
 // that is renamed over path only on success — so a failure (disk full,
 // encode error) never destroys an existing synopsis file a server may
 // be loading from. A fresh file gets the umask-governed default mode
 // (as os.Create would); overwriting preserves the existing file's mode.
 func WriteSynopsisFile(path string, s Synopsis) error {
-	return WriteSynopsisFileFormat(path, s, FormatJSON)
+	return WriteSynopsisFileFormat(path, s, FormatBinary)
 }
 
 // WriteSynopsisFileFormat is WriteSynopsisFile with an explicit
-// encoding (FormatJSON or FormatBinary), with the same atomicity
-// guarantees.
+// encoding (FormatBinary, or FormatJSON for the write-only dump), with
+// the same atomicity guarantees.
 func WriteSynopsisFileFormat(path string, s Synopsis, format string) error {
 	// Validate the format before touching the filesystem so a bad flag
 	// value cannot leave staging files behind.
@@ -164,6 +149,6 @@ func writeFileAtomic(path string, encode func(io.Writer) error) error {
 }
 
 // ReadSynopsisFile reads a synopsis previously written by
-// WriteSynopsisFile (or WriteSynopsis) from path, in either encoding.
-// It is LoadSynopsisFile.
+// WriteSynopsisFile (or WriteSynopsis) from path. It is
+// LoadSynopsisFile.
 func ReadSynopsisFile(path string) (Synopsis, error) { return LoadSynopsisFile(path) }

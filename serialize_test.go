@@ -2,6 +2,7 @@ package dpgrid
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"math"
 	"os"
@@ -72,10 +73,10 @@ func (stubSynopsis) Query(Rect) float64 { return 0 }
 func TestWriteSynopsisUnsupportedType(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSynopsis(&buf, stubSynopsis{}); err == nil {
-		t.Error("JSON serialization of an unregistered synopsis should fail")
-	}
-	if err := WriteSynopsisBinary(&buf, stubSynopsis{}); err == nil {
 		t.Error("binary serialization of an unregistered synopsis should fail")
+	}
+	if err := WriteSynopsisFormat(&buf, stubSynopsis{}, FormatJSON); err == nil {
+		t.Error("JSON serialization of an unregistered synopsis should fail")
 	}
 	if k := SynopsisKind(stubSynopsis{}); k != "" {
 		t.Errorf("SynopsisKind of an unregistered synopsis = %q, want \"\"", k)
@@ -135,7 +136,7 @@ func TestShardedSynopsisFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "mosaic.json")
+	path := filepath.Join(t.TempDir(), "mosaic.dpgrid")
 	if err := WriteSynopsisFile(path, orig); err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +200,12 @@ func validSynopses(t interface{ Fatal(...any) }) map[string]Synopsis {
 	}
 }
 
-// validSynopsisFiles serializes one release of each kind as JSON.
-func validSynopsisFiles(t interface{ Fatal(...any) }) map[string][]byte {
+// validJSONDumps serializes one release of each kind as a JSON dump.
+func validJSONDumps(t interface{ Fatal(...any) }) map[string][]byte {
 	out := make(map[string][]byte)
 	for name, s := range validSynopses(t) {
 		var buf bytes.Buffer
-		if err := WriteSynopsis(&buf, s); err != nil {
+		if err := WriteSynopsisFormat(&buf, s, FormatJSON); err != nil {
 			t.Fatal(err)
 		}
 		out[name] = buf.Bytes()
@@ -218,7 +219,7 @@ func validBinarySynopsisFiles(t interface{ Fatal(...any) }) map[string][]byte {
 	out := make(map[string][]byte)
 	for name, s := range validSynopses(t) {
 		var buf bytes.Buffer
-		if err := WriteSynopsisBinary(&buf, s); err != nil {
+		if err := WriteSynopsis(&buf, s); err != nil {
 			t.Fatal(err)
 		}
 		out[name] = buf.Bytes()
@@ -239,7 +240,7 @@ func satlessBinarySynopsisFiles(t testing.TB) map[string][]byte {
 	var offsets []uint64
 	for i := 0; i < sh.NumShards(); i++ {
 		var buf bytes.Buffer
-		if err := WriteSynopsisBinary(&buf, sh.Shard(i)); err != nil {
+		if err := WriteSynopsis(&buf, sh.Shard(i)); err != nil {
 			t.Fatal(err)
 		}
 		offsets = append(offsets, uint64(len(blob)))
@@ -265,10 +266,9 @@ func satlessBinarySynopsisFiles(t testing.TB) map[string][]byte {
 	return map[string][]byte{"ug": strip(valid["ug"]), "ag": strip(valid["ag"]), "sharded": e.Bytes()}
 }
 
-// overflowReleases are JSON releases whose sizes (2^32) wrap a 64-bit
-// square to 0: an AG m1, an AG m2, and UG dimensions. Decoders must
-// bound each axis before any product, or these demand tens of
-// gigabytes or index past an empty slice.
+// overflowReleases are JSON releases whose sizes (2^32) would wrap a
+// 64-bit square to 0: an AG m1, an AG m2, and UG dimensions. JSON does
+// not load, so they are rejected before any size is read.
 var overflowReleases = [][]byte{
 	[]byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":0.5,"m1":4294967296,"cells":[]}`),
 	[]byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":0.5,"m1":1,"cells":[{"m2":4294967296,"leaves":[]}]}`),
@@ -277,8 +277,10 @@ var overflowReleases = [][]byte{
 
 // TestReadSynopsisRejectsCorrupt: corrupt or truncated synopsis files
 // must return errors through ReadSynopsis — never panic, never load.
+// The JSON rows, hand-corrupted or truncated dumps, are rejected as
+// JSON; the binary rows reach the container decoders.
 func TestReadSynopsisRejectsCorrupt(t *testing.T) {
-	valid := validSynopsisFiles(t)
+	valid := validJSONDumps(t)
 	cases := []struct {
 		name string
 		data []byte
@@ -342,12 +344,7 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 			}
 		})
 	}
-	// Sanity: the valid files all load, in both encodings.
-	for name, data := range valid {
-		if _, err := ReadSynopsis(bytes.NewReader(data)); err != nil {
-			t.Errorf("valid %s file rejected: %v", name, err)
-		}
-	}
+	// Sanity: the valid containers all load.
 	for name, data := range validBin {
 		if _, err := ReadSynopsis(bytes.NewReader(data)); err != nil {
 			t.Errorf("valid binary %s file rejected: %v", name, err)
@@ -360,13 +357,14 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 // through — must never panic and must either return a queryable
 // synopsis or an error, no matter the bytes; they must agree on
 // acceptance and answer bit-identically. The seed corpus covers every
-// format in both encodings, SAT-less containers (the prefix-rebuild
-// path), plus truncated and bit-flipped variants of the dpgridv2
-// containers and hand-corrupted JSON. The committed corpus under
-// testdata/fuzz holds version-1 containers (unaligned sections) and
-// version-2 UG, AG and sharded ones, one with nonzero padding.
+// kind's container and JSON dump (which both must reject), SAT-less
+// containers (the prefix-rebuild path), plus truncated and bit-flipped
+// variants of the dpgridv2 containers and hand-corrupted JSON. The
+// committed corpus under testdata/fuzz holds version-1 containers
+// (unaligned sections) and version-2 UG, AG and sharded ones, one with
+// nonzero padding.
 func FuzzReadSynopsis(f *testing.F) {
-	valid := validSynopsisFiles(f)
+	valid := validJSONDumps(f)
 	for _, data := range valid {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
@@ -415,13 +413,52 @@ func FuzzReadSynopsis(f *testing.F) {
 	})
 }
 
+// TestJSONDumpsDoNotLoad: every JSON dump — the committed golden of
+// each kind and a hand-written sharded manifest — is rejected by every
+// loader with the one error that says what it is.
+func TestJSONDumpsDoNotLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(goldenKinds)+1 {
+		t.Fatalf("found %d JSON dumps under testdata, want %d: %v", len(paths), len(goldenKinds)+1, paths)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaders := map[string]func() (Synopsis, error){
+			"ReadSynopsis": func() (Synopsis, error) { return ReadSynopsis(bytes.NewReader(data)) },
+			"LoadSynopsis": func() (Synopsis, error) { return LoadSynopsis(data) },
+			"LoadSynopsis, indented": func() (Synopsis, error) {
+				return LoadSynopsis(append([]byte(" \n\t"), data...))
+			},
+			"LoadSynopsisFile": func() (Synopsis, error) { return LoadSynopsisFile(path) },
+			"MapSynopsisFile": func() (Synopsis, error) {
+				m, err := MapSynopsisFile(path)
+				if err != nil {
+					return nil, err
+				}
+				return m, nil
+			},
+		}
+		for name, load := range loaders {
+			if syn, err := load(); !errors.Is(err, errJSONDump) {
+				t.Errorf("%s: %s = %T, %v; want %q", path, name, syn, err, errJSONDump)
+			}
+		}
+	}
+}
+
 // TestWriteReadSynopsisBinary: every kind round-trips through
-// WriteSynopsisBinary/ReadSynopsis bit-identically — the re-encoded
+// WriteSynopsis/ReadSynopsis bit-identically — the re-encoded
 // container equals the original byte for byte.
 func TestWriteReadSynopsisBinary(t *testing.T) {
 	for name, s := range validSynopses(t) {
 		var buf bytes.Buffer
-		if err := WriteSynopsisBinary(&buf, s); err != nil {
+		if err := WriteSynopsis(&buf, s); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		data := bytes.Clone(buf.Bytes())
@@ -430,7 +467,7 @@ func TestWriteReadSynopsisBinary(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var again bytes.Buffer
-		if err := WriteSynopsisBinary(&again, loaded); err != nil {
+		if err := WriteSynopsis(&again, loaded); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Equal(data, again.Bytes()) {
@@ -447,8 +484,8 @@ func TestWriteReadSynopsisBinary(t *testing.T) {
 // TestReadSynopsisLazySharded: the serving loader — and
 // ReadSynopsisFileLazy, its deprecated name — decodes a binary manifest
 // into a *Sharded whose tiles alias the bytes, which re-encodes to the
-// same bytes and serializes back to JSON; every other kind decodes to
-// its ordinary type too.
+// same bytes and writes the built release's JSON dump; every other kind
+// decodes to its ordinary type too.
 func TestReadSynopsisLazySharded(t *testing.T) {
 	data := validBinarySynopsisFiles(t)["sharded"]
 	path := filepath.Join(t.TempDir(), "sharded.dpgrid")
@@ -474,18 +511,18 @@ func TestReadSynopsisLazySharded(t *testing.T) {
 		t.Error("served sharded release not SATBacked")
 	}
 	var bin bytes.Buffer
-	if err := WriteSynopsisBinary(&bin, sh); err != nil {
+	if err := WriteSynopsis(&bin, sh); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bin.Bytes(), data) {
 		t.Error("served release re-encode changed bytes")
 	}
 	var asJSON bytes.Buffer
-	if err := WriteSynopsis(&asJSON, sh); err != nil {
+	if err := WriteSynopsisFormat(&asJSON, sh, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSynopsis(&asJSON); err != nil {
-		t.Fatalf("JSON written from a served release does not load: %v", err)
+	if !bytes.Equal(asJSON.Bytes(), validJSONDumps(t)["sharded"]) {
+		t.Error("served release's JSON dump differs from the built release's")
 	}
 	hier := validBinarySynopsisFiles(t)["hierarchy"]
 	loaded, err = LoadSynopsis(hier)
@@ -525,14 +562,14 @@ func TestLoadSynopsisSATLessFallback(t *testing.T) {
 // its tables aliasing heap or mapped bytes — writes the same JSON as
 // ReadSynopsisFile's release of the same file, byte for byte.
 func TestServedSynopsisJSONMatchesRead(t *testing.T) {
-	paths := writeMappedTestFiles(t, FormatBinary)
+	paths := writeMappedTestFiles(t)
 	for _, name := range []string{"ug", "ag", "sharded"} {
 		read, err := ReadSynopsisFile(paths[name])
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want bytes.Buffer
-		if err := WriteSynopsis(&want, read); err != nil {
+		if err := WriteSynopsisFormat(&want, read, FormatJSON); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := LoadSynopsisFile(paths[name])
@@ -545,7 +582,7 @@ func TestServedSynopsisJSONMatchesRead(t *testing.T) {
 		}
 		for loader, syn := range map[string]Synopsis{"LoadSynopsisFile": loaded, "MapSynopsisFile": mapped.Unwrap()} {
 			var got bytes.Buffer
-			if err := WriteSynopsis(&got, syn); err != nil {
+			if err := WriteSynopsisFormat(&got, syn, FormatJSON); err != nil {
 				t.Errorf("%s via %s: %v", name, loader, err)
 				continue
 			}
@@ -572,10 +609,10 @@ func TestBinaryManifestSmallerThanJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var jsonBuf, binBuf bytes.Buffer
-	if err := WriteSynopsis(&jsonBuf, sh); err != nil {
+	if err := WriteSynopsisFormat(&jsonBuf, sh, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSynopsisBinary(&binBuf, sh); err != nil {
+	if err := WriteSynopsis(&binBuf, sh); err != nil {
 		t.Fatal(err)
 	}
 	if binBuf.Len() >= jsonBuf.Len() {
@@ -600,43 +637,52 @@ var goldenRects = []Rect{
 	NewRect(9, 9, 11, 11),
 }
 
-// TestGoldenFiles pins the on-disk formats: the committed files must
-// load, answer consistently across encodings, and — for the binary
-// containers — re-encode bit-identically. A format change that breaks
-// files already in the field fails here first.
+// TestGoldenFiles pins the on-disk formats: the committed containers
+// must load and re-encode bit-identically, and every one of them —
+// version 2 and the version-1 files in testdata/v1 alike — must write
+// exactly the committed JSON dump of its kind, which pins the JSON
+// encoder. A format change that breaks files already in the field
+// fails here first.
 func TestGoldenFiles(t *testing.T) {
 	if *update {
 		for name, s := range validSynopses(t) {
 			if err := WriteSynopsisFileFormat(filepath.Join("testdata", "golden."+name+".json"), s, FormatJSON); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteSynopsisFileFormat(filepath.Join("testdata", "golden."+name+".dpgrid"), s, FormatBinary); err != nil {
+			if err := WriteSynopsisFile(filepath.Join("testdata", "golden."+name+".dpgrid"), s); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for _, name := range goldenKinds {
 		binPath := filepath.Join("testdata", "golden."+name+".dpgrid")
-		fromJSON, err := ReadSynopsisFile(filepath.Join("testdata", "golden."+name+".json"))
-		if err != nil {
-			t.Fatalf("%s: %v (run `go test -run TestGoldenFiles -update .` if the format changed intentionally)", name, err)
-		}
-		fromBin, err := ReadSynopsisFile(binPath)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, r := range goldenRects {
-			a, b := fromJSON.Query(r), fromBin.Query(r)
-			if diff := a - b; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("%s: Query(%v): JSON %g, binary %g", name, r, a, b)
-			}
-		}
 		golden, err := os.ReadFile(binPath)
 		if err != nil {
 			t.Fatal(err)
 		}
+		goldenJSON, err := os.ReadFile(filepath.Join("testdata", "golden."+name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{binPath, filepath.Join("testdata", "v1", "golden."+name+".dpgrid")} {
+			syn, err := ReadSynopsisFile(path)
+			if err != nil {
+				t.Fatalf("%s: %v (run `go test -run TestGoldenFiles -update .` if the format changed intentionally)", path, err)
+			}
+			var js bytes.Buffer
+			if err := WriteSynopsisFormat(&js, syn, FormatJSON); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(js.Bytes(), goldenJSON) {
+				t.Errorf("%s: its JSON dump differs from golden.%s.json", path, name)
+			}
+		}
+		fromBin, err := LoadSynopsis(golden)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		var again bytes.Buffer
-		if err := WriteSynopsisBinary(&again, fromBin); err != nil {
+		if err := WriteSynopsis(&again, fromBin); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(golden, again.Bytes()) {
@@ -670,7 +716,7 @@ func TestGoldenFilesVersion1(t *testing.T) {
 			t.Fatal(err)
 		}
 		var again bytes.Buffer
-		if err := WriteSynopsisBinary(&again, old); err != nil {
+		if err := WriteSynopsis(&again, old); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(golden, again.Bytes()) {
@@ -716,18 +762,10 @@ func TestReadSynopsisBufferHasNoSlack(t *testing.T) {
 
 // TestRegistryKindsRoundTrip asserts the kind-registry contract for
 // every registered kind at once: the binary container round-trips
-// bit-identically, SynopsisKind survives the trip, and the JSON
-// document round-trips byte-identically for every kind whose encoder
-// persists exactly what its decoder reads. AG (and AG-backed sharded
-// releases) are the exception by design: their JSON stores per-cell
-// leaves and recomputes block sums on load, so floating-point
-// cancellation leaves the re-encoded document answer-identical but not
-// byte-identical.
+// bit-identically, SynopsisKind survives the trip, and the loaded
+// release writes the same JSON dump as the built one.
 func TestRegistryKindsRoundTrip(t *testing.T) {
-	byteIdenticalJSON := map[string]bool{
-		"ug": true, "hierarchy": true, "kdtree": true, "privlet": true,
-		"hist1d": true,
-	}
+	dumps := validJSONDumps(t)
 	for name, s := range validSynopses(t) {
 		t.Run(name, func(t *testing.T) {
 			kind := SynopsisKind(s)
@@ -735,7 +773,7 @@ func TestRegistryKindsRoundTrip(t *testing.T) {
 				t.Fatalf("SynopsisKind(%T) = \"\": kind not registered", s)
 			}
 			var bin bytes.Buffer
-			if err := WriteSynopsisBinary(&bin, s); err != nil {
+			if err := WriteSynopsis(&bin, s); err != nil {
 				t.Fatal(err)
 			}
 			data := bytes.Clone(bin.Bytes())
@@ -747,7 +785,7 @@ func TestRegistryKindsRoundTrip(t *testing.T) {
 				t.Errorf("kind changed across binary round trip: %q -> %q", kind, got)
 			}
 			var again bytes.Buffer
-			if err := WriteSynopsisBinary(&again, loaded); err != nil {
+			if err := WriteSynopsis(&again, loaded); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(data, again.Bytes()) {
@@ -755,36 +793,20 @@ func TestRegistryKindsRoundTrip(t *testing.T) {
 			}
 
 			var js bytes.Buffer
-			if err := WriteSynopsis(&js, s); err != nil {
+			if err := WriteSynopsisFormat(&js, loaded, FormatJSON); err != nil {
 				t.Fatal(err)
 			}
-			jdata := bytes.Clone(js.Bytes())
-			jloaded, err := ReadSynopsis(&js)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var jagain bytes.Buffer
-			if err := WriteSynopsis(&jagain, jloaded); err != nil {
-				t.Fatal(err)
-			}
-			if byteIdenticalJSON[name] {
-				if !bytes.Equal(jdata, jagain.Bytes()) {
-					t.Error("JSON round trip not byte-identical")
-				}
-			} else {
-				r := NewRect(2, 3, 15, 14)
-				a, b := s.Query(r), jloaded.Query(r)
-				if diff := a - b; diff > 1e-9 || diff < -1e-9 {
-					t.Errorf("JSON round trip changed answer: %g vs %g", a, b)
-				}
+			if !bytes.Equal(js.Bytes(), dumps[name]) {
+				t.Error("loaded release's JSON dump differs from the built release's")
 			}
 		})
 	}
 }
 
 // TestAssembleShardedNewKinds: every embeddable kind composes into a
-// sharded release through AssembleSharded and survives both encodings,
-// including the serving load dpserve uses.
+// sharded release through AssembleSharded, round-trips through the
+// container, including the serving load dpserve uses, and the loaded
+// release writes the assembled release's JSON dump.
 func TestAssembleShardedNewKinds(t *testing.T) {
 	dom, err := NewDomain(0, 0, 20, 20)
 	if err != nil {
@@ -826,7 +848,7 @@ func TestAssembleShardedNewKinds(t *testing.T) {
 			want := sh.Query(r)
 
 			var bin bytes.Buffer
-			if err := WriteSynopsisBinary(&bin, sh); err != nil {
+			if err := WriteSynopsis(&bin, sh); err != nil {
 				t.Fatal(err)
 			}
 			data := bytes.Clone(bin.Bytes())
@@ -838,7 +860,7 @@ func TestAssembleShardedNewKinds(t *testing.T) {
 				t.Errorf("binary round trip changed answer: %g vs %g", got, want)
 			}
 			var again bytes.Buffer
-			if err := WriteSynopsisBinary(&again, loaded); err != nil {
+			if err := WriteSynopsis(&again, loaded); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(data, again.Bytes()) {
@@ -853,16 +875,15 @@ func TestAssembleShardedNewKinds(t *testing.T) {
 				t.Errorf("served answer %g != eager %g", got, want)
 			}
 
-			var js bytes.Buffer
-			if err := WriteSynopsis(&js, sh); err != nil {
+			var wantJSON, gotJSON bytes.Buffer
+			if err := WriteSynopsisFormat(&wantJSON, sh, FormatJSON); err != nil {
 				t.Fatal(err)
 			}
-			jloaded, err := ReadSynopsis(&js)
-			if err != nil {
+			if err := WriteSynopsisFormat(&gotJSON, loaded, FormatJSON); err != nil {
 				t.Fatal(err)
 			}
-			if got := jloaded.Query(r); got != want {
-				t.Errorf("JSON round trip changed answer: %g vs %g", got, want)
+			if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
+				t.Error("loaded release's JSON dump differs from the assembled release's")
 			}
 		})
 	}
@@ -977,7 +998,7 @@ func TestGoldenSATSectionIgnorable(t *testing.T) {
 		// The stripped container re-encodes back to the committed golden
 		// bytes: the trailer is a pure function of the body.
 		var again bytes.Buffer
-		if err := WriteSynopsisBinary(&again, stripped); err != nil {
+		if err := WriteSynopsis(&again, stripped); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(golden, again.Bytes()) {

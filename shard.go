@@ -128,8 +128,8 @@ func BuildShardedAdaptiveGridSeq(seq PointSeq, plan ShardPlan, eps float64, grid
 // exactly its plan tile under the release epsilon, and all tiles must
 // share one kind; parallel composition over the disjoint tiles then
 // makes the assembled release eps-differentially private as a whole.
-// The result serializes like any built release (WriteSynopsis,
-// WriteSynopsisBinary) and its manifests load like any other.
+// The result serializes like any built release (WriteSynopsis) and its
+// manifests load like any other.
 func AssembleSharded(plan ShardPlan, eps float64, tiles []Synopsis) (*Sharded, error) {
 	st := make([]shard.Synopsis, len(tiles))
 	for i, t := range tiles {
