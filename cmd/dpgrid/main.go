@@ -46,9 +46,19 @@ func nowNanos() int64 { return time.Now().UnixNano() }
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "dpgrid:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a failure for stderr with one "dpgrid: " prefix:
+// the library's errors already start with it, the command's own do not.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "dpgrid: ") {
+		return msg
+	}
+	return "dpgrid: " + msg
 }
 
 func run(args []string, w io.Writer) error {

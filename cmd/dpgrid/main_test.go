@@ -311,6 +311,36 @@ func TestRunLoadRejectsJSONDumps(t *testing.T) {
 	}
 }
 
+// TestErrorLinePrefixOnce: the stderr line names the command once,
+// whether the error comes from the library (already prefixed) or from
+// the command itself.
+func TestErrorLinePrefixOnce(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.dpgrid")
+	cases := []struct {
+		args []string
+		want string // the whole line, or its prefix when it ends in "…"
+	}{
+		{[]string{"-load", filepath.Join("..", "..", "testdata", "golden.ag.json")},
+			"dpgrid: JSON synopsis files are a write-only dump; load the binary release (-format binary)"},
+		{[]string{"-load", missing}, "dpgrid: open " + missing + "…"},
+		{nil, "dpgrid: -in is required (or -load a saved synopsis)"},
+	}
+	for _, tc := range cases {
+		err := run(append(tc.args, "-query", "0,0,1,1"), io.Discard)
+		if err == nil {
+			t.Fatalf("%v: run succeeded", tc.args)
+		}
+		got := errorLine(err)
+		if prefix, ok := strings.CutSuffix(tc.want, "…"); ok {
+			if !strings.HasPrefix(got, prefix) {
+				t.Errorf("%v: error line %q, want %q…", tc.args, got, prefix)
+			}
+		} else if got != tc.want {
+			t.Errorf("%v: error line %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
 func TestRunBadFormat(t *testing.T) {
 	csv := writeTestCSV(t, 100)
 	err := run([]string{

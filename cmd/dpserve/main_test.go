@@ -212,16 +212,32 @@ func TestQueryBodyDecodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestPutSynopsisRoundTrip: the PUT endpoint loads a binary release
+// and registers it under the path's name.
 func TestPutSynopsisRoundTrip(t *testing.T) {
-	syn := testSynopsis(t, 5)
+	putAndCompare(t, "uploaded", 5, dpgrid.NewRect(20, 20, 80, 80))
+}
+
+// TestPutBinarySynopsis: the PUT endpoint accepts the binary encoding
+// through the same loader as files, and the uploaded synopsis answers
+// bit-identically to the one that was written.
+func TestPutBinarySynopsis(t *testing.T) {
+	putAndCompare(t, "bin", 43, dpgrid.NewRect(10, 10, 60, 60))
+}
+
+// putAndCompare writes a seeded synopsis as a binary release, PUTs it
+// under name, and checks the registered copy answers r exactly as the
+// original does.
+func putAndCompare(t *testing.T, name string, seed int64, r dpgrid.Rect) {
+	t.Helper()
+	syn := testSynopsis(t, seed)
 	var buf bytes.Buffer
 	if err := dpgrid.WriteSynopsis(&buf, syn); err != nil {
 		t.Fatal(err)
 	}
 	reg := newRegistry()
 	srv := newTestServer(t, reg)
-
-	put, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/synopses/uploaded", &buf)
+	put, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/synopses/"+name, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,21 +249,15 @@ func TestPutSynopsisRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PUT status = %d", resp.StatusCode)
 	}
-
-	got, _, ok := reg.get("uploaded")
+	got, _, ok := reg.get(name)
 	if !ok {
 		t.Fatal("synopsis not registered after PUT")
 	}
-	r := dpgrid.NewRect(20, 20, 80, 80)
-	if math.Abs(got.Query(r)-syn.Query(r)) > 1e-9 {
-		t.Fatalf("uploaded synopsis answers %g, original %g", got.Query(r), syn.Query(r))
+	if g, w := got.Query(r), syn.Query(r); g != w {
+		t.Fatalf("uploaded synopsis answers %g, original %g", g, w)
 	}
 }
 
-// TestPutRejectsJSONDumps: a JSON dump — each committed golden and a
-// hand-written sharded manifest — is refused by PUT with HTTP 400 and
-// by -synopsis loading, heap or mapped, with the error that says what
-// it is, and registers nothing.
 func TestPutRejectsJSONDumps(t *testing.T) {
 	const want = "dpgrid: JSON synopsis files are a write-only dump; load the binary release (-format binary)"
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
@@ -699,39 +709,7 @@ func TestRegistryLoadsShardedManifestLazily(t *testing.T) {
 	}
 }
 
-// TestPutBinarySynopsis: the PUT endpoint accepts the binary encoding
-// through the same loader as files.
-func TestPutBinarySynopsis(t *testing.T) {
-	syn := testSynopsis(t, 43)
-	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsis(&buf, syn); err != nil {
-		t.Fatal(err)
-	}
-	reg := newRegistry()
-	srv := newTestServer(t, reg)
-	put, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/synopses/bin", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(put)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT status = %d", resp.StatusCode)
-	}
-	got, _, ok := reg.get("bin")
-	if !ok {
-		t.Fatal("binary synopsis not registered")
-	}
-	r := dpgrid.NewRect(10, 10, 60, 60)
-	if math.Abs(got.Query(r)-syn.Query(r)) > 1e-9 {
-		t.Fatalf("binary upload answers %g, original %g", got.Query(r), syn.Query(r))
-	}
-}
-
-// TestServeNewKindsEndToEnd: every registry kind added after the
+// TestServeNewKindsEndToEnd: every kind added after the
 // original UG/AG/sharded trio is servable — PUT a binary container,
 // read back its kind from the info endpoint, query it, see it labeled
 // on /metrics, and watch the label disappear on DELETE.

@@ -95,7 +95,7 @@ func (m *serverMetrics) forgetSynopsis(name string) {
 
 // setSynopsisKind records the registered synopsis's container kind in
 // the dpserve_synopsis_kind info family. Synopsis implementations from
-// outside the dpgrid registry have no kind and are labeled "unknown"
+// outside dpgrid have no kind and are labeled "unknown"
 // rather than omitted, so the info join never silently loses a name.
 func (m *serverMetrics) setSynopsisKind(name string, syn dpgrid.Synopsis) {
 	kind := dpgrid.SynopsisKind(syn)

@@ -8,11 +8,13 @@
 // 8-byte-aligned offset, so on little-endian hosts a decoded section is
 // the container's own bytes viewed as a []float64 (see Dec.F64s).
 //
-// The package deliberately knows nothing about synopses; it provides the
-// container framing (Detect, NewEnc, NewDec), truncation-safe
-// primitive access, and the opening every JSON dump shares (Head). The
-// per-kind body layouts live next to the types they serialize
-// (internal/core, internal/shard).
+// The package deliberately knows nothing about synopsis bodies; it
+// provides the container framing (Detect, NewEnc, NewDec), the static
+// table of kinds (name, JSON format tag, whether a kind can be a
+// sharded tile), truncation-safe primitive access, and the opening
+// every JSON dump shares (Head). The per-kind body layouts and decoders
+// live next to the types they serialize (internal/core, internal/shard,
+// ...).
 package codec
 
 import (
@@ -43,8 +45,7 @@ type Kind uint16
 
 // The kind numbers are wire format: they never change meaning, and new
 // kinds only append. The codecs behind each kind live next to the types
-// they serialize and announce themselves through Register (see
-// registry.go).
+// they serialize; the kinds table below holds their wire identity.
 const (
 	// KindInvalid is the zero Kind; no container carries it.
 	KindInvalid Kind = 0
@@ -64,14 +65,61 @@ const (
 	KindHist1D Kind = 7
 )
 
-// String implements fmt.Stringer, rendering the registered kind name
-// (e.g. "uniform-grid") and falling back to the numeric tag for kinds
-// this build does not know.
+// kindInfo is a kind's wire identity.
+type kindInfo struct {
+	name       string // short stable name, rendered by Kind.String
+	jsonFormat string // format tag of the kind's JSON dump
+	embeddable bool   // may be the tile kind of a sharded manifest
+}
+
+// kinds is the static kind table, indexed by Kind. It is contiguous
+// from KindUniform to maxKind, so every nonzero kind up to maxKind is
+// known. Manifests do not nest, so the sharded kind is not embeddable;
+// nor is hist1d, which has no 2D domain to check against a tile.
+var kinds = [...]kindInfo{
+	KindUniform:   {"uniform-grid", "dpgrid/uniform-grid", true},
+	KindAdaptive:  {"adaptive-grid", "dpgrid/adaptive-grid", true},
+	KindSharded:   {"sharded", "dpgrid/sharded", false},
+	KindHierarchy: {"hierarchy", "dpgrid/hierarchy", true},
+	KindKDTree:    {"kd-tree", "dpgrid/kdtree", true},
+	KindPrivlet:   {"privlet", "dpgrid/privlet", true},
+	KindHist1D:    {"hist1d", "dpgrid/hist1d", false},
+}
+
+// maxKind is the highest kind this build knows: NewDec reads a larger
+// one as a file from a newer writer.
+const maxKind = Kind(len(kinds) - 1)
+
+func (k Kind) info() kindInfo {
+	if k > maxKind {
+		return kindInfo{}
+	}
+	return kinds[k]
+}
+
+// String implements fmt.Stringer, rendering the kind name (e.g.
+// "uniform-grid") and falling back to the numeric tag for kinds this
+// build does not know.
 func (k Kind) String() string {
-	if name := kindName(k); name != "" {
+	if name := k.info().name; name != "" {
 		return name
 	}
 	return fmt.Sprintf("kind(%d)", uint16(k))
+}
+
+// JSONFormat returns the format tag of the kind's JSON dump (e.g.
+// "dpgrid/uniform-grid"), or "" for an unknown kind.
+func (k Kind) JSONFormat() string { return k.info().jsonFormat }
+
+// Embeddable reports whether k may be the tile kind of a sharded
+// manifest.
+func (k Kind) Embeddable() bool { return k.info().embeddable }
+
+// Kinder is implemented by synopses that can report the container kind
+// they serialize as. Serving layers use it to expose which estimator
+// backs a loaded synopsis.
+type Kinder interface {
+	ContainerKind() Kind
 }
 
 // Detect reports whether data begins with the dpgridv2 magic, which
@@ -168,19 +216,17 @@ func NewDec(data []byte) (*Dec, Kind, error) {
 	if d.version < minVersion || d.version > Version {
 		return nil, KindInvalid, fmt.Errorf("codec: unsupported container version %d (have %d-%d)", d.version, minVersion, Version)
 	}
-	// The known-kind set is the registry, not a hard-coded range, so a
-	// newly registered kind is accepted everywhere with no further code.
-	// An unknown kind splits two ways: a kind beyond everything this
-	// build registers most likely comes from a newer writer (the numbers
-	// only ever grow), which deserves an upgrade hint rather than a
-	// generic corruption error; a kind inside the registered range that
-	// somehow is not registered is a corrupt or tampered container.
-	if _, ok := Lookup(kind); !ok {
-		if max := MaxKind(); kind > max {
-			return nil, KindInvalid, fmt.Errorf(
-				"codec: synopsis kind %d is newer than this build understands (max known kind %d %q); upgrade dpgrid to read this file",
-				kind, uint16(max), max)
-		}
+	// The kind table is contiguous, so an unknown kind splits two ways:
+	// one beyond everything this build knows most likely comes from a
+	// newer writer (the numbers only ever grow), which deserves an
+	// upgrade hint rather than a generic corruption error; kind 0 is a
+	// corrupt or tampered container.
+	switch {
+	case kind > maxKind:
+		return nil, KindInvalid, fmt.Errorf(
+			"codec: synopsis kind %d is newer than this build understands (max known kind %d %q); upgrade dpgrid to read this file",
+			kind, uint16(maxKind), maxKind)
+	case kind == KindInvalid:
 		return nil, KindInvalid, fmt.Errorf("codec: unknown synopsis kind %d (corrupt container)", kind)
 	}
 	return d, kind, nil

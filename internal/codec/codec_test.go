@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/dpgrid/dpgrid/internal/geom"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -165,5 +167,95 @@ func TestFinishRejectsTrailingBytes(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if KindSharded.String() != "sharded" || Kind(42).String() == "" {
 		t.Error("Kind.String misbehaved")
+	}
+}
+
+// TestKindTable pins every kind's wire identity: its name, its JSON
+// format tag and whether it can be a sharded tile. The table is
+// contiguous, so every kind from 1 to maxKind is known.
+func TestKindTable(t *testing.T) {
+	want := []struct {
+		kind       Kind
+		name       string
+		format     string
+		embeddable bool
+	}{
+		{KindUniform, "uniform-grid", "dpgrid/uniform-grid", true},
+		{KindAdaptive, "adaptive-grid", "dpgrid/adaptive-grid", true},
+		{KindSharded, "sharded", "dpgrid/sharded", false},
+		{KindHierarchy, "hierarchy", "dpgrid/hierarchy", true},
+		{KindKDTree, "kd-tree", "dpgrid/kdtree", true},
+		{KindPrivlet, "privlet", "dpgrid/privlet", true},
+		{KindHist1D, "hist1d", "dpgrid/hist1d", false},
+	}
+	if int(maxKind) != len(want) {
+		t.Fatalf("maxKind = %d, want %d", maxKind, len(want))
+	}
+	for i, w := range want {
+		if w.kind != Kind(i+1) {
+			t.Fatalf("row %d holds kind %d", i, w.kind)
+		}
+		if got := w.kind.String(); got != w.name {
+			t.Errorf("kind %d: String = %q, want %q", w.kind, got, w.name)
+		}
+		if got := w.kind.JSONFormat(); got != w.format {
+			t.Errorf("kind %d: JSONFormat = %q, want %q", w.kind, got, w.format)
+		}
+		if got := w.kind.Embeddable(); got != w.embeddable {
+			t.Errorf("kind %d: Embeddable = %v, want %v", w.kind, got, w.embeddable)
+		}
+	}
+	for _, k := range []Kind{KindInvalid, maxKind + 1, Kind(4000)} {
+		if k.JSONFormat() != "" || k.Embeddable() {
+			t.Errorf("unknown kind %d has an identity", k)
+		}
+		if got, want := k.String(), "kind("; !strings.HasPrefix(got, want) {
+			t.Errorf("unknown kind %d: String = %q", k, got)
+		}
+	}
+}
+
+// TestNewDecUnknownKindErrors pins the corrupt-vs-newer-writer split:
+// a kind beyond everything this build knows gets the upgrade hint, kind
+// 0 reads as corruption.
+func TestNewDecUnknownKindErrors(t *testing.T) {
+	_, _, err := NewDec(NewEnc(nil, KindInvalid).Bytes())
+	if err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("kind 0: err = %v, want corrupt-container error", err)
+	}
+	for _, k := range []Kind{Kind(8), Kind(4000)} {
+		_, _, err = NewDec(NewEnc(nil, k).Bytes())
+		if err == nil || !strings.Contains(err.Error(), "upgrade") {
+			t.Errorf("kind %d: err = %v, want newer-writer upgrade error", k, err)
+		}
+	}
+}
+
+func TestSectionHelpers(t *testing.T) {
+	dom, err := geom.NewDomain(-1, -2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEnc(nil, KindUniform)
+	e.Domain(dom)
+	d, _, err := NewDec(e.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.Domain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != dom {
+		t.Fatalf("domain round trip = %v, want %v", got, dom)
+	}
+
+	sums := []float64{0, 0, 0, 1} // 1x1 prefix table
+	e2 := NewEnc(nil, KindUniform)
+	e2.F64s(sums)
+	d2, _, _ := NewDec(e2.Bytes())
+	vs := d2.F64s(4)
+	if len(vs) != 4 || vs[3] != 1 {
+		t.Fatalf("F64s = %v", vs)
 	}
 }

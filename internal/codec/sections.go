@@ -30,11 +30,11 @@ type Head struct {
 	Epsilon float64    `json:"epsilon"`
 }
 
-// NewHead returns the head an encoder writes for a release of the kind
-// tagged format over dom.
-func NewHead(format string, version int, dom geom.Domain, eps float64) Head {
+// NewHead returns the head an encoder writes for a release of kind
+// over dom.
+func NewHead(kind Kind, version int, dom geom.Domain, eps float64) Head {
 	return Head{
-		Envelope: Envelope{Format: format, Version: version},
+		Envelope: Envelope{Format: kind.JSONFormat(), Version: version},
 		Domain:   [4]float64{dom.MinX, dom.MinY, dom.MaxX, dom.MaxY},
 		Epsilon:  eps,
 	}

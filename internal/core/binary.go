@@ -53,30 +53,6 @@ import (
 // section in place where the host allows it, so the bytes passed to the
 // parsers must stay immutable and alive for the synopsis's lifetime.
 
-// init announces the UG and AG codecs to the kind registry; every
-// serialization layer (container loading, sharded-manifest embedding,
-// dpserve loading) dispatches through it.
-func init() {
-	codec.Register(codec.Registration{
-		Kind:       codec.KindUniform,
-		Name:       "uniform-grid",
-		JSONFormat: FormatUG,
-		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
-			return ParseUniformGridBinary(data)
-		},
-		Tile: true,
-	})
-	codec.Register(codec.Registration{
-		Kind:       codec.KindAdaptive,
-		Name:       "adaptive-grid",
-		JSONFormat: FormatAG,
-		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
-			return ParseAdaptiveGridBinary(data)
-		},
-		Tile: true,
-	})
-}
-
 // ContainerKind reports the synopsis's container kind.
 func (u *UniformGrid) ContainerKind() codec.Kind { return codec.KindUniform }
 

@@ -145,10 +145,10 @@ func TestValidateMatchesParse(t *testing.T) {
 	cases := []struct {
 		name  string
 		data  []byte
-		parse func([]byte) (codec.Synopsis, error)
+		parse func([]byte) (querier, error)
 	}{
-		{"ug", ugBin, func(b []byte) (codec.Synopsis, error) { return ParseUniformGridBinary(b) }},
-		{"ag", agBin, func(b []byte) (codec.Synopsis, error) { return ParseAdaptiveGridBinary(b) }},
+		{"ug", ugBin, func(b []byte) (querier, error) { return ParseUniformGridBinary(b) }},
+		{"ag", agBin, func(b []byte) (querier, error) { return ParseAdaptiveGridBinary(b) }},
 	}
 	type envelope interface {
 		Domain() geom.Domain

@@ -88,10 +88,15 @@ func satTrailerLen(t *testing.T, data []byte) int {
 	return 2 + 6 + 8 + 8*(mx+1)*(my+1)
 }
 
+// querier is the query surface every decoded grid shares.
+type querier interface {
+	Query(r geom.Rect) float64
+}
+
 // satVariant is one way of answering queries about the same release.
 type satVariant struct {
 	name string
-	syn  codec.Synopsis
+	syn  querier
 }
 
 // iterQuerier is the cell-iteration diagnostic surface.
@@ -297,12 +302,12 @@ func TestSATViewReencodeVerbatim(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		data  func(t *testing.T) []byte
-		parse func([]byte) (codec.Synopsis, error)
+		parse func([]byte) (querier, error)
 	}{
 		{"ug", func(t *testing.T) []byte { d, err := testUG(t).AppendBinary(nil); mustNoErr(t, err); return d },
-			func(b []byte) (codec.Synopsis, error) { return ParseUniformGridBinary(b) }},
+			func(b []byte) (querier, error) { return ParseUniformGridBinary(b) }},
 		{"ag", func(t *testing.T) []byte { d, err := testAG(t).AppendBinary(nil); mustNoErr(t, err); return d },
-			func(b []byte) (codec.Synopsis, error) { return ParseAdaptiveGridBinary(b) }},
+			func(b []byte) (querier, error) { return ParseAdaptiveGridBinary(b) }},
 	} {
 		data := tc.data(t)
 		for _, in := range [][]byte{data, misaligned(data)} {

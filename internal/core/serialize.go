@@ -19,14 +19,8 @@ import (
 // per synopsis kind: a readable rendering of the same release that
 // nothing reads back.
 
-const (
-	// FormatUG tags serialized UniformGrid synopses.
-	FormatUG = "dpgrid/uniform-grid"
-	// FormatAG tags serialized AdaptiveGrid synopses.
-	FormatAG = "dpgrid/adaptive-grid"
-	// serializeVersion is bumped on breaking format changes.
-	serializeVersion = 1
-)
+// serializeVersion is bumped on breaking format changes.
+const serializeVersion = 1
 
 type ugFile struct {
 	codec.Head
@@ -52,7 +46,7 @@ type agFile struct {
 // WriteTo serializes the synopsis as JSON.
 func (u *UniformGrid) WriteTo(w io.Writer) (int64, error) {
 	f := ugFile{
-		Head:   codec.NewHead(FormatUG, serializeVersion, u.dom, u.eps),
+		Head:   codec.NewHead(codec.KindUniform, serializeVersion, u.dom, u.eps),
 		M:      u.m,
 		MX:     u.mx,
 		MY:     u.my,
@@ -64,7 +58,7 @@ func (u *UniformGrid) WriteTo(w io.Writer) (int64, error) {
 // WriteTo serializes the synopsis as JSON.
 func (a *AdaptiveGrid) WriteTo(w io.Writer) (int64, error) {
 	f := agFile{
-		Head:  codec.NewHead(FormatAG, serializeVersion, a.dom, a.eps),
+		Head:  codec.NewHead(codec.KindAdaptive, serializeVersion, a.dom, a.eps),
 		Alpha: a.alpha,
 		M1:    a.m1,
 	}

@@ -30,7 +30,7 @@ func TestUGSerializeRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Head != codec.NewHead(FormatUG, serializeVersion, dom, 0.7) || f.M != 17 || f.MX != 17 || f.MY != 17 {
+	if f.Head != codec.NewHead(codec.KindUniform, serializeVersion, dom, 0.7) || f.M != 17 || f.MX != 17 || f.MY != 17 {
 		t.Errorf("dump header %+v m=%d %dx%d, want %v eps 0.7 m=17 17x17", f.Head, f.M, f.MX, f.MY, dom)
 	}
 	want := orig.noisy.Values()
@@ -62,7 +62,7 @@ func TestAGSerializeRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Head != codec.NewHead(FormatAG, serializeVersion, dom, 1.2) || f.M1 != 6 || f.Alpha != 0.4 {
+	if f.Head != codec.NewHead(codec.KindAdaptive, serializeVersion, dom, 1.2) || f.M1 != 6 || f.Alpha != 0.4 {
 		t.Errorf("dump header %+v m1=%d alpha=%g", f.Head, f.M1, f.Alpha)
 	}
 	if len(f.Cells) != 36 {

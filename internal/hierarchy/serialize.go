@@ -25,24 +25,8 @@ import (
 //	branching (u32) | depth (u32) |
 //	prefix sums (length-prefixed f64 section, (m+1)^2 row-major)
 
-const (
-	// FormatHierarchy tags serialized Hierarchy synopses.
-	FormatHierarchy = "dpgrid/hierarchy"
-	// serializeVersion is bumped on breaking format changes.
-	serializeVersion = 1
-)
-
-func init() {
-	codec.Register(codec.Registration{
-		Kind:       codec.KindHierarchy,
-		Name:       "hierarchy",
-		JSONFormat: FormatHierarchy,
-		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
-			return ParseHierarchyBinary(data)
-		},
-		Tile: true,
-	})
-}
+// serializeVersion is bumped on breaking format changes.
+const serializeVersion = 1
 
 // ContainerKind reports the synopsis's container kind.
 func (h *Hierarchy) ContainerKind() codec.Kind { return codec.KindHierarchy }
@@ -72,7 +56,7 @@ type hierFile struct {
 // WriteTo serializes the synopsis as JSON.
 func (h *Hierarchy) WriteTo(w io.Writer) (int64, error) {
 	f := hierFile{
-		Head:      codec.NewHead(FormatHierarchy, serializeVersion, h.dom, h.eps),
+		Head:      codec.NewHead(codec.KindHierarchy, serializeVersion, h.dom, h.eps),
 		GridSize:  h.opts.GridSize,
 		Branching: h.opts.Branching,
 		Depth:     h.opts.Depth,

@@ -73,7 +73,7 @@ func TestHierarchyJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Head != codec.NewHead(FormatHierarchy, serializeVersion, h.Domain(), h.Epsilon()) ||
+	if f.Head != codec.NewHead(codec.KindHierarchy, serializeVersion, h.Domain(), h.Epsilon()) ||
 		f.GridSize != 8 || f.Branching != 2 || f.Depth != 3 {
 		t.Errorf("dump header %+v grid %d branching %d depth %d", f.Head, f.GridSize, f.Branching, f.Depth)
 	}

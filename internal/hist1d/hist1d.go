@@ -68,7 +68,7 @@ func (h *Hist) Epsilon() float64 { return h.eps }
 // Query estimates the count in the rectangle's x-extent: the histogram
 // is an axis synopsis, so a 2D query projects onto it and the y-extent
 // is ignored. This is what lets a Hist flow through every rect-query
-// surface (the codec registry, dpserve) alongside the 2D kinds.
+// surface (LoadSynopsis, dpserve) alongside the 2D kinds.
 func (h *Hist) Query(r geom.Rect) float64 { return h.Range(r.MinX, r.MaxX) }
 
 // Range estimates the count in [a, b] with fractional bin coverage. A

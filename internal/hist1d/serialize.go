@@ -27,26 +27,8 @@ import (
 //	lo (f64) | hi (f64) | epsilon (f64) | bins (u32) |
 //	prefix sums (length-prefixed f64 section, bins+1 entries)
 
-const (
-	// FormatHist1D tags serialized 1D histograms.
-	FormatHist1D = "dpgrid/hist1d"
-	// serializeVersion is bumped on breaking format changes.
-	serializeVersion = 1
-)
-
-func init() {
-	// Not a Tile: a 1D histogram has no 2D domain to cross-check
-	// against a mosaic tile, so hist1d payloads are deliberately not
-	// embeddable in sharded manifests.
-	codec.Register(codec.Registration{
-		Kind:       codec.KindHist1D,
-		Name:       "hist1d",
-		JSONFormat: FormatHist1D,
-		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
-			return ParseHistBinary(data)
-		},
-	})
-}
+// serializeVersion is bumped on breaking format changes.
+const serializeVersion = 1
 
 // ContainerKind reports the synopsis's container kind.
 func (h *Hist) ContainerKind() codec.Kind { return codec.KindHist1D }
@@ -89,7 +71,7 @@ func (h *Hist) WriteTo(dst io.Writer) (int64, error) {
 		return 0, err
 	}
 	f := histFile{
-		Envelope: codec.Envelope{Format: FormatHist1D, Version: serializeVersion},
+		Envelope: codec.Envelope{Format: codec.KindHist1D.JSONFormat(), Version: serializeVersion},
 		Range:    [2]float64{h.lo, h.hi},
 		Epsilon:  h.eps,
 		Bins:     h.Bins(),

@@ -65,7 +65,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Format != FormatHist1D || f.Version != serializeVersion || f.Range != [2]float64{h.lo, h.hi} ||
+	if f.Format != codec.KindHist1D.JSONFormat() || f.Version != serializeVersion || f.Range != [2]float64{h.lo, h.hi} ||
 		f.Epsilon != h.eps || f.Bins != h.Bins() {
 		t.Errorf("dump header %+v range %v eps %g bins %d", f.Envelope, f.Range, f.Epsilon, f.Bins)
 	}
@@ -183,31 +183,5 @@ func TestParseHistBinaryRejectsCorrupt(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestRegistryDecodesHist1D(t *testing.T) {
-	reg, ok := codec.Lookup(codec.KindHist1D)
-	if !ok {
-		t.Fatal("hist1d kind not registered")
-	}
-	if reg.Name != "hist1d" || reg.JSONFormat != FormatHist1D {
-		t.Fatalf("registration = %+v", reg)
-	}
-	if reg.Tile {
-		t.Error("hist1d must not be embeddable in 2D mosaics")
-	}
-	h := testHist(t)
-	data, err := h.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := reg.DecodeBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := geom.Rect{MinX: 5, MaxX: 60, MinY: 0, MaxY: 1}
-	if got, want := s.Query(r), h.Query(r); got != want {
-		t.Errorf("registry decode answers %g, want %g", got, want)
 	}
 }

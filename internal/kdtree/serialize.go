@@ -32,8 +32,6 @@ import (
 //	estimates (length-prefixed f64 section, one per node)
 
 const (
-	// FormatKDTree tags serialized kd-tree synopses.
-	FormatKDTree = "dpgrid/kdtree"
 	// serializeVersion is bumped on breaking format changes.
 	serializeVersion = 1
 
@@ -42,18 +40,6 @@ const (
 	// bounds the node-count prefix against the bytes actually present.
 	minNodeBytes = 4*8 + 8 + 8 + 4
 )
-
-func init() {
-	codec.Register(codec.Registration{
-		Kind:       codec.KindKDTree,
-		Name:       "kd-tree",
-		JSONFormat: FormatKDTree,
-		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
-			return ParseTreeBinary(data)
-		},
-		Tile: true,
-	})
-}
 
 // ContainerKind reports the synopsis's container kind.
 func (t *Tree) ContainerKind() codec.Kind { return codec.KindKDTree }
@@ -110,7 +96,7 @@ type treeFile struct {
 // WriteTo serializes the synopsis as JSON.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	f := treeFile{
-		Head:      codec.NewHead(FormatKDTree, serializeVersion, t.dom, t.eps),
+		Head:      codec.NewHead(codec.KindKDTree, serializeVersion, t.dom, t.eps),
 		Method:    int(t.method),
 		Depth:     t.depth,
 		UsedCI:    t.usedCI,
@@ -134,122 +120,39 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// treeParts is a decoded-but-unvalidated tree. Its domain and epsilon
-// are checked as they are read (codec.OpenHead); validate() is the
-// single gatekeeper of the rest.
-type treeParts struct {
-	dom       geom.Domain
-	eps       float64
-	method    Method
-	depth     int
-	usedCI    bool
-	nodes     []treeNode
-	estimates []float64
-	leaves    int // derived by validate()
-}
-
-// validate checks every structural invariant BuildTree guarantees and
-// derives the leaf count. See the package-level serialization comment
-// for why child-index ordering plus reference counting is sufficient to
-// reject malformed topologies.
-func (p *treeParts) validate() error {
-	if p.method != Standard && p.method != Hybrid {
-		return fmt.Errorf("kdtree: unknown method %d", int(p.method))
-	}
-	if p.depth < 1 || p.depth > MaxDepth {
-		return fmt.Errorf("kdtree: depth %d outside [1, %d]", p.depth, MaxDepth)
-	}
-	n := len(p.nodes)
-	if n < 1 {
-		return fmt.Errorf("kdtree: no nodes")
-	}
-	if len(p.estimates) != n {
-		return fmt.Errorf("kdtree: %d estimates for %d nodes", len(p.estimates), n)
-	}
-	if p.nodes[0].rect != p.dom.Rect {
-		return fmt.Errorf("kdtree: root rect %v does not cover the domain %v", p.nodes[0].rect, p.dom.Rect)
-	}
-	refs := make([]int, n)
-	for i := range p.nodes {
-		node := &p.nodes[i]
-		if !node.rect.IsValid() {
-			return fmt.Errorf("kdtree: node %d has invalid rect %v", i, node.rect)
-		}
-		if math.IsNaN(node.count) || math.IsInf(node.count, 0) {
-			return fmt.Errorf("kdtree: node %d has non-finite count %g", i, node.count)
-		}
-		if math.IsNaN(node.variance) || math.IsInf(node.variance, 0) || node.variance < 0 {
-			return fmt.Errorf("kdtree: node %d has invalid variance %g", i, node.variance)
-		}
-		for _, c := range node.children {
-			if c <= i || c >= n {
-				return fmt.Errorf("kdtree: node %d has out-of-order child index %d", i, c)
-			}
-			refs[c]++
-		}
-		if len(node.children) == 0 {
-			p.leaves++
-		}
-	}
-	for i := 1; i < n; i++ {
-		if refs[i] != 1 {
-			return fmt.Errorf("kdtree: node %d referenced %d times, want exactly once", i, refs[i])
-		}
-	}
-	for i, v := range p.estimates {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("kdtree: non-finite estimate %g at node %d", v, i)
-		}
-	}
-	return nil
-}
-
-func (p *treeParts) build() *Tree {
-	return &Tree{
-		dom:       p.dom,
-		eps:       p.eps,
-		method:    p.method,
-		depth:     p.depth,
-		nodes:     p.nodes,
-		estimates: p.estimates,
-		leaves:    p.leaves,
-		usedCI:    p.usedCI,
-	}
-}
-
-// decodeTreeBinary reads a kd-tree container into treeParts and runs
-// the shared validation.
-func decodeTreeBinary(data []byte) (treeParts, error) {
-	var p treeParts
+// ParseTreeBinary deserializes a kd-tree dpgridv2 container, validating
+// every structural invariant BuildTree guarantees. Its domain and
+// epsilon are checked as they are read (codec.OpenHead); see the
+// package-level serialization comment for why child-index ordering plus
+// reference counting is sufficient to reject malformed topologies.
+func ParseTreeBinary(data []byte) (*Tree, error) {
 	d, dom, eps, err := codec.OpenHead("kdtree", data, codec.KindKDTree)
 	if err != nil {
-		return p, err
+		return nil, err
 	}
-	p.dom, p.eps = dom, eps
-	p.method = Method(d.U16())
+	method := Method(d.U16())
 	ci := d.U16()
-	p.depth = d.Int32()
+	depth := d.Int32()
 	storedLeaves := d.Int32()
 	n := d.Len(minNodeBytes)
 	if err := d.Err(); err != nil {
-		return p, fmt.Errorf("kdtree: parse synopsis: %w", err)
+		return nil, fmt.Errorf("kdtree: parse synopsis: %w", err)
 	}
 	if ci > 1 {
-		return p, fmt.Errorf("kdtree: invalid used-CI flag %d", ci)
+		return nil, fmt.Errorf("kdtree: invalid used-CI flag %d", ci)
 	}
-	p.usedCI = ci == 1
-	p.nodes = make([]treeNode, n)
-	for i := range p.nodes {
-		node := &p.nodes[i]
+	nodes := make([]treeNode, n)
+	for i := range nodes {
+		node := &nodes[i]
 		node.rect = geom.Rect{MinX: d.F64(), MinY: d.F64(), MaxX: d.F64(), MaxY: d.F64()}
 		node.count = d.F64()
 		node.variance = d.F64()
 		nc := d.Int32()
 		if err := d.Err(); err != nil {
-			return p, fmt.Errorf("kdtree: parse synopsis: %w", err)
+			return nil, fmt.Errorf("kdtree: parse synopsis: %w", err)
 		}
 		if nc > d.Remaining()/4 {
-			return p, fmt.Errorf("kdtree: node %d claims %d children with %d bytes left", i, nc, d.Remaining())
+			return nil, fmt.Errorf("kdtree: node %d claims %d children with %d bytes left", i, nc, d.Remaining())
 		}
 		if nc > 0 {
 			node.children = make([]int, nc)
@@ -258,25 +161,70 @@ func decodeTreeBinary(data []byte) (treeParts, error) {
 			}
 		}
 	}
-	p.estimates = d.F64s(n)
+	estimates := d.F64s(n)
 	if err := d.Finish(); err != nil {
-		return p, fmt.Errorf("kdtree: parse synopsis: %w", err)
+		return nil, fmt.Errorf("kdtree: parse synopsis: %w", err)
 	}
-	if err := p.validate(); err != nil {
-		return p, err
-	}
-	if storedLeaves != p.leaves {
-		return p, fmt.Errorf("kdtree: stored leaf count %d, derived %d", storedLeaves, p.leaves)
-	}
-	return p, nil
-}
 
-// ParseTreeBinary deserializes a kd-tree dpgridv2 container, validating
-// all structural invariants.
-func ParseTreeBinary(data []byte) (*Tree, error) {
-	p, err := decodeTreeBinary(data)
-	if err != nil {
-		return nil, err
+	if method != Standard && method != Hybrid {
+		return nil, fmt.Errorf("kdtree: unknown method %d", int(method))
 	}
-	return p.build(), nil
+	if depth < 1 || depth > MaxDepth {
+		return nil, fmt.Errorf("kdtree: depth %d outside [1, %d]", depth, MaxDepth)
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("kdtree: no nodes")
+	}
+	if len(estimates) != n {
+		return nil, fmt.Errorf("kdtree: %d estimates for %d nodes", len(estimates), n)
+	}
+	if nodes[0].rect != dom.Rect {
+		return nil, fmt.Errorf("kdtree: root rect %v does not cover the domain %v", nodes[0].rect, dom.Rect)
+	}
+	refs := make([]int, n)
+	leaves := 0
+	for i := range nodes {
+		node := &nodes[i]
+		if !node.rect.IsValid() {
+			return nil, fmt.Errorf("kdtree: node %d has invalid rect %v", i, node.rect)
+		}
+		if math.IsNaN(node.count) || math.IsInf(node.count, 0) {
+			return nil, fmt.Errorf("kdtree: node %d has non-finite count %g", i, node.count)
+		}
+		if math.IsNaN(node.variance) || math.IsInf(node.variance, 0) || node.variance < 0 {
+			return nil, fmt.Errorf("kdtree: node %d has invalid variance %g", i, node.variance)
+		}
+		for _, c := range node.children {
+			if c <= i || c >= n {
+				return nil, fmt.Errorf("kdtree: node %d has out-of-order child index %d", i, c)
+			}
+			refs[c]++
+		}
+		if len(node.children) == 0 {
+			leaves++
+		}
+	}
+	for i := 1; i < n; i++ {
+		if refs[i] != 1 {
+			return nil, fmt.Errorf("kdtree: node %d referenced %d times, want exactly once", i, refs[i])
+		}
+	}
+	for i, v := range estimates {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("kdtree: non-finite estimate %g at node %d", v, i)
+		}
+	}
+	if storedLeaves != leaves {
+		return nil, fmt.Errorf("kdtree: stored leaf count %d, derived %d", storedLeaves, leaves)
+	}
+	return &Tree{
+		dom:       dom,
+		eps:       eps,
+		method:    method,
+		depth:     depth,
+		nodes:     nodes,
+		estimates: estimates,
+		leaves:    leaves,
+		usedCI:    ci == 1,
+	}, nil
 }

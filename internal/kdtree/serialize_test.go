@@ -76,7 +76,7 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Head != codec.NewHead(FormatKDTree, serializeVersion, tree.Domain(), tree.Epsilon()) ||
+	if f.Head != codec.NewHead(codec.KindKDTree, serializeVersion, tree.Domain(), tree.Epsilon()) ||
 		Method(f.Method) != tree.Method() || f.Depth != tree.Depth() || f.UsedCI != tree.UsedConstrainedInference() {
 		t.Errorf("dump header %+v method %d depth %d used CI %v", f.Head, f.Method, f.Depth, f.UsedCI)
 	}

@@ -4,6 +4,10 @@ import (
 	"fmt"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
+	"github.com/dpgrid/dpgrid/internal/core"
+	"github.com/dpgrid/dpgrid/internal/hierarchy"
+	"github.com/dpgrid/dpgrid/internal/kdtree"
+	"github.com/dpgrid/dpgrid/internal/wavelet"
 )
 
 // Binary (dpgridv2) serialization of sharded releases. The manifest
@@ -14,9 +18,9 @@ import (
 //	zero padding to 8 bytes | blob length (u64) |
 //	blob (concatenated per-shard containers)
 //
-// Each blob entry is a complete dpgridv2 container of any registered
-// kind marked codec.Registration.Tile, so a shard can be cut out of a
-// release and served standalone. The offset table lets a reader locate
+// Each blob entry is a complete dpgridv2 container of an embeddable
+// kind (codec.Kind.Embeddable), so a shard can be cut out of a release
+// and served standalone. The offset table lets a reader locate
 // any shard's bytes in O(1) without decoding the others, and every tile
 // decodes over its own slice of the file.
 //
@@ -30,21 +34,41 @@ import (
 // rules (contiguous from zero in version 1) and padding to be zero, so
 // re-encoding a decoded release reproduces the bytes exactly.
 
-// binaryAppender is implemented by every synopsis with a dpgridv2
-// encoding.
-type binaryAppender interface {
-	AppendBinary(dst []byte) ([]byte, error)
+// errNotEmbeddable rejects a tile kind that cannot be a manifest tile
+// (the manifest kind itself is not — no nested sharding).
+func errNotEmbeddable(kind codec.Kind) error {
+	return fmt.Errorf("shard: shard kind %v is not an embeddable synopsis kind", kind)
 }
 
-// embeddableByKind resolves a tile kind to its registration, requiring
-// the kind to be embeddable as a manifest tile (which the manifest kind
-// itself is not — no nested sharding).
-func embeddableByKind(kind codec.Kind) (codec.Registration, error) {
-	reg, ok := codec.Lookup(kind)
-	if !ok || !reg.Tile {
-		return codec.Registration{}, fmt.Errorf("shard: shard kind %v is not an embeddable synopsis kind", kind)
+// ParseTileBinary decodes a dpgridv2 container of an embeddable kind:
+// a manifest tile, or a standalone release of that kind. The decoder of
+// kind checks that the container holds that kind. On error the result
+// is a nil interface, not a typed nil pointer. The result may alias
+// data; the caller keeps it immutable and alive for the result's
+// lifetime.
+func ParseTileBinary(kind codec.Kind, data []byte) (Synopsis, error) {
+	var (
+		t   Synopsis
+		err error
+	)
+	switch kind {
+	case codec.KindUniform:
+		t, err = core.ParseUniformGridBinary(data)
+	case codec.KindAdaptive:
+		t, err = core.ParseAdaptiveGridBinary(data)
+	case codec.KindHierarchy:
+		t, err = hierarchy.ParseHierarchyBinary(data)
+	case codec.KindKDTree:
+		t, err = kdtree.ParseTreeBinary(data)
+	case codec.KindPrivlet:
+		t, err = wavelet.ParsePrivletBinary(data)
+	default:
+		return nil, errNotEmbeddable(kind)
 	}
-	return reg, nil
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // AppendBinary appends the release's dpgridv2 manifest to dst and
@@ -54,17 +78,13 @@ func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
 	// before the blob.
 	var blob []byte
 	offsets := make([][2]uint64, len(s.tiles))
-	for i, tile := range s.tiles {
-		ba, ok := tile.(binaryAppender)
-		if !ok {
-			return nil, fmt.Errorf("shard: cannot binary-encode tile %d of type %T", i, tile)
-		}
+	for i, t := range s.tiles {
 		for len(blob) != padTo8(len(blob)) {
 			blob = append(blob, 0)
 		}
 		start := len(blob)
 		var err error
-		blob, err = ba.AppendBinary(blob)
+		blob, err = t.AppendBinary(blob)
 		if err != nil {
 			return nil, fmt.Errorf("shard: encode tile %d: %w", i, err)
 		}
@@ -94,9 +114,10 @@ func padTo8(n int) int { return (n + 7) &^ 7 }
 
 // ParseShardedBinary deserializes a dpgridv2 sharded manifest. It
 // validates the manifest framing, slices the per-shard payloads out of
-// the blob and decodes every one through its kind's DecodeBinary,
-// cross-checking each tile's domain and epsilon against the manifest. The tiles may alias data;
-// the caller keeps it immutable and alive for the result's lifetime.
+// the blob, decodes every one with ParseTileBinary, and then puts the
+// tiles through Assemble's checks: each tile must cover its plan tile
+// under the manifest epsilon. The tiles may alias data; the caller
+// keeps it immutable and alive for the result's lifetime.
 func ParseShardedBinary(data []byte) (*Sharded, error) {
 	d, dom, eps, err := codec.OpenHead("shard", data, codec.KindSharded)
 	if err != nil {
@@ -111,9 +132,8 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	shardReg, err := embeddableByKind(shardKind)
-	if err != nil {
-		return nil, err
+	if !shardKind.Embeddable() {
+		return nil, errNotEmbeddable(shardKind)
 	}
 	n := d.Len(16)
 	if err := d.Err(); err != nil {
@@ -163,7 +183,7 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 		return nil, fmt.Errorf("shard: parse synopsis: %w", err)
 	}
 
-	s := &Sharded{plan: plan, eps: eps, tileKind: shardKind, tiles: make([]Synopsis, n)}
+	tiles := make([]Synopsis, n)
 	var gapStart uint64
 	for i, off := range offsets {
 		for _, b := range blob[gapStart:off[0]] {
@@ -172,31 +192,9 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 			}
 		}
 		gapStart = off[0] + off[1]
-		syn, err := shardReg.DecodeBinary(blob[off[0]:gapStart])
-		if err != nil {
+		if tiles[i], err = ParseTileBinary(shardKind, blob[off[0]:gapStart]); err != nil {
 			return nil, fmt.Errorf("shard: tile %d: %w", i, err)
 		}
-		if s.tiles[i], err = checkTile(s, i, shardReg, syn); err != nil {
-			return nil, err
-		}
 	}
-	return s, nil
-}
-
-// checkTile asserts that a decoded payload is a per-tile synopsis
-// covering exactly tile i of s under the release epsilon: a shard that
-// parses cleanly but covers the wrong tile is a corrupt release, not a
-// usable one.
-func checkTile(s *Sharded, i int, reg codec.Registration, syn codec.Synopsis) (Synopsis, error) {
-	tile, ok := syn.(Synopsis)
-	if !ok {
-		return nil, fmt.Errorf("shard: tile %d: %s decoder returned %T, which lacks the per-tile synopsis interface", i, reg.Name, syn)
-	}
-	if got, want := tile.Domain(), s.plan.Tile(i); got != want {
-		return nil, fmt.Errorf("shard: tile %d: domain %v does not cover its plan tile %v", i, got.Rect, want.Rect)
-	}
-	if tile.Epsilon() != s.eps {
-		return nil, fmt.Errorf("shard: tile %d: epsilon %g != manifest epsilon %g", i, tile.Epsilon(), s.eps)
-	}
-	return tile, nil
+	return Assemble(plan, eps, tiles)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -215,30 +216,41 @@ func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 		f(b)
 		return b
 	}
+	setShardKind := func(k codec.Kind) []byte {
+		return mut(func(b []byte) { binary.LittleEndian.PutUint16(b[12+32+8+8:], uint16(k)) })
+	}
 	cases := []struct {
 		name string
 		data []byte
+		want string // a substring of the error; "" accepts any error
 	}{
-		{"empty", nil},
-		{"truncated", data[:len(data)/2]},
-		{"trailing", append(bytes.Clone(data), 0xAB)},
+		{"empty", nil, ""},
+		{"truncated", data[:len(data)/2], ""},
+		{"trailing", append(bytes.Clone(data), 0xAB), ""},
 		{"wrong kind on manifest", mut(func(b []byte) {
 			binary.LittleEndian.PutUint16(b[10:], uint16(codec.KindUniform))
-		})},
+		}), ""},
 		{"bad shard kind", mut(func(b []byte) {
 			binary.LittleEndian.PutUint16(b[12+32+8+8:], 0xEE)
-		})},
+		}), ""},
+		// Only the five 2D release kinds can be tiles: not the zero
+		// kind, not a manifest (no nesting), not hist1d (no 2D domain)
+		// and not a kind this build does not know.
+		{"shard kind invalid", setShardKind(codec.KindInvalid), "not an embeddable synopsis kind"},
+		{"shard kind sharded", setShardKind(codec.KindSharded), "not an embeddable synopsis kind"},
+		{"shard kind hist1d", setShardKind(codec.KindHist1D), "not an embeddable synopsis kind"},
+		{"shard kind 8", setShardKind(codec.Kind(8)), "not an embeddable synopsis kind"},
 		{"zero epsilon", mut(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[12+32:], 0)
-		})},
+		}), ""},
 		{"non-contiguous offsets", mut(func(b []byte) {
 			// Second table entry's offset += 1.
 			off := binary.LittleEndian.Uint64(b[tableOff+16:])
 			binary.LittleEndian.PutUint64(b[tableOff+16:], off+1)
-		})},
+		}), ""},
 		{"shard payload bad magic", mut(func(b []byte) {
 			b[payloadOff] ^= 0xFF
-		})},
+		}), ""},
 		{"misaligned offsets", mut(func(b []byte) {
 			// Second table entry's offset += 8, with the length shrunk so
 			// the table still covers the blob.
@@ -246,32 +258,48 @@ func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[tableOff+16:], off+8)
 			n := binary.LittleEndian.Uint64(b[tableOff+24:])
 			binary.LittleEndian.PutUint64(b[tableOff+24:], n-8)
-		})},
+		}), ""},
 		{"nonzero manifest padding", mut(func(b []byte) {
 			b[tableOff+4*16] = 1
-		})},
+		}), ""},
 		// The first AG cell's sums table starts after the payload's
 		// 12-byte header, 32-byte domain, eps, alpha, m1 and the
 		// section length.
 		{"nan payload value", mut(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[payloadOff+12+32+8+8+4+8:], 0x7FF8000000000001)
-		})},
+		}), ""},
 		// The manifest's final 8 bytes are the last tile's SAT total: a
 		// finite value that disagrees with the cell totals.
 		{"SAT mismatch", mut(func(b []byte) {
 			last := b[len(b)-8:]
 			binary.LittleEndian.PutUint64(last, math.Float64bits(math.Float64frombits(binary.LittleEndian.Uint64(last))+1))
-		})},
+		}), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ParseShardedBinary(tc.data); err == nil {
 				t.Error("parse accepted it")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 			if _, err := ParseShardedBinary(misaligned(tc.data)); err == nil {
 				t.Error("parse of the misaligned bytes accepted it")
 			}
 		})
+	}
+}
+
+// TestAssembleRejectsShardedTile: a sharded release satisfies the tile
+// interface but is not an embeddable kind, so manifests cannot nest.
+func TestAssembleRejectsShardedTile(t *testing.T) {
+	inner := buildTestSharded(t, 77, 1, 1, false)
+	plan, err := NewPlan(inner.Domain(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Assemble(plan, inner.Epsilon(), []Synopsis{inner})
+	if err == nil || !strings.Contains(err.Error(), "not an embeddable synopsis kind") {
+		t.Fatalf("Assemble(sharded tile) = %v, want a not-embeddable error", err)
 	}
 }
 

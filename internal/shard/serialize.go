@@ -13,28 +13,11 @@ import (
 // plan and the release epsilon, plus one embedded per-shard payload per
 // tile in the payload kind's own format — in the JSON dump here, and in
 // the dpgridv2 container in binary.go, the one that loads. Any
-// registered kind marked codec.Registration.Tile can serve as the tile
-// kind; the manifest kind itself is not, so releases never nest.
+// embeddable kind (codec.Kind.Embeddable) can serve as the tile kind;
+// the manifest kind itself is not, so releases never nest.
 
-const (
-	// FormatSharded tags serialized Sharded releases.
-	FormatSharded = "dpgrid/sharded"
-	// serializeVersion is bumped on breaking manifest changes.
-	serializeVersion = 1
-)
-
-func init() {
-	codec.Register(codec.Registration{
-		Kind:       codec.KindSharded,
-		Name:       "sharded",
-		JSONFormat: FormatSharded,
-		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
-			return ParseShardedBinary(data)
-		},
-		// Not a Tile: the manifest kind is deliberately not embeddable
-		// as a tile of another manifest.
-	})
-}
+// serializeVersion is bumped on breaking manifest changes.
+const serializeVersion = 1
 
 // ContainerKind reports the release's container kind.
 func (s *Sharded) ContainerKind() codec.Kind { return codec.KindSharded }
@@ -51,25 +34,17 @@ type manifestFile struct {
 // WriteTo serializes the sharded release as a JSON manifest embedding
 // every per-shard payload's JSON dump.
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	reg, err := embeddableByKind(s.tileKind)
-	if err != nil {
-		return 0, err
-	}
 	f := manifestFile{
-		Head:        codec.NewHead(FormatSharded, serializeVersion, s.plan.dom, s.eps),
+		Head:        codec.NewHead(codec.KindSharded, serializeVersion, s.plan.dom, s.eps),
 		KX:          s.plan.kx,
 		KY:          s.plan.ky,
-		ShardFormat: reg.JSONFormat,
+		ShardFormat: s.tileKind.JSONFormat(),
 		Shards:      make([]json.RawMessage, len(s.tiles)),
 	}
 	var buf bytes.Buffer
-	for i, tile := range s.tiles {
-		wt, ok := tile.(io.WriterTo)
-		if !ok {
-			return 0, fmt.Errorf("shard: cannot serialize tile %d of type %T", i, tile)
-		}
+	for i, t := range s.tiles {
 		buf.Reset()
-		if _, err := wt.WriteTo(&buf); err != nil {
+		if _, err := t.WriteTo(&buf); err != nil {
 			return 0, fmt.Errorf("shard: serialize tile %d: %w", i, err)
 		}
 		f.Shards[i] = json.RawMessage(bytes.Clone(bytes.TrimSpace(buf.Bytes())))

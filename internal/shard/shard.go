@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -226,6 +227,11 @@ type Synopsis interface {
 	TotalEstimate() float64
 	Epsilon() float64
 	Domain() geom.Domain
+	// ContainerKind, AppendBinary and WriteTo serialize the tile: its
+	// kind, its dpgridv2 container and its JSON dump.
+	ContainerKind() codec.Kind
+	AppendBinary(dst []byte) ([]byte, error)
+	io.WriterTo
 }
 
 // Sharded is a geo-sharded release: one per-tile synopsis per shard of
@@ -242,11 +248,11 @@ type Sharded struct {
 // Assemble constructs a sharded release from pre-built per-tile
 // synopses — the path builders outside this package (any embeddable
 // kind) use to produce a release without going through the UG/AG build
-// fan-out. Every tile must report an embeddable container kind via
-// codec.Kinder, all tiles must share one kind, and each tile's domain
-// and epsilon must match its plan tile and the release epsilon — the
-// same invariants the manifest decoders enforce, checked at assembly so
-// a bad release cannot be serialized in the first place. The tiles
+// fan-out. Every tile must be of an embeddable container kind, all
+// tiles must share one kind, and each tile's domain and epsilon must
+// match its plan tile and the release epsilon — checked at assembly so
+// a bad release cannot be serialized in the first place, and by
+// ParseShardedBinary, which assembles the tiles it decodes. The tiles
 // slice is copied.
 func Assemble(plan Plan, eps float64, tiles []Synopsis) (*Sharded, error) {
 	if err := plan.validate(); err != nil {
@@ -258,21 +264,14 @@ func Assemble(plan Plan, eps float64, tiles []Synopsis) (*Sharded, error) {
 	if len(tiles) != plan.NumTiles() {
 		return nil, fmt.Errorf("shard: %d tiles != kx*ky = %d", len(tiles), plan.NumTiles())
 	}
-	var reg codec.Registration
+	kind := tiles[0].ContainerKind()
 	for i, tile := range tiles {
-		kinder, ok := tile.(codec.Kinder)
-		if !ok {
-			return nil, fmt.Errorf("shard: tile %d of type %T does not report a container kind", i, tile)
+		k := tile.ContainerKind()
+		if !k.Embeddable() {
+			return nil, fmt.Errorf("shard: tile %d: %w", i, errNotEmbeddable(k))
 		}
-		r, err := embeddableByKind(kinder.ContainerKind())
-		if err != nil {
-			return nil, fmt.Errorf("shard: tile %d: %w", i, err)
-		}
-		switch {
-		case i == 0:
-			reg = r
-		case r.Kind != reg.Kind:
-			return nil, fmt.Errorf("shard: tile %d kind %q != tile 0 kind %q", i, r.Name, reg.Name)
+		if k != kind {
+			return nil, fmt.Errorf("shard: tile %d kind %q != tile 0 kind %q", i, k, kind)
 		}
 		if got, want := tile.Domain(), plan.Tile(i); got != want {
 			return nil, fmt.Errorf("shard: tile %d: domain %v does not cover its plan tile %v", i, got.Rect, want.Rect)
@@ -281,7 +280,7 @@ func Assemble(plan Plan, eps float64, tiles []Synopsis) (*Sharded, error) {
 			return nil, fmt.Errorf("shard: tile %d: epsilon %g != release epsilon %g", i, tile.Epsilon(), eps)
 		}
 	}
-	return &Sharded{plan: plan, eps: eps, tileKind: reg.Kind, tiles: append([]Synopsis(nil), tiles...)}, nil
+	return &Sharded{plan: plan, eps: eps, tileKind: kind, tiles: append([]Synopsis(nil), tiles...)}, nil
 }
 
 // BuildUniform builds one UG synopsis per tile of plan, each under the

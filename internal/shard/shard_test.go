@@ -427,7 +427,7 @@ func TestParseShardedRejectsCorrupt(t *testing.T) {
 	}
 	var tiles [][]byte
 	for i := 0; i < s.NumShards(); i++ {
-		tile, err := s.Shard(i).(binaryAppender).AppendBinary(nil)
+		tile, err := s.Shard(i).AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

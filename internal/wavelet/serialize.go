@@ -21,24 +21,8 @@ import (
 //	domain (4 f64) | epsilon (f64) | grid size m (u32) |
 //	prefix sums (length-prefixed f64 section, (m+1)^2 row-major)
 
-const (
-	// FormatPrivlet tags serialized Privlet synopses.
-	FormatPrivlet = "dpgrid/privlet"
-	// serializeVersion is bumped on breaking format changes.
-	serializeVersion = 1
-)
-
-func init() {
-	codec.Register(codec.Registration{
-		Kind:       codec.KindPrivlet,
-		Name:       "privlet",
-		JSONFormat: FormatPrivlet,
-		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
-			return ParsePrivletBinary(data)
-		},
-		Tile: true,
-	})
-}
+// serializeVersion is bumped on breaking format changes.
+const serializeVersion = 1
 
 // ContainerKind reports the synopsis's container kind.
 func (w *Privlet) ContainerKind() codec.Kind { return codec.KindPrivlet }
@@ -64,7 +48,7 @@ type privletFile struct {
 // WriteTo serializes the synopsis as JSON.
 func (w *Privlet) WriteTo(dst io.Writer) (int64, error) {
 	f := privletFile{
-		Head:     codec.NewHead(FormatPrivlet, serializeVersion, w.dom, w.eps),
+		Head:     codec.NewHead(codec.KindPrivlet, serializeVersion, w.dom, w.eps),
 		GridSize: w.m,
 		Sums:     w.prefix.Sums(),
 	}

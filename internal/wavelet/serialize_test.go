@@ -73,7 +73,7 @@ func TestPrivletJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Head != codec.NewHead(FormatPrivlet, serializeVersion, w.Domain(), w.Epsilon()) || f.GridSize != w.m {
+	if f.Head != codec.NewHead(codec.KindPrivlet, serializeVersion, w.Domain(), w.Epsilon()) || f.GridSize != w.m {
 		t.Errorf("dump header %+v grid %d, want grid %d", f.Head, f.GridSize, w.m)
 	}
 	want := w.prefix.Sums()

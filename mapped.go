@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
+	"github.com/dpgrid/dpgrid/internal/hist1d"
 	"github.com/dpgrid/dpgrid/internal/mmapfile"
+	"github.com/dpgrid/dpgrid/internal/shard"
 )
 
 // ErrSynopsisClosed is returned by MappedSynopsis.QueryStatsCtx after
@@ -115,10 +117,21 @@ func LoadSynopsis(data []byte) (Synopsis, error) {
 		}
 		return nil, fmt.Errorf("dpgrid: %w", err)
 	}
-	// NewDec already rejected unregistered kinds (with the corrupt-vs-
-	// newer-writer distinction), so the lookup cannot miss here.
-	reg, _ := codec.Lookup(kind)
-	return reg.DecodeBinary(data)
+	// NewDec already rejected unknown kinds (with the corrupt-vs-
+	// newer-writer distinction); every kind but these two is a tile kind.
+	var syn Synopsis
+	switch kind {
+	case codec.KindSharded:
+		syn, err = shard.ParseShardedBinary(data)
+	case codec.KindHist1D:
+		syn, err = hist1d.ParseHistBinary(data)
+	default:
+		syn, err = shard.ParseTileBinary(kind, data)
+	}
+	if err != nil {
+		return nil, err // a nil interface, not a typed nil pointer
+	}
+	return syn, nil
 }
 
 // LoadSynopsisFile reads the file at path and decodes it with

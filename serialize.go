@@ -25,10 +25,10 @@ const (
 	FormatBinary = "binary"
 )
 
-// WriteSynopsis serializes a released synopsis (any kind in the
-// registry, built or loaded — UniformGrid, AdaptiveGrid, Hierarchy,
-// KDTree, Privlet, Hist1D or Sharded) as a dpgridv2 binary container,
-// which ReadSynopsis and LoadSynopsis load. A Sharded release
+// WriteSynopsis serializes a released synopsis (any kind, built or
+// loaded — UniformGrid, AdaptiveGrid, Hierarchy, KDTree, Privlet,
+// Hist1D or Sharded) as a dpgridv2 binary container, which
+// ReadSynopsis and LoadSynopsis load. A Sharded release
 // serializes as a manifest embedding one per-shard container per tile.
 // The container is decoded without parsing — on little-endian hosts
 // the decoded tables are its own aligned float sections (see
@@ -53,8 +53,8 @@ func WriteSynopsis(w io.Writer, s Synopsis) error {
 // Deprecated: WriteSynopsis writes the binary container; use it.
 func WriteSynopsisBinary(w io.Writer, s Synopsis) error { return WriteSynopsis(w, s) }
 
-// SynopsisKind reports the short registered kind name of a released or
-// loaded synopsis (e.g. "adaptive-grid"); sharded releases append the
+// SynopsisKind reports the short kind name of a released or loaded
+// synopsis (e.g. "adaptive-grid"); sharded releases append the
 // embedded tile kind, as in "sharded(adaptive-grid)". It returns "" for
 // values that do not report a container kind — serving layers can treat
 // that as "unknown" rather than an error.

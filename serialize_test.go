@@ -64,8 +64,8 @@ func TestWriteReadSynopsisAG(t *testing.T) {
 }
 
 // stubSynopsis implements Synopsis but none of the serialization
-// interfaces — the shape of a caller-provided synopsis from outside the
-// kind registry.
+// interfaces — the shape of a caller-provided synopsis that is none of
+// dpgrid's kinds.
 type stubSynopsis struct{}
 
 func (stubSynopsis) Query(Rect) float64 { return 0 }
@@ -339,8 +339,12 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 			if _, err := ReadSynopsis(bytes.NewReader(tc.data)); err == nil {
 				t.Errorf("corrupt input accepted: %.80s", tc.data)
 			}
-			if _, err := LoadSynopsis(tc.data); err == nil {
+			syn, err := LoadSynopsis(tc.data)
+			if err == nil {
 				t.Errorf("corrupt input accepted by the serving loader: %.80s", tc.data)
+			}
+			if syn != nil {
+				t.Errorf("the serving loader returned a non-nil %T with its error", syn)
 			}
 		})
 	}
@@ -760,8 +764,8 @@ func TestReadSynopsisBufferHasNoSlack(t *testing.T) {
 	}
 }
 
-// TestRegistryKindsRoundTrip asserts the kind-registry contract for
-// every registered kind at once: the binary container round-trips
+// TestRegistryKindsRoundTrip asserts the kind-table contract for every
+// kind at once: the binary container round-trips
 // bit-identically, SynopsisKind survives the trip, and the loaded
 // release writes the same JSON dump as the built one.
 func TestRegistryKindsRoundTrip(t *testing.T) {
@@ -770,7 +774,7 @@ func TestRegistryKindsRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			kind := SynopsisKind(s)
 			if kind == "" {
-				t.Fatalf("SynopsisKind(%T) = \"\": kind not registered", s)
+				t.Fatalf("SynopsisKind(%T) = \"\": kind unknown", s)
 			}
 			var bin bytes.Buffer
 			if err := WriteSynopsis(&bin, s); err != nil {

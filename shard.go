@@ -135,7 +135,7 @@ func AssembleSharded(plan ShardPlan, eps float64, tiles []Synopsis) (*Sharded, e
 	for i, t := range tiles {
 		s, ok := t.(shard.Synopsis)
 		if !ok {
-			return nil, fmt.Errorf("dpgrid: tile %d of type %T lacks the per-tile synopsis interface (Query/TotalEstimate/Epsilon/Domain)", i, t)
+			return nil, fmt.Errorf("dpgrid: tile %d of type %T lacks the per-tile synopsis interface (Query/TotalEstimate/Epsilon/Domain/ContainerKind/AppendBinary/WriteTo)", i, t)
 		}
 		st[i] = s
 	}
