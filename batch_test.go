@@ -53,10 +53,6 @@ func TestQueryBatchAllMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = p.X
-	}
 	ug := must(BuildUniformGrid(pts, dom, 1, UGOptions{GridSize: 25}, NewNoiseSource(1)))
 	ag := must(BuildAdaptiveGrid(pts, dom, 1, AGOptions{M1: 6}, NewNoiseSource(2)))
 	sharded := must(BuildShardedAdaptiveGrid(pts, plan, 1, AGOptions{M1: 4}, ShardOptions{}, NewNoiseSource(7)))
@@ -104,7 +100,6 @@ func TestQueryBatchAllMethods(t *testing.T) {
 		{"Hierarchy", must(BuildHierarchy(pts, dom, 1, HierarchyOptions{GridSize: 32, Branching: 2, Depth: 3}, NewNoiseSource(3))), nil},
 		{"KDHybrid", must(BuildKDTree(pts, dom, 1, KDTreeOptions{Method: KDHybrid}, NewNoiseSource(4))), nil},
 		{"Privlet", must(BuildPrivlet(pts, dom, 1, PrivletOptions{GridSize: 32}, NewNoiseSource(5))), nil},
-		{"Hist1D", must(BuildHist1DHierarchical(xs, 0, 100, 64, 2, 3, 1, NewNoiseSource(6))), nil},
 		{"Sharded", sharded, nil},
 		{"LoadedUG", loadedUG, nil},
 		{"LoadedAG", loadedAG, nil},

@@ -300,8 +300,8 @@ func TestRunLoadRejectsJSONDumps(t *testing.T) {
 	if data, err := os.ReadFile(dump); err != nil || !strings.HasPrefix(string(data), `{"format":"dpgrid/uniform-grid"`) {
 		t.Fatalf("-format json wrote %.40q, %v", data, err)
 	}
-	if len(paths) != 8 {
-		t.Fatalf("found %d JSON dumps under testdata, want 8: %v", len(paths), paths)
+	if len(paths) != 7 {
+		t.Fatalf("found %d JSON dumps under testdata, want 7: %v", len(paths), paths)
 	}
 	for _, path := range append(paths, dump) {
 		err := run([]string{"-load", path, "-query", "0,0,1,1"}, io.Discard)
@@ -322,6 +322,8 @@ func TestErrorLinePrefixOnce(t *testing.T) {
 	}{
 		{[]string{"-load", filepath.Join("..", "..", "testdata", "golden.ag.json")},
 			"dpgrid: JSON synopsis files are a write-only dump; load the binary release (-format binary)"},
+		{[]string{"-load", filepath.Join("..", "..", "testdata", "v1", "golden.ag.dpgrid")},
+			"dpgrid: codec: container version 1 no longer loads; convert it with a dpgrid that still reads it: dpgrid -load old.dpgrid -save new.dpgrid"},
 		{[]string{"-load", missing}, "dpgrid: open " + missing + "…"},
 		{nil, "dpgrid: -in is required (or -load a saved synopsis)"},
 	}

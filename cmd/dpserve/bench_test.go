@@ -38,10 +38,8 @@ func testKindSynopsis(t testing.TB, kind string, seed int64) dpgrid.Synopsis {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]dpgrid.Point, 5000)
-	xs := make([]float64, len(pts))
 	for i := range pts {
 		pts[i] = dpgrid.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		xs[i] = pts[i].X
 	}
 	src := dpgrid.NewNoiseSource(seed)
 	var syn dpgrid.Synopsis
@@ -54,8 +52,6 @@ func testKindSynopsis(t testing.TB, kind string, seed int64) dpgrid.Synopsis {
 		syn, err = dpgrid.BuildHierarchy(pts, dom, 1, dpgrid.HierarchyOptions{GridSize: 64, Branching: 2, Depth: 3}, src)
 	case "privlet":
 		syn, err = dpgrid.BuildPrivlet(pts, dom, 1, dpgrid.PrivletOptions{GridSize: 64}, src)
-	case "hist1d":
-		syn, err = dpgrid.BuildHist1DHierarchical(xs, 0, 100, 256, 2, 4, 1, src)
 	default:
 		t.Fatalf("unknown kind %q", kind)
 	}
@@ -82,7 +78,6 @@ func BenchmarkAnswerRepeatedRects(b *testing.B) {
 		{"kdtree", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "kdtree", 94) }},
 		{"hierarchy", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "hierarchy", 95) }},
 		{"privlet", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "privlet", 96) }},
-		{"hist1d", func(t testing.TB) dpgrid.Synopsis { return testKindSynopsis(t, "hist1d", 97) }},
 	} {
 		syn := shape.mk(b)
 		rects := repeatedWorkload(64)

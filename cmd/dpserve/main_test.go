@@ -259,13 +259,27 @@ func putAndCompare(t *testing.T, name string, seed int64, r dpgrid.Rect) {
 }
 
 func TestPutRejectsJSONDumps(t *testing.T) {
-	const want = "dpgrid: JSON synopsis files are a write-only dump; load the binary release (-format binary)"
-	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	putRejects(t, "*.json", 7, "dpgrid: JSON synopsis files are a write-only dump; load the binary release (-format binary)")
+}
+
+// TestPutRejectsVersion1: the committed version-1 containers no longer
+// load through PUT or -synopsis; each gets the error that names the
+// conversion.
+func TestPutRejectsVersion1(t *testing.T) {
+	putRejects(t, filepath.Join("v1", "*.dpgrid"), 6, "dpgrid: codec: container version 1 no longer loads; convert it with a dpgrid that still reads it: dpgrid -load old.dpgrid -save new.dpgrid")
+}
+
+// putRejects checks that each of the n files matching glob under the
+// repository's testdata is refused with want: by PUT with a 400, and
+// by -synopsis with and without -mmap. None is registered.
+func putRejects(t *testing.T, glob string, n int, want string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", glob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 8 {
-		t.Fatalf("found %d JSON dumps under testdata, want 8: %v", len(paths), paths)
+	if len(paths) != n {
+		t.Fatalf("found %d files matching %s under testdata, want %d: %v", len(paths), glob, n, paths)
 	}
 	reg := newRegistry()
 	h := newTestDPServer(reg, serverOptions{}).handler()
@@ -275,7 +289,7 @@ func TestPutRejectsJSONDumps(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/synopses/dump", bytes.NewReader(data)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/synopses/rejected", bytes.NewReader(data)))
 		var body struct{ Error string }
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 			t.Fatal(err)
@@ -284,13 +298,13 @@ func TestPutRejectsJSONDumps(t *testing.T) {
 			t.Errorf("PUT %s: %d %q, want 400 %q", path, rec.Code, body.Error, want)
 		}
 		for _, mmap := range []bool{false, true} {
-			if err := reg.loadFile("dump", path, mmap); err == nil || !strings.Contains(err.Error(), want) {
+			if err := reg.loadFile("rejected", path, mmap); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("-synopsis %s (mmap %v): err = %v", path, mmap, err)
 			}
 		}
 	}
-	if _, _, ok := reg.get("dump"); ok {
-		t.Error("a JSON dump was registered")
+	if _, _, ok := reg.get("rejected"); ok {
+		t.Errorf("a file matching %s was registered", glob)
 	}
 }
 

@@ -32,6 +32,21 @@
 // given; answering any number of queries afterwards consumes nothing
 // (post-processing).
 //
+// # What epsilon covers
+//
+// Two limits apply to every release, and neither is addressed by this
+// package yet. First, a neighbouring dataset differs in one point, so
+// the guarantee is point-level: check-in data has many points per user,
+// and user-level protection would need contribution bounding, which is
+// not built here. Second, structure sizes are computed from the exact
+// point count, spend no epsilon, and are released in the header: UG's m,
+// AG's m1, the kd-tree depth, the hierarchy and privlet sizes, the
+// method dpgrid -method auto picks, and per-tile sizes. Two datasets
+// that differ in one point can release different sizes (UG on 1102
+// and 1103 uniform points gives m = 10 and m = 11), so a release is
+// not epsilon-DP in those fields. The README's "What ε covers" section
+// has the details.
+//
 // # Quick start
 //
 //	dom, _ := dpgrid.NewDomain(-125, 30, -100, 50)

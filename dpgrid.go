@@ -4,7 +4,6 @@ import (
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/hierarchy"
-	"github.com/dpgrid/dpgrid/internal/hist1d"
 	"github.com/dpgrid/dpgrid/internal/kdtree"
 	"github.com/dpgrid/dpgrid/internal/noise"
 	"github.com/dpgrid/dpgrid/internal/pool"
@@ -30,11 +29,6 @@ func NewRect(x0, y0, x1, y1 float64) Rect { return geom.NewRect(x0, y0, x1, y1) 
 func NewDomain(minX, minY, maxX, maxY float64) (Domain, error) {
 	return geom.NewDomain(minX, minY, maxX, maxY)
 }
-
-// BoundingDomain returns the smallest valid domain covering all points.
-// Note: deriving the domain from the data leaks the extremes; prefer a
-// fixed public domain when the data is sensitive.
-func BoundingDomain(points []Point) (Domain, error) { return geom.BoundingDomain(points) }
 
 // NoiseSource supplies the randomness for every mechanism. Uniform must
 // return values in [0, 1). A NoiseSource is not safe for concurrent use
@@ -157,25 +151,4 @@ type Hierarchy = hierarchy.Hierarchy
 // paper's Figure 3 baseline).
 func BuildHierarchy(points []Point, dom Domain, eps float64, opts HierarchyOptions, src NoiseSource) (*Hierarchy, error) {
 	return hierarchy.BuildHierarchy(points, dom, eps, opts, src)
-}
-
-// Hist1D is a one-dimensional histogram synopsis over an interval
-// [lo, hi]. Its Query projects a rectangle onto the axis (the y-extent
-// is ignored); Range answers interval queries directly. It serializes
-// through the same container formats as the 2D kinds.
-type Hist1D = hist1d.Hist
-
-// BuildHist1DFlat releases a flat eps-DP 1D histogram of the scalar
-// values xs: every bin gets independent Laplace noise, the 1D analogue
-// of a uniform grid.
-func BuildHist1DFlat(xs []float64, lo, hi float64, bins int, eps float64, src NoiseSource) (*Hist1D, error) {
-	return hist1d.BuildFlat(xs, lo, hi, bins, eps, src)
-}
-
-// BuildHist1DHierarchical releases an eps-DP 1D histogram through a
-// b-ary hierarchy with constrained inference (Hay et al., VLDB 2010) —
-// the method whose 1D gains the paper's section IV-C shows do not
-// survive in higher dimensions.
-func BuildHist1DHierarchical(xs []float64, lo, hi float64, bins, branching, depth int, eps float64, src NoiseSource) (*Hist1D, error) {
-	return hist1d.BuildHierarchical(xs, lo, hi, bins, branching, depth, eps, src)
 }

@@ -74,19 +74,6 @@ func TestSuggestedGridSize(t *testing.T) {
 	}
 }
 
-func TestBoundingDomain(t *testing.T) {
-	pts := []Point{{X: 1, Y: 2}, {X: 9, Y: 4}}
-	dom, err := BoundingDomain(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if !dom.Contains(p) {
-			t.Errorf("domain %v missing %v", dom, p)
-		}
-	}
-}
-
 func TestAGAccessorsThroughFacade(t *testing.T) {
 	dom, _ := NewDomain(0, 0, 10, 10)
 	pts := examplePoints(8, 20000, dom)

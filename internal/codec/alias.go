@@ -18,9 +18,9 @@ var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // 8). On a little-endian host with b 8-byte aligned, the result
 // aliases b: no copy, no allocation, and the caller's bytes must stay
 // immutable and alive for as long as the slice is used. Big-endian
-// hosts and misaligned bytes (version-1 containers, or a buffer
-// starting at an odd address) get a decoded copy instead. Either way
-// the values are bit-identical.
+// hosts and misaligned bytes (a container buffer that does not start at
+// an 8-byte address) get a decoded copy instead. Either way the values
+// are bit-identical.
 func f64s(b []byte) []float64 {
 	n := len(b) / 8
 	if n == 0 {

@@ -71,39 +71,6 @@ func TestDecRejectsNonzeroPadding(t *testing.T) {
 	}
 }
 
-// TestDecReadsVersion1: version-1 containers have no padding, and
-// still decode; the version is reported to kind decoders.
-func TestDecReadsVersion1(t *testing.T) {
-	e := NewEnc(nil, KindUniform)
-	e.U16(7)
-	e.U64(2) // unpadded section, as version 1 wrote it
-	e.F64(1.5)
-	e.F64(-2)
-	data := e.Bytes()
-	binary.LittleEndian.PutUint16(data[len(Magic):], 1)
-	d, _, err := NewDec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", d.Version())
-	}
-	d.U16()
-	vs := d.F64s(2)
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if vs[0] != 1.5 || vs[1] != -2 {
-		t.Fatalf("F64s = %v", vs)
-	}
-	for _, v := range []uint16{0, Version + 1} {
-		binary.LittleEndian.PutUint16(data[len(Magic):], v)
-		if _, _, err := NewDec(data); err == nil {
-			t.Errorf("version %d accepted", v)
-		}
-	}
-}
-
 // TestF64sAliasOrCopy: an aligned section on a little-endian host is
 // the container's own bytes (a write through the result shows in
 // them); a misaligned one is a copy with the same values.

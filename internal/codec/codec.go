@@ -19,6 +19,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -28,16 +29,17 @@ import (
 // full string keeps accidental collisions implausible.
 const Magic = "dpgridv2"
 
-// Version is the container layout version writers emit. Version 2
-// aligns every float64 section to 8 bytes (see Enc.Align); readers
-// still accept version-1 containers, whose sections are unaligned.
+// Version is the one container layout version: writers emit it and
+// readers accept only it. Version 2 aligns every float64 section to 8
+// bytes (see Enc.Align). Version 1, whose sections were unaligned, no
+// longer loads; errVersion1 names its conversion.
 const Version = 2
 
-// minVersion is the oldest container layout version readers accept.
-const minVersion = 1
+// errVersion1 is NewDec's error for a version-1 container.
+var errVersion1 = errors.New("codec: container version 1 no longer loads; convert it with a dpgrid that still reads it: dpgrid -load old.dpgrid -save new.dpgrid")
 
-// align is the boundary version-2 containers pad float64 sections to,
-// measured from the container's first byte.
+// align is the boundary containers pad float64 sections to, measured
+// from the container's first byte.
 const align = 8
 
 // Kind tags the synopsis type a container holds.
@@ -61,8 +63,9 @@ const (
 	KindKDTree Kind = 5
 	// KindPrivlet tags a Privlet wavelet payload.
 	KindPrivlet Kind = 6
-	// KindHist1D tags a 1D histogram payload.
-	KindHist1D Kind = 7
+	// kindHist1D tagged a 1-D histogram release. The kind is retired:
+	// nothing builds or loads it, and its number stays reserved.
+	kindHist1D Kind = 7
 )
 
 // kindInfo is a kind's wire identity.
@@ -70,20 +73,21 @@ type kindInfo struct {
 	name       string // short stable name, rendered by Kind.String
 	jsonFormat string // format tag of the kind's JSON dump
 	embeddable bool   // may be the tile kind of a sharded manifest
+	retired    bool   // reserved number whose releases no longer load
 }
 
 // kinds is the static kind table, indexed by Kind. It is contiguous
 // from KindUniform to maxKind, so every nonzero kind up to maxKind is
-// known. Manifests do not nest, so the sharded kind is not embeddable;
-// nor is hist1d, which has no 2D domain to check against a tile.
+// known, retired ones included. Manifests do not nest, so the sharded
+// kind is not embeddable.
 var kinds = [...]kindInfo{
-	KindUniform:   {"uniform-grid", "dpgrid/uniform-grid", true},
-	KindAdaptive:  {"adaptive-grid", "dpgrid/adaptive-grid", true},
-	KindSharded:   {"sharded", "dpgrid/sharded", false},
-	KindHierarchy: {"hierarchy", "dpgrid/hierarchy", true},
-	KindKDTree:    {"kd-tree", "dpgrid/kdtree", true},
-	KindPrivlet:   {"privlet", "dpgrid/privlet", true},
-	KindHist1D:    {"hist1d", "dpgrid/hist1d", false},
+	KindUniform:   {"uniform-grid", "dpgrid/uniform-grid", true, false},
+	KindAdaptive:  {"adaptive-grid", "dpgrid/adaptive-grid", true, false},
+	KindSharded:   {"sharded", "dpgrid/sharded", false, false},
+	KindHierarchy: {"hierarchy", "dpgrid/hierarchy", true, false},
+	KindKDTree:    {"kd-tree", "dpgrid/kdtree", true, false},
+	KindPrivlet:   {"privlet", "dpgrid/privlet", true, false},
+	kindHist1D:    {name: "hist1d", retired: true},
 }
 
 // maxKind is the highest kind this build knows: NewDec reads a larger
@@ -195,32 +199,36 @@ func (e *Enc) Bytes() []byte { return e.buf }
 // allocation, so a corrupt or hostile length can never demand more
 // memory than the file's own size.
 type Dec struct {
-	data    []byte
-	off     int
-	err     error
-	version uint16
+	data []byte
+	off  int
+	err  error
 }
 
-// NewDec validates the magic and version of data and returns a decoder
-// positioned at the start of the kind-specific body, plus the kind.
+// NewDec validates the magic, version and kind of data and returns a
+// decoder positioned at the start of the kind-specific body, plus the
+// kind.
 func NewDec(data []byte) (*Dec, Kind, error) {
 	if !Detect(data) {
 		return nil, KindInvalid, fmt.Errorf("codec: not a %s container", Magic)
 	}
 	d := &Dec{data: data, off: len(Magic)}
-	d.version = d.U16()
+	version := d.U16()
 	kind := Kind(d.U16())
 	if d.err != nil {
 		return nil, KindInvalid, d.err
 	}
-	if d.version < minVersion || d.version > Version {
-		return nil, KindInvalid, fmt.Errorf("codec: unsupported container version %d (have %d-%d)", d.version, minVersion, Version)
+	switch {
+	case version == 1:
+		return nil, KindInvalid, errVersion1
+	case version != Version:
+		return nil, KindInvalid, fmt.Errorf("codec: unsupported container version %d (this build reads version %d)", version, Version)
 	}
 	// The kind table is contiguous, so an unknown kind splits two ways:
 	// one beyond everything this build knows most likely comes from a
 	// newer writer (the numbers only ever grow), which deserves an
 	// upgrade hint rather than a generic corruption error; kind 0 is a
-	// corrupt or tampered container.
+	// corrupt or tampered container. A retired kind is known but no
+	// longer loads.
 	switch {
 	case kind > maxKind:
 		return nil, KindInvalid, fmt.Errorf(
@@ -228,15 +236,14 @@ func NewDec(data []byte) (*Dec, Kind, error) {
 			kind, uint16(maxKind), maxKind)
 	case kind == KindInvalid:
 		return nil, KindInvalid, fmt.Errorf("codec: unknown synopsis kind %d (corrupt container)", kind)
+	case kind.info().retired:
+		return nil, KindInvalid, fmt.Errorf("codec: synopsis kind %d (%v) is retired and no longer loads", kind, kind)
 	}
 	return d, kind, nil
 }
 
 // Err returns the first decoding failure, or nil.
 func (d *Dec) Err() error { return d.err }
-
-// Version returns the container layout version NewDec read.
-func (d *Dec) Version() uint16 { return d.version }
 
 // Remaining returns the number of unread bytes.
 func (d *Dec) Remaining() int { return len(d.data) - d.off }
@@ -310,14 +317,10 @@ func (d *Dec) Len(elemSize int) int {
 	return int(n)
 }
 
-// Align consumes the zero padding Enc.Align writes: in a version-2
-// container, the bytes up to the next 8-byte offset, which must all be
-// zero so the encoding stays canonical. Version-1 containers have no
-// padding, so it consumes nothing.
+// Align consumes the zero padding Enc.Align writes: the bytes up to
+// the next 8-byte offset, which must all be zero so the encoding stays
+// canonical.
 func (d *Dec) Align() {
-	if d.version < 2 {
-		return
-	}
 	for _, b := range d.take((align - d.off%align) % align) {
 		if b != 0 {
 			d.fail("nonzero alignment padding byte %#02x", b)
@@ -327,9 +330,9 @@ func (d *Dec) Align() {
 }
 
 // F64s consumes a length-prefixed float64 section of exactly want
-// elements. The result aliases the container bytes when the host can
-// read them in place (see f64s), so it is read-only and lives as long
-// as the bytes do.
+// elements. On a little-endian host reading an 8-byte-aligned buffer
+// the result aliases the container bytes (see f64s), so it is read-only
+// and lives as long as the bytes do; otherwise it is a decoded copy.
 func (d *Dec) F64s(want int) []float64 {
 	d.Align()
 	n := d.Len(8)

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -40,23 +41,57 @@ func TestDetectRejectsJSONAndShort(t *testing.T) {
 	}
 }
 
-func TestNewDecRejectsBadHeaders(t *testing.T) {
-	cases := map[string][]byte{
-		"bad magic":    []byte("notmagicxxxx"),
-		"truncated":    []byte(Magic + "\x01"),
-		"bad version":  NewEnc(nil, KindUniform).Bytes()[:0:0],
-		"kind zero":    NewEnc(nil, KindInvalid).Bytes(),
-		"kind unknown": NewEnc(nil, Kind(99)).Bytes(),
-	}
-	// Corrupt the version bytes for the "bad version" case.
-	v := NewEnc(nil, KindUniform).Bytes()
-	v[len(Magic)] = 0xFF
-	cases["bad version"] = v
-	for name, data := range cases {
-		if _, _, err := NewDec(data); err == nil {
-			t.Errorf("%s: accepted", name)
+// headerWith is a bare container header with its version and kind set.
+func headerWith(version uint16, kind Kind) []byte {
+	data := NewEnc(nil, kind).Bytes()
+	binary.LittleEndian.PutUint16(data[len(Magic):], version)
+	return data
+}
+
+type badHeader struct {
+	name string
+	data []byte
+	want string
+}
+
+// checkNewDecRejects asserts that NewDec refuses each header with an
+// error containing its want text and returns no decoder or kind with it.
+func checkNewDecRejects(t *testing.T, cases []badHeader) {
+	t.Helper()
+	for _, tc := range cases {
+		d, kind, err := NewDec(tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+		if d != nil || kind != KindInvalid {
+			t.Errorf("%s: returned a decoder or kind %v with its error", tc.name, kind)
 		}
 	}
+}
+
+// TestNewDecRejectsBadHeaders pins the framing NewDec refuses and the
+// error each one gets; version 1 gets the conversion command.
+func TestNewDecRejectsBadHeaders(t *testing.T) {
+	checkNewDecRejects(t, []badHeader{
+		{"bad magic", []byte("notmagicxxxx"), "not a dpgridv2 container"},
+		{"truncated", []byte(Magic + "\x01"), "truncated"},
+		{"version 0", headerWith(0, KindUniform), "unsupported container version 0"},
+		{"version 1", headerWith(1, KindUniform), errVersion1.Error()},
+		{"version 3", headerWith(3, KindUniform), "unsupported container version 3"},
+		{"version 0xffff", headerWith(0xffff, KindUniform), "unsupported container version 65535"},
+	})
+}
+
+// TestNewDecUnknownKindErrors pins the kinds NewDec refuses: kind 0
+// reads as corruption, the retired kind 7 says so, and a kind beyond
+// everything this build knows gets the upgrade hint.
+func TestNewDecUnknownKindErrors(t *testing.T) {
+	checkNewDecRejects(t, []badHeader{
+		{"kind 0", headerWith(Version, KindInvalid), "unknown synopsis kind 0 (corrupt container)"},
+		{"kind 7", headerWith(Version, kindHist1D), "synopsis kind 7 (hist1d) is retired"},
+		{"kind 8", headerWith(Version, Kind(8)), "upgrade dpgrid"},
+		{"kind 4000", headerWith(Version, Kind(4000)), "upgrade dpgrid"},
+	})
 }
 
 func TestPrimitiveRoundTrip(t *testing.T) {
@@ -172,7 +207,8 @@ func TestKindString(t *testing.T) {
 
 // TestKindTable pins every kind's wire identity: its name, its JSON
 // format tag and whether it can be a sharded tile. The table is
-// contiguous, so every kind from 1 to maxKind is known.
+// contiguous, so every kind from 1 to maxKind is known; the retired
+// kind 7 keeps its name and nothing else.
 func TestKindTable(t *testing.T) {
 	want := []struct {
 		kind       Kind
@@ -186,7 +222,7 @@ func TestKindTable(t *testing.T) {
 		{KindHierarchy, "hierarchy", "dpgrid/hierarchy", true},
 		{KindKDTree, "kd-tree", "dpgrid/kdtree", true},
 		{KindPrivlet, "privlet", "dpgrid/privlet", true},
-		{KindHist1D, "hist1d", "dpgrid/hist1d", false},
+		{kindHist1D, "hist1d", "", false},
 	}
 	if int(maxKind) != len(want) {
 		t.Fatalf("maxKind = %d, want %d", maxKind, len(want))
@@ -211,22 +247,6 @@ func TestKindTable(t *testing.T) {
 		}
 		if got, want := k.String(), "kind("; !strings.HasPrefix(got, want) {
 			t.Errorf("unknown kind %d: String = %q", k, got)
-		}
-	}
-}
-
-// TestNewDecUnknownKindErrors pins the corrupt-vs-newer-writer split:
-// a kind beyond everything this build knows gets the upgrade hint, kind
-// 0 reads as corruption.
-func TestNewDecUnknownKindErrors(t *testing.T) {
-	_, _, err := NewDec(NewEnc(nil, KindInvalid).Bytes())
-	if err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("kind 0: err = %v, want corrupt-container error", err)
-	}
-	for _, k := range []Kind{Kind(8), Kind(4000)} {
-		_, _, err = NewDec(NewEnc(nil, k).Bytes())
-		if err == nil || !strings.Contains(err.Error(), "upgrade") {
-			t.Errorf("kind %d: err = %v, want newer-writer upgrade error", k, err)
 		}
 	}
 }

@@ -13,19 +13,12 @@ import (
 // down to their genuinely kind-specific fields. The tables' value checks live
 // with the table, in internal/grid.
 
-// Envelope opens every JSON dump: the kind's format tag and the
-// version of its JSON layout.
-type Envelope struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-}
-
-// Head is the opening of every JSON dump over a 2-D domain: the
-// envelope, the domain bounds and the release epsilon, in that order.
-// A kind's file struct embeds it first. hist1d, whose releases cover a
-// range instead, embeds Envelope.
+// Head is the opening of every JSON dump: the kind's format tag, the
+// version of its JSON layout, the domain bounds and the release
+// epsilon, in that order. A kind's file struct embeds it first.
 type Head struct {
-	Envelope
+	Format  string     `json:"format"`
+	Version int        `json:"version"`
 	Domain  [4]float64 `json:"domain"` // minX, minY, maxX, maxY
 	Epsilon float64    `json:"epsilon"`
 }
@@ -34,9 +27,10 @@ type Head struct {
 // over dom.
 func NewHead(kind Kind, version int, dom geom.Domain, eps float64) Head {
 	return Head{
-		Envelope: Envelope{Format: kind.JSONFormat(), Version: version},
-		Domain:   [4]float64{dom.MinX, dom.MinY, dom.MaxX, dom.MaxY},
-		Epsilon:  eps,
+		Format:  kind.JSONFormat(),
+		Version: version,
+		Domain:  [4]float64{dom.MinX, dom.MinY, dom.MaxX, dom.MaxY},
+		Epsilon: eps,
 	}
 }
 
@@ -49,27 +43,18 @@ func (e *Enc) Domain(dom geom.Domain) {
 	e.F64(dom.MaxY)
 }
 
-// Open validates a container's framing, as NewDec does, and that it
-// holds a release of kind want. Errors start with pkg.
-func Open(pkg string, data []byte, want Kind) (*Dec, error) {
+// OpenHead validates a container's framing, as NewDec does, and that
+// it holds a release of kind want, then reads and checks the domain and
+// release epsilon every body opens with (the domain as Dec.Domain does,
+// and that epsilon is positive). It returns both with the decoder
+// positioned after them. Errors start with pkg.
+func OpenHead(pkg string, data []byte, want Kind) (*Dec, geom.Domain, float64, error) {
 	d, kind, err := NewDec(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: parse synopsis: %w", pkg, err)
+		return nil, geom.Domain{}, 0, fmt.Errorf("%s: parse synopsis: %w", pkg, err)
 	}
 	if kind != want {
-		return nil, fmt.Errorf("%s: container kind %v is not %v", pkg, kind, want)
-	}
-	return d, nil
-}
-
-// OpenHead is Open for a kind whose body opens with its domain and
-// release epsilon: it reads and checks both (the domain as Dec.Domain
-// does, and that epsilon is positive) and returns them with the decoder
-// positioned after them.
-func OpenHead(pkg string, data []byte, want Kind) (*Dec, geom.Domain, float64, error) {
-	d, err := Open(pkg, data, want)
-	if err != nil {
-		return nil, geom.Domain{}, 0, err
+		return nil, geom.Domain{}, 0, fmt.Errorf("%s: container kind %v is not %v", pkg, kind, want)
 	}
 	dom, err := d.Domain()
 	eps := d.F64()

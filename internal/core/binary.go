@@ -28,9 +28,8 @@ import (
 //	     (m2+1)^2 row-major; the length fixes m2) |
 //	     SAT trailer (optional; see below)
 //
-// Version-1 AG containers precede each cell's section with its m2 as a
-// u32; version 2 dropped the redundant field, which is also what keeps
-// consecutive cell sections 8-byte aligned with no padding.
+// A cell stores no m2 field: the section length fixes it, which is also
+// what keeps consecutive cell sections 8-byte aligned with no padding.
 //
 // AG cells persist the prefix-sum table rather than the leaf counts:
 // the table is the synopsis's exact in-memory query structure, so
@@ -166,14 +165,11 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 	}
 	n := m1 * m1
 	// Every encoded cell occupies at least 40 bytes (a u64 length prefix
-	// and a minimum 2x2 sums table; 44 with version 1's u32 m2), so an
-	// m1 whose cells cannot fit in the remaining payload is corrupt.
-	// Checking before the allocations below keeps a hostile header from
-	// demanding gigabytes for a claim the file's own size refutes.
-	minCellBytes := 8 + 4*8
-	if d.Version() == 1 {
-		minCellBytes += 4
-	}
+	// and a minimum 2x2 sums table), so an m1 whose cells cannot fit in
+	// the remaining payload is corrupt. Checking before the allocations
+	// below keeps a hostile header from demanding gigabytes for a claim
+	// the file's own size refutes.
+	const minCellBytes = 8 + 4*8
 	if n > d.Remaining()/minCellBytes {
 		return nil, fmt.Errorf("core: m1 %d demands %d cells but only %d bytes remain", m1, n, d.Remaining())
 	}
@@ -221,24 +217,9 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 	return a, nil
 }
 
-// decodeAGCell reads AG cell k: its m2 and its (m2+1)^2 sums table.
-// Version 1 stores m2 as a u32 ahead of the table; version 2 derives it
-// from the table's length, which must be the square of a side >= 2.
+// decodeAGCell reads AG cell k: its (m2+1)^2 sums table, and m2 from
+// the table's length, which must be the square of a side >= 2.
 func decodeAGCell(d *codec.Dec, k int) (m2 int, sums []float64, err error) {
-	if d.Version() == 1 {
-		m2 = d.Int32()
-		if err := d.Err(); err != nil {
-			return 0, nil, fmt.Errorf("core: cell %d: %w", k, err)
-		}
-		if !grid.Fits(m2, m2) {
-			return 0, nil, fmt.Errorf("core: cell %d: invalid m2 %d", k, m2)
-		}
-		sums = d.F64s((m2 + 1) * (m2 + 1))
-		if err := d.Err(); err != nil {
-			return 0, nil, fmt.Errorf("core: cell %d: %w", k, err)
-		}
-		return m2, sums, nil
-	}
 	sums = d.F64Section()
 	if err := d.Err(); err != nil {
 		return 0, nil, fmt.Errorf("core: cell %d: %w", k, err)

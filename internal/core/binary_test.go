@@ -484,60 +484,3 @@ func TestAGSATTrailerRejectsInconsistent(t *testing.T) {
 		}
 	}
 }
-
-// TestAGBinaryReadsVersion1: the version-1 AG layout — a u32 m2 ahead
-// of every cell table, no alignment padding — still decodes, answers
-// bit-identically to the version-2 container of the same release, and
-// re-encodes as version 2.
-func TestAGBinaryReadsVersion1(t *testing.T) {
-	a := testAG(t)
-	v2, err := a.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := codec.NewEnc(nil, codec.KindAdaptive)
-	e.Domain(a.dom)
-	e.F64(a.eps)
-	e.F64(a.alpha)
-	e.U32(uint32(a.m1))
-	unpadded := func(vs []float64) {
-		e.U64(uint64(len(vs)))
-		for _, v := range vs {
-			e.F64(v)
-		}
-	}
-	for k := range a.cells {
-		e.U32(uint32(a.cells[k].m2))
-		unpadded(a.cells[k].leaves.Sums())
-	}
-	e.U16(codec.SATTag)
-	unpadded(a.level1.Sums())
-	v1 := e.Bytes()
-	binary.LittleEndian.PutUint16(v1[len(codec.Magic):], 1)
-
-	old, err := ParseAdaptiveGridBinary(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := ParseAdaptiveGridBinary(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range satRects(a.dom) {
-		if got, want := old.Query(r), cur.Query(r); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("rect %d: version 1 answered %v, version 2 %v", i, got, want)
-		}
-	}
-	again, err := old.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, v2) {
-		t.Error("a version-1 decode did not re-encode to the version-2 container")
-	}
-	// 64-byte body header: the first cell's u32 m2 follows it.
-	binary.LittleEndian.PutUint32(v1[64:], 0)
-	if _, err := ParseAdaptiveGridBinary(v1); err == nil {
-		t.Error("version-1 cell with m2 = 0 accepted")
-	}
-}

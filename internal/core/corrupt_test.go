@@ -9,20 +9,10 @@ import (
 	"github.com/dpgrid/dpgrid/internal/codec"
 )
 
-// rawAGCell is one hand-written AG cell: the m2 a version-1 container
-// stores and the sums table both versions store.
-type rawAGCell struct {
-	m2   uint32
-	sums []float64
-}
-
 // buildRawAG hand-assembles an AG container so tests can plant field
-// values AppendBinary would never emit. Version 1 stores each cell's m2
-// as a u32 ahead of an unpadded table, so it can carry an m2 that no
-// version-2 table length fixes. Its cells must fill at least the 44
-// bytes a version-1 cell takes, or the decoder's minimum-size guard
-// rejects the header first.
-func buildRawAG(version uint16, dom [4]float64, eps, alpha float64, m1 uint32, cells ...rawAGCell) []byte {
+// values AppendBinary would never emit: each cell is written as the
+// given sums section.
+func buildRawAG(dom [4]float64, eps, alpha float64, m1 uint32, cells ...[]float64) []byte {
 	e := codec.NewEnc(nil, codec.KindAdaptive)
 	for _, v := range dom {
 		e.F64(v)
@@ -30,20 +20,21 @@ func buildRawAG(version uint16, dom [4]float64, eps, alpha float64, m1 uint32, c
 	e.F64(eps)
 	e.F64(alpha)
 	e.U32(m1)
-	for _, c := range cells {
-		if version != 1 {
-			e.F64s(c.sums)
-			continue
-		}
-		e.U32(c.m2)
-		e.U64(uint64(len(c.sums)))
-		for _, v := range c.sums {
-			e.F64(v)
-		}
+	for _, sums := range cells {
+		e.F64s(sums)
 	}
-	data := e.Bytes()
-	binary.LittleEndian.PutUint16(data[len(codec.Magic):], version)
-	return data
+	return e.Bytes()
+}
+
+// rawAGClaim is a one-cell AG container whose cell section claims n
+// float64s but holds only the 40 bytes the decoder's minimum-size
+// guard lets through: in the container, a cell's m2 is claimed by its
+// section length.
+func rawAGClaim(n uint64) []byte {
+	// The body header ends at offset 64, already aligned, so the
+	// section's length prefix follows it directly.
+	data := binary.LittleEndian.AppendUint64(buildRawAG([4]float64{0, 0, 1, 1}, 1, 0.5, 1), n)
+	return append(data, make([]byte, 32)...)
 }
 
 // TestCorruptReleasesBothEncodings: every corrupt release is rejected
@@ -59,7 +50,7 @@ func TestCorruptReleasesBothEncodings(t *testing.T) {
 		binary.LittleEndian.PutUint16(data[len(codec.Magic):], version)
 		return data
 	}
-	zeroCell := rawAGCell{m2: 1, sums: []float64{0, 0, 0, 0}}
+	zeroCell := []float64{0, 0, 0, 0}
 	const u32Max = math.MaxUint32
 
 	cases := []struct {
@@ -94,44 +85,52 @@ func TestCorruptReleasesBothEncodings(t *testing.T) {
 			want: "core: parse synopsis: geom: invalid domain [1,0]x[0,1]: need finite bounds with positive extent"},
 		{name: "ug future version",
 			bin:  withVersion(buildRawUG(unit, 1, 1, 1, 1, []float64{0}), 3),
-			want: "core: parse synopsis: codec: unsupported container version 3 (have 1-2)"},
+			want: "core: parse synopsis: codec: unsupported container version 3 (this build reads version 2)"},
 
 		{name: "ag zero epsilon", ag: true,
-			bin:  buildRawAG(2, unit, 0, 0.5, 1, zeroCell),
+			bin:  buildRawAG(unit, 0, 0.5, 1, zeroCell),
 			want: "core: invalid epsilon 0"},
 		{name: "ag alpha above 1", ag: true,
-			bin:  buildRawAG(2, unit, 1, 1.5, 1, zeroCell),
+			bin:  buildRawAG(unit, 1, 1.5, 1, zeroCell),
 			want: "core: invalid alpha 1.5"},
 		{name: "ag zero alpha", ag: true,
-			bin:  buildRawAG(2, unit, 1, 0, 1, zeroCell),
+			bin:  buildRawAG(unit, 1, 0, 1, zeroCell),
 			want: "core: invalid alpha 0"},
 		{name: "ag zero m1", ag: true,
-			bin:  buildRawAG(2, unit, 1, 0.5, 0),
+			bin:  buildRawAG(unit, 1, 0.5, 0),
 			want: "core: invalid m1 0"},
 		{name: "ag m1 over the cap", ag: true,
-			bin:  buildRawAG(2, unit, 1, 0.5, 1<<15),
+			bin:  buildRawAG(unit, 1, 0.5, 1<<15),
 			want: "core: invalid m1 32768"},
 		{name: "ag m1 overflow int64", ag: true,
-			bin:  buildRawAG(2, unit, 1, 0.5, u32Max),
+			bin:  buildRawAG(unit, 1, 0.5, u32Max),
 			want: "core: invalid m1 4294967295"},
+		// A one-entry table (m2 = 0), with 24 bytes after it so the
+		// minimum-size guard lets the cell through to its own check.
 		{name: "ag zero m2", ag: true,
-			bin:  buildRawAG(1, unit, 1, 0.5, 1, rawAGCell{m2: 0, sums: zeroCell.sums}),
-			want: "core: cell 0: invalid m2 0"},
+			bin:  append(buildRawAG(unit, 1, 0.5, 1, []float64{0}), make([]byte, 24)...),
+			want: "core: cell 0: sums section of 1 entries is not an (m2+1)^2 table with m2 >= 1"},
+		{name: "ag sums not square", ag: true,
+			bin:  buildRawAG(unit, 1, 0.5, 1, []float64{0, 0, 0, 0, 0}),
+			want: "core: cell 0: sums section of 5 entries is not an (m2+1)^2 table with m2 >= 1"},
 		{name: "ag m2 over the cap", ag: true,
-			bin:  buildRawAG(1, unit, 1, 0.5, 1, rawAGCell{m2: 1 << 15, sums: zeroCell.sums}),
-			want: "core: cell 0: invalid m2 32768"},
+			bin:  rawAGClaim((1<<15 + 1) * (1<<15 + 1)),
+			want: "core: cell 0: codec: section length 1073807361 exceeds the 32 bytes left (offset 72)"},
 		{name: "ag m2 overflow int64", ag: true,
-			bin:  buildRawAG(1, unit, 1, 0.5, 1, rawAGCell{m2: u32Max, sums: zeroCell.sums}),
-			want: "core: cell 0: invalid m2 4294967295"},
+			bin:  rawAGClaim(math.MaxUint64),
+			want: "core: cell 0: codec: section length 18446744073709551615 exceeds the 32 bytes left (offset 72)"},
 		{name: "ag non-finite sum", ag: true,
-			bin:  buildRawAG(2, unit, 1, 0.5, 1, rawAGCell{sums: []float64{0, 0, 0, math.NaN()}}),
+			bin:  buildRawAG(unit, 1, 0.5, 1, []float64{0, 0, 0, math.NaN()}),
 			want: "core: cell 0: grid: non-finite prefix sum NaN at index 3"},
 		{name: "ag invalid domain", ag: true,
-			bin:  buildRawAG(2, bad, 1, 0.5, 1, zeroCell),
+			bin:  buildRawAG(bad, 1, 0.5, 1, zeroCell),
 			want: "core: parse synopsis: geom: invalid domain [1,0]x[0,1]: need finite bounds with positive extent"},
 		{name: "ag future version", ag: true,
-			bin:  buildRawAG(3, unit, 1, 0.5, 1, zeroCell),
-			want: "core: parse synopsis: codec: unsupported container version 3 (have 1-2)"},
+			bin:  withVersion(buildRawAG(unit, 1, 0.5, 1, zeroCell), 3),
+			want: "core: parse synopsis: codec: unsupported container version 3 (this build reads version 2)"},
+		{name: "ag version 1", ag: true,
+			bin:  withVersion(buildRawAG(unit, 1, 0.5, 1, zeroCell), 1),
+			want: "core: parse synopsis: codec: container version 1 no longer loads; convert it with a dpgrid that still reads it: dpgrid -load old.dpgrid -save new.dpgrid"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -131,8 +131,8 @@ func TestParseUniformGridRejectsCorruption(t *testing.T) {
 // one-cell AG container is rejected.
 func TestParseAdaptiveGridRejectsCorruption(t *testing.T) {
 	dom := [4]float64{0, 0, 4, 4}
-	cell := rawAGCell{sums: []float64{0, 0, 0, 1}}
-	if _, err := ParseAdaptiveGridBinary(buildRawAG(2, dom, 1, 0.5, 1, cell)); err != nil {
+	cell := []float64{0, 0, 0, 1}
+	if _, err := ParseAdaptiveGridBinary(buildRawAG(dom, 1, 0.5, 1, cell)); err != nil {
 		t.Fatalf("valid container rejected: %v", err)
 	}
 	cases := []struct {
@@ -140,8 +140,8 @@ func TestParseAdaptiveGridRejectsCorruption(t *testing.T) {
 		data []byte
 	}{
 		{"wrong format", buildRawUG(dom, 1, 1, 1, 1, []float64{1})},
-		{"bad alpha", buildRawAG(2, dom, 1, 2, 1, cell)},
-		{"cells mismatch", buildRawAG(2, dom, 1, 0.5, 5, cell)},
+		{"bad alpha", buildRawAG(dom, 1, 2, 1, cell)},
+		{"cells mismatch", buildRawAG(dom, 1, 0.5, 5, cell)},
 		{"not json", []byte("{{{{")},
 	}
 	for _, tc := range cases {

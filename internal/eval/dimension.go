@@ -10,7 +10,6 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/gridnd"
-	"github.com/dpgrid/dpgrid/internal/hist1d"
 	"github.com/dpgrid/dpgrid/internal/noise"
 	"github.com/dpgrid/dpgrid/internal/pointindex"
 )
@@ -138,11 +137,16 @@ func gain4D(eps float64, n, trials, queries int, seed int64) (HierarchyGainRow, 
 	return gainRow(4, 16*16*16*16, 16, 4, flatErr/float64(count), hierErr/float64(count)), nil
 }
 
-// gain1D: 262144 bins, grouping 64, depth 4 (262144 = 64^3).
+// gain1D: 262144 bins, grouping 64, depth 4 (262144 = 64^3), on
+// gridnd at d = 1.
 func gain1D(eps float64, n, trials, queries int, seed int64) (HierarchyGainRow, error) {
 	rng := rand.New(rand.NewSource(seed + 101))
-	xs := make([]float64, 0, n)
-	for len(xs) < n {
+	dom, err := gridnd.NewDomain([]float64{0}, []float64{100})
+	if err != nil {
+		return HierarchyGainRow{}, err
+	}
+	pts := make([][]float64, 0, n)
+	for len(pts) < n {
 		var x float64
 		switch rng.Intn(4) {
 		case 0:
@@ -153,22 +157,22 @@ func gain1D(eps float64, n, trials, queries int, seed int64) (HierarchyGainRow, 
 			x = 70 + rng.NormFloat64()*6
 		}
 		if x >= 0 && x <= 100 {
-			xs = append(xs, x)
+			pts = append(pts, []float64{x})
 		}
 	}
 	const bins = 262144
-	truth, err := hist1d.Exact(xs, 0, 100, bins)
+	truth, err := gridnd.BuildFlat(pts, dom, bins, 1, noise.Zero)
 	if err != nil {
 		return HierarchyGainRow{}, err
 	}
 	var flatErr, hierErr float64
 	count := 0
 	for trial := 0; trial < trials; trial++ {
-		flat, err := hist1d.BuildFlat(xs, 0, 100, bins, eps, noise.NewSource(seed+int64(trial)))
+		flat, err := gridnd.BuildFlat(pts, dom, bins, eps, noise.NewSource(seed+int64(trial)))
 		if err != nil {
 			return HierarchyGainRow{}, err
 		}
-		hier, err := hist1d.BuildHierarchical(xs, 0, 100, bins, 64, 4, eps, noise.NewSource(seed+1000+int64(trial)))
+		hier, err := gridnd.BuildHierarchical(pts, dom, bins, 64, 4, eps, noise.NewSource(seed+1000+int64(trial)))
 		if err != nil {
 			return HierarchyGainRow{}, err
 		}
@@ -176,9 +180,10 @@ func gain1D(eps float64, n, trials, queries int, seed int64) (HierarchyGainRow, 
 		for q := 0; q < queries; q++ {
 			w := (0.1 + qrng.Float64()*0.5) * 100
 			a := qrng.Float64() * (100 - w)
-			want := truth.Range(a, a+w)
-			flatErr += math.Abs(flat.Range(a, a+w) - want)
-			hierErr += math.Abs(hier.Range(a, a+w) - want)
+			box := gridnd.Box{Lo: []float64{a}, Hi: []float64{a + w}}
+			want := truth.Query(box)
+			flatErr += math.Abs(flat.Query(box) - want)
+			hierErr += math.Abs(hier.Query(box) - want)
 			count++
 		}
 	}

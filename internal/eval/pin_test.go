@@ -10,7 +10,6 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/gridnd"
 	"github.com/dpgrid/dpgrid/internal/hierarchy"
-	"github.com/dpgrid/dpgrid/internal/hist1d"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
 
@@ -35,7 +34,7 @@ func releaseHash(t *testing.T, rels ...appendable) string {
 
 // TestHierarchyBuildersPinned pins, at fixed seeds, the released bits
 // of every builder that runs the constrained-inference hierarchy
-// (hierarchy, hist1d, gridnd) and the measured dimension study, so a
+// (hierarchy, gridnd) and the measured dimension study, so a
 // change to the shared level/noise/inference code cannot move an
 // answer unnoticed.
 func TestHierarchyBuildersPinned(t *testing.T) {
@@ -63,32 +62,6 @@ func TestHierarchyBuildersPinned(t *testing.T) {
 			if got := releaseHash(t, rels...); got != tc.want {
 				t.Errorf("%+v: release hash %s, want %s", tc.opts, got, tc.want)
 			}
-		}
-	})
-
-	t.Run("hist1d", func(t *testing.T) {
-		xs := make([]float64, len(d.Points))
-		for i, p := range d.Points {
-			xs[i] = p.X
-		}
-		lo, hi := d.Domain.MinX, d.Domain.MaxX
-		var flat, hier []appendable
-		for _, s := range seeds {
-			f, err := hist1d.BuildFlat(xs, lo, hi, 4096, 1, noise.NewSource(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := hist1d.BuildHierarchical(xs, lo, hi, 4096, 8, 4, 1, noise.NewSource(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, hier = append(flat, f), append(hier, h)
-		}
-		if got, want := releaseHash(t, flat...), "52059aee1ce3841d51359f948cbae22f83100cf0f611872f49dd88a1c1bfe25c"; got != want {
-			t.Errorf("flat release hash %s, want %s", got, want)
-		}
-		if got, want := releaseHash(t, hier...), "8a970115ca7e9e3c596b1c8395593e027551f40f8277c37313a03fd1e586744b"; got != want {
-			t.Errorf("hierarchical release hash %s, want %s", got, want)
 		}
 	})
 

@@ -194,31 +194,3 @@ func (d Domain) CellRect(ix, iy, mx, my int) Rect {
 func (d Domain) Clip(r Rect) (Rect, bool) {
 	return d.Rect.Intersect(r)
 }
-
-// BoundingDomain returns the smallest valid domain covering all points,
-// expanded by a tiny epsilon so that max-coordinate points are interior.
-// It returns an error when points is empty or degenerate on an axis.
-func BoundingDomain(points []Point) (Domain, error) {
-	if len(points) == 0 {
-		return Domain{}, errors.New("geom: cannot bound an empty point set")
-	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range points {
-		minX = math.Min(minX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, p.Y)
-	}
-	// Expand degenerate axes so NewDomain accepts the result.
-	const pad = 1e-9
-	if maxX-minX <= 0 {
-		minX -= pad
-		maxX += pad
-	}
-	if maxY-minY <= 0 {
-		minY -= pad
-		maxY += pad
-	}
-	return NewDomain(minX, minY, maxX, maxY)
-}

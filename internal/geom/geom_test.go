@@ -199,33 +199,6 @@ func TestCellRectsTileDomain(t *testing.T) {
 	}
 }
 
-func TestBoundingDomain(t *testing.T) {
-	pts := []Point{{1, 2}, {5, -3}, {2, 8}}
-	d, err := BoundingDomain(pts)
-	if err != nil {
-		t.Fatalf("BoundingDomain: %v", err)
-	}
-	for _, p := range pts {
-		if !d.Contains(p) {
-			t.Errorf("bounding domain %v does not contain %v", d, p)
-		}
-	}
-}
-
-func TestBoundingDomainDegenerate(t *testing.T) {
-	// All points identical: domain must still be valid.
-	d, err := BoundingDomain([]Point{{3, 3}, {3, 3}})
-	if err != nil {
-		t.Fatalf("BoundingDomain degenerate: %v", err)
-	}
-	if d.Width() <= 0 || d.Height() <= 0 {
-		t.Errorf("degenerate bounding domain has non-positive extent: %v", d)
-	}
-	if _, err := BoundingDomain(nil); err == nil {
-		t.Errorf("BoundingDomain(nil) should error")
-	}
-}
-
 func TestClip(t *testing.T) {
 	d := MustDomain(0, 0, 10, 10)
 	r, ok := d.Clip(NewRect(-5, 5, 5, 15))

@@ -9,7 +9,7 @@
 // decomposes into at most 3x3 = 9 axis-aligned blocks (full interior,
 // partial edge strips, partial corners), each summed with inclusion-
 // exclusion. The table is SAT, the package's summed-area table for any
-// dimension, which gridnd and hist1d share.
+// dimension, which gridnd shares.
 package grid
 
 import (

@@ -7,8 +7,8 @@ import (
 
 // SAT is a summed-area (prefix-sum) table over a dense grid of cells
 // with per-axis sizes dims, axis 0 fastest. It is the one table behind
-// every uniformity-estimate query in the repository: Prefix (d = 2),
-// package gridnd (any d) and package hist1d (d = 1).
+// every uniformity-estimate query in the repository: Prefix (d = 2) and
+// package gridnd (any d).
 //
 // The table has (dims[0]+1) x (dims[1]+1) x ... entries, axis 0
 // fastest; the entry at index (i0, i1, ...) is the sum of every cell

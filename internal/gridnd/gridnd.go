@@ -4,14 +4,14 @@
 // inference) noising.
 //
 // Its Hierarchical is the one constrained-inference hierarchy builder:
-// package hierarchy (d = 2) and package hist1d (d = 1) run it on their
-// own leaf histograms. Grid answers box queries from grid.SAT, the
-// summed-area table grid.Prefix also uses, and keeps only its own
-// coordinate-to-cell transform; gridnd's tests cross-validate the two
-// at d = 2. In the reproduction it supplies the d = 3 and d = 4 rows of
-// eval.HierarchyGainByDimension, carrying the paper's section IV-C
-// prediction ("hierarchies would perform even worse with higher
-// dimensions") past the paper's own discussion.
+// package hierarchy (d = 2) runs it on its own leaf histogram. Grid
+// answers box queries from grid.SAT, the summed-area table grid.Prefix
+// also uses, and keeps only its own coordinate-to-cell transform;
+// gridnd's tests cross-validate the two at d = 2. In the reproduction
+// it supplies the d = 1, 3 and 4 rows of eval.HierarchyGainByDimension,
+// carrying the paper's section IV-C prediction ("hierarchies would
+// perform even worse with higher dimensions") past the paper's own
+// discussion.
 package gridnd
 
 import (
@@ -124,7 +124,7 @@ func (g *Grid) Total() float64 { return g.sat.Total() }
 
 // Query estimates the count inside box under the uniformity assumption.
 // box must have the grid's dimensionality; mismatched boxes return 0. A
-// NaN bound yields NaN, as grid.Prefix and hist1d answer one.
+// NaN bound yields NaN, as grid.Prefix answers one.
 func (g *Grid) Query(box Box) float64 {
 	if len(box.Lo) != g.d || len(box.Hi) != g.d {
 		return 0
@@ -279,13 +279,16 @@ func LevelSizes(m, b, depth int) ([]int, error) {
 	if depth > 1 && b < 2 {
 		return nil, fmt.Errorf("gridnd: branching must be >= 2, got %d", b)
 	}
-	sizes := make([]int, depth)
-	sizes[0] = m
-	for l := 1; l < depth; l++ {
-		if sizes[l-1]%b != 0 {
-			return nil, fmt.Errorf("gridnd: level size %d not divisible by branching %d", sizes[l-1], b)
+	// Grow the list level by level rather than sizing it by depth: a
+	// decoded depth is untrusted, and a level of size 1 stops the loop
+	// after at most log2(m) divisions.
+	sizes := []int{m}
+	for len(sizes) < depth {
+		last := sizes[len(sizes)-1]
+		if last%b != 0 {
+			return nil, fmt.Errorf("gridnd: level size %d not divisible by branching %d", last, b)
 		}
-		sizes[l] = sizes[l-1] / b
+		sizes = append(sizes, last/b)
 	}
 	return sizes, nil
 }

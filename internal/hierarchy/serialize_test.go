@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -114,6 +115,22 @@ func TestHierarchyBinaryRejectsCorruption(t *testing.T) {
 		bad[52] = 9
 		if _, err := ParseHierarchyBinary(bad); err == nil || !strings.Contains(err.Error(), "divisible") {
 			t.Errorf("indivisible grid size: err = %v", err)
+		}
+	})
+	t.Run("huge depth", func(t *testing.T) {
+		// A depth of 1.4e9 levels must be refused by the divisibility
+		// check long before anything is sized by it.
+		bad := bytes.Clone(data)
+		binary.LittleEndian.PutUint32(bad[60:], 0x51515151)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseHierarchyBinary(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "divisible") {
+			t.Errorf("huge depth: err = %v", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("rejecting a %d-byte file allocated %d bytes", len(bad), grew)
 		}
 	})
 	t.Run("border violation", func(t *testing.T) {

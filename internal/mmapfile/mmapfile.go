@@ -3,8 +3,8 @@
 //
 // The package exists for the serving path: a decoded synopsis's float
 // tables alias its container's bytes (see internal/codec), so a mapped
-// file backs the summed-area tables (grid.SAT, behind grid.Prefix and
-// hist1d) directly, and loading a multi-gigabyte
+// file backs the summed-area tables (grid.SAT, behind grid.Prefix)
+// directly, and loading a multi-gigabyte
 // shard file costs address space instead of heap, and the page cache —
 // shared across processes, evictable under pressure — holds the float
 // payload. Callers treat the two modes identically: Data returns the

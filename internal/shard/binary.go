@@ -24,15 +24,14 @@ import (
 // any shard's bytes in O(1) without decoding the others, and every tile
 // decodes over its own slice of the file.
 //
-// In version 2 the blob starts 8-byte aligned and so does every tile
-// (each offset is the previous tile's end rounded up to 8, the gap
-// zero-filled), so a tile's own aligned f64 sections are aligned in the
-// manifest too and decode in place. Version-1 manifests have neither
-// padding.
+// The blob starts 8-byte aligned and so does every tile (each offset is
+// the previous tile's end rounded up to 8, the gap zero-filled), so a
+// tile's own aligned f64 sections are aligned in the manifest too and
+// decode in place.
 //
-// Encodings are canonical: offsets are required to be exactly those
-// rules (contiguous from zero in version 1) and padding to be zero, so
-// re-encoding a decoded release reproduces the bytes exactly.
+// Encodings are canonical: offsets are required to follow exactly that
+// rule and padding to be zero, so re-encoding a decoded release
+// reproduces the bytes exactly.
 
 // errNotEmbeddable rejects a tile kind that cannot be a manifest tile
 // (the manifest kind itself is not — no nested sharding).
@@ -108,8 +107,8 @@ func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// padTo8 rounds n up to a multiple of 8: where a version-2 tile that
-// follows a tile ending at n starts.
+// padTo8 rounds n up to a multiple of 8: where a tile that follows a
+// tile ending at n starts.
 func padTo8(n int) int { return (n + 7) &^ 7 }
 
 // ParseShardedBinary deserializes a dpgridv2 sharded manifest. It
@@ -154,11 +153,7 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 		if d.Err() != nil {
 			break
 		}
-		want := end
-		if d.Version() >= 2 {
-			want = uint64(padTo8(int(end)))
-		}
-		if off != want {
+		if want := uint64(padTo8(int(end))); off != want {
 			return nil, fmt.Errorf("shard: tile %d payload offset %d is not packed after the previous tile (want %d)", i, off, want)
 		}
 		if length == 0 {

@@ -233,12 +233,12 @@ func TestShardedBinaryRejectsCorrupt(t *testing.T) {
 		{"bad shard kind", mut(func(b []byte) {
 			binary.LittleEndian.PutUint16(b[12+32+8+8:], 0xEE)
 		}), ""},
-		// Only the five 2D release kinds can be tiles: not the zero
-		// kind, not a manifest (no nesting), not hist1d (no 2D domain)
-		// and not a kind this build does not know.
+		// Only the five release kinds can be tiles: not the zero kind,
+		// not a manifest (no nesting), not the retired kind 7 and not a
+		// kind this build does not know.
 		{"shard kind invalid", setShardKind(codec.KindInvalid), "not an embeddable synopsis kind"},
 		{"shard kind sharded", setShardKind(codec.KindSharded), "not an embeddable synopsis kind"},
-		{"shard kind hist1d", setShardKind(codec.KindHist1D), "not an embeddable synopsis kind"},
+		{"shard kind 7 retired", setShardKind(codec.Kind(7)), "not an embeddable synopsis kind"},
 		{"shard kind 8", setShardKind(codec.Kind(8)), "not an embeddable synopsis kind"},
 		{"zero epsilon", mut(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[12+32:], 0)

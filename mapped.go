@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/hist1d"
 	"github.com/dpgrid/dpgrid/internal/mmapfile"
 	"github.com/dpgrid/dpgrid/internal/shard"
 )
@@ -117,14 +116,12 @@ func LoadSynopsis(data []byte) (Synopsis, error) {
 		}
 		return nil, fmt.Errorf("dpgrid: %w", err)
 	}
-	// NewDec already rejected unknown kinds (with the corrupt-vs-
-	// newer-writer distinction); every kind but these two is a tile kind.
+	// NewDec already rejected unknown and retired kinds; every kind but
+	// the sharded manifest is a tile kind.
 	var syn Synopsis
 	switch kind {
 	case codec.KindSharded:
 		syn, err = shard.ParseShardedBinary(data)
-	case codec.KindHist1D:
-		syn, err = hist1d.ParseHistBinary(data)
 	default:
 		syn, err = shard.ParseTileBinary(kind, data)
 	}

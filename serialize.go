@@ -26,8 +26,8 @@ const (
 )
 
 // WriteSynopsis serializes a released synopsis (any kind, built or
-// loaded — UniformGrid, AdaptiveGrid, Hierarchy, KDTree, Privlet,
-// Hist1D or Sharded) as a dpgridv2 binary container, which
+// loaded — UniformGrid, AdaptiveGrid, Hierarchy, KDTree, Privlet or
+// Sharded) as a dpgridv2 binary container, which
 // ReadSynopsis and LoadSynopsis load. A Sharded release
 // serializes as a manifest embedding one per-shard container per tile.
 // The container is decoded without parsing — on little-endian hosts

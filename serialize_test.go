@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -186,17 +187,9 @@ func validSynopses(t interface{ Fatal(...any) }) map[string]Synopsis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = p.X
-	}
-	h1, err := BuildHist1DHierarchical(xs, 0, 20, 8, 2, 3, 1, NewNoiseSource(7))
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Synopsis{
 		"ug": ug, "ag": ag, "sharded": sh,
-		"hierarchy": hier, "kdtree": kd, "privlet": pl, "hist1d": h1,
+		"hierarchy": hier, "kdtree": kd, "privlet": pl,
 	}
 }
 
@@ -312,12 +305,6 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 		{"ug dims wrap", overflowReleases[2]},
 		{"sharded payload mismatch", []byte(`{"format":"dpgrid/sharded","version":1,"domain":[0,0,1,1],"epsilon":1,"kx":2,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`)},
 		{"sharded bad payload", []byte(`{"format":"dpgrid/sharded","version":1,"domain":[0,0,1,1],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"x":1}]}`)},
-		{"hist1d truncated", valid["hist1d"][:len(valid["hist1d"])/2]},
-		{"hist1d bad range", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[5,5],"epsilon":1,"bins":1,"prefix":[0,1]}`)},
-		{"hist1d bad epsilon", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[0,1],"epsilon":0,"bins":1,"prefix":[0,1]}`)},
-		{"hist1d prefix mismatch", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[0,1],"epsilon":1,"bins":2,"prefix":[0,1]}`)},
-		{"hist1d nonzero prefix start", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[0,1],"epsilon":1,"bins":1,"prefix":[2,3]}`)},
-		{"hist1d non-finite prefix", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[0,1],"epsilon":1,"bins":1,"prefix":[0,1e999]}`)},
 	}
 	// Binary-container corruption goes through the same entry point.
 	validBin := validBinarySynopsisFiles(t)
@@ -364,9 +351,11 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 // kind's container and JSON dump (which both must reject), SAT-less
 // containers (the prefix-rebuild path), plus truncated and bit-flipped
 // variants of the dpgridv2 containers and hand-corrupted JSON. The
-// committed corpus under testdata/fuzz holds version-1 containers
-// (unaligned sections) and version-2 UG, AG and sharded ones, one with
-// nonzero padding.
+// version-1 goldens under testdata/v1, and each of them relabelled
+// version 2 (unaligned sections under an aligned header), are rejection
+// seeds. The committed corpus under testdata/fuzz holds more version-1
+// containers and version-2 UG, AG and sharded ones, one with nonzero
+// padding.
 func FuzzReadSynopsis(f *testing.F) {
 	valid := validJSONDumps(f)
 	for _, data := range valid {
@@ -396,6 +385,12 @@ func FuzzReadSynopsis(f *testing.F) {
 	}
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte("dpgridv2"))
+	for _, data := range version1Goldens(f) {
+		f.Add(data)
+		relabelled := bytes.Clone(data)
+		relabelled[len(codec.Magic)] = codec.Version
+		f.Add(relabelled)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		syn, err := ReadSynopsis(bytes.NewReader(data))
@@ -632,7 +627,7 @@ func TestBinaryManifestSmallerThanJSON(t *testing.T) {
 var update = flag.Bool("update", false, "rewrite golden synopsis files")
 
 // goldenKinds names the committed golden files, testdata/golden.<kind>.*.
-var goldenKinds = []string{"ug", "ag", "sharded", "hierarchy", "kdtree", "privlet", "hist1d"}
+var goldenKinds = []string{"ug", "ag", "sharded", "hierarchy", "kdtree", "privlet"}
 
 // goldenRects are the queries the golden files are checked against.
 var goldenRects = []Rect{
@@ -642,10 +637,9 @@ var goldenRects = []Rect{
 }
 
 // TestGoldenFiles pins the on-disk formats: the committed containers
-// must load and re-encode bit-identically, and every one of them —
-// version 2 and the version-1 files in testdata/v1 alike — must write
-// exactly the committed JSON dump of its kind, which pins the JSON
-// encoder. A format change that breaks files already in the field
+// must load and re-encode bit-identically, and every one of them must
+// write exactly the committed JSON dump of its kind, which pins the
+// JSON encoder. A format change that breaks files already in the field
 // fails here first.
 func TestGoldenFiles(t *testing.T) {
 	if *update {
@@ -668,22 +662,16 @@ func TestGoldenFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, path := range []string{binPath, filepath.Join("testdata", "v1", "golden."+name+".dpgrid")} {
-			syn, err := ReadSynopsisFile(path)
-			if err != nil {
-				t.Fatalf("%s: %v (run `go test -run TestGoldenFiles -update .` if the format changed intentionally)", path, err)
-			}
-			var js bytes.Buffer
-			if err := WriteSynopsisFormat(&js, syn, FormatJSON); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(js.Bytes(), goldenJSON) {
-				t.Errorf("%s: its JSON dump differs from golden.%s.json", path, name)
-			}
-		}
 		fromBin, err := LoadSynopsis(golden)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v (run `go test -run TestGoldenFiles -update .` if the format changed intentionally)", binPath, err)
+		}
+		var js bytes.Buffer
+		if err := WriteSynopsisFormat(&js, fromBin, FormatJSON); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js.Bytes(), goldenJSON) {
+			t.Errorf("%s: its JSON dump differs from golden.%s.json", binPath, name)
 		}
 		var again bytes.Buffer
 		if err := WriteSynopsis(&again, fromBin); err != nil {
@@ -695,36 +683,46 @@ func TestGoldenFiles(t *testing.T) {
 	}
 }
 
-// TestGoldenFilesVersion1: the version-1 containers committed before
-// f64 sections were aligned (testdata/v1, the same releases as the
-// current goldens) still decode, answer bit-identically to the
-// version-2 goldens, and re-encode to the version-2 goldens' bytes.
+// errVersion1 is the one error every loader gives a version-1
+// container.
+const errVersion1 = "dpgrid: codec: container version 1 no longer loads; convert it with a dpgrid that still reads it: dpgrid -load old.dpgrid -save new.dpgrid"
+
+// version1Goldens returns the version-1 containers under testdata/v1,
+// committed before f64 sections were aligned, keyed by path.
+func version1Goldens(t interface{ Fatal(...any) }) map[string][]byte {
+	paths, err := filepath.Glob(filepath.Join("testdata", "v1", "*.dpgrid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(goldenKinds) {
+		t.Fatal(fmt.Sprintf("found %d version-1 goldens, want %d: %v", len(paths), len(goldenKinds), paths))
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[path] = data
+	}
+	return out
+}
+
+// TestGoldenFilesVersion1: no loader reads a version-1 container any
+// more. Each of the committed ones gets the one error that names the
+// conversion, from ReadSynopsis, LoadSynopsis and MapSynopsisFile.
 func TestGoldenFilesVersion1(t *testing.T) {
-	for _, name := range goldenKinds {
-		old, err := ReadSynopsisFile(filepath.Join("testdata", "v1", "golden."+name+".dpgrid"))
-		if err != nil {
-			t.Fatalf("%s: version-1 file: %v", name, err)
-		}
-		binPath := filepath.Join("testdata", "golden."+name+".dpgrid")
-		cur, err := ReadSynopsisFile(binPath)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, r := range goldenRects {
-			if a, b := old.Query(r), cur.Query(r); math.Float64bits(a) != math.Float64bits(b) {
-				t.Errorf("%s: Query(%v): version 1 %v, version 2 %v", name, r, a, b)
+	for path, data := range version1Goldens(t) {
+		_, readErr := ReadSynopsis(bytes.NewReader(data))
+		syn, loadErr := LoadSynopsis(data)
+		mapped, mapErr := MapSynopsisFile(path)
+		for name, err := range map[string]error{"ReadSynopsis": readErr, "LoadSynopsis": loadErr, "MapSynopsisFile": mapErr} {
+			if err == nil || err.Error() != errVersion1 {
+				t.Errorf("%s(%s): err = %v, want %q", name, path, err, errVersion1)
 			}
 		}
-		golden, err := os.ReadFile(binPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var again bytes.Buffer
-		if err := WriteSynopsis(&again, old); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(golden, again.Bytes()) {
-			t.Errorf("%s: the version-1 file did not re-encode to the version-2 golden", name)
+		if syn != nil || mapped != nil {
+			t.Errorf("%s: a loader returned a synopsis with its error", path)
 		}
 	}
 }
