@@ -61,19 +61,15 @@ type AdaptiveGrid struct {
 	alpha float64
 	m1    int
 
-	cells     []agCell     // row-major m1*m1
-	level1    *grid.Prefix // prefix sums over post-inference cell totals
-	leafPop   int          // total number of leaf cells (diagnostics)
-	maxM2     int          // largest m2 chosen (diagnostics)
-	epsLevel  [2]float64   // actual budget split (diagnostics)
-	satBacked bool         // level1 adopted from a stored SAT section on decode
-}
-
-// agCell holds one first-level cell's second-level synopsis.
-type agCell struct {
-	rect   geom.Rect
-	m2     int
-	leaves *grid.Prefix // post-inference leaf counts over rect
+	// cells holds each first-level cell's second level, row-major
+	// m1*m1: the prefix table of its post-inference m2 x m2 leaf counts
+	// over the cell's rect (its Domain; m2 is its Dims).
+	cells     []grid.Prefix
+	level1    grid.Prefix // prefix sums over post-inference cell totals
+	leafPop   int         // total number of leaf cells (diagnostics)
+	maxM2     int         // largest m2 chosen (diagnostics)
+	epsLevel  [2]float64  // actual budget split (diagnostics)
+	satBacked bool        // level1 adopted from a stored SAT section on decode
 }
 
 // BuildAdaptiveGrid constructs an AG synopsis of points over dom under
@@ -256,7 +252,7 @@ func buildAdaptiveGrid(seq geom.PointSeq, dom geom.Domain, eps float64, opts AGO
 		eps:     eps,
 		alpha:   alpha,
 		m1:      m1,
-		cells:   make([]agCell, m1*m1),
+		cells:   make([]grid.Prefix, m1*m1),
 		leafPop: leafTotal,
 		maxM2:   maxChosen,
 	}
@@ -293,8 +289,7 @@ func buildAdaptiveGrid(seq geom.PointSeq, dom geom.Domain, eps float64, opts AGO
 			vPrime = sumU
 			diff = 0
 		}
-		cellRect := dom.CellRect(ix, iy, m1, m1)
-		cellDom := geom.Domain{Rect: cellRect}
+		cellDom := geom.Domain{Rect: dom.CellRect(ix, iy, m1, m1)}
 		leafGrid, err := grid.New(cellDom, m2, m2)
 		if err != nil {
 			cellErrs[k] = err
@@ -306,9 +301,8 @@ func buildAdaptiveGrid(seq geom.PointSeq, dom geom.Domain, eps float64, opts AGO
 		// The cell total is its leaf table's total, not vPrime: the two
 		// differ in the last bits, and the leaf total is what a saved
 		// file stores, so a built AG answers like the file it saves.
-		prefix := grid.NewPrefix(leafGrid)
-		ag.cells[k] = agCell{rect: cellRect, m2: m2, leaves: prefix}
-		totals.Set(ix, iy, prefix.Total())
+		ag.cells[k] = grid.NewPrefix(leafGrid)
+		totals.Set(ix, iy, ag.cells[k].Total())
 	})
 	for _, err := range cellErrs {
 		if err != nil {
@@ -344,8 +338,8 @@ func (a *AdaptiveGrid) Query(r geom.Rect) float64 {
 	// cell outright is one O(1) block sum off the level-1 table — no
 	// per-boundary-cell work. Full-domain queries and any cell-aligned
 	// rect take this branch.
-	lo, hi := &a.cells[by0*m1+bx0], &a.cells[by1*m1+bx1]
-	if clipped.ContainsRect(geom.NewRect(lo.rect.MinX, lo.rect.MinY, hi.rect.MaxX, hi.rect.MaxY)) {
+	lo, hi := a.cells[by0*m1+bx0].Domain(), a.cells[by1*m1+bx1].Domain()
+	if clipped.ContainsRect(geom.NewRect(lo.MinX, lo.MinY, hi.MaxX, hi.MaxY)) {
 		return a.level1.BlockSum(bx0, by0, bx1+1, by1+1)
 	}
 
@@ -358,11 +352,11 @@ func (a *AdaptiveGrid) Query(r geom.Rect) float64 {
 
 	cellQuery := func(bx, by int) {
 		cell := &a.cells[by*m1+bx]
-		if clipped.ContainsRect(cell.rect) {
-			total += cell.leaves.Total()
+		if clipped.ContainsRect(cell.Domain().Rect) {
+			total += cell.Total()
 			return
 		}
-		total += cell.leaves.Query(clipped)
+		total += cell.Query(clipped)
 	}
 	for by := by0; by <= by1; by++ {
 		cellQuery(bx0, by)
@@ -400,12 +394,13 @@ func (a *AdaptiveGrid) QueryIter(r geom.Rect) float64 {
 	for by := by0; by <= by1; by++ {
 		for bx := bx0; bx <= bx1; bx++ {
 			cell := &a.cells[by*m1+bx]
-			cellDom := geom.Domain{Rect: cell.rect}
-			for ly := 0; ly < cell.m2; ly++ {
-				for lx := 0; lx < cell.m2; lx++ {
-					f := cellDom.CellRect(lx, ly, cell.m2, cell.m2).OverlapFraction(clipped)
+			cellDom := cell.Domain()
+			m2, _ := cell.Dims()
+			for ly := 0; ly < m2; ly++ {
+				for lx := 0; lx < m2; lx++ {
+					f := cellDom.CellRect(lx, ly, m2, m2).OverlapFraction(clipped)
 					if f > 0 {
-						total += f * cell.leaves.BlockSum(lx, ly, lx+1, ly+1)
+						total += f * cell.BlockSum(lx, ly, lx+1, ly+1)
 					}
 				}
 			}
@@ -447,7 +442,8 @@ func (a *AdaptiveGrid) CellM2(ix, iy int) int {
 	if ix < 0 || ix >= a.m1 || iy < 0 || iy >= a.m1 {
 		return 0
 	}
-	return a.cells[iy*a.m1+ix].m2
+	m2, _ := a.cells[iy*a.m1+ix].Dims()
+	return m2
 }
 
 // CellTotal returns the post-inference count of first-level cell (ix,
@@ -457,7 +453,7 @@ func (a *AdaptiveGrid) CellTotal(ix, iy int) float64 {
 	if ix < 0 || ix >= a.m1 || iy < 0 || iy >= a.m1 {
 		return 0
 	}
-	return a.cells[iy*a.m1+ix].leaves.Total()
+	return a.cells[iy*a.m1+ix].Total()
 }
 
 // BudgetSplit returns the epsilon spent on the two levels.

@@ -136,7 +136,7 @@ func TestAGConsistencyLeavesSumToCellTotal(t *testing.T) {
 	for iy := 0; iy < ag.M1(); iy++ {
 		for ix := 0; ix < ag.M1(); ix++ {
 			cell, rawCell := &ag.cells[iy*ag.m1+ix], &raw.cells[iy*ag.m1+ix]
-			leafSum := cell.leaves.Total()
+			leafSum := cell.Total()
 			if got := ag.CellTotal(ix, iy); got != leafSum {
 				t.Errorf("cell (%d,%d): CellTotal %v != leaves sum %v", ix, iy, got, leafSum)
 			}
@@ -144,10 +144,11 @@ func TestAGConsistencyLeavesSumToCellTotal(t *testing.T) {
 				t.Errorf("cell (%d,%d): level-1 total %g != leaves sum %g", ix, iy, got, leafSum)
 			}
 			leaf := func(p *grid.Prefix, lx, ly int) float64 { return p.BlockSum(lx, ly, lx+1, ly+1) }
-			shift := leaf(cell.leaves, 0, 0) - leaf(rawCell.leaves, 0, 0)
-			for ly := 0; ly < cell.m2; ly++ {
-				for lx := 0; lx < cell.m2; lx++ {
-					if d := leaf(cell.leaves, lx, ly) - leaf(rawCell.leaves, lx, ly); math.Abs(d-shift) > 1e-6*(1+math.Abs(shift)) {
+			shift := leaf(cell, 0, 0) - leaf(rawCell, 0, 0)
+			m2, _ := cell.Dims()
+			for ly := 0; ly < m2; ly++ {
+				for lx := 0; lx < m2; lx++ {
+					if d := leaf(cell, lx, ly) - leaf(rawCell, lx, ly); math.Abs(d-shift) > 1e-6*(1+math.Abs(shift)) {
 						t.Errorf("cell (%d,%d) leaf (%d,%d): inference shift %g, want %g", ix, iy, lx, ly, d, shift)
 					}
 				}
@@ -172,7 +173,7 @@ func TestAGQueryEqualsCellDecomposition(t *testing.T) {
 		}
 		var total float64
 		for k := range ag.cells {
-			total += ag.cells[k].leaves.Query(clipped)
+			total += ag.cells[k].Query(clipped)
 		}
 		return total
 	}

@@ -84,7 +84,7 @@ func (a *AdaptiveGrid) AppendBinary(dst []byte) ([]byte, error) {
 	e.F64(a.alpha)
 	e.U32(uint32(a.m1))
 	for k := range a.cells {
-		e.F64s(a.cells[k].leaves.Sums())
+		e.F64s(a.cells[k].Sums())
 	}
 	e.SATSection(a.level1.Sums())
 	return e.Bytes(), nil
@@ -178,7 +178,7 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 		eps:      eps,
 		alpha:    alpha,
 		m1:       m1,
-		cells:    make([]agCell, 0, n),
+		cells:    make([]grid.Prefix, n),
 		maxM2:    1,
 		epsLevel: [2]float64{alpha * eps, (1 - alpha) * eps},
 	}
@@ -188,12 +188,10 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 			return nil, err
 		}
 		// Each cell keeps its checked table in place.
-		cellRect := dom.CellRect(k%m1, k/m1, m1, m1)
-		leaves, err := grid.PrefixFromSums(geom.Domain{Rect: cellRect}, m2, m2, sums)
-		if err != nil {
+		cellDom := geom.Domain{Rect: dom.CellRect(k%m1, k/m1, m1, m1)}
+		if a.cells[k], err = grid.PrefixFromSums(cellDom, m2, m2, sums); err != nil {
 			return nil, fmt.Errorf("core: cell %d: %w", k, err)
 		}
-		a.cells = append(a.cells, agCell{rect: cellRect, m2: m2, leaves: leaves})
 		a.leafPop += m2 * m2
 		a.maxM2 = max(a.maxM2, m2)
 	}
@@ -204,7 +202,7 @@ func ParseAdaptiveGridBinary(data []byte) (*AdaptiveGrid, error) {
 	// The level-1 table sums the cell totals (each table's last entry).
 	totals := make([]float64, n)
 	for k := range a.cells {
-		totals[k] = a.cells[k].leaves.Total()
+		totals[k] = a.cells[k].Total()
 	}
 	level1, err := grid.FromValues(dom, m1, m1, totals)
 	if err != nil {

@@ -102,6 +102,36 @@ func TestAGBinaryRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAGDecodeAllocsFlat: decoding an AG container allocates a fixed
+// number of objects, whatever m1: each cell's table is a grid.Prefix
+// value adopted in place in one cells slice, with no per-cell
+// allocation.
+func TestAGDecodeAllocsFlat(t *testing.T) {
+	dom := geom.MustDomain(0, 0, 20, 20)
+	allocs := func(m1 int) float64 {
+		ag, err := BuildAdaptiveGrid(clusteredPoints(9, 20000, dom), dom, 1, AGOptions{M1: m1}, noise.NewSource(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := ag.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ParseAdaptiveGridBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(4), allocs(64)
+	if large != small {
+		t.Errorf("AG decode: %v allocations at m1 = 4, %v at m1 = 64; want the same count", small, large)
+	}
+	if small > 16 {
+		t.Errorf("AG decode: %v allocations, want at most 16", small)
+	}
+}
+
 // TestBinaryMatchesJSONAnswers: a synopsis loaded from its container
 // answers bit for bit like the built synopsis it was written from —
 // the same release the JSON dump renders.

@@ -179,7 +179,7 @@ func agVariants(t *testing.T, m1 int) (dom geom.Domain, exact []satVariant, iter
 		t.Fatal(err)
 	}
 	for k := range a.cells {
-		scale += math.Abs(a.cells[k].leaves.Total())
+		scale += math.Abs(a.cells[k].Total())
 	}
 	return dom, []satVariant{
 		{"built", a},

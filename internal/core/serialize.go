@@ -64,13 +64,14 @@ func (a *AdaptiveGrid) WriteTo(w io.Writer) (int64, error) {
 	}
 	for k := range a.cells {
 		cell := &a.cells[k]
-		leaves := make([]float64, cell.m2*cell.m2)
-		for ly := 0; ly < cell.m2; ly++ {
-			for lx := 0; lx < cell.m2; lx++ {
-				leaves[ly*cell.m2+lx] = cell.leaves.BlockSum(lx, ly, lx+1, ly+1)
+		m2, _ := cell.Dims()
+		leaves := make([]float64, m2*m2)
+		for ly := 0; ly < m2; ly++ {
+			for lx := 0; lx < m2; lx++ {
+				leaves[ly*m2+lx] = cell.BlockSum(lx, ly, lx+1, ly+1)
 			}
 		}
-		f.Cells = append(f.Cells, agCellFile{M2: cell.m2, Leaves: leaves})
+		f.Cells = append(f.Cells, agCellFile{M2: m2, Leaves: leaves})
 	}
 	return writeJSON(w, &f)
 }

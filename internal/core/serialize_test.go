@@ -71,14 +71,14 @@ func TestAGSerializeRoundTrip(t *testing.T) {
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
 	leaves, total := 0, 0.0
 	for k, c := range f.Cells {
-		if c.M2 != orig.cells[k].m2 || len(c.Leaves) != c.M2*c.M2 {
-			t.Fatalf("cell %d: m2 %d with %d leaves, synopsis m2 %d", k, c.M2, len(c.Leaves), orig.cells[k].m2)
+		if m2, _ := orig.cells[k].Dims(); c.M2 != m2 || len(c.Leaves) != c.M2*c.M2 {
+			t.Fatalf("cell %d: m2 %d with %d leaves, synopsis m2 %d", k, c.M2, len(c.Leaves), m2)
 		}
 		sum := 0.0
 		for _, v := range c.Leaves {
 			sum += v
 		}
-		if want := orig.cells[k].leaves.Total(); !near(sum, want) {
+		if want := orig.cells[k].Total(); !near(sum, want) {
 			t.Errorf("cell %d: leaves sum to %g, cell total %g", k, sum, want)
 		}
 		leaves += len(c.Leaves)

@@ -96,12 +96,12 @@ func (a *AdaptiveGrid) Synthesize(n int, src noise.Source) ([]geom.Point, error)
 	var cells []weightedCell
 	for k := range a.cells {
 		cell := &a.cells[k]
-		m2 := cell.m2
+		m2, _ := cell.Dims()
 		for ly := 0; ly < m2; ly++ {
 			for lx := 0; lx < m2; lx++ {
-				w := cell.leaves.BlockSum(lx, ly, lx+1, ly+1)
+				w := cell.BlockSum(lx, ly, lx+1, ly+1)
 				if w > 0 {
-					r := geom.Domain{Rect: cell.rect}.CellRect(lx, ly, m2, m2)
+					r := cell.Domain().CellRect(lx, ly, m2, m2)
 					cells = append(cells, weightedCell{rect: r, weight: w})
 				}
 			}

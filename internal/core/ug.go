@@ -54,7 +54,7 @@ type UniformGrid struct {
 	m         int // nominal Guideline 1 size
 	mx, my    int // actual grid dimensions (mx = my = m unless aspect-aware)
 	noisy     *grid.Counts
-	prefix    *grid.Prefix
+	prefix    grid.Prefix
 	satBacked bool // prefix adopted from a stored SAT section on decode
 }
 

@@ -195,8 +195,8 @@ type Prefix struct {
 }
 
 // NewPrefix builds the prefix-sum table of c. O(mx*my) time and space.
-func NewPrefix(c *Counts) *Prefix {
-	return &Prefix{dom: c.dom, mx: c.mx, my: c.my, sums: NewSAT([]int{c.mx, c.my}, c.vals).sums}
+func NewPrefix(c *Counts) Prefix {
+	return Prefix{dom: c.dom, mx: c.mx, my: c.my, sums: NewSAT([]int{c.mx, c.my}, c.vals).sums}
 }
 
 // Sums exposes the backing prefix-sum table, row-major with
@@ -210,11 +210,11 @@ func (p *Prefix) Sums() []float64 { return p.sums }
 // table, taking ownership of sums, after SATFromSums' checks: positive
 // dimensions within MaxCells, length (mx+1)*(my+1), zero first row and
 // column, every entry finite.
-func PrefixFromSums(dom geom.Domain, mx, my int, sums []float64) (*Prefix, error) {
+func PrefixFromSums(dom geom.Domain, mx, my int, sums []float64) (Prefix, error) {
 	if _, err := SATFromSums([]int{mx, my}, sums); err != nil {
-		return nil, err
+		return Prefix{}, err
 	}
-	return &Prefix{dom: dom, mx: mx, my: my, sums: sums}, nil
+	return Prefix{dom: dom, mx: mx, my: my, sums: sums}, nil
 }
 
 // AdoptPrefix returns the prefix table of c. With sums nil it is
@@ -222,18 +222,18 @@ func PrefixFromSums(dom geom.Domain, mx, my int, sums []float64) (*Prefix, error
 // pass SATFromSums and equal bit for bit the table NewPrefix(c) builds
 // (SAT.CheckCells); it is then adopted in place, so an adopted and a
 // rebuilt table answer and re-encode identically.
-func AdoptPrefix(c *Counts, sums []float64) (*Prefix, error) {
+func AdoptPrefix(c *Counts, sums []float64) (Prefix, error) {
 	if sums == nil {
 		return NewPrefix(c), nil
 	}
 	t, err := SATFromSums([]int{c.mx, c.my}, sums)
 	if err != nil {
-		return nil, err
+		return Prefix{}, err
 	}
 	if err := t.CheckCells(c.vals); err != nil {
-		return nil, err
+		return Prefix{}, err
 	}
-	return &Prefix{dom: c.dom, mx: c.mx, my: c.my, sums: sums}, nil
+	return Prefix{dom: c.dom, mx: c.mx, my: c.my, sums: sums}, nil
 }
 
 // Domain returns the domain of the underlying grid.
@@ -254,42 +254,84 @@ func (p *Prefix) BlockSum(ix0, iy0, ix1, iy1 int) float64 {
 
 // Query answers the range-count query r under the uniformity assumption.
 // The query is clipped to the domain first; a query outside the domain
-// returns 0.
+// returns 0. Each axis is clipped, mapped to cell units and split into
+// weighted runs on its own (axisSpans), and every pair of runs adds
+// its weights times its block sum.
 func (p *Prefix) Query(r geom.Rect) float64 {
-	clipped, ok := p.dom.Clip(r)
+	var xbuf, ybuf [3]Span
+	xs, ok := axisSpans(p.dom.MinX, p.dom.MaxX, r.MinX, r.MaxX, p.mx, &xbuf)
 	if !ok {
 		return 0
 	}
-	w, h := p.dom.CellSize(p.mx, p.my)
-	loX := (clipped.MinX - p.dom.MinX) / w
-	hiX := (clipped.MaxX - p.dom.MinX) / w
-	loY := (clipped.MinY - p.dom.MinY) / h
-	hiY := (clipped.MaxY - p.dom.MinY) / h
-	// Clamp to [0, m] against floating-point drift.
-	loX = clampFloat(loX, 0, float64(p.mx))
-	hiX = clampFloat(hiX, 0, float64(p.mx))
-	loY = clampFloat(loY, 0, float64(p.my))
-	hiY = clampFloat(hiY, 0, float64(p.my))
-
-	var xbuf, ybuf [3]Span
-	xs := AxisSpans(loX, hiX, p.mx, xbuf[:0])
-	ys := AxisSpans(loY, hiY, p.my, ybuf[:0])
-
+	ys, ok := axisSpans(p.dom.MinY, p.dom.MaxY, r.MinY, r.MaxY, p.my, &ybuf)
+	if !ok {
+		return 0
+	}
+	// BlockSum's index clamps stay: a NaN edge makes a run of
+	// out-of-range indices, which must sum to 0 and so answer NaN.
 	var total float64
 	for _, sy := range ys {
+		y0, y1 := clampInt(sy.I0, 0, p.my), clampInt(sy.I1, 0, p.my)
 		for _, sx := range xs {
-			total += sx.W * sy.W * p.BlockSum(sx.I0, sy.I0, sx.I1, sy.I1)
+			total += sx.W * sy.W * blockSum2(p.sums, p.mx+1, clampInt(sx.I0, 0, p.mx), y0, clampInt(sx.I1, 0, p.mx), y1)
 		}
 	}
 	return total
 }
 
-func clampFloat(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
+// axisSpans is one axis of Query. It clips [r0, r1] to the table's
+// extent [d0, d1], maps the clipped interval onto the axis's m cells
+// and splits it into AxisSpans' runs in buf; ok is false when the
+// clipped interval is empty. The runs are bit for bit those of
+// Domain.Clip, CellSize, a divide per edge, the [0, m] clamps and
+// AxisSpans, with less work:
+//   - a low edge on d0 is exactly +0 cells in, with no divide;
+//   - neither bound can fall below 0, since the clip keeps both edges
+//     at or above d0, and a low bound past m leaves the run empty as
+//     the clamped one does, so only the high bound is clamped;
+//   - the interval from 0 to m is the one full-weight run, with no
+//     AxisSpans call.
+func axisSpans(d0, d1, r0, r1 float64, m int, buf *[3]Span) (spans []Span, ok bool) {
+	c0, c1 := fmax(d0, r0), fmin(d1, r1)
+	if c0 > c1 {
+		return nil, false
 	}
-	if v > hi {
-		return hi
+	w, fm := (d1-d0)/float64(m), float64(m)
+	var lo float64
+	if c0 != d0 {
+		lo = (c0 - d0) / w
 	}
-	return v
+	hi := (c1 - d0) / w
+	if hi > fm {
+		hi = fm
+	}
+	if lo == 0 && hi == fm {
+		buf[0] = Span{I0: 0, I1: m, W: 1}
+		return buf[:1], true
+	}
+	return AxisSpans(lo, hi, m, buf[:0]), true
+}
+
+// fmax is math.Max with ordered operands compared inline; equal or
+// unordered ones (±0, NaN) still take math.Max's rules.
+func fmax(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	if a < b {
+		return b
+	}
+	return math.Max(a, b)
+}
+
+// fmin is math.Min with ordered operands compared inline; equal or
+// unordered ones (±0, NaN) still take math.Min's rules.
+func fmin(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	if a > b {
+		return b
+	}
+	return math.Min(a, b)
 }

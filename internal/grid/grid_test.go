@@ -354,7 +354,8 @@ func TestPrefixFromSumsRoundTrip(t *testing.T) {
 
 func TestPrefixFromSumsValidation(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 10, 10)
-	good := NewPrefix(mustGrid(t, dom, 2, 2)).Sums()
+	p := NewPrefix(mustGrid(t, dom, 2, 2))
+	good := p.Sums()
 	cases := []struct {
 		name   string
 		mx, my int

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SAT is a summed-area (prefix-sum) table over a dense grid of cells
@@ -55,13 +56,13 @@ func SATFromSums(dims []int, sums []float64) (SAT, error) {
 		// Bounding each axis first keeps the product from overflowing
 		// on adversarial sizes.
 		if n <= 0 || n > MaxCells/cells {
-			return SAT{}, fmt.Errorf("grid: invalid %v grid: sizes must be positive with at most %d cells", dims, MaxCells)
+			return SAT{}, fmt.Errorf("grid: invalid %s grid: sizes must be positive with at most %d cells", shape(dims), MaxCells)
 		}
 		size *= n + 1
 		cells *= n
 	}
 	if len(dims) == 0 || len(sums) != size {
-		return SAT{}, fmt.Errorf("grid: sums table holds %d entries, want %d for a %v grid", len(sums), size, dims)
+		return SAT{}, fmt.Errorf("grid: sums table holds %d entries, want %d for a %s grid", len(sums), size, shape(dims))
 	}
 	for i, v := range sums {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -84,6 +85,10 @@ func SATFromSums(dims []int, sums []float64) (SAT, error) {
 	}
 	return SAT{dims: dims, sums: sums}, nil
 }
+
+// shape formats dims as %v does. Formatting a copy keeps dims itself
+// from escaping, so a caller's dims literal stays off the heap.
+func shape(dims []int) string { return fmt.Sprint(slices.Clone(dims)) }
 
 // CheckCells reports whether the table is, bit for bit, the one NewSAT
 // builds from cells. It replays the builder's recurrence row by row

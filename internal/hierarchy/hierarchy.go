@@ -38,7 +38,7 @@ type Hierarchy struct {
 	dom    geom.Domain
 	eps    float64
 	opts   Options
-	prefix *grid.Prefix
+	prefix grid.Prefix
 	levels []int // grid size per level, leaf first
 }
 

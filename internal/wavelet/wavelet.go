@@ -47,7 +47,7 @@ type Privlet struct {
 	eps    float64
 	m      int
 	padded int
-	prefix *grid.Prefix
+	prefix grid.Prefix
 }
 
 // nextPow2 returns the smallest power of two >= n (n >= 1).

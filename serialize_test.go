@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -339,6 +340,38 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 	for name, data := range validBin {
 		if _, err := ReadSynopsis(bytes.NewReader(data)); err != nil {
 			t.Errorf("valid binary %s file rejected: %v", name, err)
+		}
+	}
+}
+
+// TestFuzzSeedsReachDecoders: every committed FuzzReadSynopsis seed is
+// a version-2 container that NewDec opens, so each one reaches the
+// kind decoder and the guard it was committed to exercise instead of
+// stopping at the container's version check.
+func TestFuzzSeedsReachDecoders(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzReadSynopsis", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed FuzzReadSynopsis seeds")
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus file is the header line, then []byte("...") holding
+		// the input as a Go string literal.
+		header, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(lit, "[]byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")")
+		data, err := strconv.Unquote(lit)
+		if header != "go test fuzz v1" || !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file (%v)", path, err)
+		}
+		if _, _, err := codec.NewDec([]byte(data)); err != nil {
+			t.Errorf("%s: %v", filepath.Base(path), err)
 		}
 	}
 }
